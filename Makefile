@@ -12,8 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
+# bench/ is a module of its own (bench/go.mod replaces onto this tree), so
+# ./... does not reach it; vet and smoke-test it here so a signature change
+# under internal/ cannot silently break the benchmark.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage summary across all packages.
 cover:

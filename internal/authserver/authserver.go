@@ -87,8 +87,7 @@ type Config struct {
 	DisablePacketCache bool
 	// PacketCacheCap bounds the wire-response cache's entry count (the
 	// default cap when zero). Sweep-style workloads set a small cap: they
-	// query each name once, so cached responses are rarely re-served and a
-	// large cache just accretes one entry per audited domain.
+	// query each name once, so cached responses are rarely re-served.
 	PacketCacheCap int
 }
 

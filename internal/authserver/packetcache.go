@@ -46,8 +46,25 @@ type packetEntry struct {
 // deterministically).
 const packetCacheCap = 1 << 16
 
-// PacketCache is an authoritative wire-response cache. A nil *PacketCache
-// is valid and disables caching.
+// seenBits sizes the per-cache "asked once" filter, and seenResetAt is the
+// number of marks at which it is wiped. A bit set by another key admits a
+// first-touch response by mistake; wiping at one sixteenth full keeps that
+// share under ~6 %. A cache therefore remembers a first ask for the next
+// few hundred distinct keys, which is what tells a repeating key from a
+// population walked once. The filter is 1 KB, so the thousands of hosting
+// pool caches of a paper-scale universe cost nothing to speak of.
+const (
+	seenShift   = 13
+	seenBits    = 1 << seenShift
+	seenResetAt = seenBits / 16
+)
+
+// PacketCache is an authoritative wire-response cache with second-touch
+// admission: a response is retained only from the second time its key
+// misses, so a name nobody asks about twice — every name of a cold or
+// sweeping workload — is answered and forgotten rather than kept (and
+// traced by the collector) until the wholesale reset. A nil *PacketCache is
+// valid and disables caching.
 type PacketCache struct {
 	mu      sync.RWMutex
 	entries map[packetKey]*packetEntry
@@ -55,6 +72,12 @@ type PacketCache struct {
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
+
+	// seen holds one bit per hashed key that has missed once since the
+	// filter was last wiped; marks counts the bits set. Guarded by mu, and
+	// last in the struct so the fields a hit touches stay on one line.
+	marks int
+	seen  [seenBits / 64]uint64
 }
 
 // NewPacketCache creates an empty cache with the default capacity.
@@ -63,10 +86,8 @@ func NewPacketCache() *PacketCache {
 }
 
 // NewPacketCacheCap creates an empty cache bounded at n entries (default
-// capacity when n <= 0). Workloads that query each name exactly once — a
-// population sweep — get almost no hits from an authoritative cache, so a
-// small cap keeps the per-server footprint flat instead of accreting one
-// entry per audited domain until the default cap.
+// capacity when n <= 0). The cap bounds what repeating keys may retain; a
+// key asked once is not retained at any cap.
 func NewPacketCacheCap(n int) *PacketCache {
 	if n <= 0 {
 		n = packetCacheCap
@@ -74,15 +95,51 @@ func NewPacketCacheCap(n int) *PacketCache {
 	return &PacketCache{entries: make(map[packetKey]*packetEntry), cap: n}
 }
 
-// Invalidate drops every entry; AddSource calls it because source routing
-// (which source answers which name) may have changed.
+// Invalidate drops every entry and forgets every first ask; AddSource calls
+// it because source routing (which source answers which name) may have
+// changed.
 func (c *PacketCache) Invalidate() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	clear(c.entries)
+	c.resetLocked()
 	c.mu.Unlock()
+}
+
+// resetLocked empties the cache and the admission filter together.
+func (c *PacketCache) resetLocked() {
+	clear(c.entries)
+	c.seen = [seenBits / 64]uint64{}
+	c.marks = 0
+}
+
+// seenBit maps a key to its filter bit: FNV-1a over the name, the rest of the
+// tuple folded in, finished with a multiply so the top bits depend on all of
+// it. A fixed hash keeps hit counts reproducible run to run.
+func (k packetKey) seenBit() uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(k.qname); i++ {
+		h = (h ^ uint64(k.qname[i])) * 1099511628211
+	}
+	h ^= uint64(k.qtype)<<24 | uint64(k.class)<<8 | uint64(k.flags)
+	return (h * 0x9E3779B97F4A7C15) >> (64 - seenShift)
+}
+
+// admitLocked reports whether key has missed before, and marks it if not.
+func (c *PacketCache) admitLocked(key packetKey) bool {
+	bit := key.seenBit()
+	word, mask := &c.seen[bit/64], uint64(1)<<(bit%64)
+	if *word&mask != 0 {
+		return true
+	}
+	if c.marks >= seenResetAt {
+		c.seen = [seenBits / 64]uint64{}
+		c.marks = 0
+	}
+	*word |= mask
+	c.marks++
+	return false
 }
 
 // Stats returns the hit and miss counts.
@@ -149,25 +206,33 @@ func sourceGeneration(src Source) uint64 {
 	return 0
 }
 
+// respondUncached builds the response and retains nothing: it is encoded
+// straight into dst when wantWire is set and not at all otherwise.
+func respondUncached(src Source, cfg Config, q *dns.Message, dst []byte, wantWire bool) (*dns.Message, []byte, error) {
+	resp, err := Respond(src, cfg, q)
+	if err != nil {
+		return nil, nil, err
+	}
+	if wantWire {
+		if dst, err = resp.AppendEncode(dst); err != nil {
+			return nil, nil, err
+		}
+	}
+	return resp, dst, nil
+}
+
 // Respond answers q for src under cfg through the cache. The returned
 // message owns its header but shares section slices with the cache entry:
 // callers may read it freely and must treat the record sections as
 // immutable — the same contract the wire fast path already imposes on
 // every exchanged response. When wantWire is set, the encoded response (ID
 // already matching q) is appended to dst and returned; on a cache hit that
-// is a copy-and-patch, not an encode.
+// is a copy-and-patch, not an encode. A miss that is not admitted encodes
+// straight into dst, or not at all without wantWire; the response is the
+// same bytes either way.
 func (c *PacketCache) Respond(src Source, cfg Config, q *dns.Message, dst []byte, wantWire bool) (*dns.Message, []byte, error) {
 	if c == nil || !cacheableQuery(q) {
-		resp, err := Respond(src, cfg, q)
-		if err != nil {
-			return nil, nil, err
-		}
-		if wantWire {
-			if dst, err = resp.AppendEncode(dst); err != nil {
-				return nil, nil, err
-			}
-		}
-		return resp, dst, nil
+		return respondUncached(src, cfg, q, dst, wantWire)
 	}
 
 	key := keyFor(q, &cfg)
@@ -192,6 +257,13 @@ func (c *PacketCache) Respond(src Source, cfg Config, q *dns.Message, dst []byte
 
 	c.misses.Add(1)
 	totalMisses.Add(1)
+	c.mu.Lock()
+	admit := c.admitLocked(key)
+	c.mu.Unlock()
+	if !admit {
+		// First ask: nothing is retained, so the caller owns resp outright.
+		return respondUncached(src, cfg, q, dst, wantWire)
+	}
 	resp, err := Respond(src, cfg, q)
 	if err != nil {
 		return nil, nil, err
@@ -202,7 +274,7 @@ func (c *PacketCache) Respond(src Source, cfg Config, q *dns.Message, dst []byte
 	}
 	c.mu.Lock()
 	if len(c.entries) >= c.cap {
-		clear(c.entries)
+		c.resetLocked()
 	}
 	c.entries[key] = &packetEntry{wire: wire, msg: resp, srcGen: gen}
 	c.mu.Unlock()

@@ -2,6 +2,7 @@ package authserver
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -28,24 +29,30 @@ func TestPacketCacheHitsAndIDPatch(t *testing.T) {
 		t.Fatal("cache disabled by default")
 	}
 
+	// Second-touch admission: the first ask is answered and forgotten, the
+	// second is retained, the third is the first hit.
 	r1, w1 := queryWire(t, srv, 0x1111, "www.example.com", dns.TypeA)
 	r2, w2 := queryWire(t, srv, 0x2222, "www.example.com", dns.TypeA)
+	r3, w3 := queryWire(t, srv, 0x3333, "www.example.com", dns.TypeA)
 
-	if hits, misses := srv.Cache().Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("stats = (%d hits, %d misses), want (1, 1)", hits, misses)
+	if hits, misses := srv.Cache().Stats(); hits != 1 || misses != 2 {
+		t.Fatalf("stats = (%d hits, %d misses), want (1, 2)", hits, misses)
 	}
-	if r1.Header.ID != 0x1111 || r2.Header.ID != 0x2222 {
-		t.Fatalf("response IDs = %#x, %#x", r1.Header.ID, r2.Header.ID)
+	if r1.Header.ID != 0x1111 || r2.Header.ID != 0x2222 || r3.Header.ID != 0x3333 {
+		t.Fatalf("response IDs = %#x, %#x, %#x", r1.Header.ID, r2.Header.ID, r3.Header.ID)
 	}
-	// The cached wire must be the miss wire with only the ID patched.
-	if len(w1) != len(w2) || !bytes.Equal(w1[2:], w2[2:]) {
-		t.Fatal("hit wire differs from miss wire beyond the message ID")
+	// The cached wire must be either miss wire with only the ID patched:
+	// admitted or not, a response is the same bytes.
+	for _, w := range [][]byte{w1, w2} {
+		if len(w) != len(w3) || !bytes.Equal(w[2:], w3[2:]) {
+			t.Fatal("hit wire differs from miss wire beyond the message ID")
+		}
 	}
 	// And each wire must equal a fresh encode of its own response.
 	for i, pair := range []struct {
 		r *dns.Message
 		w []byte
-	}{{r1, w1}, {r2, w2}} {
+	}{{r1, w1}, {r2, w2}, {r3, w3}} {
 		enc, err := pair.r.Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -118,8 +125,9 @@ func TestPacketCacheGenerationInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queryWire(t, srv, 1, "www.example.com", dns.TypeA) // fill
-	queryWire(t, srv, 2, "www.example.com", dns.TypeA) // hit
+	queryWire(t, srv, 1, "www.example.com", dns.TypeA) // first ask
+	queryWire(t, srv, 2, "www.example.com", dns.TypeA) // fill
+	queryWire(t, srv, 3, "www.example.com", dns.TypeA) // hit
 
 	// Mutate the zone: the generation bumps, the stale entry must refill.
 	if err := z.Add(dns.RR{
@@ -128,13 +136,99 @@ func TestPacketCacheGenerationInvalidation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r3, _ := queryWire(t, srv, 3, "www.example.com", dns.TypeA)
-	if len(r3.Answer) != 2 {
-		t.Fatalf("stale cached response served after zone mutation: %d answers", len(r3.Answer))
+	for id := uint16(4); id <= 5; id++ { // refill (the key is known to repeat), then hit
+		r, _ := queryWire(t, srv, id, "www.example.com", dns.TypeA)
+		if len(r.Answer) != 2 {
+			t.Fatalf("stale cached response served after zone mutation: %d answers", len(r.Answer))
+		}
 	}
-	if hits, misses := srv.Cache().Stats(); hits != 1 || misses != 2 {
-		t.Fatalf("stats = (%d hits, %d misses), want (1, 2)", hits, misses)
+	if hits, misses := srv.Cache().Stats(); hits != 2 || misses != 3 {
+		t.Fatalf("stats = (%d hits, %d misses), want (2, 3)", hits, misses)
 	}
+}
+
+// entryCount reads the number of retained responses.
+func entryCount(c *PacketCache) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.entries)
+}
+
+func TestPacketCacheOneTouchKeysRetainNothing(t *testing.T) {
+	srv, err := New(Config{Name: "ns"}, testZone(t, "example.com", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Few enough keys that none lands on another's filter bit (the hash is
+	// fixed, so this holds or fails identically on every run).
+	const n = 32
+	for i := 0; i < n; i++ {
+		r, w := queryWire(t, srv, uint16(i+1), fmt.Sprintf("once%d.example.com", i), dns.TypeA)
+		enc, err := r.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Header.RCode != dns.RCodeNXDomain || !bytes.Equal(enc, w) {
+			t.Fatalf("query %d: rcode=%s, wire matches encoding: %t", i, r.Header.RCode, bytes.Equal(enc, w))
+		}
+	}
+	if got := entryCount(srv.Cache()); got != 0 {
+		t.Fatalf("%d one-touch keys left %d entries, want 0", n, got)
+	}
+	if hits, misses := srv.Cache().Stats(); hits != 0 || misses != n {
+		t.Fatalf("stats = (%d hits, %d misses), want (0, %d)", hits, misses, n)
+	}
+	// The message-only path (no wire wanted, none encoded) retains nothing
+	// either.
+	q := dns.NewQuery(77, dns.MustName("msgonly.example.com"), dns.TypeA, true)
+	if r, err := srv.HandleQuery(q, stub); err != nil || r.Header.RCode != dns.RCodeNXDomain {
+		t.Fatalf("HandleQuery = (%v, %v)", r, err)
+	}
+	if got := entryCount(srv.Cache()); got != 0 {
+		t.Fatalf("message-only first ask left %d entries", got)
+	}
+}
+
+func TestPacketCacheInvalidateForgetsFirstAsks(t *testing.T) {
+	srv, err := New(Config{Name: "ns"}, testZone(t, "example.com", false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queryWire(t, srv, 1, "www.example.com", dns.TypeA) // first ask, marked
+	srv.Cache().Invalidate()
+	queryWire(t, srv, 2, "www.example.com", dns.TypeA) // a first ask again
+	if got := entryCount(srv.Cache()); got != 0 {
+		t.Fatalf("a key asked once since Invalidate was admitted: %d entries", got)
+	}
+	queryWire(t, srv, 3, "www.example.com", dns.TypeA)
+	if got := entryCount(srv.Cache()); got != 1 {
+		t.Fatalf("second ask since Invalidate left %d entries, want 1", got)
+	}
+	queryWire(t, srv, 4, "www.example.com", dns.TypeA)
+	if hits, misses := srv.Cache().Stats(); hits != 1 || misses != 3 {
+		t.Fatalf("stats = (%d hits, %d misses), want (1, 3)", hits, misses)
+	}
+}
+
+func TestPacketCacheFalseAdmissionShare(t *testing.T) {
+	srv, err := New(Config{Name: "ns"}, testZone(t, "example.com", false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stream that never repeats, many times the filter's size: every
+	// retained entry is a key admitted on another key's bit.
+	const n = 20000
+	for i := 0; i < n; i++ {
+		q := dns.NewQuery(uint16(i), dns.MustName(fmt.Sprintf("u%d.example.com", i)), dns.TypeA, true)
+		if _, _, err := srv.HandleQueryWire(q, stub, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := entryCount(srv.Cache())
+	if share := float64(got) / n; share >= 0.10 {
+		t.Fatalf("%d of %d one-touch keys were admitted (%.1f %%), want under 10 %%", got, n, 100*share)
+	}
+	t.Logf("false admissions: %d of %d (%.2f %%)", got, n, 100*float64(got)/n)
 }
 
 func TestPacketCacheAddSourceInvalidates(t *testing.T) {

@@ -3,6 +3,7 @@ package dns
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/dnsprivacy/lookaside/internal/faults"
@@ -163,6 +164,42 @@ func FuzzDecodeDifferential(f *testing.F) {
 		}
 		if fastEncErr == nil && !bytes.Equal(fw, rw) {
 			t.Fatalf("re-encodings differ:\nfast:      %x\nreference: %x", fw, rw)
+		}
+	})
+}
+
+// FuzzSortKeyOrder pins AppendSortKey to the comparator it represents: for
+// any two valid names, memcmp on the keys is CanonicalCompare on the names,
+// and key-prefix is IsSubdomainOf. Inputs MakeName rejects are skipped, so
+// the fuzzer explores the name alphabet, label boundaries and the length
+// limits. Run with `go test -fuzz=FuzzSortKeyOrder ./internal/dns`.
+func FuzzSortKeyOrder(f *testing.F) {
+	f.Add("example.com", "example.com")
+	f.Add("", "com")
+	f.Add("a-b.com", "b.a.com")
+	f.Add("ab.com", "a-b.com")
+	f.Add("*.example", "_x.example")
+	f.Add("a.b.c.d", "b.c.d")
+	f.Add(strings.Repeat("a", 63)+".x", strings.Repeat("a", 62)+".x")
+
+	f.Fuzz(func(t *testing.T, sa, sb string) {
+		a, err := MakeName(sa)
+		if err != nil {
+			return
+		}
+		b, err := MakeName(sb)
+		if err != nil {
+			return
+		}
+		ka, kb := AppendSortKey(nil, a), AppendSortKey(nil, b)
+		if got, want := bytes.Compare(ka, kb), CanonicalCompare(a, b); got != want {
+			t.Fatalf("bytes.Compare(key(%q), key(%q)) = %d, CanonicalCompare = %d", a, b, got, want)
+		}
+		if got, want := bytes.HasPrefix(ka, kb), a.IsSubdomainOf(b); got != want {
+			t.Fatalf("HasPrefix(key(%q), key(%q)) = %t, IsSubdomainOf = %t", a, b, got, want)
+		}
+		if len(ka) > maxNameLen {
+			t.Fatalf("key of %q is %d bytes", a, len(ka))
 		}
 	})
 }

@@ -252,8 +252,10 @@ func (n Name) WireLen() int {
 //
 // Names are canonically lowercase (the MakeName invariant), so labels
 // compare as plain byte strings. The walk slices labels off the ends of
-// both names in place — this is the hottest comparison in the repository
-// (zone owner indexes, NSEC span search) and must not allocate.
+// both names in place and does not allocate. It is the general comparator;
+// the two large sorted-name indexes (a zone's synthesized owners, the
+// resolver's NSEC span store) hold AppendSortKey keys instead, because this
+// walk re-finds the label boundaries of both names on every call.
 func CanonicalCompare(a, b Name) int {
 	if a == b {
 		return 0
@@ -289,14 +291,30 @@ func CanonicalCompare(a, b Name) int {
 // order.
 func CanonicalLess(a, b Name) bool { return CanonicalCompare(a, b) < 0 }
 
-// Covered reports whether name falls strictly between lower and next in
-// canonical order, treating the interval as wrapping at the zone apex the
-// way an NSEC chain does: if next <= lower the span wraps around the end of
-// the zone.
-func Covered(name, lower, next Name) bool {
-	if CanonicalCompare(lower, next) < 0 {
-		return CanonicalCompare(lower, name) < 0 && CanonicalCompare(name, next) < 0
+// AppendSortKey appends name's canonical-order key to dst and returns the
+// extended slice: the labels right to left, each closed by a 0x00 byte. The
+// root's key is empty; "a-b.com." keys as "com\x00a-b\x00".
+//
+// The key is the same order as CanonicalCompare in a form memcmp can read:
+// for any names a and b, bytes.Compare on their keys equals
+// CanonicalCompare(a, b), and key(b) is a prefix of key(a) exactly when
+// a.IsSubdomainOf(b). The terminator has to be 0x00 rather than the dot:
+// every byte a label may hold is at least '*' (isNameChar), so a label that
+// ends sorts before any label it is a prefix of, whereas '-' and '*' sort
+// below '.' and would put "a-b.com." before "b.a.com.". A key is exactly as
+// long as its name (255 bytes at most), so a probe key fits a stack buffer.
+// Large sorted-name indexes search on stored keys instead of re-finding
+// label boundaries at every comparison.
+func AppendSortKey(dst []byte, name Name) []byte {
+	if name.IsRoot() {
+		return dst
 	}
-	// Wrap-around span (last NSEC in the chain points back to the apex).
-	return CanonicalCompare(lower, name) < 0 || CanonicalCompare(name, next) < 0
+	// end indexes the dot that closes the next unread label, rightmost first.
+	for end := len(name) - 1; end > 0; {
+		start := strings.LastIndexByte(string(name[:end]), '.') + 1
+		dst = append(dst, name[start:end]...)
+		dst = append(dst, 0)
+		end = start - 1
+	}
+	return dst
 }

@@ -1,6 +1,7 @@
 package dns
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -195,6 +196,19 @@ func TestCanonicalCompare(t *testing.T) {
 	}
 }
 
+// Covered reports whether name falls strictly between lower and next in
+// canonical order, treating the interval as wrapping at the zone apex the
+// way an NSEC chain does: if next <= lower the span wraps around the end of
+// the zone. It is the definition of NSEC coverage written directly on
+// CanonicalCompare, kept as a test oracle.
+func Covered(name, lower, next Name) bool {
+	if CanonicalCompare(lower, next) < 0 {
+		return CanonicalCompare(lower, name) < 0 && CanonicalCompare(name, next) < 0
+	}
+	// Wrap-around span (last NSEC in the chain points back to the apex).
+	return CanonicalCompare(lower, name) < 0 || CanonicalCompare(name, next) < 0
+}
+
 func TestCovered(t *testing.T) {
 	lower := MustName("alpha.example")
 	next := MustName("delta.example")
@@ -356,5 +370,83 @@ func TestCanonicalCompareMatchesReference(t *testing.T) {
 		CanonicalCompare(fixed[3], fixed[4])
 	}); got != 0 {
 		t.Errorf("CanonicalCompare allocates %.1f times per call, want 0", got)
+	}
+}
+
+// TestSortKeyOrder walks AppendSortKey over the names where a byte-string
+// form of canonical order could go wrong — the root, label bytes that sort
+// below the dot, a label that is a prefix of its neighbour, and the length
+// limits — and requires memcmp on keys to agree with CanonicalCompare, and
+// key-prefix with IsSubdomainOf, for every pair.
+func TestSortKeyOrder(t *testing.T) {
+	label63 := strings.Repeat("z", 63)
+	// 255 octets on the wire: three 63-byte labels and one of 61.
+	name255 := MustName(strings.Join([]string{strings.Repeat("a", 61), label63, label63, label63}, "."))
+	if name255.WireLen() != 255 {
+		t.Fatalf("name255 is %d octets on the wire", name255.WireLen())
+	}
+	// Listed in canonical order.
+	ordered := []Name{
+		Root,
+		MustName("com"),
+		MustName("*.com"),
+		MustName("-.com"),
+		MustName("_.com"),
+		MustName("a.com"),
+		MustName("b.a.com"),
+		MustName("a*b.com"),
+		MustName("a-b.com"),
+		MustName("a_b.com"),
+		MustName("ab.com"),
+		MustName(label63[:62] + ".com"),
+		MustName(label63 + ".com"),
+		MustName("a." + label63 + ".com"),
+		MustName("com-"),
+		MustName("como"),
+		name255,
+	}
+	keys := make([][]byte, len(ordered))
+	for i, n := range ordered {
+		keys[i] = AppendSortKey(nil, n)
+		want := len(n)
+		if n.IsRoot() {
+			want = 0
+		}
+		if len(keys[i]) != want {
+			t.Errorf("key of %q is %d bytes, want %d", n, len(keys[i]), want)
+		}
+	}
+	if want := []byte("com\x00a-b\x00"); !bytes.Equal(AppendSortKey(nil, MustName("a-b.com")), want) {
+		t.Errorf("key(a-b.com.) = %q, want %q", AppendSortKey(nil, MustName("a-b.com")), want)
+	}
+	for i, a := range ordered {
+		for j, b := range ordered {
+			want := 0
+			if i < j {
+				want = -1
+			} else if i > j {
+				want = 1
+			}
+			if got := CanonicalCompare(a, b); got != want {
+				t.Fatalf("table out of canonical order: CanonicalCompare(%q, %q) = %d, want %d", a, b, got, want)
+			}
+			if got := bytes.Compare(keys[i], keys[j]); got != want {
+				t.Errorf("bytes.Compare(key(%q), key(%q)) = %d, want %d", a, b, got, want)
+			}
+			if got, want := bytes.HasPrefix(keys[i], keys[j]), a.IsSubdomainOf(b); got != want {
+				t.Errorf("HasPrefix(key(%q), key(%q)) = %t, IsSubdomainOf = %t", a, b, got, want)
+			}
+		}
+	}
+	// Appending extends dst in place and, into a buffer that fits, does not
+	// allocate: the probe key of a lookup lives on the caller's stack.
+	var buf [maxNameLen]byte
+	if got := testing.AllocsPerRun(100, func() {
+		AppendSortKey(buf[:0], name255)
+	}); got != 0 {
+		t.Errorf("AppendSortKey into a sized buffer allocates %.1f times, want 0", got)
+	}
+	if got := AppendSortKey([]byte("x"), MustName("a.b")); string(got) != "xb\x00a\x00" {
+		t.Errorf("AppendSortKey did not append to dst: %q", got)
 	}
 }

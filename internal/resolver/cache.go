@@ -155,10 +155,38 @@ type zoneOutcome struct {
 	viaDLV bool
 }
 
-// span is one validated NSEC interval of a zone's canonical chain.
+// span is one validated NSEC interval of a zone's canonical chain. The
+// store orders and tests spans on ownerKey/nextKey, the names' sort keys
+// (dns.AppendSortKey): canonical order read as plain string order, so a
+// coverage check is two string compares instead of re-parsing labels.
 type span struct {
-	owner, next dns.Name
-	expires     uint32
+	owner, next       dns.Name
+	ownerKey, nextKey string
+	expires           uint32
+	// wraps marks the span whose next is not after its owner: the last NSEC
+	// of the chain, pointing back to the apex.
+	wraps bool
+}
+
+// keyed returns sp with its sort keys filled from its names; both keys share
+// one allocation.
+func (sp span) keyed() span {
+	var buf [2 * 256]byte
+	b := dns.AppendSortKey(buf[:0], sp.owner)
+	n := len(b)
+	k := string(dns.AppendSortKey(b, sp.next))
+	sp.ownerKey, sp.nextKey = k[:n], k[n:]
+	sp.wraps = sp.ownerKey >= sp.nextKey
+	return sp
+}
+
+// covers reports whether the name behind key falls strictly inside the span,
+// which wraps at the apex the way an NSEC chain does.
+func (sp *span) covers(key []byte) bool {
+	if sp.wraps {
+		return sp.ownerKey < string(key) || string(key) < sp.nextKey
+	}
+	return sp.ownerKey < string(key) && string(key) < sp.nextKey
 }
 
 // spanStore keeps validated NSEC spans queryable by coverage. Inserts go to
@@ -186,7 +214,7 @@ func (s *spanStore) add(sp span, now uint32) {
 			s.sorted, s.tail = s.sorted[:0], s.tail[:0]
 		}
 	}
-	s.tail = append(s.tail, sp)
+	s.tail = append(s.tail, sp.keyed())
 	if len(s.tail) >= tailLimit {
 		s.merge()
 	}
@@ -217,7 +245,7 @@ func (s *spanStore) purge(now uint32) {
 // dominate the audit.
 func (s *spanStore) merge() {
 	sort.Slice(s.tail, func(i, j int) bool {
-		return dns.CanonicalLess(s.tail[i].owner, s.tail[j].owner)
+		return s.tail[i].ownerKey < s.tail[j].ownerKey
 	})
 	out := make([]span, 0, len(s.sorted)+len(s.tail))
 	i, j := 0, 0
@@ -231,7 +259,7 @@ func (s *spanStore) merge() {
 		out = append(out, sp)
 	}
 	for i < len(s.sorted) && j < len(s.tail) {
-		if dns.CanonicalCompare(s.sorted[i].owner, s.tail[j].owner) <= 0 {
+		if s.sorted[i].ownerKey <= s.tail[j].ownerKey {
 			push(s.sorted[i])
 			i++
 		} else {
@@ -260,11 +288,13 @@ func (s *spanStore) clone() *spanStore {
 	return c
 }
 
-// covers reports whether a live cached span proves the nonexistence of
-// name at the given time.
-func (s *spanStore) covers(name dns.Name, now uint32) bool {
-	for _, sp := range s.tail {
-		if sp.expires >= now && dns.Covered(name, sp.owner, sp.next) {
+// coversKey reports whether a live cached span proves the nonexistence, at
+// the given time, of the name whose sort key is key. It takes the key rather
+// than the name because the resolver asks its local store and the shared one
+// about the same name and builds the key once.
+func (s *spanStore) coversKey(key []byte, now uint32) bool {
+	for i := range s.tail {
+		if sp := &s.tail[i]; sp.expires >= now && sp.covers(key) {
 			return true
 		}
 	}
@@ -274,15 +304,14 @@ func (s *spanStore) covers(name dns.Name, now uint32) bool {
 	// Binary search for the last owner <= name, then check that span and
 	// the wrap-around span at the end of the chain.
 	i := sort.Search(len(s.sorted), func(i int) bool {
-		return dns.CanonicalCompare(s.sorted[i].owner, name) > 0
+		return s.sorted[i].ownerKey > string(key)
 	})
-	candidates := []int{i - 1, len(s.sorted) - 1}
+	candidates := [...]int{i - 1, len(s.sorted) - 1}
 	for _, j := range candidates {
 		if j < 0 || j >= len(s.sorted) {
 			continue
 		}
-		sp := s.sorted[j]
-		if sp.expires >= now && dns.Covered(name, sp.owner, sp.next) {
+		if sp := &s.sorted[j]; sp.expires >= now && sp.covers(key) {
 			return true
 		}
 	}

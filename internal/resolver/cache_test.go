@@ -99,7 +99,7 @@ func TestSpanStoreCoverageProperty(t *testing.T) {
 		probe := dns.MustName(fmt.Sprintf("%s.dlv.test", randomChainLabel(rand.New(rand.NewSource(seed)))))
 		want := false
 		for _, sp := range linear {
-			if dns.Covered(probe, sp.owner, sp.next) {
+			if covered(probe, sp.owner, sp.next) {
 				want = true
 			}
 		}

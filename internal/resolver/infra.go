@@ -153,17 +153,18 @@ func (ic *InfraCache) outcome(n dns.Name) (*zoneOutcome, bool) {
 }
 
 // spanCovers reports whether a shared validated NSEC span proves the
-// nonexistence of name in zone at the given time.
-func (ic *InfraCache) spanCovers(zone, name dns.Name, now uint32) bool {
+// nonexistence, in zone at the given time, of the name whose sort key
+// (dns.AppendSortKey) is key.
+func (ic *InfraCache) spanCovers(zone dns.Name, key []byte, now uint32) bool {
 	sh := ic.shard(zone)
 	if ic.sealed.Load() {
 		st, ok := sh.spans[zone]
-		return ok && st.covers(name, now)
+		return ok && st.coversKey(key, now)
 	}
 	sh.mu.RLock()
 	st, ok := sh.spans[zone]
 	sh.mu.RUnlock()
-	return ok && st.covers(name, now)
+	return ok && st.coversKey(key, now)
 }
 
 // ExportInfra copies the resolver's cache entries whose names pass keep
@@ -228,10 +229,12 @@ func (r *Resolver) cachedOutcome(n dns.Name) (*zoneOutcome, bool) {
 // shared — proves the nonexistence of name in zone. Harvests stay local;
 // the shared store only grows during warm-up.
 func (r *Resolver) spanCovers(zone, name dns.Name, now uint32) bool {
-	if r.cache.spansFor(zone).covers(name, now) {
+	var buf [256]byte
+	key := dns.AppendSortKey(buf[:0], name)
+	if r.cache.spansFor(zone).coversKey(key, now) {
 		return true
 	}
-	return r.infra != nil && r.infra.spanCovers(zone, name, now)
+	return r.infra != nil && r.infra.spanCovers(zone, key, now)
 }
 
 // WarmRegistry validates the look-aside registry's keys against the DLV

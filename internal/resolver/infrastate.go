@@ -161,10 +161,10 @@ func RestoreInfra(st *InfraState) (*InfraCache, error) {
 	for _, set := range st.Spans {
 		store := &spanStore{limit: set.Limit, sorted: make([]span, len(set.Spans))}
 		for j, sp := range set.Spans {
-			if j > 0 && dns.CanonicalCompare(set.Spans[j-1].Owner, sp.Owner) >= 0 {
+			store.sorted[j] = span{owner: sp.Owner, next: sp.Next, expires: sp.Expires}.keyed()
+			if j > 0 && store.sorted[j-1].ownerKey >= store.sorted[j].ownerKey {
 				return nil, fmt.Errorf("resolver: restoring spans of %s: owners out of order at %d", set.Zone, j)
 			}
-			store.sorted[j] = span{owner: sp.Owner, next: sp.Next, expires: sp.Expires}
 		}
 		ic.putSpans(set.Zone, store)
 	}

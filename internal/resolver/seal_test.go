@@ -116,7 +116,7 @@ func TestWritesAfterSealIgnored(t *testing.T) {
 				if out, ok := ic.outcome(n); !ok || out.status != StatusSecure {
 					t.Errorf("outcome %s changed under concurrent writes", n)
 				}
-				ic.spanCovers(n, dns.MustName("m."+string(n)), 0)
+				ic.spanCovers(n, dns.AppendSortKey(nil, dns.MustName("m."+string(n))), 0)
 			}
 		}()
 	}

@@ -83,7 +83,7 @@ func (z *Zone) SignedRecords() ([]dns.RR, error) {
 		if !visible || z.nsec3 {
 			continue
 		}
-		nsec, err := z.nsecAtLocked(name)
+		nsec, err := z.nsecAtLocked(z.ownerLocked(name))
 		if err != nil {
 			return nil, err
 		}

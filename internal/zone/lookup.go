@@ -77,20 +77,24 @@ func (z *Zone) Lookup(qname dns.Name, qtype dns.Type, dnssecOK bool) (*Result, e
 
 	withSigs := dnssecOK && z.signed
 
+	// qname's place in the synthesized index is resolved here, once, for
+	// every question the lookup asks about it.
+	q := z.ownerLocked(qname)
+
 	// Delegation handling: find the highest cut at or above qname (strictly
 	// below the apex). The parent answers DS queries at the cut itself;
 	// everything else at or below the cut is a referral.
-	if cut, ok := z.findCutLocked(qname); ok {
-		if qname == cut && qtype == dns.TypeDS {
-			return z.answerLocked(qname, qtype, withSigs)
+	if cut, ok := z.findCutLocked(q); ok {
+		if qname == cut.name && qtype == dns.TypeDS {
+			return z.answerLocked(q, qtype, withSigs)
 		}
 		return z.referralLocked(cut, withSigs)
 	}
 
-	if z.existsLocked(qname) {
-		return z.answerLocked(qname, qtype, withSigs)
+	if z.existsLocked(q) {
+		return z.answerLocked(q, qtype, withSigs)
 	}
-	if z.hasDescendantLocked(qname) || z.synthHasDescendantLocked(qname) {
+	if z.hasDescendantLocked(qname) || z.synthHasDescendantLocked(q) {
 		// Empty non-terminal: the name exists structurally (names live
 		// below it) but owns no records — NODATA, not NXDOMAIN (RFC 4592
 		// §2.2.2), and never wildcard-covered. The denial proof is the
@@ -100,18 +104,18 @@ func (z *Zone) Lookup(qname dns.Name, qtype dns.Type, dnssecOK bool) (*Result, e
 			return nil, err
 		}
 		if withSigs {
-			if err := z.attachDenialLocked(res, qname, false); err != nil {
+			if err := z.attachDenialLocked(res, q, false); err != nil {
 				return nil, err
 			}
 		}
 		return res, nil
 	}
-	if res, ok, err := z.wildcardLocked(qname, qtype, withSigs); err != nil {
+	if res, ok, err := z.wildcardLocked(q, qtype, withSigs); err != nil {
 		return nil, err
 	} else if ok {
 		return res, nil
 	}
-	return z.nxdomainLocked(qname, withSigs)
+	return z.nxdomainLocked(q, withSigs)
 }
 
 // hasDescendantLocked reports whether any owner name exists strictly below
@@ -125,29 +129,32 @@ func (z *Zone) hasDescendantLocked(qname dns.Name) bool {
 	return i < len(z.names) && z.names[i] != qname && z.names[i].IsSubdomainOf(qname)
 }
 
-// findCutLocked returns the shallowest delegation cut at or above qname.
-func (z *Zone) findCutLocked(qname dns.Name) (dns.Name, bool) {
-	if (len(z.cuts) == 0 && z.synth == nil) || qname == z.apex {
-		return "", false
+// findCutLocked returns the shallowest delegation cut at or above q.
+func (z *Zone) findCutLocked(q owner) (owner, bool) {
+	if (len(z.cuts) == 0 && z.synth == nil) || q.name == z.apex {
+		return owner{}, false
 	}
 	// Walk ancestors from just below the apex down toward qname so the
 	// shallowest (closest to apex) cut wins, mirroring real servers.
-	ancestors := []dns.Name{qname}
-	for n := qname.Parent(); n != z.apex && !n.IsRoot(); n = n.Parent() {
+	var ancestors []dns.Name
+	for n := q.name.Parent(); n != z.apex && !n.IsRoot(); n = n.Parent() {
 		ancestors = append(ancestors, n)
 	}
 	for i := len(ancestors) - 1; i >= 0; i-- {
-		if z.isCutLocked(ancestors[i]) {
-			return ancestors[i], true
+		if a := z.ownerLocked(ancestors[i]); z.isCutLocked(a) {
+			return a, true
 		}
 	}
-	return "", false
+	if z.isCutLocked(q) {
+		return q, true
+	}
+	return owner{}, false
 }
 
 // answerLocked builds an authoritative answer or NODATA for an existing
 // name.
-func (z *Zone) answerLocked(qname dns.Name, qtype dns.Type, withSigs bool) (*Result, error) {
-	rrset, err := z.rrsetLocked(qname, qtype)
+func (z *Zone) answerLocked(q owner, qtype dns.Type, withSigs bool) (*Result, error) {
+	rrset, err := z.rrsetLocked(q, qtype)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +172,7 @@ func (z *Zone) answerLocked(qname dns.Name, qtype dns.Type, withSigs bool) (*Res
 	}
 	// CNAME at the name answers any other type.
 	if qtype != dns.TypeCNAME {
-		rrset, err := z.rrsetLocked(qname, dns.TypeCNAME)
+		rrset, err := z.rrsetLocked(q, dns.TypeCNAME)
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +195,7 @@ func (z *Zone) answerLocked(qname dns.Name, qtype dns.Type, withSigs bool) (*Res
 		return nil, err
 	}
 	if withSigs {
-		if err := z.attachDenialLocked(res, qname, true); err != nil {
+		if err := z.attachDenialLocked(res, q, true); err != nil {
 			return nil, err
 		}
 	}
@@ -196,7 +203,7 @@ func (z *Zone) answerLocked(qname dns.Name, qtype dns.Type, withSigs bool) (*Res
 }
 
 // referralLocked builds a delegation response for a cut.
-func (z *Zone) referralLocked(cut dns.Name, withSigs bool) (*Result, error) {
+func (z *Zone) referralLocked(cut owner, withSigs bool) (*Result, error) {
 	res := &Result{Kind: KindReferral, RCode: dns.RCodeNoError}
 	nsSet, err := z.rrsetLocked(cut, dns.TypeNS)
 	if err != nil {
@@ -226,7 +233,7 @@ func (z *Zone) referralLocked(cut dns.Name, withSigs bool) (*Result, error) {
 	}
 	// Glue for in-zone name servers.
 	for _, ns := range nsSet {
-		target := ns.Data.(*dns.NSData).Target
+		target := z.ownerLocked(ns.Data.(*dns.NSData).Target)
 		for _, t := range []dns.Type{dns.TypeA, dns.TypeAAAA} {
 			glue, err := z.rrsetLocked(target, t)
 			if err != nil {
@@ -244,21 +251,23 @@ func (z *Zone) referralLocked(cut dns.Name, withSigs bool) (*Result, error) {
 // over the wildcard, Labels < owner labels) lets validators reconstruct the
 // source per RFC 4035 §5.3.2, and a covering NSEC proves the exact name did
 // not exist.
-func (z *Zone) wildcardLocked(qname dns.Name, qtype dns.Type, withSigs bool) (*Result, bool, error) {
+func (z *Zone) wildcardLocked(q owner, qtype dns.Type, withSigs bool) (*Result, bool, error) {
+	qname := q.name
 	// Closest encloser: the deepest ancestor that exists (as a name or
 	// structurally).
 	encloser := qname.Parent()
 	for encloser != z.apex && !encloser.IsRoot() {
-		if z.existsLocked(encloser) || z.hasDescendantLocked(encloser) ||
-			z.synthHasDescendantLocked(encloser) {
+		if e := z.ownerLocked(encloser); z.existsLocked(e) ||
+			z.hasDescendantLocked(encloser) || z.synthHasDescendantLocked(e) {
 			break
 		}
 		encloser = encloser.Parent()
 	}
-	wildcard, err := encloser.Prepend("*")
+	name, err := encloser.Prepend("*")
 	if err != nil {
 		return nil, false, err
 	}
+	wildcard := z.ownerLocked(name)
 	if !z.existsLocked(wildcard) {
 		return nil, false, nil
 	}
@@ -273,7 +282,7 @@ func (z *Zone) wildcardLocked(qname dns.Name, qtype dns.Type, withSigs bool) (*R
 			return nil, false, err
 		}
 		if withSigs {
-			if err := z.attachDenialLocked(res, qname, false); err != nil {
+			if err := z.attachDenialLocked(res, q, false); err != nil {
 				return nil, false, err
 			}
 		}
@@ -293,21 +302,21 @@ func (z *Zone) wildcardLocked(qname dns.Name, qtype dns.Type, withSigs bool) (*R
 		sig.Name = qname // served at the synthesized name, Labels reveals the source
 		res.Answer = append(res.Answer, sig)
 		// Prove the exact name did not exist (RFC 4035 §3.1.3.3).
-		if err := z.attachDenialLocked(res, qname, false); err != nil {
+		if err := z.attachDenialLocked(res, q, false); err != nil {
 			return nil, false, err
 		}
 	}
 	return res, true, nil
 }
 
-// nxdomainLocked builds the non-existence response for qname.
-func (z *Zone) nxdomainLocked(qname dns.Name, withSigs bool) (*Result, error) {
+// nxdomainLocked builds the non-existence response for q.
+func (z *Zone) nxdomainLocked(q owner, withSigs bool) (*Result, error) {
 	res := &Result{Kind: KindNXDomain, RCode: dns.RCodeNXDomain}
 	if err := z.attachSOALocked(res, withSigs); err != nil {
 		return nil, err
 	}
 	if withSigs {
-		if err := z.attachDenialLocked(res, qname, false); err != nil {
+		if err := z.attachDenialLocked(res, q, false); err != nil {
 			return nil, err
 		}
 	}
@@ -330,21 +339,19 @@ func (z *Zone) attachSOALocked(res *Result, withSigs bool) error {
 	return nil
 }
 
-// attachDenialLocked appends the denial-of-existence proof for qname.
-// exists distinguishes NODATA (NSEC at the name itself) from NXDOMAIN
-// (covering NSEC). In NSEC3 mode a hashed record is attached instead, which
-// resolvers cannot use for aggressive negative caching (RFC 5074 §5).
-func (z *Zone) attachDenialLocked(res *Result, qname dns.Name, exists bool) error {
+// attachDenialLocked appends the denial-of-existence proof for q. exists
+// distinguishes NODATA (NSEC at the name itself) from NXDOMAIN (covering
+// NSEC). In NSEC3 mode a hashed record is attached instead, which resolvers
+// cannot use for aggressive negative caching (RFC 5074 §5).
+func (z *Zone) attachDenialLocked(res *Result, q owner, exists bool) error {
 	if z.nsec3 {
-		return z.attachNSEC3Locked(res, qname)
+		return z.attachNSEC3Locked(res, q.name)
 	}
-	var owner dns.Name
-	if exists {
-		owner = qname
-	} else {
-		owner = z.predecessorLocked(qname)
+	at := q
+	if !exists {
+		at = z.predecessorLocked(q)
 	}
-	nsec, err := z.nsecAtLocked(owner)
+	nsec, err := z.nsecAtLocked(at)
 	if err != nil {
 		return err
 	}
@@ -356,18 +363,18 @@ func (z *Zone) attachDenialLocked(res *Result, qname dns.Name, exists bool) erro
 	return nil
 }
 
-// nsecAtLocked materializes the NSEC record owned by name from the sorted
+// nsecAtLocked materializes the NSEC record owned by o from the sorted
 // owner index.
-func (z *Zone) nsecAtLocked(owner dns.Name) (dns.RR, error) {
-	if !z.existsLocked(owner) {
-		return dns.RR{}, fmt.Errorf("zone: nsec owner %s does not exist", owner)
+func (z *Zone) nsecAtLocked(o owner) (dns.RR, error) {
+	if !z.existsLocked(o) {
+		return dns.RR{}, fmt.Errorf("zone: nsec owner %s does not exist", o.name)
 	}
-	next := z.successorLocked(owner)
-	types := z.mergedTypesAtLocked(owner)
+	next := z.successorLocked(o)
+	types := z.mergedTypesAtLocked(o)
 	types = append(types, dns.TypeRRSIG, dns.TypeNSEC)
 	dns.SortTypes(types)
 	return dns.RR{
-		Name: owner, Type: dns.TypeNSEC, Class: dns.ClassIN, TTL: negativeTTL,
+		Name: o.name, Type: dns.TypeNSEC, Class: dns.ClassIN, TTL: negativeTTL,
 		Data: &dns.NSECData{NextName: next, Types: types},
 	}, nil
 }
@@ -414,9 +421,9 @@ func (z *Zone) ensureSortedLocked() {
 // successorLocked returns the next visible owner name after owner in
 // canonical order — across the static and synthesized indexes — wrapping to
 // the apex at the end of the chain.
-func (z *Zone) successorLocked(owner dns.Name) dns.Name {
-	s, okS := z.staticAfterLocked(owner)
-	y, okY := z.synthAfterLocked(owner)
+func (z *Zone) successorLocked(o owner) dns.Name {
+	s, okS := z.staticAfterLocked(o.name)
+	y, okY := z.synthAfterLocked(o)
 	switch {
 	case okS && okY:
 		if dns.CanonicalLess(s, y) {
@@ -431,24 +438,19 @@ func (z *Zone) successorLocked(owner dns.Name) dns.Name {
 	return z.apex
 }
 
-// predecessorLocked returns the closest visible owner name sorting strictly
-// before the (nonexistent) qname — across both indexes — with the apex as
-// the floor of the chain.
-func (z *Zone) predecessorLocked(qname dns.Name) dns.Name {
-	s, okS := z.staticBeforeLocked(qname)
-	y, okY := z.synthBeforeLocked(qname)
+// predecessorLocked returns the closest visible owner sorting strictly
+// before the (nonexistent) q — across both indexes — with the apex as the
+// floor of the chain.
+func (z *Zone) predecessorLocked(q owner) owner {
+	s, okS := z.staticBeforeLocked(q.name)
+	y, okY := z.synthBeforeLocked(q)
 	switch {
-	case okS && okY:
-		if dns.CanonicalLess(s, y) {
-			return y
-		}
-		return s
-	case okS:
-		return s
-	case okY:
+	case okY && (!okS || dns.CanonicalLess(s, y.name)):
 		return y
+	case okS:
+		return z.ownerLocked(s)
 	}
-	return z.apex
+	return z.ownerLocked(z.apex)
 }
 
 // sigCacheCap bounds the memoized-signature map; a paper-scale TLD zone

@@ -15,7 +15,9 @@ package zone
 // packet caches (keyed on Generation) stay valid across materializations.
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
@@ -94,51 +96,88 @@ func (z *Zone) MaterializedNames() int {
 	return len(z.synthDone)
 }
 
-// synthEnsureLocked sorts and memoizes the owner index on first use.
+// synthEnsureLocked sorts and memoizes the owner index on first use, together
+// with the sort keys the index is searched on: the key of synthIdx[i] is
+// synthKeys[synthOff[i]:synthOff[i+1]] (dns.AppendSortKey), laid end to end
+// in index order. One byte arena and one offset array hold no pointers, so a
+// million-owner index adds nothing for the collector to trace; a key per
+// entry as its own string or slice would.
 func (z *Zone) synthEnsureLocked() {
 	if z.synthReady || z.synth == nil {
 		return
 	}
 	idx := z.synth.SynthIndex()
-	sort.Slice(idx, func(i, j int) bool {
-		return dns.CanonicalLess(idx[i].Name, idx[j].Name)
+	size := 0
+	for i := range idx {
+		size += len(idx[i].Name)
+	}
+	// Keys in source order first; order is then sorted by memcmp on them.
+	keys, off := make([]byte, 0, size), make([]uint32, len(idx)+1)
+	order := make([]uint32, len(idx))
+	for i := range idx {
+		keys = dns.AppendSortKey(keys, idx[i].Name)
+		off[i+1] = uint32(len(keys))
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int {
+		return bytes.Compare(keys[off[a]:off[a+1]], keys[off[b]:off[b+1]])
 	})
+	sorted := make([]SynthEntry, len(idx))
+	z.synthKeys, z.synthOff = make([]byte, 0, len(keys)), make([]uint32, len(idx)+1)
+	for i, o := range order {
+		sorted[i] = idx[o]
+		z.synthKeys = append(z.synthKeys, keys[off[o]:off[o+1]]...)
+		z.synthOff[i+1] = uint32(len(z.synthKeys))
+	}
+	// The index keeps the source's slice (a source may retain it), now in
+	// canonical order.
+	copy(idx, sorted)
 	z.synthIdx = idx
 	z.synthRecords = make(map[dns.Key][]dns.RR)
 	z.synthDone = make(map[dns.Name]bool)
 	z.synthReady = true
 }
 
-// synthAtLocked finds the index entry owning name, if any.
-func (z *Zone) synthAtLocked(name dns.Name) (SynthEntry, bool) {
-	if z.synth == nil {
-		return SynthEntry{}, false
+// owner is a name with its place in the synthesized owner index resolved.
+// Lookup resolves the query name once and hands the result to every
+// primitive that asks about that name; at a million owners the search is
+// the cost, not the question asked of its result.
+type owner struct {
+	name dns.Name
+	// at is the position of the first index entry that does not sort before
+	// name; synth reports whether that entry is name itself.
+	at    int
+	synth bool
+}
+
+// ownerLocked resolves name against the synthesized index: one binary
+// search by memcmp on a probe key built on the stack. The apex needs no
+// search — it sorts before every name in its zone, position 0 — so apex
+// queries (all an infrastructure warm-up asks of a TLD) leave the index
+// unbuilt.
+func (z *Zone) ownerLocked(name dns.Name) owner {
+	if z.synth == nil || name == z.apex {
+		return owner{name: name}
 	}
 	z.synthEnsureLocked()
-	i := sort.Search(len(z.synthIdx), func(i int) bool {
-		return !dns.CanonicalLess(z.synthIdx[i].Name, name)
+	var buf [256]byte
+	key := dns.AppendSortKey(buf[:0], name)
+	at := sort.Search(len(z.synthIdx), func(i int) bool {
+		return bytes.Compare(z.synthKeys[z.synthOff[i]:z.synthOff[i+1]], key) >= 0
 	})
-	if i < len(z.synthIdx) && z.synthIdx[i].Name == name {
-		return z.synthIdx[i], true
-	}
-	return SynthEntry{}, false
+	return owner{name: name, at: at, synth: at < len(z.synthIdx) && z.synthIdx[at].Name == name}
 }
 
 // synthHasDescendantLocked reports whether a synthesized owner exists
-// strictly below qname (canonical order puts descendants right after their
+// strictly below o (canonical order puts descendants right after their
 // ancestor, as in hasDescendantLocked).
-func (z *Zone) synthHasDescendantLocked(qname dns.Name) bool {
-	if z.synth == nil {
-		return false
-	}
-	z.synthEnsureLocked()
-	i := sort.Search(len(z.synthIdx), func(i int) bool {
-		return !dns.CanonicalLess(z.synthIdx[i].Name, qname)
-	})
-	if i < len(z.synthIdx) && z.synthIdx[i].Name == qname {
+func (z *Zone) synthHasDescendantLocked(o owner) bool {
+	z.synthEnsureLocked() // the apex resolves without building the index
+	i := o.at
+	if o.synth {
 		i++
 	}
-	return i < len(z.synthIdx) && z.synthIdx[i].Name.IsSubdomainOf(qname)
+	return i < len(z.synthIdx) && z.synthIdx[i].Name.IsSubdomainOf(o.name)
 }
 
 // types reports the record types present at an entry of this kind.
@@ -186,36 +225,28 @@ func (z *Zone) synthMaterializeLocked(e SynthEntry) error {
 // Merged static+synth primitives. Lookup and the NSEC chain operate on the
 // union of the two owner universes through these.
 
-// existsLocked reports whether name owns records (static or synthesized).
-func (z *Zone) existsLocked(name dns.Name) bool {
-	if z.nameSet[name] {
-		return true
-	}
-	_, ok := z.synthAtLocked(name)
-	return ok
+// existsLocked reports whether o owns records (static or synthesized).
+func (z *Zone) existsLocked(o owner) bool {
+	return o.synth || z.nameSet[o.name]
 }
 
-// isCutLocked reports whether name is a delegation point.
-func (z *Zone) isCutLocked(name dns.Name) bool {
-	if z.cuts[name] {
-		return true
-	}
-	e, ok := z.synthAtLocked(name)
-	return ok && e.Kind.isCut()
+// isCutLocked reports whether o is a delegation point.
+func (z *Zone) isCutLocked(o owner) bool {
+	return z.cuts[o.name] || (o.synth && z.synthIdx[o.at].Kind.isCut())
 }
 
-// rrsetLocked returns the records of (name, type), materializing synthesized
+// rrsetLocked returns the records of (o, type), materializing synthesized
 // content when needed. A nil set with nil error means the type is absent.
-func (z *Zone) rrsetLocked(name dns.Name, typ dns.Type) ([]dns.RR, error) {
-	key := dns.Key{Name: name, Type: typ, Class: dns.ClassIN}
+func (z *Zone) rrsetLocked(o owner, typ dns.Type) ([]dns.RR, error) {
+	key := dns.Key{Name: o.name, Type: typ, Class: dns.ClassIN}
 	if rrset, ok := z.records[key]; ok {
 		return rrset, nil
 	}
-	if z.synth == nil {
+	if !o.synth {
 		return nil, nil
 	}
-	e, ok := z.synthAtLocked(name)
-	if !ok || !dns.HasType(e.Kind.types(e.Aux), typ) {
+	e := z.synthIdx[o.at]
+	if !dns.HasType(e.Kind.types(e.Aux), typ) {
 		return nil, nil
 	}
 	if err := z.synthMaterializeLocked(e); err != nil {
@@ -224,16 +255,17 @@ func (z *Zone) rrsetLocked(name dns.Name, typ dns.Type) ([]dns.RR, error) {
 	return z.synthRecords[key], nil
 }
 
-// mergedTypesAtLocked returns a copy of the types present at owner across
-// both universes (the NSEC type bitmap). Static and synthesized owners never
+// mergedTypesAtLocked returns a copy of the types present at o across both
+// universes (the NSEC type bitmap). Static and synthesized owners never
 // coincide, so one side is always empty.
-func (z *Zone) mergedTypesAtLocked(owner dns.Name) []dns.Type {
-	if src := z.typesByName[owner]; len(src) > 0 {
+func (z *Zone) mergedTypesAtLocked(o owner) []dns.Type {
+	if src := z.typesByName[o.name]; len(src) > 0 {
 		types := make([]dns.Type, len(src))
 		copy(types, src)
 		return types
 	}
-	if e, ok := z.synthAtLocked(owner); ok {
+	if o.synth {
+		e := z.synthIdx[o.at]
 		return e.Kind.types(e.Aux)
 	}
 	return nil
@@ -242,7 +274,7 @@ func (z *Zone) mergedTypesAtLocked(owner dns.Name) []dns.Type {
 // mergedVisibleLocked extends visibleLocked across synthesized cuts.
 func (z *Zone) mergedVisibleLocked(name dns.Name) bool {
 	for n := name.Parent(); n != z.apex && !n.IsRoot(); n = n.Parent() {
-		if z.isCutLocked(n) {
+		if z.isCutLocked(z.ownerLocked(n)) {
 			return false
 		}
 	}
@@ -279,15 +311,16 @@ func (z *Zone) staticBeforeLocked(name dns.Name) (dns.Name, bool) {
 	return "", false
 }
 
-// synthAfterLocked and synthBeforeLocked are the synthesized-index analogues.
-func (z *Zone) synthAfterLocked(name dns.Name) (dns.Name, bool) {
-	if z.synth == nil {
-		return "", false
+// synthAfterLocked and synthBeforeLocked are the synthesized-index analogues,
+// read off o's resolved position without a further search. The predecessor
+// comes back as an owner: the denial that asked for it goes on to build that
+// name's NSEC.
+func (z *Zone) synthAfterLocked(o owner) (dns.Name, bool) {
+	z.synthEnsureLocked() // the apex resolves without building the index
+	i := o.at
+	if o.synth {
+		i++
 	}
-	z.synthEnsureLocked()
-	i := sort.Search(len(z.synthIdx), func(i int) bool {
-		return dns.CanonicalCompare(z.synthIdx[i].Name, name) > 0
-	})
 	for ; i < len(z.synthIdx); i++ {
 		if z.mergedVisibleLocked(z.synthIdx[i].Name) {
 			return z.synthIdx[i].Name, true
@@ -296,18 +329,11 @@ func (z *Zone) synthAfterLocked(name dns.Name) (dns.Name, bool) {
 	return "", false
 }
 
-func (z *Zone) synthBeforeLocked(name dns.Name) (dns.Name, bool) {
-	if z.synth == nil {
-		return "", false
-	}
-	z.synthEnsureLocked()
-	i := sort.Search(len(z.synthIdx), func(i int) bool {
-		return !dns.CanonicalLess(z.synthIdx[i].Name, name)
-	})
-	for i--; i >= 0; i-- {
+func (z *Zone) synthBeforeLocked(o owner) (owner, bool) {
+	for i := o.at - 1; i >= 0; i-- {
 		if z.mergedVisibleLocked(z.synthIdx[i].Name) {
-			return z.synthIdx[i].Name, true
+			return owner{name: z.synthIdx[i].Name, at: i, synth: true}, true
 		}
 	}
-	return "", false
+	return owner{}, false
 }

@@ -167,6 +167,27 @@ func TestSynthLookupByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSynthApexDenialOnUntouchedIndex pins the one lookup that reaches chain
+// arithmetic without first searching the owner index: the apex resolves to
+// position 0 without building it, so a NODATA at the apex — as the very
+// first query a zone sees — must still name the first synthesized owner as
+// the apex NSEC's next.
+func TestSynthApexDenialOnUntouchedIndex(t *testing.T) {
+	eager, lazy := buildSynthPair(t)
+	apex := dns.MustName("tld")
+	want, err := eager.Lookup(apex, dns.TypeTXT, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := lazy.Lookup(apex, dns.TypeTXT, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("first-query apex NODATA differs:\neager: %+v\nlazy:  %+v", want, got)
+	}
+}
+
 // TestSynthMaterializationIsLazyAndGenStable pins the two properties packet
 // caches depend on: records are derived only when a query needs them, and
 // materialization never changes the zone generation.

@@ -75,13 +75,16 @@ type Zone struct {
 	gen uint64
 
 	// synth lazily extends the zone with derivable owner names (see
-	// synth.go). synthIdx is the sorted owner index, memoized on first use;
+	// synth.go). synthIdx is the sorted owner index, memoized on first use,
+	// and synthKeys/synthOff the sort keys it is searched on;
 	// synthRecords/synthDone form the bounded materialized-record overlay.
 	// None of the overlay state affects gen: a synth-backed zone serves the
 	// same bytes whether or not a name has been materialized yet.
 	synth        SynthSource
 	synthReady   bool
 	synthIdx     []SynthEntry
+	synthKeys    []byte
+	synthOff     []uint32
 	synthRecords map[dns.Key][]dns.RR
 	synthDone    map[dns.Name]bool
 

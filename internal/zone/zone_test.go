@@ -139,7 +139,7 @@ func TestLookupNXDomain(t *testing.T) {
 	if nsec == nil {
 		t.Fatal("no NSEC in NXDOMAIN authority")
 	}
-	if !dns.Covered(dns.MustName("nope.example.com"), nsecOwner, nsec.NextName) {
+	if !covered(dns.MustName("nope.example.com"), nsecOwner, nsec.NextName) {
 		t.Fatalf("NSEC [%s, %s) does not cover the denied name", nsecOwner, nsec.NextName)
 	}
 }
