@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet cover bench bench-hotpath bench-faults bench-sweep bench-sweep-baseline bench-serve bench-serve-baseline bench-snapshot bench-snapshot-baseline bench-overload bench-overload-baseline benchdiff benchdiff-serve benchdiff-snapshot benchdiff-overload soak fuzz experiments experiments-full clean
+.PHONY: all build test vet cover bench bench-hotpath bench-faults bench-sweep bench-sweep-baseline bench-serve bench-serve-baseline bench-snapshot bench-snapshot-baseline bench-overload bench-overload-baseline benchdiff benchdiff-serve benchdiff-snapshot benchdiff-overload abpairs soak fuzz experiments experiments-full clean
 
 all: build vet test
 
@@ -136,6 +136,17 @@ benchdiff-snapshot:
 # Same gate for overload protection (run `make bench-overload` first).
 benchdiff-overload:
 	awk -f scripts/benchdiff.awk BENCH_overload.baseline.json BENCH_overload.json
+
+# Paired A/B runs of bench/ — the working tree against a git ref, order
+# alternating by seed — with medians, wins/N and the parent's own spread per
+# end-to-end metric: the acceptance procedure for any claimed gain (see
+# scripts/abpairs.sh). Ten pairs of a 1M-name workload take about ten minutes.
+REF ?= HEAD
+WORKLOAD ?= serve_cold
+PAIRS ?= 10
+
+abpairs:
+	bash scripts/abpairs.sh $(REF) $(WORKLOAD) $(PAIRS)
 
 # Refresh the committed baseline after an intentional performance change.
 # The baseline has its own name so `make clean` (which removes the

@@ -17,12 +17,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/experiment"
+	"github.com/dnsprivacy/lookaside/internal/profile"
 )
 
 func main() {
@@ -70,27 +70,16 @@ func run(args []string) error {
 		return fmt.Errorf("-workers must be >= 1 (got %d); use 1 for a sequential run", *workers)
 	}
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+		stop, err := profile.StartCPU(*cpuProfile)
 		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
+			return err
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+		defer stop()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dlvmeasure: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle live objects so the heap profile is stable
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "dlvmeasure: memprofile: %v\n", err)
+			if err := profile.WriteHeap(*memProfile); err != nil {
+				fmt.Fprintf(os.Stderr, "dlvmeasure: %v\n", err)
 			}
 		}()
 	}

@@ -27,6 +27,7 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/faults"
 	"github.com/dnsprivacy/lookaside/internal/overload"
+	"github.com/dnsprivacy/lookaside/internal/profile"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
 	"github.com/dnsprivacy/lookaside/internal/serve"
 	"github.com/dnsprivacy/lookaside/internal/simnet"
@@ -77,8 +78,17 @@ func run(args []string) error {
 	loss := fs.Float64("loss", 0, "drop probability on the DLV registry link (0 = healthy)")
 	dlvOutage := fs.Bool("dlv-outage", false, "take the DLV registry down for the whole run (the retired-registry scenario)")
 	breaker := fs.Bool("breaker", false, "serve with the resilient resolver and its DLV circuit breaker")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run (set-up included) to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit, after the drain and a forced GC")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *cpuProfile != "" {
+		stop, err := profile.StartCPU(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer stop()
 	}
 
 	var pop *dataset.Population
@@ -174,6 +184,15 @@ func run(args []string) error {
 		return err
 	}
 	defer svc.Close()
+	if *memProfile != "" {
+		// Deferred after svc.Close, so it runs before it: the profile shows
+		// the serving tier and its universe as they stood when serving ended.
+		defer func() {
+			if err := profile.WriteHeap(*memProfile); err != nil {
+				fmt.Fprintf(os.Stderr, "resolved: %v\n", err)
+			}
+		}()
+	}
 	fmt.Printf("resolved: serving tier ready in %v (boot=%s)\n",
 		svc.BootWall().Round(time.Millisecond), svc.BootMode())
 

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"compress/gzip"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -25,29 +30,24 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// TestServeAndGracefulShutdown boots the real server, resolves over the
-// wire, scrapes the stats surface, and exercises the SIGTERM drain path
-// end to end.
-func TestServeAndGracefulShutdown(t *testing.T) {
+// bootServer runs the real server on a free port with the given extra
+// flags and waits for its stats surface to answer.
+func bootServer(t *testing.T, extra ...string) (netip.AddrPort, *udptransport.Client, chan error) {
+	t.Helper()
 	addr := freePort(t)
 	done := make(chan error, 1)
 	go func() {
-		// -udp-shards 2 exercises the sharded boot and drain path end to
-		// end (non-Linux builds fall back to one socket and still pass).
-		done <- run([]string{
-			"-listen", addr, "-domains", "300", "-workers", "2",
-			"-udp-shards", "2", "-print-top", "0", "-drain", "2s",
-		})
+		done <- run(append([]string{
+			"-listen", addr, "-domains", "300", "-workers", "2", "-print-top", "0", "-drain", "2s",
+		}, extra...))
 	}()
 
 	ap := netip.MustParseAddrPort(addr)
 	c := &udptransport.Client{Timeout: time.Second}
-	var snap serve.Snapshot
 	var err error
 	for i := 0; i < 100; i++ {
-		snap, err = serve.FetchSnapshot(c, ap)
-		if err == nil {
-			break
+		if _, err = serve.FetchSnapshot(c, ap); err == nil {
+			return ap, c, done
 		}
 		select {
 		case startErr := <-done:
@@ -55,26 +55,14 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
-	if err != nil {
-		t.Fatalf("stats surface never came up: %v", err)
-	}
+	t.Fatalf("stats surface never came up: %v", err)
+	return ap, c, done
+}
 
-	q := dns.NewQuery(7, dns.MustName("secure00.edu"), dns.TypeA, true)
-	resp, err := c.QueryWithFallback(ap, q)
-	if err != nil {
-		t.Fatalf("query over wire: %v", err)
-	}
-	if resp.Header.RCode != dns.RCodeNoError {
-		t.Fatalf("rcode %s", resp.Header.RCode)
-	}
-	snap, err = serve.FetchSnapshot(c, ap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Resolver.Resolutions == 0 || snap.UDP.Queries == 0 {
-		t.Fatalf("scorecard empty after a resolution: %+v", snap)
-	}
-
+// terminate sends the process SIGTERM and waits for the server's graceful
+// exit.
+func terminate(t *testing.T, done chan error) {
+	t.Helper()
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +74,74 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down on SIGTERM")
 	}
+}
+
+// TestServeAndGracefulShutdown boots the real server, resolves over the
+// wire, scrapes the stats surface, and exercises the SIGTERM drain path
+// end to end.
+func TestServeAndGracefulShutdown(t *testing.T) {
+	// -udp-shards 2 exercises the sharded boot and drain path end to end
+	// (non-Linux builds fall back to one socket and still pass).
+	ap, c, done := bootServer(t, "-udp-shards", "2")
+
+	q := dns.NewQuery(7, dns.MustName("secure00.edu"), dns.TypeA, true)
+	resp, err := c.QueryWithFallback(ap, q)
+	if err != nil {
+		t.Fatalf("query over wire: %v", err)
+	}
+	if resp.Header.RCode != dns.RCodeNoError {
+		t.Fatalf("rcode %s", resp.Header.RCode)
+	}
+	snap, err := serve.FetchSnapshot(c, ap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Resolver.Resolutions == 0 || snap.UDP.Queries == 0 {
+		t.Fatalf("scorecard empty after a resolution: %+v", snap)
+	}
+
+	terminate(t, done)
 
 	// The sockets must actually be released.
 	if _, err := serve.FetchSnapshot(c, ap); err == nil {
 		t.Fatal("stats surface still answering after shutdown")
+	}
+}
+
+// TestProfileFlags pins the two diagnostic flags: a short serving run leaves
+// a CPU profile and a heap profile behind, each a non-empty gzip stream that
+// `go tool pprof` parses (checked where the toolchain is at hand).
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	ap, c, done := bootServer(t, "-cpuprofile", cpu, "-memprofile", mem)
+	for i := 0; i < 20; i++ {
+		q := dns.NewQuery(uint16(100+i), dns.MustName(fmt.Sprintf("secure%02d.edu", i)), dns.TypeA, true)
+		if _, err := c.QueryWithFallback(ap, q); err != nil {
+			t.Fatalf("query over wire: %v", err)
+		}
+	}
+	terminate(t, done)
+
+	for _, path := range []string{cpu, mem} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s is not a gzip stream: %v", path, err)
+		}
+		raw, err := io.ReadAll(zr)
+		_ = f.Close()
+		if err != nil || len(raw) == 0 {
+			t.Fatalf("%s: %d bytes of profile, err %v", path, len(raw), err)
+		}
+		if goTool, err := exec.LookPath("go"); err == nil {
+			if out, err := exec.Command(goTool, "tool", "pprof", "-raw", path).CombinedOutput(); err != nil {
+				t.Fatalf("go tool pprof -raw %s: %v\n%s", path, err, out)
+			}
+		}
 	}
 }
 

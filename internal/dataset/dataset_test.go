@@ -39,6 +39,9 @@ func TestAlexaLikeBasics(t *testing.T) {
 	if _, err := AlexaLike(PopulationConfig{Size: 0}); err == nil {
 		t.Fatal("zero size accepted")
 	}
+	if _, err := AlexaLike(PopulationConfig{Size: maxPopulation + 1}); err == nil {
+		t.Fatal("a size past the name arena's offsets accepted")
+	}
 }
 
 func TestAlexaLikeDeterminism(t *testing.T) {

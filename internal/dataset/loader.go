@@ -31,11 +31,9 @@ func LoadRanked(r io.Reader, rates Rates, seed int64) (*Population, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 
-	pop := &Population{byName: make(map[dns.Name]*Domain)}
-	tldSigned := make(map[string]bool)
-	seen := make(map[dns.Name]bool)
-	rng := newPopRand(seed)
-
+	// First the list's SLDs in file order, duplicates included; their count
+	// bounds the position table, which then de-duplicates them.
+	var names []dns.Name
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -59,10 +57,23 @@ func LoadRanked(r io.Reader, rates Rates, seed int64) (*Population, error) {
 		if name.LabelCount() != 2 {
 			continue // bare TLDs and the root carry no resolvable site
 		}
-		if seen[name] {
+		names = append(names, name)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("dataset: reading list: %w", err)
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("dataset: no usable domains in list")
+	}
+
+	pop := &Population{index: newPosTable(len(names))}
+	tldSigned := make(map[string]bool)
+	rng := newPopRand(seed)
+	for _, name := range names {
+		if _, dup := pop.Lookup(name); dup {
 			continue
 		}
-		seen[name] = true
+		pop.index.add(name, uint32(len(pop.Domains)))
 		labels := name.Labels()
 		tld := labels[1]
 		if _, seen := tldSigned[tld]; !seen {
@@ -84,15 +95,6 @@ func LoadRanked(r io.Reader, rates Rates, seed int64) (*Population, error) {
 			d.InDLV = rng.Float64() < rates.DepositGivenChained
 		}
 		pop.Domains = append(pop.Domains, d)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: reading list: %w", err)
-	}
-	if len(pop.Domains) == 0 {
-		return nil, fmt.Errorf("dataset: no usable domains in list")
-	}
-	for i := range pop.Domains {
-		pop.byName[pop.Domains[i].Name] = &pop.Domains[i]
 	}
 	return pop, nil
 }

@@ -102,11 +102,67 @@ type PopulationConfig struct {
 	Rates Rates
 }
 
-// Population is a ranked, annotated domain list.
+// Population is a ranked, annotated domain list. A generated population is a
+// handful of heap objects however many domains it holds: the Domain array,
+// one string that every Name is a slice of, and the position table Lookup
+// searches — nothing per name for the collector to trace beyond the array's
+// own string headers.
 type Population struct {
 	Domains []Domain
 	TLDs    []TLD
-	byName  map[dns.Name]*Domain
+	// index finds a domain by name; the zero Population has none and finds
+	// nothing.
+	index posTable
+}
+
+// posTable is an open-addressed hash table (linear probing) from a name to
+// its position in a list the table does not hold: a slot is 0 when free,
+// else the position plus one. The caller supplies name equality at a
+// position, so the same table serves the generator — which de-duplicates
+// against names still sitting in its byte arena — and Lookup afterwards. It
+// is sized once for at most half occupancy and never grows.
+type posTable []uint32
+
+// newPosTable sizes a table for up to n names: the power of two ≥ 2n.
+func newPosTable(n int) posTable {
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	return make(posTable, size)
+}
+
+// start is where name's probe sequence begins: FNV-1a over its bytes, the
+// high half folded into the low bits the mask keeps.
+func (t posTable) start(name dns.Name) uint32 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	return uint32(h^h>>32) & uint32(len(t)-1)
+}
+
+// find returns the position stored for name; is reports whether the name at
+// a position equals it.
+func (t posTable) find(name dns.Name, is func(pos uint32) bool) (uint32, bool) {
+	if len(t) == 0 {
+		return 0, false
+	}
+	for i := t.start(name); t[i] != 0; i = (i + 1) & uint32(len(t)-1) {
+		if pos := t[i] - 1; is(pos) {
+			return pos, true
+		}
+	}
+	return 0, false
+}
+
+// add stores pos for a name find did not report.
+func (t posTable) add(name dns.Name, pos uint32) {
+	i := t.start(name)
+	for t[i] != 0 {
+		i = (i + 1) & uint32(len(t)-1)
+	}
+	t[i] = pos + 1
 }
 
 // tldTable is the built-in TLD mix: labels, SLD share, and a signing-rate
@@ -153,10 +209,17 @@ var syllables = []string{
 	"ve", "vi", "vo", "wa", "we", "wi", "ya", "yo", "za", "ze", "zo", "qu",
 }
 
+// maxPopulation keeps every offset into the generator's name arena (at most
+// 25 bytes a name) inside the uint32 it is stored in.
+const maxPopulation = 1 << 27
+
 // AlexaLike generates a ranked population of cfg.Size domains.
 func AlexaLike(cfg PopulationConfig) (*Population, error) {
 	if cfg.Size <= 0 {
 		return nil, fmt.Errorf("dataset: population size %d must be positive", cfg.Size)
+	}
+	if cfg.Size > maxPopulation {
+		return nil, fmt.Errorf("dataset: population size %d exceeds %d", cfg.Size, maxPopulation)
 	}
 	rates := cfg.Rates
 	if rates == (Rates{}) {
@@ -164,7 +227,7 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	pop := &Population{byName: make(map[dns.Name]*Domain, cfg.Size)}
+	pop := &Population{index: newPosTable(cfg.Size)}
 
 	// TLD signing decisions are global, not per-domain.
 	tldSigned := make(map[string]bool, len(tldTable))
@@ -182,7 +245,19 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 		cum[i] = total
 	}
 
-	seen := make(map[string]bool, cfg.Size)
+	// Names go end to end into one byte arena — ends[i] closes name i — and
+	// are sliced out of a single string once the arena has stopped growing.
+	// Until then the table de-duplicates against the arena's bytes.
+	arena := make([]byte, 0, 16*cfg.Size)
+	ends := make([]uint32, 0, cfg.Size)
+	var name dns.Name
+	inArena := func(pos uint32) bool {
+		start := uint32(0)
+		if pos > 0 {
+			start = ends[pos-1]
+		}
+		return string(arena[start:ends[pos]]) == string(name)
+	}
 	pop.Domains = make([]Domain, 0, cfg.Size)
 	for rank := 1; len(pop.Domains) < cfg.Size; rank++ {
 		// Pick a TLD by weight.
@@ -197,16 +272,22 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 		t := tldTable[ti]
 		label := makeLabel(rng)
 		full := label + "." + t.label
-		if seen[full] {
-			full = fmt.Sprintf("%s%d.%s", label, len(pop.Domains), t.label)
-		}
-		seen[full] = true
-		name, err := dns.MakeName(full)
-		if err != nil {
+		var err error
+		if name, err = dns.MakeName(full); err != nil {
 			return nil, fmt.Errorf("dataset: generated invalid name %q: %w", full, err)
 		}
+		if _, dup := pop.index.find(name, inArena); dup {
+			// The position is unique, and labels carry no digits of their own.
+			full = fmt.Sprintf("%s%d.%s", label, len(pop.Domains), t.label)
+			if name, err = dns.MakeName(full); err != nil {
+				return nil, fmt.Errorf("dataset: generated invalid name %q: %w", full, err)
+			}
+		}
+		pop.index.add(name, uint32(len(pop.Domains)))
+		arena = append(arena, name...)
+		ends = append(ends, uint32(len(arena)))
 
-		d := Domain{Name: name, TLD: t.label, Rank: len(pop.Domains) + 1}
+		d := Domain{TLD: t.label, Rank: len(pop.Domains) + 1}
 		if rng.Float64() < rates.SLDSigned*t.signedMult {
 			d.Signed = true
 			// A DS needs a signed parent to live in.
@@ -222,8 +303,10 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 		}
 		pop.Domains = append(pop.Domains, d)
 	}
+	names, start := string(arena), uint32(0)
 	for i := range pop.Domains {
-		pop.byName[pop.Domains[i].Name] = &pop.Domains[i]
+		pop.Domains[i].Name = dns.Name(names[start:ends[i]])
+		start = ends[i]
 	}
 	return pop, nil
 }
@@ -239,8 +322,11 @@ func makeLabel(rng *rand.Rand) string {
 
 // Lookup returns the population entry for a domain name.
 func (p *Population) Lookup(name dns.Name) (*Domain, bool) {
-	d, ok := p.byName[name]
-	return d, ok
+	pos, ok := p.index.find(name, func(pos uint32) bool { return p.Domains[pos].Name == name })
+	if !ok {
+		return nil, false
+	}
+	return &p.Domains[pos], true
 }
 
 // Top returns the n highest-ranked domains (all of them when n exceeds the

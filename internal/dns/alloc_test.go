@@ -1,6 +1,7 @@
 package dns
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -78,6 +79,47 @@ func TestAllocationBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestInternMissAllocations pins what a first-seen name costs the intern
+// table: the text MakeName validates and the Name it returns. The table's
+// key shares the Name's bytes, so there is no third string; text that is not
+// already canonical (here: uppercase) still keys on its own copy and resolves
+// on the next ask.
+func TestInternMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	const runs = 200
+	texts := make([][]byte, runs+1) // AllocsPerRun calls fn once to warm up
+	for i := range texts {
+		texts[i] = []byte(fmt.Sprintf("intern-miss-%04d.alloc.test", i))
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if _, err := internName(texts[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	// Map growth is amortized below one allocation per insert.
+	if got > 2 {
+		t.Errorf("internName miss: %.1f allocs/op, want 2", got)
+	}
+	for _, text := range texts {
+		n, err := internName(text)
+		if err != nil || n != Name(string(text)+".") {
+			t.Fatalf("internName(%q) = %q, %v", text, n, err)
+		}
+	}
+	if got := testing.AllocsPerRun(runs, func() { _, _ = internName(texts[0]) }); got != 0 {
+		t.Errorf("internName hit: %.1f allocs/op, want 0", got)
+	}
+	for i := 0; i < 2; i++ {
+		if n, err := internName([]byte("MiXed.Alloc.Test")); err != nil || n != "mixed.alloc.test." {
+			t.Fatalf("internName(mixed case) = %q, %v", n, err)
+		}
+	}
 }
 
 // TestDecodeQuestion pins the question-only fast decoder against the full

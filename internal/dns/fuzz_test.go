@@ -203,3 +203,29 @@ func FuzzSortKeyOrder(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSortKeyRoundTrip pins NameFromSortKey as the exact inverse of
+// AppendSortKey: every valid name, the root included, comes back from its
+// key unchanged, from one allocation (the name itself). Run with
+// `go test -fuzz=FuzzSortKeyRoundTrip ./internal/dns`.
+func FuzzSortKeyRoundTrip(f *testing.F) {
+	f.Add("")
+	f.Add("com")
+	f.Add("example.com")
+	f.Add("a-b.com")
+	f.Add("*._x.b.a.example")
+	f.Add(strings.Repeat("a", 63) + ".x")
+	f.Add(strings.Repeat(strings.Repeat("k", 62)+".", 4) + "abc")
+
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := MakeName(s)
+		if err != nil {
+			return
+		}
+		// A prefix on dst must not leak into the key's own bytes.
+		key := AppendSortKey([]byte("prefix"), n)[len("prefix"):]
+		if got := NameFromSortKey(key); got != n {
+			t.Fatalf("NameFromSortKey(key(%q)) = %q", n, got)
+		}
+	})
+}

@@ -10,6 +10,7 @@
 package dns
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -317,4 +318,24 @@ func AppendSortKey(dst []byte, name Name) []byte {
 		end = start - 1
 	}
 	return dst
+}
+
+// NameFromSortKey is the exact inverse of AppendSortKey: it rebuilds the name
+// a key was made from, so an index that stores keys need not store the names
+// beside them. key must be AppendSortKey output; the empty key is the root.
+func NameFromSortKey(key []byte) Name {
+	if len(key) == 0 {
+		return Root
+	}
+	var buf [maxNameLen]byte
+	out := buf[:0]
+	// end indexes the 0x00 that closes the next unread label; the key's last
+	// label is the name's first.
+	for end := len(key) - 1; end > 0; {
+		start := bytes.LastIndexByte(key[:end], 0) + 1
+		out = append(out, key[start:end]...)
+		out = append(out, '.')
+		end = start - 1
+	}
+	return Name(out)
 }

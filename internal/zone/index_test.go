@@ -172,9 +172,22 @@ func TestOwnerIndexMatchesOracle(t *testing.T) {
 	}
 
 	z.mu.Lock()
+	// The index stores keys, not names: read it back through the decoder.
+	z.synthEnsureLocked()
 	synth := map[dns.Name]bool{}
-	for _, e := range z.synthIdx {
-		synth[e.Name] = true
+	indexed := make([]dns.Name, len(z.synthKind))
+	for i := range indexed {
+		indexed[i] = z.synthNameLocked(i)
+		synth[indexed[i]] = true
+	}
+	entries := z.synth.(*mapSynth).entries
+	if len(synth) != len(entries) {
+		t.Errorf("index decodes to %d distinct names, source has %d", len(synth), len(entries))
+	}
+	for _, e := range entries {
+		if !synth[e.Name] {
+			t.Errorf("source entry %s is not in the decoded index", e.Name)
+		}
 	}
 	for i, n := range chain {
 		if got, want := z.successorLocked(z.ownerLocked(n)), chain[(i+1)%len(chain)]; got != want {
@@ -185,8 +198,8 @@ func TestOwnerIndexMatchesOracle(t *testing.T) {
 	for _, probe := range probes {
 		o := z.ownerLocked(probe)
 		before := 0
-		for _, e := range z.synthIdx {
-			if dns.CanonicalCompare(e.Name, probe) < 0 {
+		for _, n := range indexed {
+			if dns.CanonicalCompare(n, probe) < 0 {
 				before++
 			}
 		}

@@ -453,27 +453,18 @@ func (z *Zone) predecessorLocked(q owner) owner {
 	return z.ownerLocked(z.apex)
 }
 
-// sigCacheCap bounds the memoized-signature map; a paper-scale TLD zone
-// answers on the order of a million distinct DS denials, and HMAC re-signing
-// is cheaper than holding them all.
-const sigCacheCap = 1 << 19
-
-// signSetLocked returns the (memoized) RRSIG for an RRset. The DNSKEY RRset
-// is signed by the KSK, everything else by the ZSK.
+// signSetLocked returns the RRSIG for an RRset, memoized while recently
+// used: a paper-scale TLD zone answers on the order of a million distinct DS
+// denials, each asked for within one resolution and never again, and
+// re-signing the few that do come back is cheaper than holding them all. The
+// DNSKEY RRset is signed by the KSK, everything else by the ZSK.
 func (z *Zone) signSetLocked(rrset []dns.RR) (dns.RR, error) {
 	if !z.signed {
 		return dns.RR{}, ErrNotSigned
 	}
 	key := rrset[0].Key()
-	if sig, ok := z.sigCache[key]; ok {
+	if sig, ok := z.sigCache.get(key); ok {
 		return sig, nil
-	}
-	// The cache is created on the first signature (not at Sign time: most
-	// per-domain zones serve only a couple of RRsets) and reset when full.
-	if z.sigCache == nil {
-		z.sigCache = make(map[dns.Key]dns.RR, 4)
-	} else if len(z.sigCache) >= sigCacheCap {
-		z.sigCache = make(map[dns.Key]dns.RR, sigCacheCap/4)
 	}
 	signer := z.zsk
 	if key.Type == dns.TypeDNSKEY {
@@ -483,7 +474,7 @@ func (z *Zone) signSetLocked(rrset []dns.RR) (dns.RR, error) {
 	if err != nil {
 		return dns.RR{}, fmt.Errorf("zone %s: signing %s: %w", z.apex, key, err)
 	}
-	z.sigCache[key] = sig
+	z.sigCache.put(key, sig)
 	return sig, nil
 }
 
@@ -496,17 +487,19 @@ func (z *Zone) NSECChainNames() []dns.Name {
 	z.synthEnsureLocked()
 	var out []dns.Name
 	i, j := 0, 0
-	for i < len(z.names) || j < len(z.synthIdx) {
+	for i < len(z.names) || j < len(z.synthKind) {
 		var n dns.Name
 		switch {
-		case j >= len(z.synthIdx):
+		case j >= len(z.synthKind):
 			n, i = z.names[i], i+1
 		case i >= len(z.names):
-			n, j = z.synthIdx[j].Name, j+1
-		case dns.CanonicalLess(z.names[i], z.synthIdx[j].Name):
-			n, i = z.names[i], i+1
+			n, j = z.synthNameLocked(j), j+1
 		default:
-			n, j = z.synthIdx[j].Name, j+1
+			if y := z.synthNameLocked(j); dns.CanonicalLess(z.names[i], y) {
+				n, i = z.names[i], i+1
+			} else {
+				n, j = y, j+1
+			}
 		}
 		if z.mergedVisibleLocked(n) {
 			out = append(out, n)

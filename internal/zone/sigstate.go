@@ -8,7 +8,7 @@ import (
 )
 
 // SigState is the serializable signature state of one signed zone: its
-// generation counter and the memoized RRSIGs the zone has produced so far.
+// generation counter and the memoized RRSIGs the zone currently holds.
 // Warm-state snapshots carry it so a loaded fleet member serves the warm
 // shard's RRsets with zero re-signing; the generation pins the state to
 // the exact zone contents it was derived from.
@@ -41,10 +41,10 @@ func (z *Zone) ExportSigState() *SigState {
 		return nil
 	}
 	st := &SigState{Apex: z.apex, Generation: z.gen,
-		Entries: make([]SigEntry, 0, len(z.sigCache))}
-	for key, sig := range z.sigCache {
+		Entries: make([]SigEntry, 0, z.sigCache.len())}
+	z.sigCache.each(func(key dns.Key, sig dns.RR) {
 		st.Entries = append(st.Entries, SigEntry{Key: key, Sig: sig})
-	}
+	})
 	sort.Slice(st.Entries, func(i, j int) bool {
 		a, b := st.Entries[i].Key, st.Entries[j].Key
 		if a.Name != b.Name {
@@ -61,9 +61,10 @@ func (z *Zone) ExportSigState() *SigState {
 // ImportSigState installs previously exported signatures into the zone's
 // memo cache. It refuses — with no partial installation — when the zone is
 // unsigned, the apex differs, the generation differs (the zone mutated
-// since export, so the signatures cover stale contents), or any entry is
-// structurally unsound. Importing does not bump the generation: the memo
-// cache never affects served bytes, only whether serving them re-signs.
+// since export, so the signatures cover stale contents), the state holds
+// more entries than the cache can, or any entry is structurally unsound.
+// Importing does not bump the generation: the memo cache never affects
+// served bytes, only whether serving them re-signs.
 func (z *Zone) ImportSigState(st *SigState) error {
 	z.mu.Lock()
 	defer z.mu.Unlock()
@@ -77,9 +78,9 @@ func (z *Zone) ImportSigState(st *SigState) error {
 		return fmt.Errorf("zone %s: signature state at generation %d, zone at %d (stale)",
 			z.apex, st.Generation, z.gen)
 	}
-	if len(st.Entries) > sigCacheCap {
+	if len(st.Entries) > genCacheCap {
 		return fmt.Errorf("zone %s: %d imported signatures exceed cache cap %d",
-			z.apex, len(st.Entries), sigCacheCap)
+			z.apex, len(st.Entries), genCacheCap)
 	}
 	for i := range st.Entries {
 		e := &st.Entries[i]
@@ -94,11 +95,8 @@ func (z *Zone) ImportSigState(st *SigState) error {
 			return fmt.Errorf("zone %s: imported RRSIG does not cover its key %s", z.apex, e.Key)
 		}
 	}
-	if z.sigCache == nil {
-		z.sigCache = make(map[dns.Key]dns.RR, len(st.Entries))
-	}
 	for i := range st.Entries {
-		z.sigCache[st.Entries[i].Key] = st.Entries[i].Sig
+		z.sigCache.put(st.Entries[i].Key, st.Entries[i].Sig)
 	}
 	return nil
 }

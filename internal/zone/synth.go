@@ -9,13 +9,15 @@ package zone
 // when a query first needs them. A paper-scale TLD zone with a million
 // delegations costs one index, not a million RRsets.
 //
-// Materialized records live in a bounded overlay that never contributes to
-// the zone generation counter: a synth-backed zone serves byte-identical
-// responses before and after any record is materialized, so authoritative
-// packet caches (keyed on Generation) stay valid across materializations.
+// Materialized records live in a small recency-bounded cache (genCache) that
+// never contributes to the zone generation counter: a synth-backed zone
+// serves byte-identical responses before a record is materialized, while it
+// is held, and after it has been dropped and derived again, so authoritative
+// packet caches (keyed on Generation) stay valid throughout.
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -51,24 +53,21 @@ type SynthEntry struct {
 // SynthSource derives zone content on demand.
 //
 // SynthIndex returns every synthesized owner name exactly once. The zone
-// sorts and memoizes it on first use (under the zone lock), so the call must
-// be deterministic but need not be cheap. Names must not collide with static
-// zone content and must not nest under one another or under static cuts.
+// reads it once, on first use (under the zone lock), into its own sorted
+// index and does not keep the slice, so the call must be deterministic but
+// need not be cheap. Names must not collide with static zone content and
+// must not nest under one another or under static cuts.
 //
 // SynthRecords returns the full record set owned by e.Name. Types must match
 // e.Kind (SynthCut: NS; SynthSecureCut: NS+DS; SynthGlue: A; SynthLeaf: the
 // Aux type). A zero TTL is filled with the zone default, mirroring Add and
-// Delegate. The result must be deterministic: the overlay is bounded and an
-// evicted name is re-derived on its next query.
+// Delegate. The zone takes the returned slice as its own. The result must be
+// deterministic: the zone holds it only while it is recently used and derives
+// it again on a later query.
 type SynthSource interface {
 	SynthIndex() []SynthEntry
 	SynthRecords(e SynthEntry) ([]dns.RR, error)
 }
-
-// synthOverlayCap bounds the materialized-record overlay (owner names). Like
-// sigCacheCap, it trades re-derivation for bounded memory at paper scale;
-// the reset is wholesale because entries rebuild deterministically.
-const synthOverlayCap = 1 << 17
 
 // AttachSynth installs a lazy record source. It counts as one content
 // mutation (the zone's served universe changes); subsequent materializations
@@ -79,6 +78,7 @@ func (z *Zone) AttachSynth(src SynthSource) {
 	z.gen++
 	z.synth = src
 	z.synthReady = false
+	z.synthRecords = genCache[dns.Name, []dns.RR]{}
 }
 
 // HasSynth reports whether a lazy record source is attached.
@@ -89,19 +89,20 @@ func (z *Zone) HasSynth() bool {
 }
 
 // MaterializedNames returns how many synthesized owners currently hold
-// records in the overlay (tests and memory introspection).
+// derived records (tests and memory introspection); at most genCacheCap.
 func (z *Zone) MaterializedNames() int {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	return len(z.synthDone)
+	return z.synthRecords.len()
 }
 
-// synthEnsureLocked sorts and memoizes the owner index on first use, together
-// with the sort keys the index is searched on: the key of synthIdx[i] is
-// synthKeys[synthOff[i]:synthOff[i+1]] (dns.AppendSortKey), laid end to end
-// in index order. One byte arena and one offset array hold no pointers, so a
-// million-owner index adds nothing for the collector to trace; a key per
-// entry as its own string or slice would.
+// synthEnsureLocked builds the sorted owner index on first use. Entry i is
+// its sort key synthKeys[synthOff[i]:synthOff[i+1]] (dns.AppendSortKey), laid
+// end to end in canonical order, with its kind and aux alongside; the name
+// is not stored, since the key is the name (dns.NameFromSortKey). A byte
+// arena and three flat arrays hold no pointers, so a million-owner index is
+// four objects and adds nothing for the collector to trace; a name or a key
+// per entry as its own string would.
 func (z *Zone) synthEnsureLocked() {
 	if z.synthReady || z.synth == nil {
 		return
@@ -122,20 +123,24 @@ func (z *Zone) synthEnsureLocked() {
 	slices.SortFunc(order, func(a, b uint32) int {
 		return bytes.Compare(keys[off[a]:off[a+1]], keys[off[b]:off[b+1]])
 	})
-	sorted := make([]SynthEntry, len(idx))
 	z.synthKeys, z.synthOff = make([]byte, 0, len(keys)), make([]uint32, len(idx)+1)
+	z.synthKind, z.synthAux = make([]SynthKind, len(idx)), make([]uint32, len(idx))
 	for i, o := range order {
-		sorted[i] = idx[o]
 		z.synthKeys = append(z.synthKeys, keys[off[o]:off[o+1]]...)
 		z.synthOff[i+1] = uint32(len(z.synthKeys))
+		z.synthKind[i], z.synthAux[i] = idx[o].Kind, idx[o].Aux
 	}
-	// The index keeps the source's slice (a source may retain it), now in
-	// canonical order.
-	copy(idx, sorted)
-	z.synthIdx = idx
-	z.synthRecords = make(map[dns.Key][]dns.RR)
-	z.synthDone = make(map[dns.Name]bool)
 	z.synthReady = true
+}
+
+// synthKeyLocked returns the sort key of index entry i.
+func (z *Zone) synthKeyLocked(i int) []byte {
+	return z.synthKeys[z.synthOff[i]:z.synthOff[i+1]]
+}
+
+// synthNameLocked decodes the owner name of index entry i from its key.
+func (z *Zone) synthNameLocked(i int) dns.Name {
+	return dns.NameFromSortKey(z.synthKeyLocked(i))
 }
 
 // owner is a name with its place in the synthesized owner index resolved.
@@ -162,22 +167,23 @@ func (z *Zone) ownerLocked(name dns.Name) owner {
 	z.synthEnsureLocked()
 	var buf [256]byte
 	key := dns.AppendSortKey(buf[:0], name)
-	at := sort.Search(len(z.synthIdx), func(i int) bool {
-		return bytes.Compare(z.synthKeys[z.synthOff[i]:z.synthOff[i+1]], key) >= 0
+	at := sort.Search(len(z.synthKind), func(i int) bool {
+		return bytes.Compare(z.synthKeyLocked(i), key) >= 0
 	})
-	return owner{name: name, at: at, synth: at < len(z.synthIdx) && z.synthIdx[at].Name == name}
+	return owner{name: name, at: at, synth: at < len(z.synthKind) && bytes.Equal(z.synthKeyLocked(at), key)}
 }
 
 // synthHasDescendantLocked reports whether a synthesized owner exists
 // strictly below o (canonical order puts descendants right after their
-// ancestor, as in hasDescendantLocked).
+// ancestor, as in hasDescendantLocked): the next entry's key starts with o's.
 func (z *Zone) synthHasDescendantLocked(o owner) bool {
 	z.synthEnsureLocked() // the apex resolves without building the index
 	i := o.at
 	if o.synth {
 		i++
 	}
-	return i < len(z.synthIdx) && z.synthIdx[i].Name.IsSubdomainOf(o.name)
+	var buf [256]byte
+	return i < len(z.synthKind) && bytes.HasPrefix(z.synthKeyLocked(i), dns.AppendSortKey(buf[:0], o.name))
 }
 
 // types reports the record types present at an entry of this kind.
@@ -198,28 +204,26 @@ func (k SynthKind) types(aux uint32) []dns.Type {
 // isCut reports whether the entry is a delegation point.
 func (k SynthKind) isCut() bool { return k == SynthCut || k == SynthSecureCut }
 
-// synthMaterializeLocked derives and stores the records owned by e.
-func (z *Zone) synthMaterializeLocked(e SynthEntry) error {
-	if z.synthDone[e.Name] {
-		return nil
+// synthRecordsLocked returns every record the synthesized owner o holds,
+// deriving them when the cache does not hold them yet, or no longer.
+func (z *Zone) synthRecordsLocked(o owner) ([]dns.RR, error) {
+	if rrs, ok := z.synthRecords.get(o.name); ok {
+		return rrs, nil
 	}
-	rrs, err := z.synth.SynthRecords(e)
+	rrs, err := z.synth.SynthRecords(SynthEntry{Name: o.name, Kind: z.synthKind[o.at], Aux: z.synthAux[o.at]})
 	if err != nil {
-		return fmt.Errorf("zone %s: materializing %s: %w", z.apex, e.Name, err)
+		return nil, fmt.Errorf("zone %s: materializing %s: %w", z.apex, o.name, err)
 	}
-	if len(z.synthDone) >= synthOverlayCap {
-		z.synthRecords = make(map[dns.Key][]dns.RR)
-		z.synthDone = make(map[dns.Name]bool)
-	}
-	for _, rr := range rrs {
-		if rr.TTL == 0 {
-			rr.TTL = z.ttl
+	for i := range rrs {
+		if rrs[i].TTL == 0 {
+			rrs[i].TTL = z.ttl
 		}
-		key := rr.Key()
-		z.synthRecords[key] = append(z.synthRecords[key], rr)
 	}
-	z.synthDone[e.Name] = true
-	return nil
+	// Grouped by type, order within a type kept, so rrsetLocked can hand out
+	// an RRset as a sub-slice.
+	slices.SortStableFunc(rrs, func(a, b dns.RR) int { return cmp.Compare(a.Type, b.Type) })
+	z.synthRecords.put(o.name, rrs)
+	return rrs, nil
 }
 
 // Merged static+synth primitives. Lookup and the NSEC chain operate on the
@@ -232,7 +236,7 @@ func (z *Zone) existsLocked(o owner) bool {
 
 // isCutLocked reports whether o is a delegation point.
 func (z *Zone) isCutLocked(o owner) bool {
-	return z.cuts[o.name] || (o.synth && z.synthIdx[o.at].Kind.isCut())
+	return z.cuts[o.name] || (o.synth && z.synthKind[o.at].isCut())
 }
 
 // rrsetLocked returns the records of (o, type), materializing synthesized
@@ -245,14 +249,26 @@ func (z *Zone) rrsetLocked(o owner, typ dns.Type) ([]dns.RR, error) {
 	if !o.synth {
 		return nil, nil
 	}
-	e := z.synthIdx[o.at]
-	if !dns.HasType(e.Kind.types(e.Aux), typ) {
+	if !dns.HasType(z.synthKind[o.at].types(z.synthAux[o.at]), typ) {
 		return nil, nil
 	}
-	if err := z.synthMaterializeLocked(e); err != nil {
+	rrs, err := z.synthRecordsLocked(o)
+	if err != nil {
 		return nil, err
 	}
-	return z.synthRecords[key], nil
+	// Held grouped by type: the set is one run.
+	lo := 0
+	for lo < len(rrs) && rrs[lo].Type != typ {
+		lo++
+	}
+	hi := lo
+	for hi < len(rrs) && rrs[hi].Type == typ {
+		hi++
+	}
+	if lo == hi {
+		return nil, nil
+	}
+	return rrs[lo:hi:hi], nil
 }
 
 // mergedTypesAtLocked returns a copy of the types present at o across both
@@ -265,8 +281,7 @@ func (z *Zone) mergedTypesAtLocked(o owner) []dns.Type {
 		return types
 	}
 	if o.synth {
-		e := z.synthIdx[o.at]
-		return e.Kind.types(e.Aux)
+		return z.synthKind[o.at].types(z.synthAux[o.at])
 	}
 	return nil
 }
@@ -312,18 +327,18 @@ func (z *Zone) staticBeforeLocked(name dns.Name) (dns.Name, bool) {
 }
 
 // synthAfterLocked and synthBeforeLocked are the synthesized-index analogues,
-// read off o's resolved position without a further search. The predecessor
-// comes back as an owner: the denial that asked for it goes on to build that
-// name's NSEC.
+// read off o's resolved position without a further search, the name decoded
+// from the entry's key. The predecessor comes back as an owner: the denial
+// that asked for it goes on to build that name's NSEC.
 func (z *Zone) synthAfterLocked(o owner) (dns.Name, bool) {
 	z.synthEnsureLocked() // the apex resolves without building the index
 	i := o.at
 	if o.synth {
 		i++
 	}
-	for ; i < len(z.synthIdx); i++ {
-		if z.mergedVisibleLocked(z.synthIdx[i].Name) {
-			return z.synthIdx[i].Name, true
+	for ; i < len(z.synthKind); i++ {
+		if name := z.synthNameLocked(i); z.mergedVisibleLocked(name) {
+			return name, true
 		}
 	}
 	return "", false
@@ -331,8 +346,8 @@ func (z *Zone) synthAfterLocked(o owner) (dns.Name, bool) {
 
 func (z *Zone) synthBeforeLocked(o owner) (owner, bool) {
 	for i := o.at - 1; i >= 0; i-- {
-		if z.mergedVisibleLocked(z.synthIdx[i].Name) {
-			return owner{name: z.synthIdx[i].Name, at: i, synth: true}, true
+		if name := z.synthNameLocked(i); z.mergedVisibleLocked(name) {
+			return owner{name: name, at: i, synth: true}, true
 		}
 	}
 	return owner{}, false

@@ -75,18 +75,17 @@ type Zone struct {
 	gen uint64
 
 	// synth lazily extends the zone with derivable owner names (see
-	// synth.go). synthIdx is the sorted owner index, memoized on first use,
-	// and synthKeys/synthOff the sort keys it is searched on;
-	// synthRecords/synthDone form the bounded materialized-record overlay.
-	// None of the overlay state affects gen: a synth-backed zone serves the
-	// same bytes whether or not a name has been materialized yet.
+	// synth.go). synthKeys/synthOff/synthKind/synthAux are the sorted owner
+	// index, built on first use; synthRecords holds the records of recently
+	// materialized owners. Neither affects gen: a synth-backed zone serves
+	// the same bytes whether or not a name's records are currently held.
 	synth        SynthSource
 	synthReady   bool
-	synthIdx     []SynthEntry
 	synthKeys    []byte
 	synthOff     []uint32
-	synthRecords map[dns.Key][]dns.RR
-	synthDone    map[dns.Name]bool
+	synthKind    []SynthKind
+	synthAux     []uint32
+	synthRecords genCache[dns.Name, []dns.RR]
 
 	signed     bool
 	nsec3      bool
@@ -96,7 +95,8 @@ type Zone struct {
 	inception  uint32
 	expiration uint32
 	rng        io.Reader
-	sigCache   map[dns.Key]dns.RR
+	// sigCache memoizes the RRSIGs of recently served RRsets.
+	sigCache genCache[dns.Key, dns.RR]
 }
 
 // New creates an empty zone with its SOA and apex NS record.
@@ -263,9 +263,7 @@ func (z *Zone) insertLocked(rr dns.RR) {
 		z.namesDirty = true
 	}
 	// Any cached signature for this RRset is now stale.
-	if z.sigCache != nil {
-		delete(z.sigCache, key)
-	}
+	z.sigCache.delete(key)
 }
 
 // SignConfig configures zone signing.
@@ -299,7 +297,7 @@ func (z *Zone) Sign(cfg SignConfig) error {
 	z.ksk, z.zsk = cfg.KSK, cfg.ZSK
 	z.inception, z.expiration = cfg.Inception, cfg.Expiration
 	z.rng = cfg.Rand
-	z.sigCache = nil // re-signing invalidates every memoized signature
+	z.sigCache = genCache[dns.Key, dns.RR]{} // re-signing invalidates every memoized signature
 	z.nsec3 = cfg.NSEC3
 	z.nsec3Salt = cfg.NSEC3Salt
 	z.nsec3Iter = cfg.NSEC3Iterations

@@ -1,0 +1,134 @@
+#!/usr/bin/env bash
+# Paired A/B runs of the repo's benchmark: this checkout (the change) against
+# a git ref (the parent), the acceptance procedure bench/README.md ("Noise")
+# and the choosing-metrics guide prescribe for any claimed gain.
+#
+#   scripts/abpairs.sh <git-ref> <workload> <pairs>
+#   make abpairs REF=HEAD~1 WORKLOAD=serve_cold PAIRS=10
+#
+# The ref is exported (git archive) into .bench_build/abpairs/parent, so the
+# parent is built from committed files only and nothing is registered in
+# .git; the change side is the working tree as it stands. Pair i runs
+#
+#   bash bench/run.sh --workload W --seed i --seconds 10 --trace 0
+#
+# once on each side, the parent first when i is odd and the change first when
+# i is even. For every end-to-end metric of BENCHMARK.json the table gives
+# both medians, the change's difference in percent of the parent's median,
+# the pairs the change won (ties count for neither side), and the parent's own
+# interquartile range in percent of its median: a gain is claimed only at
+# >= 9/10 wins and a median difference larger than that spread. Every run's
+# result line is kept in .bench_build/abpairs/runs.tsv, stderr in *.log.
+# Exit status is non-zero if any run was not "correct".
+set -euo pipefail
+
+if [ "$#" -ne 3 ]; then
+	echo "usage: $0 <git-ref> <workload> <pairs>" >&2
+	exit 2
+fi
+ref="$1" workload="$2" pairs="$3"
+case "${pairs}" in
+'' | *[!0-9]* | 0) echo "$0: pairs must be a positive integer, got '${pairs}'" >&2; exit 2 ;;
+esac
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+work="${root}/.bench_build/abpairs"
+sha="$(git -C "${root}" rev-parse --short "${ref}^{commit}")"
+rm -rf "${work}"
+mkdir -p "${work}/parent"
+trap 'rm -rf "${work}/parent"' EXIT
+git -C "${root}" archive "${sha}" | tar -x -C "${work}/parent"
+
+runs="${work}/runs.tsv"
+: >"${runs}"
+bad=0
+# run_side <side> <checkout> <seed>: one benchmark run; its result line (the
+# last line of stdout) goes to runs.tsv whether or not the run was correct.
+run_side() {
+	local side="$1" dir="$2" seed="$3" line
+	line="$(bash "${dir}/bench/run.sh" --workload "${workload}" --seed "${seed}" --seconds 10 --trace 0 \
+		2>>"${work}/${side}.log" | tail -n 1)" || true
+	printf '%s\t%s\t%s\n' "${side}" "${seed}" "${line}" >>"${runs}"
+	case "${line}" in
+	*'"correct":true'*) ;;
+	*)
+		echo "abpairs: ${side} seed ${seed} was not correct: ${line:-no result line; see ${work}/${side}.log}" >&2
+		bad=1
+		;;
+	esac
+}
+
+echo "abpairs: ${workload}, ${pairs} pairs, parent ${sha} (${ref}) vs working tree" >&2
+for seed in $(seq 1 "${pairs}"); do
+	if [ $((seed % 2)) -eq 1 ]; then
+		run_side parent "${work}/parent" "${seed}"
+		run_side change "${root}" "${seed}"
+	else
+		run_side change "${root}" "${seed}"
+		run_side parent "${work}/parent" "${seed}"
+	fi
+	echo "abpairs: pair ${seed}/${pairs} done" >&2
+done
+
+# The end-to-end metrics and their direction come from BENCHMARK.json (one
+# object per line there); the values from each run's result line.
+awk -F '\t' -v workload="${workload}" -v sha="${sha}" '
+# after returns the number that follows key in a result line, "" without one.
+function after(json, key,    at, rest) {
+	at = index(json, key)
+	if (at == 0) return ""
+	rest = substr(json, at + length(key))
+	sub(/[,}].*/, "", rest)
+	return rest + 0
+}
+function value(json, name) { return after(json, "\"" name "\":{\"value\":") }
+# sorted copies v[1..n] into s[1..n] in ascending order.
+function sorted(v, n, s,    i, j, t) {
+	for (i = 1; i <= n; i++) s[i] = v[i]
+	for (i = 2; i <= n; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j + 1] = s[j]; s[j + 1] = t }
+}
+function median(v, n,    s) { sorted(v, n, s); return n % 2 ? s[(n + 1) / 2] : (s[n / 2] + s[n / 2 + 1]) / 2 }
+# quartile k of 4 by the exclusive method, as bench/stats.go has it.
+function quartile(v, n, k,    s, pos, j) {
+	if (n < 2) return v[1]
+	sorted(v, n, s); pos = k * (n + 1) / 4; j = int(pos)
+	if (j < 1) j = 1
+	if (j > n - 1) j = n - 1
+	return s[j] + (pos - j) * (s[j + 1] - s[j])
+}
+FILENAME == ARGV[1] {
+	if ($0 ~ /"end_to_end"/) inside = 1
+	else if (inside && $0 ~ /^ *\]/) inside = 0
+	else if (inside && match($0, /"name": *"[^"]+"/)) {
+		name = substr($0, RSTART, RLENGTH); sub(/^"name": *"/, "", name); sub(/"$/, "", name)
+		metrics[++nm] = name
+		lower[name] = ($0 ~ /"better": *"lower"/)
+	}
+	next
+}
+{
+	seeds[$2] = 1
+	for (m = 1; m <= nm; m++) val[$1, $2, metrics[m]] = value($3, metrics[m])
+	failed[$1] += after($3, "\"failed\":"); attempted[$1] += after($3, "\"attempted\":")
+}
+END {
+	for (seed in seeds) order[++n] = seed
+	printf "| workload | metric | parent %s median [Q1..Q3] | change median [Q1..Q3] | delta | wins | parent IQR |\n", sha
+	print "|---|---|---:|---:|---:|---:|---:|"
+	for (m = 1; m <= nm; m++) {
+		name = metrics[m]; wins = 0
+		for (i = 1; i <= n; i++) {
+			p[i] = val["parent", order[i], name]; c[i] = val["change", order[i], name]
+			if (p[i] != "" && c[i] != "") wins += lower[name] ? (c[i] < p[i]) : (c[i] > p[i])
+		}
+		mp = median(p, n); mc = median(c, n)
+		p1 = quartile(p, n, 1); p3 = quartile(p, n, 3)
+		printf "| `%s` | `%s` | %.6g [%.6g..%.6g] | %.6g [%.6g..%.6g] | %+.1f %% | %d/%d | %.1f %% |\n",
+			workload, name, mp, p1, p3, mc, quartile(c, n, 1), quartile(c, n, 3),
+			mp ? 100 * (mc - mp) / mp : 0, wins, n, mp ? 100 * (p3 - p1) / mp : 0
+	}
+	printf "\nfailed operations: parent %d of %d, change %d of %d\n",
+		failed["parent"], attempted["parent"], failed["change"], attempted["change"]
+}' "${root}/BENCHMARK.json" "${runs}"
+
+exit "${bad}"

@@ -13,9 +13,12 @@ import (
 
 	"github.com/dnsprivacy/lookaside/internal/core"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
+	"github.com/dnsprivacy/lookaside/internal/dlv"
+	"github.com/dnsprivacy/lookaside/internal/dns"
 	"github.com/dnsprivacy/lookaside/internal/experiment"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
 	"github.com/dnsprivacy/lookaside/internal/universe"
+	"github.com/dnsprivacy/lookaside/internal/zone"
 )
 
 // allocBudgetPerDomain bounds the steady-state allocations of auditing one
@@ -200,6 +203,88 @@ func TestSweepSteadyStateMemory(t *testing.T) {
 	t.Logf("steady-state heap: marks=%v growth=%d B (%d B/domain)", marks, growth, perDomain)
 	if perDomain > 1024 {
 		t.Errorf("heap grew %d B/domain in steady state (limit 1024): cache eviction not holding", perDomain)
+	}
+}
+
+// TestAuthoritativeSteadyStateMemory is the same reading taken on the
+// authoritative side: what the infrastructure zones retain per cold name
+// once one of them has been asked about more names than its caches hold.
+// The zones are asked directly — the referral, the DS query that follows it,
+// the look-aside query at the registry — so neither a resolver's caches nor
+// the decoder's name table is in the reading, and only the largest TLD's
+// names are asked, because a zone with fewer names than its caches hold is
+// still filling them when the run ends. Derived records and signatures are
+// held by recency, so a further name retains nothing; a cache sized by the
+// population retains about 500 B for every name it has ever been asked.
+func TestAuthoritativeSteadyStateMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	if testing.Short() {
+		t.Skip("multi-block run on a 100k universe")
+	}
+	pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: 100_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := universe.Build(universe.Options{Seed: 1, Population: pop, Extra: dataset.SecureDomains()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var com, registry *zone.Zone
+	for _, z := range u.InfraZones() {
+		switch z.Apex() {
+		case dns.MustName("com"):
+			com = z
+		case u.RegistryZone:
+			registry = z
+		}
+	}
+	var names []dns.Name
+	for i := range pop.Domains {
+		if pop.Domains[i].TLD == "com" {
+			names = append(names, pop.Domains[i].Name)
+		}
+	}
+	const blocks, blockSize = 4, 10_000
+	if com == nil || registry == nil || len(names) < blocks*blockSize {
+		t.Fatalf("fixture: com zone %t, registry zone %t, %d com names", com != nil, registry != nil, len(names))
+	}
+	ask := func(z *zone.Zone, name dns.Name, typ dns.Type) {
+		if _, err := z.Lookup(name, typ, true); err != nil {
+			t.Fatalf("%s: Lookup(%s, %s): %v", z.Apex(), name, typ, err)
+		}
+	}
+	heapAfter := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var marks [blocks]uint64
+	for b := 0; b < blocks; b++ {
+		for _, name := range names[b*blockSize : (b+1)*blockSize] {
+			ask(com, name, dns.TypeA)
+			ask(com, name, dns.TypeDS)
+			owner, err := dlv.LookasideName(name, u.RegistryZone, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ask(registry, owner, dns.TypeDLV)
+		}
+		marks[b] = heapAfter()
+	}
+	if held := com.MaterializedNames(); held >= blockSize {
+		t.Fatalf("com holds %d owners' records after %d names", held, blocks*blockSize)
+	}
+	// The first block builds the owner indexes and fills both generations
+	// of every cache; growth is read from the end of the second.
+	growth := int64(marks[blocks-1]) - int64(marks[1])
+	perName := growth / ((blocks - 2) * blockSize)
+	t.Logf("authoritative steady-state heap: marks=%v growth=%d B (%d B/name)", marks, growth, perName)
+	if perName >= 64 {
+		t.Errorf("authoritative heap grew %d B per cold name in steady state (limit 64)", perName)
 	}
 }
 
