@@ -1,25 +1,34 @@
 package lookaside
 
-// Million-domain sweep benchmarks (DESIGN.md §9): universe setup cost lazy
-// vs. eager, end-to-end sweep throughput per population size, and a
-// steady-state allocation budget per audited domain. docs/results-sweep.md
-// records the measured numbers; `make bench-sweep` regenerates them into
-// BENCH_sweep.json.
+// Budget tests: allocation ceilings and steady-state memory readings for the
+// hot paths, pinned so a regression fails here rather than in a profile.
+// Timings and throughput live in bench/ (bench/README.md).
 
 import (
-	"fmt"
+	"math/rand"
+	"net/netip"
 	"runtime"
 	"testing"
+	"time"
 
+	"github.com/dnsprivacy/lookaside/internal/authserver"
 	"github.com/dnsprivacy/lookaside/internal/core"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dlv"
 	"github.com/dnsprivacy/lookaside/internal/dns"
-	"github.com/dnsprivacy/lookaside/internal/experiment"
+	"github.com/dnsprivacy/lookaside/internal/dnssec"
+	"github.com/dnsprivacy/lookaside/internal/faults"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
+	"github.com/dnsprivacy/lookaside/internal/simnet"
 	"github.com/dnsprivacy/lookaside/internal/universe"
 	"github.com/dnsprivacy/lookaside/internal/zone"
 )
+
+// allocBudgetExchange bounds one warm exchange (pooled query encode,
+// question-only server-side decode, packet-cache hit cloned to the caller,
+// wire served by ID patch, tap accounting): measured 7 allocs/op, pinned
+// with headroom.
+const allocBudgetExchange = 10
 
 // allocBudgetPerDomain bounds the steady-state allocations of auditing one
 // fresh domain on a warm shard with shared infrastructure: wire exchanges
@@ -31,105 +40,96 @@ import (
 // here rather than in a profile.
 const allocBudgetPerDomain = 150
 
-// BenchmarkSweepSetup measures universe construction alone — the cost the
-// lazy path removes from every sweep point. Population generation is
-// excluded (identical either way); eager at pop=1000000 is omitted, it
-// takes minutes and ~10 GB, which is exactly the point.
-func BenchmarkSweepSetup(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		eager bool
-		pops  []int
-	}{
-		{"lazy", false, []int{10_000, 100_000, 1_000_000}},
-		{"eager", true, []int{10_000, 100_000}},
-	} {
-		for _, n := range mode.pops {
-			b.Run(fmt.Sprintf("%s/pop=%d", mode.name, n), func(b *testing.B) {
-				pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: n, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					u, err := universe.Build(universe.Options{
-						Seed: 1, Population: pop, Extra: dataset.SecureDomains(),
-						Eager: mode.eager,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if u.DomainCount() < n {
-						b.Fatalf("universe lost domains: %d < %d", u.DomainCount(), n)
-					}
-				}
-			})
+// newExchangeBench wires one signed zone behind an authoritative server on
+// a fresh network and returns the exchange closure plus the network (so the
+// fault budget can install a plan on the same setup).
+func newExchangeBench(tb testing.TB) (func(id uint16), *simnet.Network) {
+	tb.Helper()
+	z, err := zone.New(zone.Config{Apex: dns.MustName("example.com"), Serial: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	www := dns.MustName("www.example.com")
+	if err := z.Add(dns.RR{
+		Name: www, Type: dns.TypeA, Class: dns.ClassIN, TTL: 300,
+		Data: &dns.AData{Addr: addr4(192, 0, 2, 80)},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	ksk, err := dnssec.GenerateKey(dnssec.AlgFastHMAC, dns.DNSKEYFlagZone|dns.DNSKEYFlagSEP, rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	zsk, err := dnssec.GenerateKey(dnssec.AlgFastHMAC, dns.DNSKEYFlagZone, rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := z.Sign(zone.SignConfig{KSK: ksk, ZSK: zsk, Inception: 0, Expiration: 1 << 31, Rand: rng}); err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := authserver.New(authserver.Config{Name: "ns"}, z)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net := simnet.New()
+	client := addr4(10, 0, 0, 1)
+	server := addr4(192, 0, 2, 53)
+	if err := net.Register(server, "ns.example.com", simnet.RoleSLD, time.Millisecond, srv); err != nil {
+		tb.Fatal(err)
+	}
+	return func(id uint16) {
+		q := dns.NewQuery(id, www, dns.TypeA, true)
+		resp, err := net.Exchange(client, server, q)
+		if err != nil {
+			tb.Fatal(err)
 		}
+		if resp.Header.ID != id || len(resp.Answer) == 0 {
+			tb.Fatalf("bad response: id=%#x answers=%d", resp.Header.ID, len(resp.Answer))
+		}
+	}, net
+}
+
+func addr4(a, b, c, d byte) netip.Addr {
+	return netip.AddrFrom4([4]byte{a, b, c, d})
+}
+
+func TestExchangeAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	exchange, _ := newExchangeBench(t)
+	exchange(0) // warm up
+	id := uint16(1)
+	got := testing.AllocsPerRun(200, func() {
+		exchange(id)
+		id++
+	})
+	if got > allocBudgetExchange {
+		t.Errorf("one warm exchange = %.1f allocs, budget %d", got, allocBudgetExchange)
 	}
 }
 
-// BenchmarkSweepThroughput runs one full sweep point per iteration —
-// population generation, lazy universe, infrastructure warm-up, and the
-// sharded audit of every domain — and reports engine throughput plus the
-// live heap afterwards. Run with -benchtime=1x: one iteration is the
-// measurement (the sweep audits n domains internally).
-func BenchmarkSweepThroughput(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 1_000_000} {
-		b.Run(fmt.Sprintf("pop=%d", n), func(b *testing.B) {
-			var last experiment.SweepPoint
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.Sweep(experiment.Params{Seed: 1, Scale: 1}, []int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.Points[0]
-			}
-			if last.Metrics.Servfails != 0 {
-				b.Fatalf("sweep servfailed %d queries", last.Metrics.Servfails)
-			}
-			b.ReportMetric(last.Timing.DomainsPerSec, "domains/sec")
-			b.ReportMetric(last.Timing.HeapAllocMB, "heapMB")
-			b.ReportMetric(float64(last.Metrics.LeakedDomains), "leaked")
-		})
+// TestFaultedExchangeAllocationBudget pins that a metered (zero-plan)
+// exchange stays within the same allocation budget as a plan-free one: the
+// fault layer adds decisions, not allocations.
+func TestFaultedExchangeAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
 	}
-}
-
-// BenchmarkSweepBaseline is the pre-sweep path for the same job: eager
-// universe construction and a ShardedAuditor with self-contained resolvers
-// (no shared infrastructure), end to end including setup — what running a
-// population point cost before the sweep engine existed. The ratio of
-// BenchmarkSweepThroughput's domains/sec to this one's is the speedup
-// recorded in docs/results-sweep.md.
-func BenchmarkSweepBaseline(b *testing.B) {
-	for _, n := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("pop=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: n, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				u, err := universe.Build(universe.Options{
-					Seed: 1, Population: pop, Extra: dataset.SecureDomains(),
-					Eager: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := u.ResolverConfig(true, true)
-				cfg.NSCompletionPercent, cfg.PTRSamplePercent = 0, 0
-				a, err := core.NewShardedAuditor(u, core.ShardedOptions{
-					Options: core.Options{Resolver: cfg}, Workers: 8,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := a.QueryDomains(pop.Top(n)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "domains/sec")
-		})
+	exchange, net := newExchangeBench(t)
+	net.SetFaultPlan(addr4(192, 0, 2, 53), faults.Plan{Seed: 1})
+	exchange(0) // warm up
+	id := uint16(1)
+	got := testing.AllocsPerRun(200, func() {
+		exchange(id)
+		id++
+	})
+	if got > allocBudgetExchange {
+		t.Errorf("one warm metered exchange = %.1f allocs, budget %d", got, allocBudgetExchange)
+	}
+	if _, ok := net.FaultStats(addr4(192, 0, 2, 53)); !ok {
+		t.Fatal("fault stats vanished")
 	}
 }
 

@@ -175,7 +175,7 @@ func run(args []string) error {
 	svc, err := serve.Build(u, cfg, serve.Options{
 		Workers: *workers, SharedInfra: *sharedInfra, Plan: plan,
 		SnapshotLoad: *snapLoad, SnapshotSave: *snapSave,
-		Overload:     gate,
+		Overload: gate,
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "resolved: "+format+"\n", args...)
 		},

@@ -81,10 +81,6 @@ type Config struct {
 	ZBitRemedy bool
 	// Signaler backs the two remedies; required when either is enabled.
 	Signaler Signaler
-	// DisablePacketCache turns off the wire-response cache, forcing every
-	// query through response assembly and encoding (the seed behavior;
-	// equivalence tests and baseline benchmarks use it).
-	DisablePacketCache bool
 	// PacketCacheCap bounds the wire-response cache's entry count (the
 	// default cap when zero). Sweep-style workloads set a small cap: they
 	// query each name once, so cached responses are rarely re-served.
@@ -97,8 +93,8 @@ type Server struct {
 	name    string
 	sources []Source // sorted by decreasing apex label count
 	cfg     Config
-	// cache is the wire-response packet cache; nil when disabled. Set once
-	// at construction (the PacketCache has its own lock).
+	// cache is the wire-response packet cache. Set once at construction
+	// (the PacketCache has its own lock).
 	cache *PacketCache
 }
 
@@ -110,17 +106,14 @@ func New(cfg Config, sources ...Source) (*Server, error) {
 	if (cfg.TXTRemedy || cfg.ZBitRemedy) && cfg.Signaler == nil {
 		return nil, errors.New("authserver: remedy enabled without signaler")
 	}
-	s := &Server{name: cfg.Name, cfg: cfg}
-	if !cfg.DisablePacketCache {
-		s.cache = NewPacketCacheCap(cfg.PacketCacheCap)
-	}
+	s := &Server{name: cfg.Name, cfg: cfg, cache: NewPacketCacheCap(cfg.PacketCacheCap)}
 	for _, src := range sources {
 		s.AddSource(src)
 	}
 	return s, nil
 }
 
-// Cache exposes the server's packet cache (nil when disabled), for stats.
+// Cache exposes the server's packet cache, for stats.
 func (s *Server) Cache() *PacketCache { return s.cache }
 
 // Name returns the server's capture label.

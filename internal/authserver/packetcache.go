@@ -63,8 +63,7 @@ const (
 // admission: a response is retained only from the second time its key
 // misses, so a name nobody asks about twice — every name of a cold or
 // sweeping workload — is answered and forgotten rather than kept (and
-// traced by the collector) until the wholesale reset. A nil *PacketCache is
-// valid and disables caching.
+// traced by the collector) until the wholesale reset.
 type PacketCache struct {
 	mu      sync.RWMutex
 	entries map[packetKey]*packetEntry
@@ -78,11 +77,6 @@ type PacketCache struct {
 	// last in the struct so the fields a hit touches stay on one line.
 	marks int
 	seen  [seenBits / 64]uint64
-}
-
-// NewPacketCache creates an empty cache with the default capacity.
-func NewPacketCache() *PacketCache {
-	return NewPacketCacheCap(packetCacheCap)
 }
 
 // NewPacketCacheCap creates an empty cache bounded at n entries (default
@@ -99,9 +93,6 @@ func NewPacketCacheCap(n int) *PacketCache {
 // it because source routing (which source answers which name) may have
 // changed.
 func (c *PacketCache) Invalidate() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.resetLocked()
 	c.mu.Unlock()
@@ -144,9 +135,6 @@ func (c *PacketCache) admitLocked(key packetKey) bool {
 
 // Stats returns the hit and miss counts.
 func (c *PacketCache) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	return c.hits.Load(), c.misses.Load()
 }
 
@@ -157,12 +145,6 @@ var totalHits, totalMisses atomic.Uint64
 // CacheTotals returns process-wide packet-cache hits and misses.
 func CacheTotals() (hits, misses uint64) {
 	return totalHits.Load(), totalMisses.Load()
-}
-
-// ResetCacheTotals zeroes the process-wide counters (benchmark setup).
-func ResetCacheTotals() {
-	totalHits.Store(0)
-	totalMisses.Store(0)
 }
 
 // cacheableQuery reports whether q's response is a pure function of the
@@ -231,7 +213,7 @@ func respondUncached(src Source, cfg Config, q *dns.Message, dst []byte, wantWir
 // straight into dst, or not at all without wantWire; the response is the
 // same bytes either way.
 func (c *PacketCache) Respond(src Source, cfg Config, q *dns.Message, dst []byte, wantWire bool) (*dns.Message, []byte, error) {
-	if c == nil || !cacheableQuery(q) {
+	if !cacheableQuery(q) {
 		return respondUncached(src, cfg, q, dst, wantWire)
 	}
 

@@ -297,30 +297,3 @@ func TestPacketCacheUncacheableBypasses(t *testing.T) {
 		t.Fatalf("uncacheable query touched the cache: (%d, %d)", hits, misses)
 	}
 }
-
-func TestPacketCacheDisabled(t *testing.T) {
-	srv, err := New(Config{Name: "ns", DisablePacketCache: true}, testZone(t, "example.com", false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.Cache() != nil {
-		t.Fatal("cache present despite DisablePacketCache")
-	}
-	r1, w1 := queryWire(t, srv, 7, "www.example.com", dns.TypeA)
-	if r1.Header.RCode != dns.RCodeNoError || len(r1.Answer) != 1 {
-		t.Fatalf("disabled-cache response = %+v", r1)
-	}
-	enc, err := r1.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, w1) {
-		t.Fatal("wire does not match response encoding with cache disabled")
-	}
-	// nil cache stats are zero and Invalidate is a no-op.
-	var nilCache *PacketCache
-	nilCache.Invalidate()
-	if h, m := nilCache.Stats(); h != 0 || m != 0 {
-		t.Fatal("nil cache reported stats")
-	}
-}

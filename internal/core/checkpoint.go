@@ -143,7 +143,7 @@ func encodeShardState(e *snapshot.Enc, nt *snapshot.NameTable, st *ShardState) {
 	e.Uvarint(uint64(st.StubQueries))
 	e.Uvarint(uint64(st.SecureAnswers))
 	e.Uvarint(uint64(st.Servfails))
-	for _, v := range statsFields(&st.Stats) {
+	for _, v := range st.Stats.Fields() {
 		e.Uvarint(uint64(*v))
 	}
 	e.Uvarint(uint64(st.Elapsed))
@@ -330,7 +330,7 @@ func decodeShardState(d *snapshot.Dec, names []dns.Name) (*ShardState, error) {
 	if st.Servfails, err = decInt(d); err != nil {
 		return nil, err
 	}
-	for _, f := range statsFields(&st.Stats) {
+	for _, f := range st.Stats.Fields() {
 		if *f, err = decInt(d); err != nil {
 			return nil, err
 		}
@@ -558,18 +558,6 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return DecodeCheckpoint(data)
-}
-
-// statsFields enumerates the resolver counters in a fixed wire order.
-// Appending a field to resolver.Stats requires appending here (the
-// round-trip test counts fields via reflection to catch drift).
-func statsFields(s *resolver.Stats) []*int {
-	return []*int{
-		&s.Resolutions, &s.DLVQueries, &s.DLVSuppressed, &s.DLVSkippedByRemedy,
-		&s.DLVFailures, &s.Failovers, &s.CacheHits, &s.Retries,
-		&s.TCPFallbacks, &s.DeadlineExceeded, &s.BreakerSkips, &s.BreakerOpens,
-		&s.InfraHits, &s.InfraMisses,
-	}
 }
 
 // decInt reads a non-negative int.

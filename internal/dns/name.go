@@ -162,7 +162,15 @@ func (n Name) IsSubdomainOf(zone Name) bool {
 
 // Prepend returns label.n. It validates the new label.
 func (n Name) Prepend(label string) (Name, error) {
-	if !n.IsRoot() && prefixCanonical(label) {
+	if n.IsRoot() {
+		// The root's text is the separator itself: label + "." + "." would
+		// read as an empty label. MakeName("") is the root, not an error.
+		if label == "" {
+			return "", fmt.Errorf("%w: %q", ErrEmptyLabel, label)
+		}
+		return MakeName(label)
+	}
+	if prefixCanonical(label) {
 		s := label + "." + string(n)
 		if len(s) > maxNameLen {
 			return "", fmt.Errorf("%w: %q", ErrNameTooLong, s)

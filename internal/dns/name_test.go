@@ -146,6 +146,28 @@ func TestPrependAndConcat(t *testing.T) {
 	}
 }
 
+// TestPrependOnRoot: the root's text is the separator itself, so a label
+// prepended to it must not grow a second dot ("*.." is an empty label).
+func TestPrependOnRoot(t *testing.T) {
+	for _, tt := range []struct {
+		label   string
+		want    Name
+		wantErr error
+	}{
+		{"*", "*.", nil},
+		{"com", "com.", nil},
+		{"COM", "com.", nil},
+		{"", "", ErrEmptyLabel},
+		{strings.Repeat("a", 64), "", ErrLabelTooLong},
+		{"bad label", "", ErrBadLabelChar},
+	} {
+		got, err := Root.Prepend(tt.label)
+		if got != tt.want || !errors.Is(err, tt.wantErr) {
+			t.Errorf("Root.Prepend(%q) = (%q, %v), want (%q, %v)", tt.label, got, err, tt.want, tt.wantErr)
+		}
+	}
+}
+
 func TestStripSuffix(t *testing.T) {
 	tests := []struct {
 		n, zone string

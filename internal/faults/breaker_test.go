@@ -25,7 +25,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	if b.State(now) != BreakerOpen {
 		t.Fatalf("state = %s, want open", b.State(now))
 	}
-	if b.Allow(now) || b.Allow(now + 59*time.Second) {
+	if b.Allow(now) || b.Allow(now+59*time.Second) {
 		t.Fatal("open breaker admitted a request inside the cooldown")
 	}
 	if b.Skips() != 2 {

@@ -287,7 +287,7 @@ func Corrupt(entropy uint64, b []byte) {
 		pos := int(w % uint64(len(b)))
 		b[pos] ^= byte(w >> 8)
 		if b[pos] == 0 && w&1 == 0 {
-			b[pos] = byte(w >> 16) | 1
+			b[pos] = byte(w>>16) | 1
 		}
 	}
 	if entropy&(1<<40) != 0 && len(b) >= 12 {

@@ -15,16 +15,16 @@ func FuzzFaultPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, loss float64, jitter int64, spike float64,
 		flapPeriod, flapDown int64, trunc, corrupt float64, byz int, byzRate float64, at int64) {
 		s := NewState(Plan{
-			Seed:         seed,
-			LossRate:     loss,
-			JitterMax:    time.Duration(jitter),
-			SpikeRate:    spike,
-			SpikeLatency: 200 * time.Millisecond,
-			FlapPeriod:   time.Duration(flapPeriod),
-			FlapDown:     time.Duration(flapDown),
-			TruncateRate: trunc,
-			CorruptRate:  corrupt,
-			Byzantine:    Mode(byz % 4),
+			Seed:          seed,
+			LossRate:      loss,
+			JitterMax:     time.Duration(jitter),
+			SpikeRate:     spike,
+			SpikeLatency:  200 * time.Millisecond,
+			FlapPeriod:    time.Duration(flapPeriod),
+			FlapDown:      time.Duration(flapDown),
+			TruncateRate:  trunc,
+			CorruptRate:   corrupt,
+			Byzantine:     Mode(byz % 4),
 			ByzantineRate: byzRate,
 		})
 		var timeouts, drops int

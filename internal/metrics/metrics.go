@@ -1,5 +1,5 @@
 // Package metrics provides the small formatting and statistics toolkit the
-// benchmark harness and cmd/dlvmeasure share: aligned text tables matching
+// experiments and cmd/dlvmeasure share: aligned text tables matching
 // the paper's table layouts, text-rendered series for figures, and unit
 // helpers (durations, megabytes, percentages).
 package metrics

@@ -256,25 +256,27 @@ type Stats struct {
 	InfraMisses int
 }
 
+// Fields enumerates the counters in declaration order. It is the one list
+// of them: Plus loops over it, and the sweep checkpoint writes them in this
+// order, so a new counter is appended here and to the struct, never
+// inserted (TestStatsFieldsComplete holds the list to the struct).
+func (s *Stats) Fields() []*int {
+	return []*int{
+		&s.Resolutions, &s.DLVQueries, &s.DLVSuppressed, &s.DLVSkippedByRemedy,
+		&s.DLVFailures, &s.Failovers, &s.CacheHits, &s.Retries,
+		&s.TCPFallbacks, &s.DeadlineExceeded, &s.BreakerSkips, &s.BreakerOpens,
+		&s.InfraHits, &s.InfraMisses,
+	}
+}
+
 // Plus returns the field-wise sum of two Stats; sharded audits use it to
 // merge per-worker resolver counters.
 func (s Stats) Plus(o Stats) Stats {
-	return Stats{
-		Resolutions:        s.Resolutions + o.Resolutions,
-		DLVQueries:         s.DLVQueries + o.DLVQueries,
-		DLVSuppressed:      s.DLVSuppressed + o.DLVSuppressed,
-		DLVSkippedByRemedy: s.DLVSkippedByRemedy + o.DLVSkippedByRemedy,
-		DLVFailures:        s.DLVFailures + o.DLVFailures,
-		Failovers:          s.Failovers + o.Failovers,
-		CacheHits:          s.CacheHits + o.CacheHits,
-		Retries:            s.Retries + o.Retries,
-		TCPFallbacks:       s.TCPFallbacks + o.TCPFallbacks,
-		DeadlineExceeded:   s.DeadlineExceeded + o.DeadlineExceeded,
-		BreakerSkips:       s.BreakerSkips + o.BreakerSkips,
-		BreakerOpens:       s.BreakerOpens + o.BreakerOpens,
-		InfraHits:          s.InfraHits + o.InfraHits,
-		InfraMisses:        s.InfraMisses + o.InfraMisses,
+	sum := s.Fields()
+	for i, v := range o.Fields() {
+		*sum[i] += *v
 	}
+	return s
 }
 
 // New creates a resolver.

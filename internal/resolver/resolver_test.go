@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -426,4 +427,48 @@ type exchangerFunc func(src, dst netip.Addr, q *dns.Message) (*dns.Message, erro
 
 func (f exchangerFunc) Exchange(src, dst netip.Addr, q *dns.Message) (*dns.Message, error) {
 	return f(src, dst, q)
+}
+
+// TestStatsFieldsComplete catches drift between Stats and its enumerator:
+// Fields must return every field exactly once, and every field must be an
+// int (the only kind the checkpoint encoder writes). Adding a counter to
+// Stats without extending Fields fails here, not in a merged report or a
+// checkpoint that silently drops the new counter.
+func TestStatsFieldsComplete(t *testing.T) {
+	var s Stats
+	fields := s.Fields()
+	typ := reflect.TypeOf(s)
+	if typ.NumField() != len(fields) {
+		t.Fatalf("Stats has %d fields, Fields enumerates %d — extend Fields",
+			typ.NumField(), len(fields))
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Int {
+			t.Errorf("field %s is %s; the checkpoint encoder only handles int",
+				typ.Field(i).Name, typ.Field(i).Type)
+		}
+	}
+	// Writing a distinct value through each pointer must light up each
+	// struct field exactly once — proving the enumeration is a bijection,
+	// not the right count with a duplicated pointer.
+	for i, p := range fields {
+		*p = i + 1
+	}
+	seen := make(map[int]bool)
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		val := int(v.Field(i).Int())
+		if val == 0 || seen[val] {
+			t.Fatalf("field %s = %d after distinct writes: Fields misses or duplicates a field",
+				typ.Field(i).Name, val)
+		}
+		seen[val] = true
+	}
+	// Plus is a loop over the same list: every field doubles.
+	sum := reflect.ValueOf(s.Plus(s))
+	for i := 0; i < v.NumField(); i++ {
+		if got, want := sum.Field(i).Int(), 2*v.Field(i).Int(); got != want {
+			t.Errorf("Plus: field %s = %d, want %d", typ.Field(i).Name, got, want)
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -141,14 +143,14 @@ func TestSnapshotMinus(t *testing.T) {
 	later := Snapshot{
 		Resolver:        resolver.Stats{Resolutions: 10, CacheHits: 6, InfraHits: 4, InfraMisses: 4},
 		PacketCacheHits: 20, PacketCacheMisses: 10,
-		UDP:             udptransport.Stats{Queries: 30, MaxInFlight: 5},
-		Overload:        overload.Stats{Admitted: 40, ShedQueue: 8, QueueDelayP99us: 900, Health: 1},
+		UDP:      udptransport.Stats{Queries: 30, MaxInFlight: 5},
+		Overload: overload.Stats{Admitted: 40, ShedQueue: 8, QueueDelayP99us: 900, Health: 1},
 	}
 	earlier := Snapshot{
 		Resolver:        resolver.Stats{Resolutions: 4, CacheHits: 2, InfraHits: 2, InfraMisses: 2},
 		PacketCacheHits: 5, PacketCacheMisses: 5,
-		UDP:             udptransport.Stats{Queries: 10, MaxInFlight: 3},
-		Overload:        overload.Stats{Admitted: 10, ShedQueue: 3, QueueDelayP99us: 200, Health: 2},
+		UDP:      udptransport.Stats{Queries: 10, MaxInFlight: 3},
+		Overload: overload.Stats{Admitted: 10, ShedQueue: 3, QueueDelayP99us: 200, Health: 2},
 	}
 	d := later.Minus(earlier)
 	if d.Resolver.Resolutions != 6 || d.PacketCacheHits != 15 || d.UDP.Queries != 20 {
@@ -171,6 +173,124 @@ func TestSnapshotMinus(t *testing.T) {
 	}
 	if d.Overload.QueueDelayP99us != 900 || d.Overload.Health != 1 {
 		t.Errorf("overload instants should keep the later value: %+v", d.Overload)
+	}
+
+	// Every field, from the table: counters subtract, gauges keep the later
+	// value.
+	later, earlier = Snapshot{}, Snapshot{}
+	for i, f := range fields {
+		f.set(&later, uint64(1000+3*i))
+		f.set(&earlier, uint64(1+i))
+	}
+	d = later.Minus(earlier)
+	for i, f := range fields {
+		want := uint64(1000 + 3*i)
+		if !f.gauge {
+			want -= uint64(1 + i)
+		}
+		if got := f.get(&d); got != want {
+			t.Errorf("field %d (%q, gauge=%t) = %d after Minus, want %d", i, f.key, f.gauge, got, want)
+		}
+	}
+}
+
+// TestStatsTableCoversSnapshot holds the fields table to the struct: every
+// integer leaf of Snapshot is returned by exactly one line, wire keys are
+// unique, and the leaves kept off the wire are exactly the five named here,
+// so exporting one later is a visible one-line diff.
+func TestStatsTableCoversSnapshot(t *testing.T) {
+	var s Snapshot
+	leaves := make(map[uintptr]string)
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Int, reflect.Int64, reflect.Uint64:
+			leaves[v.Addr().Pointer()] = path[1:]
+		default:
+			t.Errorf("%s is a %s; the table carries only int, int64 and uint64", path[1:], v.Kind())
+		}
+	}
+	walk(reflect.ValueOf(&s).Elem(), "")
+
+	lines := make(map[string]int)
+	keys := make(map[string]bool)
+	var offWire []string
+	for i, f := range fields {
+		path, ok := leaves[reflect.ValueOf(f.at(&s)).Pointer()]
+		if !ok {
+			t.Errorf("line %d (%q) does not point into Snapshot", i, f.key)
+			continue
+		}
+		lines[path]++
+		switch {
+		case f.key == "":
+			offWire = append(offWire, path)
+		case keys[f.key]:
+			t.Errorf("wire key %q appears twice", f.key)
+		}
+		keys[f.key] = true
+	}
+	for _, path := range leaves {
+		if lines[path] != 1 {
+			t.Errorf("Snapshot.%s is returned by %d table lines, want 1", path, lines[path])
+		}
+	}
+	sort.Strings(offWire)
+	want := []string{"TCP.InFlight", "TCP.Malformed", "TCP.MaxInFlight", "TCP.Truncated", "UDP.Conns"}
+	if !reflect.DeepEqual(offWire, want) {
+		t.Errorf("fields kept off the wire = %v, want %v", offWire, want)
+	}
+
+	// A field without a key cannot be reached from the wire either.
+	q := dns.NewQuery(9, StatsName, dns.TypeTXT, false)
+	resp := statsResponse(q, Snapshot{})
+	resp.Answer[0].Data = &dns.TXTData{Strings: []string{"=5"}}
+	if got, err := ParseSnapshot(resp); err != nil || got != (Snapshot{}) {
+		t.Errorf("empty key parsed to (%+v, %v)", got, err)
+	}
+}
+
+// TestStatsWireGolden pins the TXT answer byte for byte: the strings for
+// TestSnapshotTXTRoundTrip's snapshot, as the hand-written key list emitted
+// them before the table replaced it. Same 40 keys, same order.
+func TestStatsWireGolden(t *testing.T) {
+	snap := Snapshot{
+		Resolver: resolver.Stats{
+			Resolutions: 1, DLVQueries: 2, DLVSuppressed: 3, DLVSkippedByRemedy: 4,
+			DLVFailures: 5, Failovers: 6, CacheHits: 7, Retries: 8, TCPFallbacks: 9,
+			DeadlineExceeded: 10, BreakerSkips: 11, BreakerOpens: 12,
+			InfraHits: 13, InfraMisses: 14,
+		},
+		PacketCacheHits:   15,
+		PacketCacheMisses: 16,
+		UDP: udptransport.Stats{Queries: 17, Malformed: 18, Responses: 19,
+			Truncated: 20, ServFails: 21, InFlight: 22, MaxInFlight: 23},
+		TCP:       udptransport.Stats{Queries: 24, Responses: 25, ServFails: 26, Conns: 27},
+		UDPShards: 37,
+		Overload: overload.Stats{Admitted: 28, RateLimited: 29, ShedWindow: 30,
+			ShedQueue: 31, WatchdogTrips: 32, InFlight: 33, Queued: 34,
+			QueueDelayP50us: 35, QueueDelayP99us: 36, Health: 2},
+	}
+	want := []string{
+		"resolutions=1", "cache_hits=7", "dlv_queries=2", "dlv_suppressed=3",
+		"dlv_skipped=4", "dlv_failures=5", "failovers=6", "retries=8",
+		"tcp_fallbacks=9", "deadline_exceeded=10", "breaker_opens=12", "breaker_skips=11",
+		"infra_hits=13", "infra_misses=14", "pkt_hits=15", "pkt_misses=16",
+		"udp_queries=17", "udp_malformed=18", "udp_responses=19", "udp_truncated=20",
+		"udp_servfails=21", "udp_inflight=22", "udp_max_inflight=23", "udp_shards=37",
+		"tcp_queries=24", "tcp_conns=27", "tcp_responses=25", "tcp_servfails=26",
+		"boot_ms=0", "boot_mode=0", "ovl_admitted=28", "ovl_rate_limited=29",
+		"ovl_shed_window=30", "ovl_shed_queue=31", "ovl_watchdog_trips=32", "ovl_inflight=33",
+		"ovl_queued=34", "ovl_qdelay_p50_us=35", "ovl_qdelay_p99_us=36", "ovl_health=2",
+	}
+	q := dns.NewQuery(9, StatsName, dns.TypeTXT, false)
+	got := statsResponse(q, snap).Answer[0].Data.(*dns.TXTData).Strings
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("TXT strings moved:\n got %q\nwant %q", got, want)
 	}
 }
 

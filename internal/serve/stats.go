@@ -44,72 +44,112 @@ type Snapshot struct {
 	Overload overload.Stats
 }
 
+// field is one integer of the Snapshot as the stats surface sees it.
+type field struct {
+	// key is the wire name in the TXT answer; "" keeps the field off the
+	// wire.
+	key string
+	// gauge marks an instant, a watermark or a startup fact: Minus keeps the
+	// later value. Everything else is a counter and subtracts.
+	gauge bool
+	// at returns a *int, *int64 or *uint64 into s.
+	at func(s *Snapshot) any
+}
+
+const (
+	counter = false
+	gauge   = true
+)
+
+// fields is the surface's one enumeration: Minus, the TXT answer and
+// ParseSnapshot are loops over it, and the TXT strings go out in this order.
+// A new counter is one line here (TestStatsTableCoversSnapshot holds the
+// table to the struct).
+var fields = []field{
+	{"resolutions", counter, func(s *Snapshot) any { return &s.Resolver.Resolutions }},
+	{"cache_hits", counter, func(s *Snapshot) any { return &s.Resolver.CacheHits }},
+	{"dlv_queries", counter, func(s *Snapshot) any { return &s.Resolver.DLVQueries }},
+	{"dlv_suppressed", counter, func(s *Snapshot) any { return &s.Resolver.DLVSuppressed }},
+	{"dlv_skipped", counter, func(s *Snapshot) any { return &s.Resolver.DLVSkippedByRemedy }},
+	{"dlv_failures", counter, func(s *Snapshot) any { return &s.Resolver.DLVFailures }},
+	{"failovers", counter, func(s *Snapshot) any { return &s.Resolver.Failovers }},
+	{"retries", counter, func(s *Snapshot) any { return &s.Resolver.Retries }},
+	{"tcp_fallbacks", counter, func(s *Snapshot) any { return &s.Resolver.TCPFallbacks }},
+	{"deadline_exceeded", counter, func(s *Snapshot) any { return &s.Resolver.DeadlineExceeded }},
+	{"breaker_opens", counter, func(s *Snapshot) any { return &s.Resolver.BreakerOpens }},
+	{"breaker_skips", counter, func(s *Snapshot) any { return &s.Resolver.BreakerSkips }},
+	{"infra_hits", counter, func(s *Snapshot) any { return &s.Resolver.InfraHits }},
+	{"infra_misses", counter, func(s *Snapshot) any { return &s.Resolver.InfraMisses }},
+	{"pkt_hits", counter, func(s *Snapshot) any { return &s.PacketCacheHits }},
+	{"pkt_misses", counter, func(s *Snapshot) any { return &s.PacketCacheMisses }},
+	{"udp_queries", counter, func(s *Snapshot) any { return &s.UDP.Queries }},
+	{"udp_malformed", counter, func(s *Snapshot) any { return &s.UDP.Malformed }},
+	{"udp_responses", counter, func(s *Snapshot) any { return &s.UDP.Responses }},
+	{"udp_truncated", counter, func(s *Snapshot) any { return &s.UDP.Truncated }},
+	{"udp_servfails", counter, func(s *Snapshot) any { return &s.UDP.ServFails }},
+	{"udp_inflight", gauge, func(s *Snapshot) any { return &s.UDP.InFlight }},
+	{"udp_max_inflight", gauge, func(s *Snapshot) any { return &s.UDP.MaxInFlight }},
+	{"", counter, func(s *Snapshot) any { return &s.UDP.Conns }},
+	{"udp_shards", gauge, func(s *Snapshot) any { return &s.UDPShards }},
+	{"tcp_queries", counter, func(s *Snapshot) any { return &s.TCP.Queries }},
+	{"tcp_conns", counter, func(s *Snapshot) any { return &s.TCP.Conns }},
+	{"tcp_responses", counter, func(s *Snapshot) any { return &s.TCP.Responses }},
+	{"tcp_servfails", counter, func(s *Snapshot) any { return &s.TCP.ServFails }},
+	{"", counter, func(s *Snapshot) any { return &s.TCP.Malformed }},
+	{"", counter, func(s *Snapshot) any { return &s.TCP.Truncated }},
+	{"", gauge, func(s *Snapshot) any { return &s.TCP.InFlight }},
+	{"", gauge, func(s *Snapshot) any { return &s.TCP.MaxInFlight }},
+	{"boot_ms", gauge, func(s *Snapshot) any { return &s.BootMS }},
+	{"boot_mode", gauge, func(s *Snapshot) any { return &s.BootMode }},
+	{"ovl_admitted", counter, func(s *Snapshot) any { return &s.Overload.Admitted }},
+	{"ovl_rate_limited", counter, func(s *Snapshot) any { return &s.Overload.RateLimited }},
+	{"ovl_shed_window", counter, func(s *Snapshot) any { return &s.Overload.ShedWindow }},
+	{"ovl_shed_queue", counter, func(s *Snapshot) any { return &s.Overload.ShedQueue }},
+	{"ovl_watchdog_trips", counter, func(s *Snapshot) any { return &s.Overload.WatchdogTrips }},
+	{"ovl_inflight", gauge, func(s *Snapshot) any { return &s.Overload.InFlight }},
+	{"ovl_queued", gauge, func(s *Snapshot) any { return &s.Overload.Queued }},
+	{"ovl_qdelay_p50_us", gauge, func(s *Snapshot) any { return &s.Overload.QueueDelayP50us }},
+	{"ovl_qdelay_p99_us", gauge, func(s *Snapshot) any { return &s.Overload.QueueDelayP99us }},
+	{"ovl_health", gauge, func(s *Snapshot) any { return &s.Overload.Health }},
+}
+
+// get reads the field as the unsigned value the wire carries.
+func (f field) get(s *Snapshot) uint64 {
+	switch p := f.at(s).(type) {
+	case *int:
+		return uint64(*p)
+	case *int64:
+		return uint64(*p)
+	case *uint64:
+		return *p
+	default:
+		panic(fmt.Sprintf("serve: stats field %q is a %T", f.key, p))
+	}
+}
+
+// set is get's inverse.
+func (f field) set(s *Snapshot, v uint64) {
+	switch p := f.at(s).(type) {
+	case *int:
+		*p = int(v)
+	case *int64:
+		*p = int64(v)
+	case *uint64:
+		*p = v
+	default:
+		panic(fmt.Sprintf("serve: stats field %q is a %T", f.key, p))
+	}
+}
+
 // Minus subtracts an earlier snapshot field-wise, so a load run can report
-// the rates of exactly its own window. Watermarks (MaxInFlight) and gauges
-// (InFlight) keep the later value.
+// the rates of exactly its own window. Gauges keep the later value.
 func (s Snapshot) Minus(o Snapshot) Snapshot {
-	out := Snapshot{
-		Resolver:          subStats(s.Resolver, o.Resolver),
-		PacketCacheHits:   s.PacketCacheHits - o.PacketCacheHits,
-		PacketCacheMisses: s.PacketCacheMisses - o.PacketCacheMisses,
-		UDP:               subTransport(s.UDP, o.UDP),
-		TCP:               subTransport(s.TCP, o.TCP),
-		UDPShards:         s.UDPShards,
-		BootMS:            s.BootMS,
-		BootMode:          s.BootMode,
-		Overload:          subOverload(s.Overload, o.Overload),
+	for _, f := range fields {
+		if !f.gauge {
+			f.set(&s, f.get(&s)-f.get(&o))
+		}
 	}
-	return out
-}
-
-// subOverload subtracts the overload counters; the queue-delay percentiles,
-// in-flight/queued gauges, and the health state are instants, not counters —
-// the later value stands.
-func subOverload(a, b overload.Stats) overload.Stats {
-	return overload.Stats{
-		Admitted:        a.Admitted - b.Admitted,
-		RateLimited:     a.RateLimited - b.RateLimited,
-		ShedWindow:      a.ShedWindow - b.ShedWindow,
-		ShedQueue:       a.ShedQueue - b.ShedQueue,
-		WatchdogTrips:   a.WatchdogTrips - b.WatchdogTrips,
-		InFlight:        a.InFlight,
-		Queued:          a.Queued,
-		QueueDelayP50us: a.QueueDelayP50us,
-		QueueDelayP99us: a.QueueDelayP99us,
-		Health:          a.Health,
-	}
-}
-
-func subStats(a, b resolver.Stats) resolver.Stats {
-	return resolver.Stats{
-		Resolutions:        a.Resolutions - b.Resolutions,
-		DLVQueries:         a.DLVQueries - b.DLVQueries,
-		DLVSuppressed:      a.DLVSuppressed - b.DLVSuppressed,
-		DLVSkippedByRemedy: a.DLVSkippedByRemedy - b.DLVSkippedByRemedy,
-		DLVFailures:        a.DLVFailures - b.DLVFailures,
-		Failovers:          a.Failovers - b.Failovers,
-		CacheHits:          a.CacheHits - b.CacheHits,
-		Retries:            a.Retries - b.Retries,
-		TCPFallbacks:       a.TCPFallbacks - b.TCPFallbacks,
-		DeadlineExceeded:   a.DeadlineExceeded - b.DeadlineExceeded,
-		BreakerSkips:       a.BreakerSkips - b.BreakerSkips,
-		BreakerOpens:       a.BreakerOpens - b.BreakerOpens,
-		InfraHits:          a.InfraHits - b.InfraHits,
-		InfraMisses:        a.InfraMisses - b.InfraMisses,
-	}
-}
-
-func subTransport(a, b udptransport.Stats) udptransport.Stats {
-	return udptransport.Stats{
-		Queries:     a.Queries - b.Queries,
-		Malformed:   a.Malformed - b.Malformed,
-		Responses:   a.Responses - b.Responses,
-		Truncated:   a.Truncated - b.Truncated,
-		ServFails:   a.ServFails - b.ServFails,
-		InFlight:    a.InFlight,
-		MaxInFlight: a.MaxInFlight,
-		Conns:       a.Conns - b.Conns,
-	}
+	return s
 }
 
 // PacketCacheHitRate returns the authoritative packet-cache hit ratio, or
@@ -141,155 +181,14 @@ func (s Snapshot) AnswerCacheHitRate() float64 {
 	return float64(s.Resolver.CacheHits) / float64(s.Resolver.Resolutions)
 }
 
-// pairs flattens the snapshot into its wire key=value form. parseField is
-// its inverse; keep the two in sync.
-func (s *Snapshot) pairs() []struct {
-	key string
-	val uint64
-} {
-	r := &s.Resolver
-	return []struct {
-		key string
-		val uint64
-	}{
-		{"resolutions", uint64(r.Resolutions)},
-		{"cache_hits", uint64(r.CacheHits)},
-		{"dlv_queries", uint64(r.DLVQueries)},
-		{"dlv_suppressed", uint64(r.DLVSuppressed)},
-		{"dlv_skipped", uint64(r.DLVSkippedByRemedy)},
-		{"dlv_failures", uint64(r.DLVFailures)},
-		{"failovers", uint64(r.Failovers)},
-		{"retries", uint64(r.Retries)},
-		{"tcp_fallbacks", uint64(r.TCPFallbacks)},
-		{"deadline_exceeded", uint64(r.DeadlineExceeded)},
-		{"breaker_opens", uint64(r.BreakerOpens)},
-		{"breaker_skips", uint64(r.BreakerSkips)},
-		{"infra_hits", uint64(r.InfraHits)},
-		{"infra_misses", uint64(r.InfraMisses)},
-		{"pkt_hits", s.PacketCacheHits},
-		{"pkt_misses", s.PacketCacheMisses},
-		{"udp_queries", s.UDP.Queries},
-		{"udp_malformed", s.UDP.Malformed},
-		{"udp_responses", s.UDP.Responses},
-		{"udp_truncated", s.UDP.Truncated},
-		{"udp_servfails", s.UDP.ServFails},
-		{"udp_inflight", uint64(s.UDP.InFlight)},
-		{"udp_max_inflight", uint64(s.UDP.MaxInFlight)},
-		{"udp_shards", s.UDPShards},
-		{"tcp_queries", s.TCP.Queries},
-		{"tcp_conns", s.TCP.Conns},
-		{"tcp_responses", s.TCP.Responses},
-		{"tcp_servfails", s.TCP.ServFails},
-		{"boot_ms", s.BootMS},
-		{"boot_mode", s.BootMode},
-		{"ovl_admitted", s.Overload.Admitted},
-		{"ovl_rate_limited", s.Overload.RateLimited},
-		{"ovl_shed_window", s.Overload.ShedWindow},
-		{"ovl_shed_queue", s.Overload.ShedQueue},
-		{"ovl_watchdog_trips", s.Overload.WatchdogTrips},
-		{"ovl_inflight", s.Overload.InFlight},
-		{"ovl_queued", s.Overload.Queued},
-		{"ovl_qdelay_p50_us", s.Overload.QueueDelayP50us},
-		{"ovl_qdelay_p99_us", s.Overload.QueueDelayP99us},
-		{"ovl_health", s.Overload.Health},
-	}
-}
-
-// setField assigns one parsed key=value into the snapshot; unknown keys are
-// ignored so old clients survive new counters.
-func (s *Snapshot) setField(key string, v uint64) {
-	r := &s.Resolver
-	switch key {
-	case "resolutions":
-		r.Resolutions = int(v)
-	case "cache_hits":
-		r.CacheHits = int(v)
-	case "dlv_queries":
-		r.DLVQueries = int(v)
-	case "dlv_suppressed":
-		r.DLVSuppressed = int(v)
-	case "dlv_skipped":
-		r.DLVSkippedByRemedy = int(v)
-	case "dlv_failures":
-		r.DLVFailures = int(v)
-	case "failovers":
-		r.Failovers = int(v)
-	case "retries":
-		r.Retries = int(v)
-	case "tcp_fallbacks":
-		r.TCPFallbacks = int(v)
-	case "deadline_exceeded":
-		r.DeadlineExceeded = int(v)
-	case "breaker_opens":
-		r.BreakerOpens = int(v)
-	case "breaker_skips":
-		r.BreakerSkips = int(v)
-	case "infra_hits":
-		r.InfraHits = int(v)
-	case "infra_misses":
-		r.InfraMisses = int(v)
-	case "pkt_hits":
-		s.PacketCacheHits = v
-	case "pkt_misses":
-		s.PacketCacheMisses = v
-	case "udp_queries":
-		s.UDP.Queries = v
-	case "udp_malformed":
-		s.UDP.Malformed = v
-	case "udp_responses":
-		s.UDP.Responses = v
-	case "udp_truncated":
-		s.UDP.Truncated = v
-	case "udp_servfails":
-		s.UDP.ServFails = v
-	case "udp_inflight":
-		s.UDP.InFlight = int64(v)
-	case "udp_max_inflight":
-		s.UDP.MaxInFlight = int64(v)
-	case "udp_shards":
-		s.UDPShards = v
-	case "tcp_queries":
-		s.TCP.Queries = v
-	case "tcp_conns":
-		s.TCP.Conns = v
-	case "tcp_responses":
-		s.TCP.Responses = v
-	case "tcp_servfails":
-		s.TCP.ServFails = v
-	case "boot_ms":
-		s.BootMS = v
-	case "boot_mode":
-		s.BootMode = v
-	case "ovl_admitted":
-		s.Overload.Admitted = v
-	case "ovl_rate_limited":
-		s.Overload.RateLimited = v
-	case "ovl_shed_window":
-		s.Overload.ShedWindow = v
-	case "ovl_shed_queue":
-		s.Overload.ShedQueue = v
-	case "ovl_watchdog_trips":
-		s.Overload.WatchdogTrips = v
-	case "ovl_inflight":
-		s.Overload.InFlight = v
-	case "ovl_queued":
-		s.Overload.Queued = v
-	case "ovl_qdelay_p50_us":
-		s.Overload.QueueDelayP50us = v
-	case "ovl_qdelay_p99_us":
-		s.Overload.QueueDelayP99us = v
-	case "ovl_health":
-		s.Overload.Health = v
-	}
-}
-
 // statsResponse renders a snapshot as one TXT record of key=value strings
 // (each well under the 255-octet string limit).
 func statsResponse(q *dns.Message, snap Snapshot) *dns.Message {
-	pairs := snap.pairs()
-	strs := make([]string, len(pairs))
-	for i, p := range pairs {
-		strs[i] = p.key + "=" + strconv.FormatUint(p.val, 10)
+	strs := make([]string, 0, len(fields))
+	for _, f := range fields {
+		if f.key != "" {
+			strs = append(strs, f.key+"="+strconv.FormatUint(f.get(&snap), 10))
+		}
 	}
 	resp := dns.NewResponse(q)
 	resp.Header.RCode = dns.RCodeNoError
@@ -301,7 +200,8 @@ func statsResponse(q *dns.Message, snap Snapshot) *dns.Message {
 	return resp
 }
 
-// ParseSnapshot rebuilds a Snapshot from a stats-surface TXT response.
+// ParseSnapshot rebuilds a Snapshot from a stats-surface TXT response;
+// unknown keys are ignored so old clients survive new counters.
 func ParseSnapshot(resp *dns.Message) (Snapshot, error) {
 	var snap Snapshot
 	if resp == nil || resp.Header.RCode != dns.RCodeNoError || len(resp.Answer) == 0 {
@@ -320,7 +220,15 @@ func ParseSnapshot(resp *dns.Message) (Snapshot, error) {
 		if err != nil {
 			return snap, fmt.Errorf("serve: stats string %q: %w", kv, err)
 		}
-		snap.setField(key, v)
+		if key == "" {
+			continue // the table's mark for a field kept off the wire
+		}
+		for _, f := range fields {
+			if f.key == key {
+				f.set(&snap, v)
+				break
+			}
+		}
 	}
 	return snap, nil
 }

@@ -111,7 +111,14 @@ func TestShardedQueriesSpreadAndAnswer(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	// A client can read its response before the server has counted it and
+	// left the handler: wait for the last one to leave.
+	deadline := time.Now().Add(2 * time.Second)
 	st := srv.Stats()
+	for (st.Responses != total || st.InFlight != 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = srv.Stats()
+	}
 	if st.Queries != total || st.Responses != total {
 		t.Fatalf("merged stats = %+v, want %d queries and responses", st, total)
 	}

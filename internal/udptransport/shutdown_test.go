@@ -137,16 +137,3 @@ func TestTCPShutdownStopsNewQueries(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
-
-func TestStatsPlus(t *testing.T) {
-	a := Stats{Queries: 2, Responses: 2, MaxInFlight: 3, Conns: 1}
-	b := Stats{Queries: 5, Malformed: 1, Truncated: 2, ServFails: 1, MaxInFlight: 7}
-	sum := a.Plus(b)
-	if sum.Queries != 7 || sum.Responses != 2 || sum.Malformed != 1 ||
-		sum.Truncated != 2 || sum.ServFails != 1 || sum.Conns != 1 {
-		t.Fatalf("sum = %+v", sum)
-	}
-	if sum.MaxInFlight != 7 {
-		t.Fatalf("watermark = %d, want max not sum", sum.MaxInFlight)
-	}
-}

@@ -110,25 +110,6 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// Plus returns the field-wise sum of two Stats (max of the watermarks), so
-// the UDP and TCP listeners of one service can report a combined scorecard.
-func (s Stats) Plus(o Stats) Stats {
-	out := Stats{
-		Queries:     s.Queries + o.Queries,
-		Malformed:   s.Malformed + o.Malformed,
-		Responses:   s.Responses + o.Responses,
-		Truncated:   s.Truncated + o.Truncated,
-		ServFails:   s.ServFails + o.ServFails,
-		InFlight:    s.InFlight + o.InFlight,
-		MaxInFlight: s.MaxInFlight,
-		Conns:       s.Conns + o.Conns,
-	}
-	if o.MaxInFlight > out.MaxInFlight {
-		out.MaxInFlight = o.MaxInFlight
-	}
-	return out
-}
-
 // job is one admitted datagram handed from a shard's read loop to its
 // worker pool. buf travels with it and returns to the freelist after
 // handling; t is the AdmitFast timestamp so time spent queued in the
@@ -327,7 +308,7 @@ func (s *Server) Serve() error {
 	}
 	errc := make(chan error, len(s.shards))
 	for _, sh := range s.shards {
-		go func(sh *shard) { errc <- sh.runLoop() }(sh)
+		go func(sh *shard) { errc <- sh.loop() }(sh)
 	}
 	var first error
 	for range s.shards {
@@ -399,11 +380,10 @@ func (sh *shard) putBuf(b *[maxPacket]byte) {
 	}
 }
 
-// scalarLoop is the one-datagram-per-wakeup read loop. The batchio build
-// replaces it with a recvmmsg loop on capable sockets (batchio_linux.go);
-// both share dispatch and the drain protocol: the loop token is released
-// only on exit, after the deferred close(jobs) retires the worker pool.
-func (sh *shard) scalarLoop() error {
+// loop is the shard's read loop, one datagram per wakeup. The loop token is
+// released only on exit, after the deferred close(jobs) retires the worker
+// pool.
+func (sh *shard) loop() error {
 	defer sh.wg.Done()
 	if sh.jobs != nil {
 		defer close(sh.jobs)

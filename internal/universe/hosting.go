@@ -60,7 +60,7 @@ func (u *Universe) buildHosting() error {
 		}
 	}
 
-	if !u.opts.Eager {
+	if !u.eager {
 		// Lazy path: each TLD zone carries a tldSynth that derives its
 		// delegations, DS deposits, and pool glue on first query.
 		return nil

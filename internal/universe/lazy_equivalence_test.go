@@ -1,9 +1,10 @@
-package core
+package universe_test
 
 import (
 	"reflect"
 	"testing"
 
+	"github.com/dnsprivacy/lookaside/internal/core"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
@@ -35,21 +36,20 @@ func TestLazyEagerEquivalence(t *testing.T) {
 
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			build := func(eager bool) *universe.Universe {
+			build := func(construct func(universe.Options) (*universe.Universe, error)) *universe.Universe {
 				opts := universe.Options{
 					Seed: 5, Population: pop, Extra: dataset.SecureDomains(),
-					Eager: eager,
 				}
 				if v.mutate != nil {
 					v.mutate(&opts)
 				}
-				u, err := universe.Build(opts)
+				u, err := construct(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return u
 			}
-			lazy, eager := build(false), build(true)
+			lazy, eager := build(universe.Build), build(universe.BuildEager)
 
 			if lg, eg := lazy.DomainCount(), eager.DomainCount(); lg != eg {
 				t.Errorf("DomainCount: lazy %d, eager %d", lg, eg)
@@ -58,8 +58,10 @@ func TestLazyEagerEquivalence(t *testing.T) {
 				t.Errorf("DepositCount: lazy %d, eager %d", lg, eg)
 			}
 
-			audit := func(u *universe.Universe) Report {
-				a, err := NewShardAuditor(u, auditorConfig(u))
+			audit := func(u *universe.Universe) core.Report {
+				cfg := u.ResolverConfig(true, true)
+				cfg.NSCompletionPercent, cfg.PTRSamplePercent = 0, 0
+				a, err := core.NewShardAuditor(u, core.Options{Resolver: cfg})
 				if err != nil {
 					t.Fatal(err)
 				}

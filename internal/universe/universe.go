@@ -95,12 +95,6 @@ type Options struct {
 	// domain exactly once, so per-domain cache entries never pay for
 	// themselves; a small cap keeps the per-server footprint flat.
 	PacketCacheCap int
-	// Eager restores the seed-era construction that materializes every TLD
-	// delegation, parent-side DS, pool glue record, and registry deposit at
-	// Build time. The default lazy path derives all of that on first query
-	// and serves byte-identical responses (TestLazyEagerEquivalence); Eager
-	// remains as the reference oracle and for the setup benchmarks.
-	Eager bool
 }
 
 // domainKeys holds the signing keys of a signed SLD.
@@ -122,8 +116,14 @@ type Universe struct {
 	RegistryZone dns.Name
 
 	opts Options
-	root *zone.Zone
-	tlds map[string]*zone.Zone
+	// eager materializes every TLD delegation, parent-side DS, pool glue
+	// record, and registry deposit at build time instead of deriving them
+	// on first query. It is the lazy path's reference: only the package's
+	// test export sets it, and TestLazyEagerEquivalence pins that both
+	// serve byte-identical responses.
+	eager bool
+	root  *zone.Zone
+	tlds  map[string]*zone.Zone
 	// isc is the isc.org zone that delegates the registry; retained so the
 	// warm-state snapshot can carry its signature state alongside the root,
 	// TLD, and registry zones (see InfraZones).
@@ -145,7 +145,9 @@ type Universe struct {
 }
 
 // Build assembles a universe.
-func Build(opts Options) (*Universe, error) {
+func Build(opts Options) (*Universe, error) { return build(opts, false) }
+
+func build(opts Options, eager bool) (*Universe, error) {
 	if opts.Population == nil {
 		return nil, errors.New("universe: population is required")
 	}
@@ -159,6 +161,7 @@ func Build(opts Options) (*Universe, error) {
 		Net:          simnet.New(),
 		RegistryZone: dns.MustName("dlv.isc.org"),
 		opts:         opts,
+		eager:        eager,
 		tlds:         make(map[string]*zone.Zone),
 		extras:       make(map[dns.Name]*dataset.Domain, len(opts.Extra)),
 		keys:         make(map[dns.Name]*domainKeys),
@@ -275,7 +278,7 @@ func (u *Universe) buildRegistry() error {
 	if u.opts.RegistryEmpty {
 		return nil
 	}
-	if !u.opts.Eager {
+	if !u.eager {
 		// Lazy path: the deposit set is derived on first query. One synth
 		// source backs both the registry zone's records and the registry's
 		// deposit-membership index.
@@ -384,7 +387,7 @@ func (u *Universe) buildTLDs() error {
 			}
 		}
 		u.tlds[label] = z
-		if !u.opts.Eager {
+		if !u.eager {
 			// Delegations, DS deposits, and pool glue derive on first query.
 			z.AttachSynth(&tldSynth{u: u, label: label, signed: signedMap[label]})
 		}

@@ -323,6 +323,24 @@ func TestNXDomainThroughHierarchy(t *testing.T) {
 	}
 }
 
+// TestMissingTLDIsSecureNXDomain: the signed root denies a TLD it does not
+// delegate, the denial validates against the root anchor, and nothing goes
+// to the registry — the root's closest-encloser wildcard is "*.".
+func TestMissingTLDIsSecureNXDomain(t *testing.T) {
+	u := buildTestUniverse(t, nil)
+	r := newResolver(t, u, true, true)
+	res, err := r.Resolve(dns.MustName("www.nosuchtld"), dns.TypeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RCode != dns.RCodeNXDomain || res.Status != resolver.StatusSecure {
+		t.Fatalf("rcode = %s, status = %s; want NXDOMAIN, secure", res.RCode, res.Status)
+	}
+	if n := r.Stats().DLVQueries; n != 0 {
+		t.Fatalf("a denied TLD sent %d queries to the registry", n)
+	}
+}
+
 func TestStubPathSetsADBit(t *testing.T) {
 	u := buildTestUniverse(t, nil)
 	cfg := u.ResolverConfig(true, true)

@@ -144,6 +144,66 @@ func TestLookupNXDomain(t *testing.T) {
 	}
 }
 
+// TestRootZoneDeniesMissingTLD: a name with no existing ancestor but the
+// root has the root itself as closest encloser, so the wildcard probed is
+// "*." — the root zone must answer a signed denial, not an error.
+func TestRootZoneDeniesMissingTLD(t *testing.T) {
+	z, err := New(Config{Apex: dns.Root, Serial: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := z.Delegate(dns.MustName("com"), []dns.Name{dns.MustName("ns1.com")},
+		[]dns.RR{aRR("ns1.com", "192.0.2.53")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := z.Sign(SignConfig{
+		KSK:       mustKey(t, dns.DNSKEYFlagZone|dns.DNSKEYFlagSEP, 1),
+		ZSK:       mustKey(t, dns.DNSKEYFlagZone, 2),
+		Inception: 1000, Expiration: 2000,
+		Rand: rand.New(rand.NewSource(3)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	keyRes, err := z.Lookup(dns.Root, dns.TypeDNSKEY, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := keyRes.AnswerRRSetOfType(dns.TypeDNSKEY)
+
+	for _, qname := range []string{"nosuchtld", "www.nosuchtld"} {
+		name := dns.MustName(qname)
+		res, err := z.Lookup(name, dns.TypeA, true)
+		if err != nil {
+			t.Fatalf("Lookup(%s): %v", name, err)
+		}
+		if res.Kind != KindNXDomain || res.RCode != dns.RCodeNXDomain {
+			t.Fatalf("%s: kind=%s rcode=%s", name, res.Kind, res.RCode)
+		}
+		// Authority: SOA + RRSIG(SOA) + the covering NSEC + RRSIG(NSEC).
+		if len(res.Authority) != 4 {
+			t.Fatalf("%s: authority = %v", name, res.Authority)
+		}
+		for i := 0; i < len(res.Authority); i += 2 {
+			rr, sig := res.Authority[i], res.Authority[i+1]
+			if nsec, ok := rr.Data.(*dns.NSECData); ok && !covered(name, rr.Name, nsec.NextName) {
+				t.Errorf("%s: NSEC [%s, %s) does not cover the denied name", name, rr.Name, nsec.NextName)
+			}
+			verified := false
+			for _, k := range keys {
+				if dnssec.VerifyRRSet(k.Data.(*dns.DNSKEYData), sig, []dns.RR{rr}, 1500) == nil {
+					verified = true
+				}
+			}
+			if !verified {
+				t.Errorf("%s: RRSIG over %s %s does not verify against any root DNSKEY", name, rr.Name, rr.Type)
+			}
+		}
+		if res.Authority[0].Type != dns.TypeSOA || res.Authority[2].Type != dns.TypeNSEC {
+			t.Errorf("%s: authority types = %s, %s; want SOA, NSEC", name, res.Authority[0].Type, res.Authority[2].Type)
+		}
+	}
+}
+
 func TestLookupNoData(t *testing.T) {
 	z := buildTestZone(t, true)
 	res, err := z.Lookup(dns.MustName("www.example.com"), dns.TypeAAAA, true)
