@@ -30,9 +30,6 @@ func startServer(t *testing.T, popSize int, plan *faults.Plan, breaker bool) (st
 		t.Fatal(err)
 	}
 	cfg := u.ResolverConfig(true, true)
-	if plan != nil {
-		u.Net.SetFaultPlan(universe.RegistryAddr, *plan)
-	}
 	if breaker {
 		cfg.Resilience = &resolver.Resilience{
 			TCPFallback: true,

@@ -56,11 +56,11 @@ func run(args []string) error {
 	padBlock := fs.Int("pad", 0, "pad responses to this block size (RFC 7830; 0 = off)")
 	printTop := fs.Int("print-top", 10, "print the N most popular domains at startup")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"resolver instances serving queries concurrently (1 = single-threaded)")
+		"resolver instances serving queries concurrently")
 	udpShards := fs.Int("udp-shards", defaultUDPShards(),
 		"UDP listener shards on one address via SO_REUSEPORT (1 = single socket; >1 needs Linux, other platforms fall back to 1)")
 	sharedInfra := fs.Bool("shared-infra", true,
-		"with workers > 1, pre-validate root/TLD/registry state once and share the sealed cache across instances")
+		"pre-validate root/TLD/registry state once and share the sealed cache across instances")
 	snapLoad := fs.String("snapshot-load", "",
 		"boot the shared infra cache from this warm-state snapshot (falls back to live warm-up if stale/corrupt/mismatched)")
 	snapSave := fs.String("snapshot-save", "",
@@ -153,7 +153,6 @@ func run(args []string) error {
 			p.Outages = []faults.Window{{Start: 0, End: 1 << 62}}
 		}
 		plan = &p
-		u.Net.SetFaultPlan(universe.RegistryAddr, p)
 		fmt.Printf("resolved: fault plan on registry link: loss=%.2f outage=%t seed=%d\n",
 			*loss, *dlvOutage, fseed)
 	}

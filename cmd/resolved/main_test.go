@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dnsprivacy/lookaside/internal/core"
 	"github.com/dnsprivacy/lookaside/internal/dns"
 	"github.com/dnsprivacy/lookaside/internal/serve"
 	"github.com/dnsprivacy/lookaside/internal/udptransport"
@@ -78,33 +79,51 @@ func terminate(t *testing.T, done chan error) {
 
 // TestServeAndGracefulShutdown boots the real server, resolves over the
 // wire, scrapes the stats surface, and exercises the SIGTERM drain path
-// end to end.
+// end to end — at the default width, and at -workers 1, which is the same
+// stack (shared infra, snapshots) as any other width.
 func TestServeAndGracefulShutdown(t *testing.T) {
-	// -udp-shards 2 exercises the sharded boot and drain path end to end
-	// (non-Linux builds fall back to one socket and still pass).
-	ap, c, done := bootServer(t, "-udp-shards", "2")
+	snapFile := filepath.Join(t.TempDir(), "warm.snap")
+	for _, tc := range []struct {
+		name     string
+		flags    []string
+		bootMode core.BootMode
+	}{
+		// -udp-shards 2 exercises the sharded boot and drain path end to end
+		// (non-Linux builds fall back to one socket and still pass).
+		{"two workers, two udp shards", []string{"-udp-shards", "2"}, core.BootLiveWarm},
+		{"one worker saves a snapshot", []string{"-workers", "1", "-snapshot-save", snapFile}, core.BootLiveWarm},
+		{"one worker boots from it", []string{"-workers", "1", "-snapshot-load", snapFile}, core.BootSnapshot},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ap, c, done := bootServer(t, tc.flags...)
 
-	q := dns.NewQuery(7, dns.MustName("secure00.edu"), dns.TypeA, true)
-	resp, err := c.QueryWithFallback(ap, q)
-	if err != nil {
-		t.Fatalf("query over wire: %v", err)
-	}
-	if resp.Header.RCode != dns.RCodeNoError {
-		t.Fatalf("rcode %s", resp.Header.RCode)
-	}
-	snap, err := serve.FetchSnapshot(c, ap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Resolver.Resolutions == 0 || snap.UDP.Queries == 0 {
-		t.Fatalf("scorecard empty after a resolution: %+v", snap)
-	}
+			q := dns.NewQuery(7, dns.MustName("secure00.edu"), dns.TypeA, true)
+			resp, err := c.QueryWithFallback(ap, q)
+			if err != nil {
+				t.Fatalf("query over wire: %v", err)
+			}
+			if resp.Header.RCode != dns.RCodeNoError {
+				t.Fatalf("rcode %s", resp.Header.RCode)
+			}
+			snap, err := serve.FetchSnapshot(c, ap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Resolver.Resolutions == 0 || snap.UDP.Queries == 0 {
+				t.Fatalf("scorecard empty after a resolution: %+v", snap)
+			}
+			if snap.Resolver.InfraHits == 0 || core.BootMode(snap.BootMode) != tc.bootMode {
+				t.Fatalf("infra_hits %d, boot mode %s; want hits and %s",
+					snap.Resolver.InfraHits, core.BootMode(snap.BootMode), tc.bootMode)
+			}
 
-	terminate(t, done)
+			terminate(t, done)
 
-	// The sockets must actually be released.
-	if _, err := serve.FetchSnapshot(c, ap); err == nil {
-		t.Fatal("stats surface still answering after shutdown")
+			// The sockets must actually be released.
+			if _, err := serve.FetchSnapshot(c, ap); err == nil {
+				t.Fatal("stats surface still answering after shutdown")
+			}
+		})
 	}
 }
 

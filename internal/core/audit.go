@@ -21,53 +21,10 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
 
-// auditPort is the auditor's view of the simulated internet: a clock and a
-// stub-query path. The sequential auditor talks to the universe's global
-// network; a shard auditor talks to its own clock domain.
-type auditPort interface {
-	Now() time.Duration
-	StubQuery(id uint16, name dns.Name, qtype dns.Type) (*dns.Message, error)
-	StubQueryFrom(src netip.Addr, id uint16, name dns.Name, qtype dns.Type) (*dns.Message, error)
-	// StubExchange sends a caller-built query; the audit hot loop uses it
-	// with a reused scratch message.
-	StubExchange(src netip.Addr, q *dns.Message) (*dns.Message, error)
-}
-
-// netPort drives the global network (the sequential path).
-type netPort struct{ u *universe.Universe }
-
-func (p netPort) Now() time.Duration { return p.u.Net.Now() }
-func (p netPort) StubQuery(id uint16, name dns.Name, qtype dns.Type) (*dns.Message, error) {
-	return p.u.StubQuery(id, name, qtype)
-}
-func (p netPort) StubQueryFrom(src netip.Addr, id uint16, name dns.Name, qtype dns.Type) (*dns.Message, error) {
-	return p.u.StubQueryFrom(src, id, name, qtype)
-}
-func (p netPort) StubExchange(src netip.Addr, q *dns.Message) (*dns.Message, error) {
-	return p.u.StubExchange(src, q)
-}
-
-// shardPort drives one shard of the network (the parallel path).
-type shardPort struct {
-	u  *universe.Universe
-	sh *simnet.Shard
-}
-
-func (p shardPort) Now() time.Duration { return p.sh.Now() }
-func (p shardPort) StubQuery(id uint16, name dns.Name, qtype dns.Type) (*dns.Message, error) {
-	return p.u.ShardStubQuery(p.sh, id, name, qtype)
-}
-func (p shardPort) StubQueryFrom(src netip.Addr, id uint16, name dns.Name, qtype dns.Type) (*dns.Message, error) {
-	return p.u.ShardStubQueryFrom(p.sh, src, id, name, qtype)
-}
-func (p shardPort) StubExchange(src netip.Addr, q *dns.Message) (*dns.Message, error) {
-	return p.u.ShardStubExchange(p.sh, src, q)
-}
-
 // Auditor wires a universe, a resolver configuration, and a capture
 // analyzer into one measurement instrument.
 type Auditor struct {
-	port     auditPort
+	shard    *simnet.Shard
 	r        *resolver.Resolver
 	analyzer *capture.Analyzer
 
@@ -76,7 +33,6 @@ type Auditor struct {
 	stubQueries   int
 	secureAnswers int
 	servfails     int
-	shard         *simnet.Shard // nil on the sequential path
 	// latHist counts primary-query latencies by exact value. Simulated
 	// latencies are sums of a few fixed link delays, so the histogram
 	// stays tiny while the sample count grows with the workload —
@@ -113,8 +69,8 @@ type Options struct {
 	Shard *simnet.Shard
 }
 
-// analyzerConfig is the capture configuration shared by the sequential and
-// sharded constructors.
+// analyzerConfig is the capture configuration of every auditor and of the
+// sharded merge.
 func analyzerConfig(u *universe.Universe) capture.Config {
 	return capture.Config{
 		RegistryZone: u.RegistryZone,
@@ -123,31 +79,18 @@ func analyzerConfig(u *universe.Universe) capture.Config {
 	}
 }
 
-// NewAuditor attaches a fresh auditor to a universe: registers the capture
-// tap, starts the resolver at universe.ResolverAddr.
+// NewAuditor attaches a fresh auditor to the universe's own clock domain
+// (the network's root shard): its capture tap is a global tap, so it also
+// sees the traffic of every other shard.
 func NewAuditor(u *universe.Universe, opts Options) (*Auditor, error) {
-	an := capture.NewAnalyzer(analyzerConfig(u))
-	u.Net.AddTap(an.Tap)
-	r, err := u.StartResolver(opts.Resolver)
-	if err != nil {
-		return nil, fmt.Errorf("core: starting resolver: %w", err)
-	}
-	share := opts.AAAASharePercent
-	if share == 0 {
-		share = 50
-	}
-	return &Auditor{
-		port: netPort{u: u}, r: r, analyzer: an,
-		started:   u.Net.Now(),
-		latHist:   make(map[time.Duration]int),
-		aaaaShare: share,
-	}, nil
+	opts.Shard = u.Net.Root()
+	return NewShardAuditor(u, opts)
 }
 
-// NewShardAuditor attaches an auditor to a fresh shard of the universe's
-// network: the capture tap and resolver live on the shard, so the audit's
-// clock, taps, and caches are isolated from the global network and from any
-// other shard. Experiments use it to keep audits on a shared universe from
+// NewShardAuditor attaches an auditor to a shard of the universe's network
+// (opts.Shard, or a fresh one): the capture tap and resolver live on the
+// shard, so the audit's clock, taps, and caches are isolated from any other
+// shard. Experiments use it to keep audits on a shared universe from
 // interfering; ShardedAuditor runs several concurrently.
 func NewShardAuditor(u *universe.Universe, opts Options) (*Auditor, error) {
 	sh := opts.Shard
@@ -165,16 +108,14 @@ func NewShardAuditor(u *universe.Universe, opts Options) (*Auditor, error) {
 		share = 50
 	}
 	return &Auditor{
-		port: shardPort{u: u, sh: sh}, r: r, analyzer: an,
-		shard:     sh,
+		shard: sh, r: r, analyzer: an,
 		started:   sh.Now(),
 		latHist:   make(map[time.Duration]int),
 		aaaaShare: share,
 	}, nil
 }
 
-// Shard returns the network shard the audit runs on (nil for a sequential
-// auditor on the global network).
+// Shard returns the network shard the audit runs on.
 func (a *Auditor) Shard() *simnet.Shard { return a.shard }
 
 // Resolver exposes the resolver under audit (for stats and direct calls).
@@ -197,12 +138,12 @@ func (a *Auditor) QueryDomainAs(client netip.Addr, name dns.Name) error {
 	a.queried++
 	a.stubQueries++
 	a.nextID++
-	start := a.port.Now()
+	start := a.shard.Now()
 	resp, err := a.stubQuery(client, a.nextID, name, dns.TypeA)
 	if err != nil {
 		return fmt.Errorf("core: stub query %s/A: %w", name, err)
 	}
-	a.latHist[a.port.Now()-start]++
+	a.latHist[a.shard.Now()-start]++
 	a.latCount++
 	if resp.Header.AD {
 		a.secureAnswers++
@@ -234,7 +175,7 @@ func (a *Auditor) stubQuery(client netip.Addr, id uint16, name dns.Name, qtype d
 	q.Answer, q.Authority, q.Additional = nil, nil, nil
 	a.qscratchE = dns.EDNS{UDPSize: dns.DefaultUDPSize, DO: true}
 	q.EDNS = &a.qscratchE
-	return a.port.StubExchange(client, q)
+	return a.shard.Exchange(client, universe.ResolverAddr, q)
 }
 
 // QueryDomains runs a domain workload in order.
@@ -318,7 +259,7 @@ func (a *Auditor) Report() Report {
 		Servfails:      a.servfails,
 		Capture:        a.analyzer.Snapshot(),
 		ResolverStats:  a.r.Stats(),
-		Elapsed:        a.port.Now() - a.started,
+		Elapsed:        a.shard.Now() - a.started,
 		LatencyP50:     p50,
 		LatencyP95:     p95,
 		observed:       a.analyzer.ObservedDomains(),

@@ -63,7 +63,7 @@ func (a *Auditor) ExportState() *ShardState {
 		SecureAnswers: a.secureAnswers,
 		Servfails:     a.servfails,
 		Stats:         a.r.Stats(),
-		Elapsed:       a.port.Now() - a.started,
+		Elapsed:       a.shard.Now() - a.started,
 		LatCount:      a.latCount,
 		Lat:           make([]LatBin, 0, len(a.latHist)),
 		Capture:       a.analyzer.ExportState(),

@@ -45,8 +45,8 @@ type ShardedOptions struct {
 // Because every shard's clock advances only with that shard's exchanges,
 // the merged report is a deterministic function of (universe, workload,
 // worker count): goroutine interleaving cannot change it. With Workers=1
-// the report is identical to what the sequential Auditor produces for the
-// same workload.
+// the report is identical to what a single Auditor produces for the same
+// workload.
 type ShardedAuditor struct {
 	u           *universe.Universe
 	auditors    []*Auditor
@@ -116,17 +116,6 @@ func (s *ShardedAuditor) ExportShardState(i int) *ShardState {
 		return st
 	}
 	return s.auditors[i].ExportState()
-}
-
-// RestoredShards returns how many shards were restored from a checkpoint.
-func (s *ShardedAuditor) RestoredShards() int {
-	n := 0
-	for _, st := range s.restored {
-		if st != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // blockBounds returns the [lo, hi) slice of an n-item workload owned by
@@ -225,7 +214,7 @@ func (s *ShardedAuditor) Report() Report {
 			hist[v] += n
 		}
 		count += a.latCount
-		if d := a.port.Now() - a.started; d > elapsed {
+		if d := a.shard.Now() - a.started; d > elapsed {
 			elapsed = d
 		}
 	}

@@ -173,39 +173,6 @@ func (m *Message) QType() Type {
 	return m.Question[0].Type
 }
 
-// AnswerRRSet returns the answer-section records of the given name and type.
-func (m *Message) AnswerRRSet(name Name, t Type) []RR {
-	return filterRRs(m.Answer, name, t)
-}
-
-// AuthorityRRSet returns the authority-section records of the given name and
-// type.
-func (m *Message) AuthorityRRSet(name Name, t Type) []RR {
-	return filterRRs(m.Authority, name, t)
-}
-
-// AuthorityByType returns all authority-section records of type t regardless
-// of owner name (used to collect NSEC proofs).
-func (m *Message) AuthorityByType(t Type) []RR {
-	var out []RR
-	for _, rr := range m.Authority {
-		if rr.Type == t {
-			out = append(out, rr)
-		}
-	}
-	return out
-}
-
-func filterRRs(rrs []RR, name Name, t Type) []RR {
-	var out []RR
-	for _, rr := range rrs {
-		if rr.Name == name && rr.Type == t {
-			out = append(out, rr)
-		}
-	}
-	return out
-}
-
 // String renders the message in a dig-like multi-line presentation form.
 func (m *Message) String() string {
 	var b strings.Builder

@@ -123,7 +123,7 @@ type auditSetup struct {
 // runAudit runs the workload through a fresh resolver per the setup and
 // reports. The audit lives on its own network shard — private clock, taps,
 // and resolver — so concurrent runAudit calls on a shared universe do not
-// interfere, and nothing accumulates on the global network between calls.
+// interfere, and nothing accumulates on the root shard between calls.
 func runAudit(u *universe.Universe, setup auditSetup, workload []dataset.Domain) (core.Report, error) {
 	cfg := u.ResolverConfig(setup.withRootAnchor, setup.withLookaside)
 	if setup.remedy != 0 && cfg.Lookaside != nil {

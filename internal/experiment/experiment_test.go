@@ -166,9 +166,20 @@ func TestTable5OverheadShape(t *testing.T) {
 	if len(res.Rows) < 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
+	// The paper's RT ratio runs from 18.68 % (100 domains) to 29.20 % (100k).
+	// The band is that range widened by 9 points: at equal sizes E9 deviates
+	// by up to 5.7 points (EXPERIMENTS.md: 12.94 % vs 18.68 % at 100 — the
+	// fixed registry-key walk weighs more in a small simulated run), and
+	// testParams' 50- and 500-domain rows fall between the paper's.
+	const rtLo, rtHi = 18.68 - 9, 29.20 + 9
 	for _, row := range res.Rows {
-		if row.Baseline.Queries == 0 || row.Baseline.Bytes == 0 {
+		if row.Baseline.Queries == 0 || row.Baseline.Bytes == 0 || row.Baseline.ResponseTime <= 0 {
 			t.Fatalf("empty baseline: %+v", row.Baseline)
+		}
+		over := row.Overhead().ResponseTime
+		if ratio := 100 * over.Seconds() / row.Baseline.ResponseTime.Seconds(); over <= 0 || ratio < rtLo || ratio > rtHi {
+			t.Errorf("n=%d: RT overhead %v on baseline %v (%.2f%%), want a ratio in [%.2f%%, %.2f%%]",
+				row.Domains, over, row.Baseline.ResponseTime, ratio, rtLo, rtHi)
 		}
 		// The remedy must reduce Case-2 leakage — that's its purpose.
 		if row.RemedyLeaked >= row.BaselineLeaked {
@@ -193,6 +204,14 @@ func TestFig11Comparison(t *testing.T) {
 	// Z-bit must be cheaper than TXT in queries (no extra packets).
 	if res.ZBit.Queries > res.TXT.Queries {
 		t.Errorf("zbit queries %d > txt %d", res.ZBit.Queries, res.TXT.Queries)
+	}
+	// In response time TXT is the upper bound and the Z bit, riding in
+	// headers that are sent anyway, is essentially free (paper Fig. 11).
+	if res.TXT.ResponseTime <= res.DLV.ResponseTime {
+		t.Errorf("txt response time %v not above plain DLV's %v", res.TXT.ResponseTime, res.DLV.ResponseTime)
+	}
+	if d := (res.ZBit.ResponseTime - res.DLV.ResponseTime).Abs(); res.DLV.ResponseTime <= 0 || d > res.DLV.ResponseTime/20 {
+		t.Errorf("zbit response time %v not within 5%% of plain DLV's %v", res.ZBit.ResponseTime, res.DLV.ResponseTime)
 	}
 	// Both remedies must cut leakage relative to plain DLV.
 	if res.TXTLeaked >= res.DLVLeaked || res.ZBitLeaked >= res.DLVLeaked {

@@ -181,13 +181,6 @@ func (r *OverloadResult) retentionAt(shedding bool) float64 {
 	return over.GoodputQPS / plateau
 }
 
-// TopRows returns the shed-on and shed-off measurements at the highest
-// offered multiple (either may be nil if that point was not measured).
-func (r *OverloadResult) TopRows() (on, off *OverloadRow) {
-	m := r.maxMultiple()
-	return r.rowAt(m, true), r.rowAt(m, false)
-}
-
 // GoodputRetention is the headline ratio for the shedding rig.
 func (r *OverloadResult) GoodputRetention() float64 { return r.retentionAt(true) }
 

@@ -98,7 +98,6 @@ func measureCost(pop *dataset.Population, seed int64, n int, remedy resolver.Rem
 		return nil, err
 	}
 	startQ, startB := u.Net.Stats()
-	startT := u.Net.Now()
 	rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true, remedy: remedy}, pop.Top(n))
 	if err != nil {
 		return nil, err
@@ -106,7 +105,7 @@ func measureCost(pop *dataset.Population, seed int64, n int, remedy resolver.Rem
 	endQ, endB := u.Net.Stats()
 	return &measured{
 		cost: RunCost{
-			ResponseTime: u.Net.Now() - startT,
+			ResponseTime: rep.Elapsed,
 			Bytes:        endB - startB,
 			Queries:      endQ - startQ,
 		},

@@ -9,8 +9,8 @@
 // time; every draw is a pure function of (seed, exchange ordinal), and
 // outage windows are checked against the caller's logical clock, so a run
 // is byte-reproducible regardless of wall time, scheduling, or worker
-// count — each clock domain (the global network or one shard) owns its own
-// State and therefore its own deterministic fault history.
+// count — each clock domain (a simnet shard) owns its own State and
+// therefore its own deterministic fault history.
 package faults
 
 import (

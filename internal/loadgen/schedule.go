@@ -110,9 +110,6 @@ func (s *Schedule) Next() (Event, error) {
 	return ev, nil
 }
 
-// Emitted returns how many events Next has produced.
-func (s *Schedule) Emitted() int64 { return s.emitted }
-
 // fillMinute regenerates the event buffer for one trace minute: q queries
 // at evenly spaced slots with seeded jitter (order-preserving: jitter never
 // crosses a slot boundary), each assigned a client and a Zipf-sampled name

@@ -20,18 +20,17 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/faults"
 	"github.com/dnsprivacy/lookaside/internal/overload"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
-	"github.com/dnsprivacy/lookaside/internal/simnet"
 	"github.com/dnsprivacy/lookaside/internal/udptransport"
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
 
 // Options configures the serving tier built over a universe.
 type Options struct {
-	// Workers is the number of resolver instances serving concurrently;
-	// <= 1 runs the classic single resolver on the shared network.
+	// Workers is the number of resolver instances serving concurrently
+	// (values below 1 mean 1).
 	Workers int
 	// SharedInfra pre-validates root/TLD/registry state once and shares
-	// the sealed cache across instances (workers > 1 only).
+	// the sealed cache across instances.
 	SharedInfra bool
 	// Plan, when non-nil, is installed on the registry link of every
 	// shard, including the warm-up shard — a fleet warmed during registry
@@ -40,14 +39,13 @@ type Options struct {
 	// SnapshotLoad, when set, boots the shared infrastructure cache from
 	// this warm-state snapshot file instead of a live warm-up. A missing,
 	// corrupt, or mismatched snapshot is refused — the reason goes to Log
-	// and the fleet warms live. Requires SharedInfra and Workers > 1, and
-	// is itself refused (never silently ignored) when Plan is set: a fleet
+	// and the fleet warms live. Requires SharedInfra, and is itself refused (never silently ignored) when Plan is set: a fleet
 	// booting into a registry outage must experience it, not restore
 	// around it.
 	SnapshotLoad string
 	// SnapshotSave, when set, writes the warmed (or restored) shared
 	// infrastructure cache to this path once the fleet is ready. Requires
-	// SharedInfra and Workers > 1.
+	// SharedInfra.
 	SnapshotSave string
 	// Log receives snapshot fallback/refusal reasons; nil discards them.
 	Log func(format string, args ...any)
@@ -62,8 +60,7 @@ type Options struct {
 // Service is the serving tier: a handler for the transport listeners plus
 // the merged observability state behind the stats surface.
 type Service struct {
-	handler simnet.Handler
-	stats   func() resolver.Stats
+	pool *pool
 
 	// bootWall and bootMode record how long Build took to bring the tier
 	// to ready and whether warm state came from a live warm-up or a
@@ -98,31 +95,20 @@ func (s *Service) Close() {
 func (s *Service) BootWall() time.Duration { return s.bootWall }
 func (s *Service) BootMode() core.BootMode { return s.bootMode }
 
-// Build starts the serving resolver(s) over the universe. With workers <= 1
-// it is the classic single resolver on the shared network; with more, N
-// independent resolver instances each run on a private simnet shard (own
-// virtual clock and caches) but share one RRSIG verification cache — and,
-// with SharedInfra, a sealed infrastructure cache warmed once — and
+// Build starts the serving resolvers over the universe: opts.Workers
+// independent resolver instances, each on a private simnet shard (own
+// virtual clock and caches), sharing one RRSIG verification cache — and,
+// with SharedInfra, a sealed infrastructure cache warmed once — with
 // incoming queries round-robin across them.
 func Build(u *universe.Universe, cfg resolver.Config, opts Options) (*Service, error) {
 	start := time.Now()
-	if (opts.SnapshotLoad != "" || opts.SnapshotSave != "") && (!opts.SharedInfra || opts.Workers <= 1) {
-		return nil, fmt.Errorf("serve: snapshots require shared infra and workers > 1")
+	if (opts.SnapshotLoad != "" || opts.SnapshotSave != "") && !opts.SharedInfra {
+		return nil, fmt.Errorf("serve: snapshots require shared infra")
 	}
 	if opts.SnapshotLoad != "" && opts.Plan != nil {
 		return nil, fmt.Errorf("serve: refusing snapshot load under a fault plan — the fleet must warm through the outage")
 	}
-	if opts.Workers <= 1 {
-		r, err := u.StartResolver(cfg)
-		if err != nil {
-			return nil, err
-		}
-		single := &pool{res: []*resolver.Resolver{r}, mus: make([]sync.Mutex, 1), last: make([]resolver.Stats, 1)}
-		if opts.Overload != nil {
-			single.wd = opts.Overload.InitWatchdog(1)
-		}
-		return &Service{handler: single, stats: single.stats, bootWall: time.Since(start), ovl: opts.Overload}, nil
-	}
+	workers := max(opts.Workers, 1)
 	cfg.VerifyCache = dnssec.NewVerifyCache()
 	bootMode := core.BootLiveWarm
 	if opts.SharedInfra {
@@ -139,12 +125,12 @@ func Build(u *universe.Universe, cfg resolver.Config, opts Options) (*Service, e
 		cfg.Infra = ic
 	}
 	p := &pool{
-		res:  make([]*resolver.Resolver, opts.Workers),
-		mus:  make([]sync.Mutex, opts.Workers),
-		last: make([]resolver.Stats, opts.Workers),
+		res:  make([]*resolver.Resolver, workers),
+		mus:  make([]sync.Mutex, workers),
+		last: make([]resolver.Stats, workers),
 	}
 	if opts.Overload != nil {
-		p.wd = opts.Overload.InitWatchdog(opts.Workers)
+		p.wd = opts.Overload.InitWatchdog(workers)
 	}
 	for i := range p.res {
 		sh := u.NewShard()
@@ -157,7 +143,7 @@ func Build(u *universe.Universe, cfg resolver.Config, opts Options) (*Service, e
 		}
 		p.res[i] = r
 	}
-	return &Service{handler: p, stats: p.stats, bootWall: time.Since(start), bootMode: bootMode, ovl: opts.Overload}, nil
+	return &Service{pool: p, bootWall: time.Since(start), bootMode: bootMode, ovl: opts.Overload}, nil
 }
 
 // AttachTransports hands the Service its listeners so transport counters
@@ -178,18 +164,18 @@ func (s *Service) HandleQuery(q *dns.Message, from netip.Addr) (*dns.Message, er
 	if len(q.Question) == 1 && q.Question[0].Name == StatsName && q.Question[0].Type == dns.TypeTXT {
 		return statsResponse(q, s.Snapshot()), nil
 	}
-	return s.handler.HandleQuery(q, from)
+	return s.pool.HandleQuery(q, from)
 }
 
 // ResolverStats merges the per-instance resolver counters.
-func (s *Service) ResolverStats() resolver.Stats { return s.stats() }
+func (s *Service) ResolverStats() resolver.Stats { return s.pool.stats() }
 
 // Snapshot assembles the full serving-tier scorecard: merged resolver
 // counters, the process-wide authoritative packet-cache totals, and the
 // transport counters of the attached listeners.
 func (s *Service) Snapshot() Snapshot {
 	snap := Snapshot{
-		Resolver: s.stats(),
+		Resolver: s.pool.stats(),
 		BootMS:   uint64(s.bootWall.Milliseconds()),
 		BootMode: uint64(s.bootMode),
 	}

@@ -1,23 +1,28 @@
 package serve
 
 import (
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/dnsprivacy/lookaside/internal/core"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dns"
 	"github.com/dnsprivacy/lookaside/internal/overload"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
+	"github.com/dnsprivacy/lookaside/internal/simnet"
 	"github.com/dnsprivacy/lookaside/internal/udptransport"
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
 
-func buildService(t *testing.T, workers int) (*universe.Universe, *Service) {
+// buildUniverse builds the seed-1 test universe over size ranked domains.
+func buildUniverse(t *testing.T, size int) (*dataset.Population, *universe.Universe) {
 	t.Helper()
-	pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: 300, Seed: 1})
+	pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: size, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,38 +32,129 @@ func buildService(t *testing.T, workers int) (*universe.Universe, *Service) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := Build(u, u.ResolverConfig(true, true), Options{
-		Workers: workers, SharedInfra: workers > 1,
-	})
+	return pop, u
+}
+
+func buildService(t *testing.T, opts Options) (*universe.Universe, *Service) {
+	t.Helper()
+	_, u := buildUniverse(t, 300)
+	opts.SharedInfra = true
+	svc, err := Build(u, u.ResolverConfig(true, true), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return u, svc
 }
 
+// TestServiceResolvesAndCounts resolves through the pool at several widths.
+// One worker (0 means 1) is the same stack as any other width: it shares
+// the warmed infra cache, saves it as a snapshot and boots from one.
 func TestServiceResolvesAndCounts(t *testing.T) {
-	_, svc := buildService(t, 2)
-	for i, d := range []string{"secure00.edu", "secure01.net", "secure00.edu"} {
-		q := dns.NewQuery(uint16(i+1), dns.MustName(d), dns.TypeA, true)
-		resp, err := svc.HandleQuery(q, universe.StubAddr)
+	snapFile := filepath.Join(t.TempDir(), "warm.snap")
+	for _, tc := range []struct {
+		opts     Options
+		bootMode core.BootMode
+	}{
+		{Options{Workers: 2}, core.BootLiveWarm},
+		{Options{Workers: 1, SnapshotSave: snapFile}, core.BootLiveWarm},
+		{Options{Workers: 1, SnapshotLoad: snapFile}, core.BootSnapshot},
+		{Options{Workers: 0}, core.BootLiveWarm},
+	} {
+		_, svc := buildService(t, tc.opts)
+		if svc.BootMode() != tc.bootMode {
+			t.Fatalf("%+v: boot mode %s, want %s", tc.opts, svc.BootMode(), tc.bootMode)
+		}
+		for i, d := range []string{"secure00.edu", "secure01.net", "secure00.edu"} {
+			q := dns.NewQuery(uint16(i+1), dns.MustName(d), dns.TypeA, true)
+			resp, err := svc.HandleQuery(q, universe.StubAddr)
+			if err != nil {
+				t.Fatalf("%+v: query %s: %v", tc.opts, d, err)
+			}
+			if resp.Header.RCode != dns.RCodeNoError {
+				t.Fatalf("%+v: query %s: rcode %s", tc.opts, d, resp.Header.RCode)
+			}
+		}
+		st := svc.ResolverStats()
+		if st.Resolutions != 3 {
+			t.Fatalf("%+v: resolutions = %d", tc.opts, st.Resolutions)
+		}
+		if st.InfraHits == 0 {
+			t.Errorf("%+v: shared-infra service recorded no infra-cache hits", tc.opts)
+		}
+	}
+}
+
+// TestRegistryViewByWorkers replays one seeded stub-question list — what a
+// shard auditor over a warmed infra cache asks for the top 400 of 2,000
+// domains, twice — through the serving tier at 1, 2 and 4 workers and
+// compares what the registry is shown with what the simulation path showed
+// it. One worker must agree exactly. Wider pools repeat walks on instances
+// that have not seen the name: today 38 and 76 registry-visible queries
+// against the simulation's 20, the numbers ROADMAP item 2 (one resolver
+// state per serving process) must bring down to 20.
+func TestRegistryViewByWorkers(t *testing.T) {
+	registryTap := func(view *[]string) simnet.Tap {
+		return func(ev simnet.Event) {
+			if ev.DstRole == simnet.RoleDLV {
+				*view = append(*view, fmt.Sprintf("%s %s %s", ev.Question.Name, ev.Question.Type, ev.RCode))
+			}
+		}
+	}
+
+	pop, u := buildUniverse(t, 2000)
+	cfg := u.ResolverConfig(true, true)
+	ic, err := core.WarmInfra(u, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Infra = ic
+	a, err := core.NewShardAuditor(u, core.Options{Resolver: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stub []dns.Question
+	var want []string
+	a.Shard().AddTap(registryTap(&want))
+	a.Shard().AddTap(func(ev simnet.Event) {
+		if ev.Dst == universe.ResolverAddr {
+			stub = append(stub, ev.Question)
+		}
+	})
+	for pass := 0; pass < 2; pass++ {
+		if err := a.QueryDomains(pop.Top(400)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(stub) < 800 || len(want) == 0 {
+		t.Fatalf("simulation path asked %d stub questions and showed the registry %d queries", len(stub), len(want))
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		_, u := buildUniverse(t, 2000)
+		svc, err := Build(u, u.ResolverConfig(true, true), Options{Workers: workers, SharedInfra: true})
 		if err != nil {
-			t.Fatalf("query %s: %v", d, err)
+			t.Fatal(err)
 		}
-		if resp.Header.RCode != dns.RCodeNoError {
-			t.Fatalf("query %s: rcode %s", d, resp.Header.RCode)
+		var got []string
+		u.Net.AddTap(registryTap(&got)) // after Build: the warm-up is not part of either view
+		for i, q := range stub {
+			if _, err := svc.HandleQuery(dns.NewQuery(uint16(i+1), q.Name, q.Type, true), universe.StubAddr); err != nil {
+				t.Fatalf("workers=%d: %s/%s: %v", workers, q.Name, q.Type, err)
+			}
 		}
-	}
-	st := svc.ResolverStats()
-	if st.Resolutions != 3 {
-		t.Fatalf("resolutions = %d", st.Resolutions)
-	}
-	if st.InfraHits == 0 {
-		t.Error("shared-infra service recorded no infra-cache hits")
+		t.Logf("workers=%d: registry saw %d queries for %d stub questions (simulation path: %d)",
+			workers, len(got), len(stub), len(want))
+		if workers == 1 && !reflect.DeepEqual(got, want) {
+			t.Errorf("one worker showed the registry\n%q\nthe simulation path showed it\n%q", got, want)
+		}
+		if len(got) < len(want) {
+			t.Errorf("workers=%d: registry saw %d queries, fewer than one resolver's %d", workers, len(got), len(want))
+		}
 	}
 }
 
 func TestStatsSurfaceOverWire(t *testing.T) {
-	_, svc := buildService(t, 2)
+	_, svc := buildService(t, Options{Workers: 2})
 	// Resolve something so the counters are non-zero.
 	q := dns.NewQuery(1, dns.MustName("secure00.edu"), dns.TypeA, true)
 	if _, err := svc.HandleQuery(q, universe.StubAddr); err != nil {
@@ -314,7 +410,7 @@ func TestStatsWireNameMatchesBypass(t *testing.T) {
 // every merged counter must be monotone — the TryLock cache may serve stale
 // values but must never let a sum go backwards mid-merge.
 func TestPoolStatsMonotoneUnderLoad(t *testing.T) {
-	_, svc := buildService(t, 4)
+	_, svc := buildService(t, Options{Workers: 4})
 	names := []string{"secure00.edu", "secure01.net", "secure02.org", "secure03.com"}
 
 	stop := make(chan struct{})

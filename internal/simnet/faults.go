@@ -17,48 +17,26 @@ type TCPExchanger interface {
 	ExchangeTCP(src, dst netip.Addr, q *dns.Message) (*dns.Message, error)
 }
 
-// exchangeDomain is one clock domain of the simulated network — the global
-// Network or a single Shard. Exchange and ExchangeTCP on both are thin
-// wrappers around exchangeOn over this interface, so the fault-injection
-// and capture semantics cannot drift between the sequential and sharded
-// paths.
-type exchangeDomain interface {
-	admit(dst netip.Addr) (*serverEntry, error)
-	decideFault(dst netip.Addr, tcp bool) (faults.Decision, bool)
-	Advance(d time.Duration)
-	// commit advances the domain clock by rtt and returns the new time plus
-	// the tap lists to feed, in firing order (shards return their own taps
-	// first, then the global ones).
-	commit(rtt time.Duration) (now time.Duration, taps, globalTaps []Tap)
-	swapClient(addr netip.Addr) netip.Addr
-	attributedClient(src netip.Addr) netip.Addr
-	owner() *Network
-}
-
-// exchangeOn is the single exchange path shared by Network and Shard, for
-// both UDP and TCP semantics. The fault plan (if any) is consulted after
-// legacy admission (down flags, every-Nth loss): a Down or Drop decision
-// charges the timeout cost to the domain clock and fails like the legacy
-// injectors; a delivered response may be mutated (byzantine answers,
-// forced truncation, wire corruption) before the clock, taps, and byte
-// accounting see it, so captures always reflect what was "on the wire".
-func exchangeOn(d exchangeDomain, src, dst netip.Addr, q *dns.Message, tcp bool) (*dns.Message, error) {
-	entry, err := d.admit(dst)
+// exchange is the single exchange path, for both UDP and TCP semantics. A
+// Down or Drop decision of the link's fault plan (if any) charges the
+// timeout cost to the shard clock and fails; a delivered response may be
+// mutated (byzantine answers, forced truncation, wire corruption) before
+// the clock, taps, and byte accounting see it, so captures always reflect
+// what was "on the wire".
+func (s *Shard) exchange(src, dst netip.Addr, q *dns.Message, tcp bool) (*dns.Message, error) {
+	entry, err := s.lookup(dst)
 	if err != nil {
-		if entry != nil {
-			d.Advance(timeoutCost)
-		}
 		return nil, err
 	}
 
-	dec, faulted := d.decideFault(dst, tcp)
+	dec, faulted := s.decideFault(dst, tcp)
 	if faulted {
 		if dec.Down {
-			d.Advance(timeoutCost)
+			s.Advance(timeoutCost)
 			return nil, fmt.Errorf("%w: %s (%s)", ErrServerDown, entry.name, dst)
 		}
 		if dec.Drop {
-			d.Advance(timeoutCost)
+			s.Advance(timeoutCost)
 			return nil, fmt.Errorf("%w: %s (%s)", ErrPacketLoss, entry.name, dst)
 		}
 	}
@@ -69,8 +47,8 @@ func exchangeOn(d exchangeDomain, src, dst netip.Addr, q *dns.Message, tcp bool)
 	// for the duration (restored on return, so direct exchanges outside a
 	// stub query stay self-attributed).
 	if entry.role == RoleRecursive {
-		prev := d.swapClient(src)
-		defer d.swapClient(prev)
+		prev := s.swapClient(src)
+		defer s.swapClient(prev)
 	}
 
 	resp, question, qLen, rLen, err := roundTrip(entry, src, q)
@@ -83,7 +61,7 @@ func exchangeOn(d exchangeDomain, src, dst netip.Addr, q *dns.Message, tcp bool)
 		if err != nil {
 			// The mutated packet no longer parses: to the client this is
 			// indistinguishable from loss — a timeout.
-			d.Advance(timeoutCost)
+			s.Advance(timeoutCost)
 			return nil, fmt.Errorf("%w: %s (%s)", ErrCorruptResponse, entry.name, dst)
 		}
 	}
@@ -94,14 +72,14 @@ func exchangeOn(d exchangeDomain, src, dst netip.Addr, q *dns.Message, tcp bool)
 		rtt += 2 * entry.latency
 	}
 	rtt += dec.ExtraLatency
-	now, taps, globalTaps := d.commit(rtt)
-	d.owner().account(qLen, rLen)
+	now, taps, globalTaps := s.commit(rtt)
+	s.net.account(qLen, rLen)
 
 	ev := Event{
 		Time:      now,
 		Src:       src,
 		Dst:       dst,
-		Client:    d.attributedClient(src),
+		Client:    s.attributedClient(src),
 		DstName:   entry.name,
 		DstRole:   entry.role,
 		Question:  question,
@@ -202,91 +180,31 @@ func wrongDenial(m *dns.Message) {
 	m.Authority = nil
 }
 
-// SetFaultPlan attaches a seeded fault schedule to the link toward addr for
-// exchanges made directly on the network (shards carry their own plans; see
-// Shard.SetFaultPlan). Installing a plan — even an all-zero one — also
-// starts per-link fault statistics: Attempts counts every query sent toward
-// the server, which is the on-path observer's view of link load. A second
-// call replaces the plan and resets its statistics.
-func (n *Network) SetFaultPlan(addr netip.Addr, p faults.Plan) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.faults == nil {
-		n.faults = make(map[netip.Addr]*faults.State)
-	}
-	n.faults[addr] = faults.NewState(p)
-	n.faultsOn.Store(true)
-}
+// SetFaultPlan installs a plan on the root shard (see Shard.SetFaultPlan);
+// no other shard consults it.
+func (n *Network) SetFaultPlan(addr netip.Addr, p faults.Plan) { n.root.SetFaultPlan(addr, p) }
 
-// ClearFaultPlans removes every fault plan (and its statistics) from the
-// network.
-func (n *Network) ClearFaultPlans() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.faults = nil
-	n.faultsOn.Store(false)
-}
+// ClearFaultPlans removes the root shard's fault plans.
+func (n *Network) ClearFaultPlans() { n.root.ClearFaultPlans() }
 
-// FaultStats returns the fault counters for the link toward addr, and
-// whether a plan is installed there.
-func (n *Network) FaultStats(addr netip.Addr) (faults.Stats, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st, ok := n.faults[addr]
-	if !ok {
-		return faults.Stats{}, false
-	}
-	return st.Stats(), true
-}
+// FaultStats returns the root shard's fault counters for the link toward
+// addr.
+func (n *Network) FaultStats(addr netip.Addr) (faults.Stats, bool) { return n.root.FaultStats(addr) }
 
-// decideFault evaluates the link's fault plan for one exchange. The
-// faultsOn fast check keeps the no-faults hot path at a single atomic load.
-func (n *Network) decideFault(dst netip.Addr, tcp bool) (faults.Decision, bool) {
-	if !n.faultsOn.Load() {
-		return faults.Decision{}, false
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st, ok := n.faults[dst]
-	if !ok {
-		return faults.Decision{}, false
-	}
-	if tcp {
-		return st.DecideTCP(n.now), true
-	}
-	return st.Decide(n.now), true
-}
-
-// commit advances the network clock by rtt under the same lock that
-// snapshots the tap list, preserving the pre-fault-layer ordering.
-func (n *Network) commit(rtt time.Duration) (time.Duration, []Tap, []Tap) {
-	n.mu.Lock()
-	n.now += rtt
-	now := n.now
-	taps := n.taps
-	n.mu.Unlock()
-	return now, taps, nil
-}
-
-// owner implements exchangeDomain.
-func (n *Network) owner() *Network { return n }
-
-// ExchangeTCP is Exchange over a simulated reliable stream: packet loss,
-// forced truncation, and wire corruption do not apply (TCP retransmits
-// under the covers), but outages, latency faults, and byzantine answers
-// still do, and stream setup costs one extra round trip. The resolver uses
-// it to retry truncated UDP answers.
+// ExchangeTCP is the root shard's ExchangeTCP.
 func (n *Network) ExchangeTCP(src, dst netip.Addr, q *dns.Message) (*dns.Message, error) {
-	return exchangeOn(n, src, dst, q, true)
+	return n.root.ExchangeTCP(src, dst, q)
 }
 
 // SetFaultPlan attaches a seeded fault schedule to the link toward addr for
 // exchanges made on this shard. Fault plans are strictly per clock domain:
-// a shard never consults the network's plans (a shared mutable draw
-// sequence would make results depend on worker interleaving), so sharded
-// experiments install a plan on every shard, each advancing its own
-// deterministic fault history. Statistics start at install; a second call
-// replaces plan and statistics.
+// a shard never consults another's plans (a shared mutable draw sequence
+// would make results depend on worker interleaving), so sharded experiments
+// install a plan on every shard, each advancing its own deterministic fault
+// history. Installing a plan — even an all-zero one — also starts per-link
+// fault statistics: Attempts counts every query sent toward the server,
+// which is the on-path observer's view of link load. A second call replaces
+// the plan and resets its statistics.
 func (s *Shard) SetFaultPlan(addr netip.Addr, p faults.Plan) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,6 +212,14 @@ func (s *Shard) SetFaultPlan(addr netip.Addr, p faults.Plan) {
 		s.faults = make(map[netip.Addr]*faults.State)
 	}
 	s.faults[addr] = faults.NewState(p)
+}
+
+// ClearFaultPlans removes every fault plan (and its statistics) from the
+// shard.
+func (s *Shard) ClearFaultPlans() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.faults = nil
 }
 
 // FaultStats returns the shard's fault counters for the link toward addr,
@@ -325,24 +251,30 @@ func (s *Shard) decideFault(dst netip.Addr, tcp bool) (faults.Decision, bool) {
 	return st.Decide(s.now), true
 }
 
-// commit advances the shard clock by rtt and returns the shard taps plus
-// the global taps (shard taps fire first, matching the pre-fault-layer
-// ordering).
-func (s *Shard) commit(rtt time.Duration) (time.Duration, []Tap, []Tap) {
+// commit advances the shard clock by rtt and returns the new time plus the
+// tap lists to feed, in firing order: the shard's own taps, then the global
+// ones — the root shard's, which the root itself returns only once.
+func (s *Shard) commit(rtt time.Duration) (now time.Duration, taps, globalTaps []Tap) {
 	s.mu.Lock()
 	s.now += rtt
-	now := s.now
-	taps := s.taps
+	now = s.now
+	taps = s.taps
 	s.mu.Unlock()
-	return now, taps, s.net.tapsSnapshot()
+	if root := s.net.root; s != root {
+		root.mu.Lock()
+		globalTaps = root.taps
+		root.mu.Unlock()
+	}
+	return now, taps, globalTaps
 }
 
-// owner implements exchangeDomain.
-func (s *Shard) owner() *Network { return s.net }
-
-// ExchangeTCP is the shard-clock variant of Network.ExchangeTCP.
+// ExchangeTCP is Exchange over a simulated reliable stream: packet loss,
+// forced truncation, and wire corruption do not apply (TCP retransmits
+// under the covers), but outages, latency faults, and byzantine answers
+// still do, and stream setup costs one extra round trip. The resolver uses
+// it to retry truncated UDP answers.
 func (s *Shard) ExchangeTCP(src, dst netip.Addr, q *dns.Message) (*dns.Message, error) {
-	return exchangeOn(s, src, dst, q, true)
+	return s.exchange(src, dst, q, true)
 }
 
 var (

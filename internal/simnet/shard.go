@@ -9,14 +9,16 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/faults"
 )
 
-// Shard is an isolated clock domain layered over a shared Network. Each
-// shard owns its own logical clock, its own capture taps, and a private
-// address overlay (typically just the shard's recursive resolver), while
-// exchanges to everything else reach the servers registered on the shared
-// network. Because every exchange advances only the shard's clock, the
-// latencies and event timeline a shard observes are independent of how the
-// Go scheduler interleaves goroutines — each shard's results depend only on
-// its own query sequence, which keeps parallel audits deterministic.
+// Shard is an isolated clock domain layered over a shared Network — the
+// only kind of clock domain there is: the network's own (Network.Root) is
+// one too. Each shard owns its own logical clock, its own capture taps, and
+// a private address overlay (typically just the shard's recursive
+// resolver), while exchanges to everything else reach the servers
+// registered on the shared network. Because every exchange advances only
+// the shard's clock, the latencies and event timeline a shard observes are
+// independent of how the Go scheduler interleaves goroutines — each shard's
+// results depend only on its own query sequence, which keeps parallel
+// audits deterministic.
 //
 // Shard implements Exchanger, so a resolver can be pointed at a shard
 // exactly as it would be pointed at the Network, and it satisfies the
@@ -34,9 +36,9 @@ type Shard struct {
 	// one slot per shard suffices.
 	client netip.Addr
 	// faults holds this shard's per-link fault-injection state. Strictly
-	// shard-private: plans installed on the network are never consulted
-	// here, so each shard replays its own deterministic fault history
-	// regardless of worker interleaving.
+	// shard-private: no other shard's plans (the root's included) are ever
+	// consulted here, so each shard replays its own deterministic fault
+	// history regardless of worker interleaving.
 	faults map[netip.Addr]*faults.State
 }
 
@@ -60,7 +62,7 @@ func (s *Shard) attributedClient(src netip.Addr) netip.Addr {
 	return src
 }
 
-// NewShard creates a shard whose clock starts at the network's current
+// NewShard creates a shard whose clock starts at the root shard's current
 // time. The shard sees every server registered on the network plus any
 // servers registered on the shard itself (which shadow same-address global
 // registrations for exchanges originating in this shard).
@@ -83,11 +85,19 @@ func (s *Shard) Register(addr netip.Addr, name string, role Role, latency time.D
 }
 
 // AddTap attaches a capture tap to this shard's subsequent exchanges. Shard
-// taps run before any global taps and only see this shard's traffic.
+// taps run before the global taps (the root shard's) and only see this
+// shard's traffic.
 func (s *Shard) AddTap(tap Tap) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.taps = append(s.taps, tap)
+}
+
+// ResetTaps removes this shard's capture taps.
+func (s *Shard) ResetTaps() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.taps = nil
 }
 
 // Now returns the shard's current simulation time.
@@ -104,29 +114,25 @@ func (s *Shard) Advance(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Exchange routes a query like Network.Exchange but advances only the
-// shard's clock, evaluates only the shard's fault plans, and feeds the
-// shard's taps (then the network's global taps). Failure injection on
-// shared servers — down flags and every-Nth loss — still applies and
-// remains globally ordered, so loss-injection experiments should run
-// sequentially (seeded fault plans, being shard-private, have no such
-// restriction). It implements Exchanger.
+// Exchange sends a query from src to dst through the wire codec, invokes
+// the destination handler, and returns the decoded response. It advances
+// the shard's clock by the link RTT, applies the shard's fault plan on the
+// link, feeds the shard's taps and then the global ones, and maintains the
+// network's aggregate counters. It implements Exchanger.
 func (s *Shard) Exchange(src, dst netip.Addr, q *dns.Message) (*dns.Message, error) {
-	return exchangeOn(s, src, dst, q, false)
+	return s.exchange(src, dst, q, false)
 }
 
-// admit resolves dst against the shard overlay first, then the shared
-// network. Overlay servers skip failure injection (they are private to the
-// shard); shared servers go through Network.admit so down/loss bookkeeping
-// stays consistent.
-func (s *Shard) admit(dst netip.Addr) (*serverEntry, error) {
+// lookup resolves dst against the shard overlay first, then the shared
+// network.
+func (s *Shard) lookup(dst netip.Addr) (*serverEntry, error) {
 	s.mu.Lock()
 	entry, ok := s.local[dst]
 	s.mu.Unlock()
 	if ok {
 		return entry, nil
 	}
-	return s.net.admit(dst)
+	return s.net.lookup(dst)
 }
 
 // Network returns the shared network underneath the shard.

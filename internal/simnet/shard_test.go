@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
+	"github.com/dnsprivacy/lookaside/internal/faults"
 )
 
 func TestShardClockIsolation(t *testing.T) {
@@ -107,5 +108,59 @@ func TestConcurrentShardExchange(t *testing.T) {
 	defer globalMu.Unlock()
 	if globalEvents != shards*perShard {
 		t.Errorf("global tap saw %d events, want %d", globalEvents, shards*perShard)
+	}
+}
+
+// TestRootShardIsTheNetwork pins that the network's own clock domain is a
+// shard like any other: one clock behind Network and Root, the root's taps
+// as the global taps (fired once for root traffic, after the shard's own
+// for any other shard's), and network-installed fault plans that are the
+// root's alone.
+func TestRootShardIsTheNetwork(t *testing.T) {
+	n := New()
+	if err := n.Register(serverAddr, "ns.test", RoleSLD, 25*time.Millisecond, echoHandler(false)); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	n.AddTap(func(Event) { order = append(order, "global") })
+
+	q := dns.NewQuery(1, dns.MustName("example.com"), dns.TypeA, true)
+	if _, err := n.Exchange(clientAddr, serverAddr, q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Root().Exchange(clientAddr, serverAddr, q); err != nil {
+		t.Fatal(err)
+	}
+	if n.Now() != 100*time.Millisecond || n.Now() != n.Root().Now() {
+		t.Fatalf("network clock %v, root clock %v, want both 100ms", n.Now(), n.Root().Now())
+	}
+	if len(order) != 2 {
+		t.Fatalf("global tap fired %d times for 2 root exchanges", len(order))
+	}
+
+	sh := n.NewShard()
+	sh.AddTap(func(Event) { order = append(order, "shard") })
+	order = nil
+	if _, err := sh.Exchange(clientAddr, serverAddr, q); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "shard" || order[1] != "global" {
+		t.Fatalf("tap order on a shard exchange = %v, want [shard global]", order)
+	}
+
+	n.SetFaultPlan(serverAddr, faults.Plan{})
+	if _, ok := n.Root().FaultStats(serverAddr); !ok {
+		t.Fatal("plan installed through the network is not the root shard's")
+	}
+	if _, ok := n.NewShard().FaultStats(serverAddr); ok {
+		t.Fatal("a new shard sees the network's fault plan")
+	}
+	n.ResetTaps()
+	order = nil
+	if _, err := n.Exchange(clientAddr, serverAddr, q); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := n.FaultStats(serverAddr); len(order) != 0 || st.Attempts != 1 {
+		t.Fatalf("after ResetTaps: %d tap calls, %d attempts on the root plan; want 0 and 1", len(order), st.Attempts)
 	}
 }

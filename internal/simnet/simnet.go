@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
-	"github.com/dnsprivacy/lookaside/internal/faults"
 )
 
 // netError is a network-condition error that knows whether it represents a
@@ -161,29 +160,17 @@ type serverEntry struct {
 	role    Role
 	latency time.Duration
 	handler Handler
-	down    bool
-	// lossEveryN drops every Nth exchange deterministically (0 = none).
-	lossEveryN int
-	exchanges  int
 }
 
-// Network is the simulated internet.
+// Network is the simulated internet: the registry of shared servers, the
+// aggregate traffic counters, and one root Shard — the network's own clock
+// domain. Now, Advance, the taps, the fault plans and the exchanges offered
+// here are the root shard's; every other shard (NewShard) shares only the
+// servers and the counters.
 type Network struct {
 	mu      sync.Mutex
 	servers map[netip.Addr]*serverEntry
-	taps    []Tap
-	now     time.Duration
-	// client is the stub address of the in-flight stub→recursive exchange,
-	// used to attribute the resolver's nested exchanges (Event.Client).
-	// Like the clock, it is meaningful only on the sequential path;
-	// concurrent audits use shards, which carry their own.
-	client netip.Addr
-	// faults holds per-link fault-injection state for exchanges made
-	// directly on the network (shards carry their own; see Shard.faults).
-	// faultsOn mirrors "any plan installed" so the no-faults hot path pays
-	// one atomic load instead of a lock.
-	faults   map[netip.Addr]*faults.State
-	faultsOn atomic.Bool
+	root    *Shard
 
 	// Aggregate statistics, maintained as atomics so concurrent shards do
 	// not contend on the network lock.
@@ -193,8 +180,14 @@ type Network struct {
 
 // New creates an empty network.
 func New() *Network {
-	return &Network{servers: make(map[netip.Addr]*serverEntry)}
+	n := &Network{servers: make(map[netip.Addr]*serverEntry)}
+	n.root = &Shard{net: n, local: make(map[netip.Addr]*serverEntry)}
+	return n
 }
+
+// Root returns the network's own clock domain. Its taps are the global
+// taps: they also see every other shard's traffic.
+func (n *Network) Root() *Shard { return n.root }
 
 // Register places a server at addr with a one-way link latency.
 func (n *Network) Register(addr netip.Addr, name string, role Role, latency time.Duration, h Handler) error {
@@ -207,69 +200,28 @@ func (n *Network) Register(addr netip.Addr, name string, role Role, latency time
 	return nil
 }
 
-// Replace installs a server at addr, overwriting any existing registration.
-// Experiment sweeps use it to install a fresh resolver per data point while
-// keeping the (expensive) universe.
+// Replace installs a server at addr, overwriting any existing registration
+// (tests swap an authoritative server mid-run with it).
 func (n *Network) Replace(addr netip.Addr, name string, role Role, latency time.Duration, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.servers[addr] = &serverEntry{name: name, role: role, latency: latency, handler: h}
 }
 
-// ResetTaps removes all capture taps (the aggregate counters are kept).
-func (n *Network) ResetTaps() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.taps = nil
-}
+// ResetTaps removes all global capture taps (the aggregate counters are
+// kept).
+func (n *Network) ResetTaps() { n.root.ResetTaps() }
 
-// SetDown marks a server unreachable (failure injection); queries to it
-// cost a timeout and fail with ErrServerDown.
-func (n *Network) SetDown(addr netip.Addr, down bool) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	e, ok := n.servers[addr]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoRoute, addr)
-	}
-	e.down = down
-	return nil
-}
+// AddTap attaches a global capture tap: it sees every subsequent exchange
+// of every shard, after the originating shard's own taps.
+func (n *Network) AddTap(tap Tap) { n.root.AddTap(tap) }
 
-// SetLoss makes a link drop every Nth exchange (deterministically, so
-// experiments stay reproducible); 0 disables loss.
-func (n *Network) SetLoss(addr netip.Addr, everyN int) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	e, ok := n.servers[addr]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoRoute, addr)
-	}
-	e.lossEveryN = everyN
-	return nil
-}
+// Now returns the root shard's simulation time.
+func (n *Network) Now() time.Duration { return n.root.Now() }
 
-// AddTap attaches a capture tap to every subsequent exchange.
-func (n *Network) AddTap(tap Tap) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.taps = append(n.taps, tap)
-}
-
-// Now returns the current simulation time.
-func (n *Network) Now() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.now
-}
-
-// Advance moves the simulation clock forward (used by trace-driven
+// Advance moves the root shard's clock forward (used by trace-driven
 // experiments between queries).
-func (n *Network) Advance(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.now += d
-}
+func (n *Network) Advance(d time.Duration) { n.root.Advance(d) }
 
 // Stats returns the total exchanges and bytes carried so far.
 func (n *Network) Stats() (queries int, bytes int64) {
@@ -282,64 +234,23 @@ func (n *Network) account(qLen, rLen int) {
 	n.totalBytes.Add(int64(qLen + rLen))
 }
 
-// tapsSnapshot returns the current global tap list.
-func (n *Network) tapsSnapshot() []Tap {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.taps
-}
-
 // timeoutCost is the simulated cost of a query to a dead server.
 const timeoutCost = 2 * time.Second
 
-// swapClient installs addr as the current attribution client and returns
-// the previous one, so callers can restore it when the enclosing exchange
-// finishes.
-func (n *Network) swapClient(addr netip.Addr) netip.Addr {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	prev := n.client
-	n.client = addr
-	return prev
-}
-
-// attributedClient resolves the Event.Client for an exchange originating
-// at src: the in-flight stub client if one is set, else src itself.
-func (n *Network) attributedClient(src netip.Addr) netip.Addr {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.client.IsValid() {
-		return n.client
-	}
-	return src
-}
-
-// admit looks up the server at dst and applies the failure-injection
-// bookkeeping (down flags, deterministic every-Nth loss). On a down or lost
-// exchange it returns the entry together with the error so the caller can
-// charge the timeout to its own clock; on an unknown address the entry is
-// nil.
-func (n *Network) admit(dst netip.Addr) (*serverEntry, error) {
+// lookup returns the shared server registered at dst.
+func (n *Network) lookup(dst netip.Addr) (*serverEntry, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	entry, ok := n.servers[dst]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoRoute, dst)
 	}
-	if entry.down {
-		return entry, fmt.Errorf("%w: %s (%s)", ErrServerDown, entry.name, dst)
-	}
-	entry.exchanges++
-	if entry.lossEveryN > 0 && entry.exchanges%entry.lossEveryN == 0 {
-		return entry, fmt.Errorf("%w: %s (%s)", ErrPacketLoss, entry.name, dst)
-	}
 	return entry, nil
 }
 
 // roundTrip pushes one query through the wire codec to a server handler,
 // returning the first question and the wire sizes for capture accounting.
-// It touches no clock and no shared counters, so shards and the global
-// network share it.
+// It touches no clock and no shared counters.
 //
 // The fast path encodes into a pooled buffer, extracts the question with
 // the single-pass DecodeQuestion, hands the caller's message to the handler
@@ -415,10 +326,7 @@ func roundTripReference(entry *serverEntry, src netip.Addr, q *dns.Message) (res
 	return rDecoded, question, len(qWire), len(rWire), nil
 }
 
-// Exchange sends a query from src to dst through the wire codec, invokes
-// the destination handler, and returns the decoded response. It advances
-// the clock by the link RTT, applies any fault plan on the link, feeds
-// capture taps, and maintains aggregate counters. It implements Exchanger.
+// Exchange is the root shard's Exchange. It implements Exchanger.
 func (n *Network) Exchange(src, dst netip.Addr, q *dns.Message) (*dns.Message, error) {
-	return exchangeOn(n, src, dst, q, false)
+	return n.root.Exchange(src, dst, q)
 }

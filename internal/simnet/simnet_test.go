@@ -64,32 +64,6 @@ func TestDuplicateRegistration(t *testing.T) {
 	}
 }
 
-func TestServerDownCostsTimeout(t *testing.T) {
-	n := New()
-	if err := n.Register(serverAddr, "ns.test", RoleDLV, 25*time.Millisecond, echoHandler(false)); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SetDown(serverAddr, true); err != nil {
-		t.Fatal(err)
-	}
-	q := dns.NewQuery(1, dns.MustName("example.com"), dns.TypeA, false)
-	if _, err := n.Exchange(clientAddr, serverAddr, q); !errors.Is(err, ErrServerDown) {
-		t.Fatalf("err = %v, want ErrServerDown", err)
-	}
-	if n.Now() < time.Second {
-		t.Fatalf("timeout did not advance clock: %v", n.Now())
-	}
-	if err := n.SetDown(serverAddr, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Exchange(clientAddr, serverAddr, q); err != nil {
-		t.Fatalf("server did not come back: %v", err)
-	}
-	if err := n.SetDown(netip.MustParseAddr("203.0.113.1"), true); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("SetDown unknown = %v, want ErrNoRoute", err)
-	}
-}
-
 func TestTapsObserveExchanges(t *testing.T) {
 	n := New()
 	if err := n.Register(serverAddr, "dlv.test", RoleDLV, 10*time.Millisecond, echoHandler(true)); err != nil {
@@ -160,37 +134,6 @@ func TestRoleStrings(t *testing.T) {
 		if got := r.String(); got != want {
 			t.Errorf("Role(%d).String() = %q, want %q", r, got, want)
 		}
-	}
-}
-
-func TestPacketLossInjection(t *testing.T) {
-	n := New()
-	if err := n.Register(serverAddr, "flaky.test", RoleSLD, time.Millisecond, echoHandler(false)); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SetLoss(serverAddr, 3); err != nil {
-		t.Fatal(err)
-	}
-	q := dns.NewQuery(1, dns.MustName("x.test"), dns.TypeA, false)
-	losses := 0
-	for i := 0; i < 9; i++ {
-		if _, err := n.Exchange(clientAddr, serverAddr, q); errors.Is(err, ErrPacketLoss) {
-			losses++
-		} else if err != nil {
-			t.Fatalf("unexpected error: %v", err)
-		}
-	}
-	if losses != 3 {
-		t.Fatalf("losses = %d, want every 3rd of 9", losses)
-	}
-	if err := n.SetLoss(serverAddr, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Exchange(clientAddr, serverAddr, q); err != nil {
-		t.Fatalf("loss not cleared: %v", err)
-	}
-	if err := n.SetLoss(netip.MustParseAddr("203.0.113.1"), 2); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("SetLoss unknown = %v", err)
 	}
 }
 

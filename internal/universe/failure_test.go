@@ -5,8 +5,12 @@ import (
 
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dns"
+	"github.com/dnsprivacy/lookaside/internal/faults"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
 )
+
+// outage is a fault plan that keeps a server down for the whole run.
+var outage = faults.Plan{Outages: []faults.Window{{Start: 0, End: 1 << 62}}}
 
 // TestRegistryOutage reproduces the DLV failure mode discussed in §8.4:
 // registry outages were a recurring operational problem. A resolver with
@@ -14,9 +18,7 @@ import (
 func TestRegistryOutage(t *testing.T) {
 	u := buildTestUniverse(t, nil)
 	r := newResolver(t, u, true, true)
-	if err := u.Net.SetDown(RegistryAddr, true); err != nil {
-		t.Fatal(err)
-	}
+	u.Net.SetFaultPlan(RegistryAddr, outage)
 	d := pickDomain(t, u, func(d *dataset.Domain) bool { return !d.Signed })
 	res, err := r.Resolve(d.Name, dns.TypeA)
 	if err != nil {
@@ -46,9 +48,7 @@ func TestRegistryOutage(t *testing.T) {
 	// Recovery: a fresh resolver after the outage validates again (the
 	// first one has cached the indeterminate registry state, as BIND
 	// would until the TTL passes).
-	if err := u.Net.SetDown(RegistryAddr, false); err != nil {
-		t.Fatal(err)
-	}
+	u.Net.ClearFaultPlans()
 	r2 := newResolver(t, u, true, true)
 	res, err = r2.Resolve(island.Name, dns.TypeA)
 	if err != nil {
@@ -83,9 +83,7 @@ func TestTLDOutage(t *testing.T) {
 	if !ok {
 		t.Fatal("com TLD missing")
 	}
-	if err := u.Net.SetDown(addr, true); err != nil {
-		t.Fatal(err)
-	}
+	u.Net.SetFaultPlan(addr, outage)
 
 	// Fresh resolver (no cached delegation): com resolutions fail…
 	r2 := newResolver(t, u, true, true)
@@ -102,14 +100,12 @@ func TestTLDOutage(t *testing.T) {
 	}
 }
 
-// TestLossyRegistryRecoversViaRetry: deterministic packet loss on the
-// registry link is absorbed by the resolver's retransmission, so a
+// TestLossyRegistryRecoversViaRetry: seeded packet loss on the registry
+// link is absorbed by the resolver's retransmission, so a
 // deposited island still validates.
 func TestLossyRegistryRecoversViaRetry(t *testing.T) {
 	u := buildTestUniverse(t, nil)
-	if err := u.Net.SetLoss(RegistryAddr, 2); err != nil { // drop every 2nd packet
-		t.Fatal(err)
-	}
+	u.Net.SetFaultPlan(RegistryAddr, faults.Plan{Seed: 1, LossRate: 0.5})
 	r := newResolver(t, u, true, true)
 	island := dataset.SecureDomains()[dataset.SecureDomainsCount-dataset.SecureIslandCount]
 	res, err := r.Resolve(island.Name, dns.TypeA)

@@ -147,38 +147,18 @@ func (u *Universe) ResolverConfig(withRootAnchor, withLookaside bool) resolver.C
 	return cfg
 }
 
-// StartResolver constructs a resolver from cfg and installs it on the
-// network at ResolverAddr, returning it ready to serve StubAddr queries.
-// Installing replaces any previous resolver, so experiment sweeps can start
-// a fresh instance (empty caches) per data point.
+// StartResolver starts a resolver on the network's own clock domain (see
+// StartShardResolver). Installing replaces any previous resolver there, so
+// experiment sweeps can start a fresh instance (empty caches) per data
+// point.
 func (u *Universe) StartResolver(cfg resolver.Config) (*resolver.Resolver, error) {
-	r, err := resolver.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	u.Net.Replace(ResolverAddr, "recursive", simnet.RoleRecursive, stubLatency, r)
-	return r, nil
+	return u.StartShardResolver(u.Net.Root(), cfg)
 }
 
 // StubQuery issues one stub query through the network to the recursive
 // resolver, as the measurement host does.
 func (u *Universe) StubQuery(id uint16, name dns.Name, qtype dns.Type) (*dns.Message, error) {
-	return u.StubQueryFrom(StubAddr, id, name, qtype)
-}
-
-// StubQueryFrom issues one stub query from an explicit client endpoint, so
-// multi-client workloads produce client-attributable captures (Event.Client
-// on every nested exchange the resolver performs).
-func (u *Universe) StubQueryFrom(src netip.Addr, id uint16, name dns.Name, qtype dns.Type) (*dns.Message, error) {
-	q := dns.NewQuery(id, name, qtype, true)
-	return u.Net.Exchange(src, ResolverAddr, q)
-}
-
-// StubExchange sends a caller-built stub query to the recursive resolver.
-// Callers that reuse a scratch message (the audit hot loop) rely on the
-// network's no-retention contract for queries.
-func (u *Universe) StubExchange(src netip.Addr, q *dns.Message) (*dns.Message, error) {
-	return u.Net.Exchange(src, ResolverAddr, q)
+	return u.Net.Exchange(StubAddr, ResolverAddr, dns.NewQuery(id, name, qtype, true))
 }
 
 // NewShard creates an isolated clock domain over the universe's network;
@@ -189,8 +169,8 @@ func (u *Universe) NewShard() *simnet.Shard {
 
 // StartShardResolver constructs a resolver wired to the shard — it
 // exchanges through the shard and reads the shard's clock — and registers
-// it at ResolverAddr in the shard's private overlay, leaving the global
-// network untouched.
+// it at ResolverAddr in the shard's private overlay, where only that
+// shard's exchanges reach it.
 func (u *Universe) StartShardResolver(sh *simnet.Shard, cfg resolver.Config) (*resolver.Resolver, error) {
 	cfg.Net = sh
 	cfg.Clock = sh
@@ -200,25 +180,6 @@ func (u *Universe) StartShardResolver(sh *simnet.Shard, cfg resolver.Config) (*r
 	}
 	sh.Register(ResolverAddr, "recursive", simnet.RoleRecursive, stubLatency, r)
 	return r, nil
-}
-
-// ShardStubQuery issues one stub query through a shard to the shard's
-// recursive resolver.
-func (u *Universe) ShardStubQuery(sh *simnet.Shard, id uint16, name dns.Name, qtype dns.Type) (*dns.Message, error) {
-	return u.ShardStubQueryFrom(sh, StubAddr, id, name, qtype)
-}
-
-// ShardStubQueryFrom issues one stub query through a shard from an explicit
-// client endpoint (the shard analogue of StubQueryFrom).
-func (u *Universe) ShardStubQueryFrom(sh *simnet.Shard, src netip.Addr, id uint16, name dns.Name, qtype dns.Type) (*dns.Message, error) {
-	q := dns.NewQuery(id, name, qtype, true)
-	return sh.Exchange(src, ResolverAddr, q)
-}
-
-// ShardStubExchange sends a caller-built stub query through a shard (the
-// shard analogue of StubExchange).
-func (u *Universe) ShardStubExchange(sh *simnet.Shard, src netip.Addr, q *dns.Message) (*dns.Message, error) {
-	return sh.Exchange(src, ResolverAddr, q)
 }
 
 // Domain returns the spec of a domain in the universe.

@@ -81,13 +81,6 @@ func (z *Zone) AttachSynth(src SynthSource) {
 	z.synthRecords = genCache[dns.Name, []dns.RR]{}
 }
 
-// HasSynth reports whether a lazy record source is attached.
-func (z *Zone) HasSynth() bool {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.synth != nil
-}
-
 // MaterializedNames returns how many synthesized owners currently hold
 // derived records (tests and memory introspection); at most genCacheCap.
 func (z *Zone) MaterializedNames() int {
