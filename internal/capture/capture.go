@@ -357,99 +357,13 @@ func (a *Analyzer) ObservedDomains() []dns.Name {
 	return out
 }
 
-// Merge folds another analyzer's observations into a. Counters add, the
-// per-domain case table unions with Case-1 dominance (matching
-// classifyLookaside), and hashed labels union. Sharded audits use it to
-// combine per-shard analyzers into one report identical to what a single
-// analyzer over the combined traffic would produce.
+// Merge folds another analyzer's observations into a: an export of o
+// imported into a, so merging, checkpoint resume and the sharded report all
+// fold the same State by the same rules (ImportState). o is copied under
+// its own lock and folded under a's, so the two are never held together.
 func (a *Analyzer) Merge(o *Analyzer) {
 	if o == nil || o == a {
 		return
 	}
-	// Snapshot o under its own lock, then fold under a's lock, so the two
-	// locks are never held together (no ordering deadlock risk).
-	o.mu.Lock()
-	events := o.events
-	bytesTotal := o.bytesTotal
-	byType := make(map[dns.Type]int, len(o.queriesByType))
-	for k, v := range o.queriesByType {
-		byType[k] = v
-	}
-	byRole := make(map[simnet.Role]int, len(o.queriesByRole))
-	for k, v := range o.queriesByRole {
-		byRole[k] = v
-	}
-	bytesByRole := make(map[simnet.Role]int64, len(o.bytesByRole))
-	for k, v := range o.bytesByRole {
-		bytesByRole[k] = v
-	}
-	domains := make(map[dns.Name]Case, len(o.dlvDomains))
-	for k, v := range o.dlvDomains {
-		domains[k] = v
-	}
-	labels := make([]string, 0, len(o.hashedLabels))
-	for l := range o.hashedLabels {
-		labels = append(labels, l)
-	}
-	byClient := make(map[netip.Addr]*clientObs, len(o.byClient))
-	for client, obs := range o.byClient {
-		cp := newClientObs()
-		cp.queries = obs.queries
-		for d, n := range obs.domains {
-			cp.domains[d] = n
-		}
-		for d, c := range obs.cases {
-			cp.cases[d] = c
-		}
-		for l, n := range obs.hashed {
-			cp.hashed[l] = n
-		}
-		byClient[client] = cp
-	}
-	dlvQueries, dlvNoError, dlvNXDomain := o.dlvQueries, o.dlvNoError, o.dlvNXDomain
-	o.mu.Unlock()
-
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.events += events
-	a.bytesTotal += bytesTotal
-	for k, v := range byType {
-		a.queriesByType[k] += v
-	}
-	for k, v := range byRole {
-		a.queriesByRole[k] += v
-	}
-	for k, v := range bytesByRole {
-		a.bytesByRole[k] += v
-	}
-	a.dlvQueries += dlvQueries
-	a.dlvNoError += dlvNoError
-	a.dlvNXDomain += dlvNXDomain
-	for d, c := range domains {
-		if prev, seen := a.dlvDomains[d]; !seen || prev == Case2 {
-			a.dlvDomains[d] = c
-		}
-	}
-	for _, l := range labels {
-		a.hashedLabels[l] = true
-	}
-	for client, obs := range byClient {
-		dst, ok := a.byClient[client]
-		if !ok {
-			a.byClient[client] = obs
-			continue
-		}
-		dst.queries += obs.queries
-		for d, n := range obs.domains {
-			dst.domains[d] += n
-		}
-		for d, c := range obs.cases {
-			if prev, seen := dst.cases[d]; !seen || prev == Case2 {
-				dst.cases[d] = c
-			}
-		}
-		for l, n := range obs.hashed {
-			dst.hashed[l] += n
-		}
-	}
+	a.ImportState(o.ExportState())
 }

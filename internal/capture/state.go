@@ -99,10 +99,12 @@ func (a *Analyzer) ExportState() *State {
 	return st
 }
 
-// ImportState folds an exported state into the analyzer with the same
-// semantics as Merge: counters add, the case tables union with Case-1
-// dominance. Importing into a fresh analyzer reproduces the exporter
-// exactly; sweep resume restores each completed shard this way.
+// ImportState folds an exported state into the analyzer: counters add, the
+// per-domain case tables union with Case-1 dominance (matching
+// classifyLookaside), hashed labels union. Importing into a fresh analyzer
+// reproduces the exporter exactly, and folding the states of several
+// analyzers gives what one analyzer over their combined traffic would hold;
+// Merge, sweep resume and the sharded report are all this one fold.
 func (a *Analyzer) ImportState(st *State) {
 	if st == nil {
 		return

@@ -266,12 +266,13 @@ func (a *Auditor) Report() Report {
 	}
 }
 
-// histPercentiles computes the same nearest-rank percentiles as percentiles
-// but from a value-count histogram: the p-th percentile is the smallest
-// value whose cumulative count reaches rank ceil(p·n), which is exactly the
-// 1-based rank-R element of the sorted sample (TestHistPercentilesMatch
-// pins the equivalence). Sharded reports merge per-shard histograms by
-// addition and call this once, never materializing the pooled sample.
+// histPercentiles computes the nearest-rank (Hyndman-Fan type 1) 50th and
+// 95th percentile from a value-count histogram: the p-th percentile is the
+// smallest value whose cumulative count reaches rank ceil(p·n), which is
+// exactly the 1-based rank-R element of the sorted sample
+// (TestHistPercentilesMatch pins the equivalence against a sort of the raw
+// sample). Sharded reports merge per-shard histograms by addition and call
+// this once, never materializing the pooled sample.
 func histPercentiles(hist map[time.Duration]int, n int) (p50, p95 time.Duration) {
 	if n == 0 {
 		return 0, 0
@@ -296,31 +297,6 @@ func histPercentiles(hist map[time.Duration]int, n int) (p50, p95 time.Duration)
 		}
 	}
 	return p50, p95
-}
-
-// percentiles computes the nearest-rank (RFC-free, Hyndman-Fan type 1) 50th
-// and 95th percentile of a latency sample: the value at 1-based rank
-// ceil(p·n). The sample is copied into scratch (grown as needed) and sorted
-// there, so per-report allocation is amortized away; the possibly regrown
-// scratch is returned for reuse.
-func percentiles(samples, scratch []time.Duration) (p50, p95 time.Duration, _ []time.Duration) {
-	n := len(samples)
-	if n == 0 {
-		return 0, 0, scratch
-	}
-	scratch = append(scratch[:0], samples...)
-	slices.Sort(scratch)
-	rank := func(p float64) int {
-		i := int(math.Ceil(p*float64(n))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		return i
-	}
-	return scratch[rank(0.50)], scratch[rank(0.95)], scratch
 }
 
 // hash64 is FNV-1a, kept local to avoid a dependency for one helper.

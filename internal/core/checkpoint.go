@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"net/netip"
 	"os"
 	"slices"
 	"time"
@@ -109,440 +109,107 @@ func (c *Checkpoint) Matches(universeFP, configFP string, population, shards int
 }
 
 // EncodeCheckpoint serializes a checkpoint.
-func EncodeCheckpoint(c *Checkpoint) []byte {
-	b := snapshot.NewBuilder(CheckpointMagic, CheckpointVersion)
-	nt := snapshot.NewNameTable()
-
-	meta := b.Section(ckSecMeta)
-	meta.String(c.UniverseFP)
-	meta.String(c.ConfigFP)
-	meta.Uvarint(uint64(c.Population))
-	meta.Uvarint(uint64(c.Shards))
-
-	names := b.Section(ckSecNames) // filled after shard states intern refs
-
-	sh := b.Section(ckSecShards)
-	idx := make([]int, 0, len(c.States))
-	for i := range c.States {
-		idx = append(idx, i)
-	}
-	slices.Sort(idx)
-	sh.Uvarint(uint64(len(idx)))
-	for _, i := range idx {
-		sh.Uvarint(uint64(i))
-		encodeShardState(sh, nt, c.States[i])
-	}
-
-	nt.Encode(names)
-	return b.Finish()
-}
-
-// encodeShardState writes one shard's state.
-func encodeShardState(e *snapshot.Enc, nt *snapshot.NameTable, st *ShardState) {
-	e.Uvarint(uint64(st.Queried))
-	e.Uvarint(uint64(st.StubQueries))
-	e.Uvarint(uint64(st.SecureAnswers))
-	e.Uvarint(uint64(st.Servfails))
-	for _, v := range st.Stats.Fields() {
-		e.Uvarint(uint64(*v))
-	}
-	e.Uvarint(uint64(st.Elapsed))
-	e.Uvarint(uint64(st.LatCount))
-	e.Uvarint(uint64(len(st.Lat)))
-	for _, bin := range st.Lat {
-		e.Uvarint(uint64(bin.Value))
-		e.Uvarint(uint64(bin.Count))
-	}
-	encodeCaptureState(e, nt, st.Capture)
-}
-
-// encodeCaptureState writes the capture analyzer state with all maps in
-// sorted key order, so checkpoint bytes are deterministic.
-func encodeCaptureState(e *snapshot.Enc, nt *snapshot.NameTable, st *capture.State) {
-	e.Uvarint(uint64(st.Events))
-	e.Uvarint(uint64(st.BytesTotal))
-
-	types := make([]dns.Type, 0, len(st.QueriesByType))
-	for t := range st.QueriesByType {
-		types = append(types, t)
-	}
-	slices.Sort(types)
-	e.Uvarint(uint64(len(types)))
-	for _, t := range types {
-		e.Uvarint(uint64(t))
-		e.Uvarint(uint64(st.QueriesByType[t]))
-	}
-
-	roles := make([]simnet.Role, 0, len(st.QueriesByRole))
-	for r := range st.QueriesByRole {
-		roles = append(roles, r)
-	}
-	slices.Sort(roles)
-	e.Uvarint(uint64(len(roles)))
-	for _, r := range roles {
-		e.Uvarint(uint64(r))
-		e.Uvarint(uint64(st.QueriesByRole[r]))
-	}
-
-	roles = roles[:0]
-	for r := range st.BytesByRole {
-		roles = append(roles, r)
-	}
-	slices.Sort(roles)
-	e.Uvarint(uint64(len(roles)))
-	for _, r := range roles {
-		e.Uvarint(uint64(r))
-		e.Uvarint(uint64(st.BytesByRole[r]))
-	}
-
-	e.Uvarint(uint64(st.DLVQueries))
-	e.Uvarint(uint64(st.DLVNoError))
-	e.Uvarint(uint64(st.DLVNXDomain))
-
-	domains := sortedNames(st.Domains)
-	e.Uvarint(uint64(len(domains)))
-	for _, d := range domains {
-		e.Uvarint(nt.Ref(d))
-		e.Uvarint(uint64(st.Domains[d]))
-	}
-
-	e.Uvarint(uint64(len(st.HashedLabels)))
-	for _, l := range st.HashedLabels {
-		e.String(l)
-	}
-
-	e.Uvarint(uint64(len(st.Clients)))
-	for i := range st.Clients {
-		cs := &st.Clients[i]
-		e.Bytes(addrBytes(cs.Client))
-		e.Uvarint(uint64(cs.Queries))
-		cd := sortedNames(cs.Domains)
-		e.Uvarint(uint64(len(cd)))
-		for _, d := range cd {
-			e.Uvarint(nt.Ref(d))
-			e.Uvarint(uint64(cs.Domains[d]))
-		}
-		cc := sortedNames(cs.Cases)
-		e.Uvarint(uint64(len(cc)))
-		for _, d := range cc {
-			e.Uvarint(nt.Ref(d))
-			e.Uvarint(uint64(cs.Cases[d]))
-		}
-		labels := make([]string, 0, len(cs.Hashed))
-		for l := range cs.Hashed {
-			labels = append(labels, l)
-		}
-		slices.Sort(labels)
-		e.Uvarint(uint64(len(labels)))
-		for _, l := range labels {
-			e.String(l)
-			e.Uvarint(uint64(cs.Hashed[l]))
-		}
-	}
+func EncodeCheckpoint(ck *Checkpoint) []byte {
+	c := snapshot.NewEncoder(CheckpointMagic, CheckpointVersion)
+	checkpointLayout(c, ck)
+	return c.Finish()
 }
 
 // DecodeCheckpoint parses checkpoint bytes. Like snapshot.Decode it is a
 // pure, fully bounds-checked function of the input; binding the result to a
 // live sweep (Matches) is the caller's second step.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	r, err := snapshot.Parse(data, CheckpointMagic, CheckpointVersion)
+	c, err := snapshot.NewDecoder(data, CheckpointMagic, CheckpointVersion)
 	if err != nil {
 		return nil, err
 	}
-
-	meta, err := r.Section(ckSecMeta)
-	if err != nil {
+	ck := &Checkpoint{}
+	checkpointLayout(c, ck)
+	if err := c.Done(); err != nil {
 		return nil, err
 	}
-	c := &Checkpoint{States: make(map[int]*ShardState)}
-	if c.UniverseFP, err = meta.String(); err != nil {
-		return nil, err
-	}
-	if c.ConfigFP, err = meta.String(); err != nil {
-		return nil, err
-	}
-	if c.Population, err = decInt(meta); err != nil {
-		return nil, err
-	}
-	if c.Shards, err = decInt(meta); err != nil {
-		return nil, err
-	}
-	if err := meta.Done(); err != nil {
-		return nil, err
-	}
-
-	nsec, err := r.Section(ckSecNames)
-	if err != nil {
-		return nil, err
-	}
-	names, err := snapshot.DecodeNames(nsec)
-	if err != nil {
-		return nil, err
-	}
-	if err := nsec.Done(); err != nil {
-		return nil, err
-	}
-
-	sh, err := r.Section(ckSecShards)
-	if err != nil {
-		return nil, err
-	}
-	n, err := sh.Count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		idx, err := decInt(sh)
-		if err != nil {
-			return nil, err
-		}
-		if idx < 0 || (c.Shards > 0 && idx >= c.Shards) {
-			return nil, fmt.Errorf("%w: shard index %d of %d", snapshot.ErrCorrupt, idx, c.Shards)
-		}
-		if _, dup := c.States[idx]; dup {
-			return nil, fmt.Errorf("%w: duplicate shard %d", snapshot.ErrCorrupt, idx)
-		}
-		st, err := decodeShardState(sh, names)
-		if err != nil {
-			return nil, err
-		}
-		c.States[idx] = st
-	}
-	if err := sh.Done(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return ck, nil
 }
 
-// decodeShardState reads one shard's state.
-func decodeShardState(d *snapshot.Dec, names []dns.Name) (*ShardState, error) {
-	st := &ShardState{}
-	var err error
-	if st.Queried, err = decInt(d); err != nil {
-		return nil, err
+// checkpointLayout is the DLVC version-1 file: the sections in order and,
+// through the functions below, every field of a shard's state, with every
+// map in sorted key order so the bytes are deterministic. Changing any of
+// them — a new resolver.Stats field included, since Fields() enumerates the
+// counters written — changes the bytes (TestCheckpointGoldenBytes) and
+// needs a CheckpointVersion bump.
+func checkpointLayout(c *snapshot.Codec, ck *Checkpoint) {
+	c.Section(ckSecMeta)
+	snapshot.String(c, &ck.UniverseFP)
+	snapshot.String(c, &ck.ConfigFP)
+	snapshot.Count(c, &ck.Population)
+	snapshot.Count(c, &ck.Shards)
+	c.NameTable(ckSecNames)
+	c.Section(ckSecShards)
+	// A shard index outside the declared partition is refused; an encoder
+	// writes whatever it is handed.
+	maxIndex := uint64(math.MaxInt64)
+	if ck.Shards > 0 {
+		maxIndex = uint64(ck.Shards - 1)
 	}
-	if st.StubQueries, err = decInt(d); err != nil {
-		return nil, err
+	shardIndex := func(c *snapshot.Codec, i *int) { snapshot.Num(c, i, maxIndex, "shard index") }
+	snapshot.Map(c, &ck.States, cmp.Compare[int], shardIndex, shardState)
+}
+
+func shardState(c *snapshot.Codec, p **ShardState) {
+	if c.Decoding() {
+		*p = &ShardState{Capture: &capture.State{}}
 	}
-	if st.SecureAnswers, err = decInt(d); err != nil {
-		return nil, err
-	}
-	if st.Servfails, err = decInt(d); err != nil {
-		return nil, err
-	}
+	st := *p
+	snapshot.Count(c, &st.Queried)
+	snapshot.Count(c, &st.StubQueries)
+	snapshot.Count(c, &st.SecureAnswers)
+	snapshot.Count(c, &st.Servfails)
 	for _, f := range st.Stats.Fields() {
-		if *f, err = decInt(d); err != nil {
-			return nil, err
-		}
+		snapshot.Count(c, f)
 	}
-	elapsed, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if elapsed > math.MaxInt64 {
-		return nil, fmt.Errorf("%w: elapsed %d", snapshot.ErrCorrupt, elapsed)
-	}
-	st.Elapsed = time.Duration(elapsed)
-	if st.LatCount, err = decInt(d); err != nil {
-		return nil, err
-	}
-	nb, err := d.Count()
-	if err != nil {
-		return nil, err
-	}
-	st.Lat = make([]LatBin, 0, nb)
-	for i := 0; i < nb; i++ {
-		v, err := d.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if v > math.MaxInt64 {
-			return nil, fmt.Errorf("%w: latency value %d", snapshot.ErrCorrupt, v)
-		}
-		cnt, err := decInt(d)
-		if err != nil {
-			return nil, err
-		}
-		st.Lat = append(st.Lat, LatBin{Value: time.Duration(v), Count: cnt})
-	}
-	if st.Capture, err = decodeCaptureState(d, names); err != nil {
-		return nil, err
-	}
-	return st, nil
+	snapshot.Count(c, &st.Elapsed)
+	snapshot.Count(c, &st.LatCount)
+	snapshot.Slice(c, &st.Lat, latBin)
+	captureState(c, st.Capture)
 }
 
-// decodeCaptureState reads the capture analyzer state.
-func decodeCaptureState(d *snapshot.Dec, names []dns.Name) (*capture.State, error) {
-	st := &capture.State{
-		QueriesByType: make(map[dns.Type]int),
-		QueriesByRole: make(map[simnet.Role]int),
-		BytesByRole:   make(map[simnet.Role]int64),
-		Domains:       make(map[dns.Name]capture.Case),
-	}
-	var err error
-	if st.Events, err = decInt(d); err != nil {
-		return nil, err
-	}
-	bt, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if bt > math.MaxInt64 {
-		return nil, fmt.Errorf("%w: byte total %d", snapshot.ErrCorrupt, bt)
-	}
-	st.BytesTotal = int64(bt)
+func latBin(c *snapshot.Codec, b *LatBin) {
+	snapshot.Count(c, &b.Value)
+	snapshot.Count(c, &b.Count)
+}
 
-	n, err := d.Count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		t, err := d.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if t > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: query type %d", snapshot.ErrCorrupt, t)
-		}
-		if st.QueriesByType[dns.Type(t)], err = decInt(d); err != nil {
-			return nil, err
-		}
-	}
+func captureState(c *snapshot.Codec, st *capture.State) {
+	snapshot.Count(c, &st.Events)
+	snapshot.Count(c, &st.BytesTotal)
+	snapshot.Map(c, &st.QueriesByType, cmp.Compare[dns.Type], queryType, snapshot.Count[int])
+	snapshot.Map(c, &st.QueriesByRole, cmp.Compare[simnet.Role], snapshot.Count[simnet.Role], snapshot.Count[int])
+	snapshot.Map(c, &st.BytesByRole, cmp.Compare[simnet.Role], snapshot.Count[simnet.Role], snapshot.Count[int64])
+	snapshot.Count(c, &st.DLVQueries)
+	snapshot.Count(c, &st.DLVNoError)
+	snapshot.Count(c, &st.DLVNXDomain)
+	snapshot.Map(c, &st.Domains, dns.CanonicalCompare, snapshot.Name, leakCase)
+	snapshot.Slice(c, &st.HashedLabels, snapshot.String)
+	snapshot.Slice(c, &st.Clients, clientState)
+}
 
-	if n, err = d.Count(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		role, err := decInt(d)
-		if err != nil {
-			return nil, err
-		}
-		if st.QueriesByRole[simnet.Role(role)], err = decInt(d); err != nil {
-			return nil, err
-		}
-	}
+func clientState(c *snapshot.Codec, cs *capture.ClientState) {
+	snapshot.Addr(c, &cs.Client)
+	snapshot.Count(c, &cs.Queries)
+	snapshot.Map(c, &cs.Domains, dns.CanonicalCompare, snapshot.Name, snapshot.Count[int])
+	snapshot.Map(c, &cs.Cases, dns.CanonicalCompare, snapshot.Name, leakCase)
+	snapshot.Map(c, &cs.Hashed, cmp.Compare[string], snapshot.String, snapshot.Count[int])
+}
 
-	if n, err = d.Count(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		role, err := decInt(d)
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if v > math.MaxInt64 {
-			return nil, fmt.Errorf("%w: role bytes %d", snapshot.ErrCorrupt, v)
-		}
-		st.BytesByRole[simnet.Role(role)] = int64(v)
-	}
+func queryType(c *snapshot.Codec, t *dns.Type) {
+	snapshot.Num(c, t, math.MaxUint16, "query type")
+}
 
-	if st.DLVQueries, err = decInt(d); err != nil {
-		return nil, err
+// leakCase moves a leak-case value, refusing anything but Case1 / Case2.
+func leakCase(c *snapshot.Codec, v *capture.Case) {
+	snapshot.Num(c, v, uint64(capture.Case2), "leak case")
+	if *v < capture.Case1 {
+		c.Corrupt("leak case %d", *v)
 	}
-	if st.DLVNoError, err = decInt(d); err != nil {
-		return nil, err
-	}
-	if st.DLVNXDomain, err = decInt(d); err != nil {
-		return nil, err
-	}
-
-	if n, err = d.Count(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		name, err := decName(d, names)
-		if err != nil {
-			return nil, err
-		}
-		c, err := decCase(d)
-		if err != nil {
-			return nil, err
-		}
-		st.Domains[name] = c
-	}
-
-	if n, err = d.Count(); err != nil {
-		return nil, err
-	}
-	st.HashedLabels = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		l, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		st.HashedLabels = append(st.HashedLabels, l)
-	}
-
-	if n, err = d.Count(); err != nil {
-		return nil, err
-	}
-	st.Clients = make([]capture.ClientState, 0, n)
-	for i := 0; i < n; i++ {
-		cs := capture.ClientState{
-			Domains: make(map[dns.Name]int),
-			Cases:   make(map[dns.Name]capture.Case),
-			Hashed:  make(map[string]int),
-		}
-		raw, err := d.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		if len(raw) > 0 {
-			a, ok := netip.AddrFromSlice(raw)
-			if !ok {
-				return nil, fmt.Errorf("%w: %d-byte client address", snapshot.ErrCorrupt, len(raw))
-			}
-			cs.Client = a
-		}
-		if cs.Queries, err = decInt(d); err != nil {
-			return nil, err
-		}
-		nd, err := d.Count()
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nd; j++ {
-			name, err := decName(d, names)
-			if err != nil {
-				return nil, err
-			}
-			if cs.Domains[name], err = decInt(d); err != nil {
-				return nil, err
-			}
-		}
-		if nd, err = d.Count(); err != nil {
-			return nil, err
-		}
-		for j := 0; j < nd; j++ {
-			name, err := decName(d, names)
-			if err != nil {
-				return nil, err
-			}
-			c, err := decCase(d)
-			if err != nil {
-				return nil, err
-			}
-			cs.Cases[name] = c
-		}
-		if nd, err = d.Count(); err != nil {
-			return nil, err
-		}
-		for j := 0; j < nd; j++ {
-			l, err := d.String()
-			if err != nil {
-				return nil, err
-			}
-			if cs.Hashed[l], err = decInt(d); err != nil {
-				return nil, err
-			}
-		}
-		st.Clients = append(st.Clients, cs)
-	}
-	return st, nil
 }
 
 // SaveCheckpoint writes a checkpoint atomically (temp + rename), so a sweep
@@ -558,57 +225,4 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return DecodeCheckpoint(data)
-}
-
-// decInt reads a non-negative int.
-func decInt(d *snapshot.Dec) (int, error) {
-	v, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt64 {
-		return 0, fmt.Errorf("%w: integer %d", snapshot.ErrCorrupt, v)
-	}
-	return int(v), nil
-}
-
-// decName reads a name-table reference.
-func decName(d *snapshot.Dec, names []dns.Name) (dns.Name, error) {
-	ref, err := d.Uvarint()
-	if err != nil {
-		return "", err
-	}
-	return snapshot.NameAt(names, ref)
-}
-
-// decCase reads a leak-case value, rejecting anything but Case1/Case2.
-func decCase(d *snapshot.Dec) (capture.Case, error) {
-	v, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	c := capture.Case(v)
-	if c != capture.Case1 && c != capture.Case2 {
-		return 0, fmt.Errorf("%w: leak case %d", snapshot.ErrCorrupt, v)
-	}
-	return c, nil
-}
-
-// sortedNames returns a map's name keys in canonical order.
-func sortedNames[V any](m map[dns.Name]V) []dns.Name {
-	out := make([]dns.Name, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	slices.SortFunc(out, func(a, b dns.Name) int { return dns.CanonicalCompare(a, b) })
-	return out
-}
-
-// addrBytes serializes a client address (empty for the zero value).
-func addrBytes(a netip.Addr) []byte {
-	if !a.IsValid() {
-		return nil
-	}
-	raw, _ := a.MarshalBinary()
-	return raw
 }

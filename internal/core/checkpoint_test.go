@@ -2,16 +2,20 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"net/netip"
 	"reflect"
 	"testing"
 
 	"github.com/dnsprivacy/lookaside/internal/capture"
+	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dns"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
 	"github.com/dnsprivacy/lookaside/internal/simnet"
 	"github.com/dnsprivacy/lookaside/internal/snapshot"
+	"github.com/dnsprivacy/lookaside/internal/universe"
 )
 
 // buildCheckpoint runs a small sharded audit and checkpoints every shard,
@@ -19,6 +23,34 @@ import (
 func buildCheckpoint(t *testing.T, shards int) (*Checkpoint, string, string) {
 	t.Helper()
 	u, pop := buildUniverse(t, 5)
+	return checkpointOf(t, u, pop, shards)
+}
+
+// hashedCheckpoint is buildCheckpoint on a hashed-registry twin of the same
+// world, so HashedLabels and the per-client Hashed maps are non-empty.
+func hashedCheckpoint(t *testing.T, shards int) *Checkpoint {
+	t.Helper()
+	pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: 300, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := universe.Build(universe.Options{
+		Seed: 5, Population: pop, Extra: dataset.SecureDomains(), RegistryHashed: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, _, _ := checkpointOf(t, u, pop, shards)
+	if len(ck.States[0].Capture.HashedLabels) == 0 || len(ck.States[0].Capture.Clients[0].Hashed) == 0 {
+		t.Fatal("hashed fixture recorded no hash labels")
+	}
+	return ck
+}
+
+// checkpointOf audits the top 80 domains of a world on the given number of
+// shards and checkpoints all of them.
+func checkpointOf(t *testing.T, u *universe.Universe, pop *dataset.Population, shards int) (*Checkpoint, string, string) {
+	t.Helper()
 	cfg := auditorConfig(u)
 	s, err := NewShardedAuditor(u, ShardedOptions{Options: cfg, Workers: shards})
 	if err != nil {
@@ -80,6 +112,31 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointGoldenBytes pins the DLVC version-1 layout byte for byte, on
+// the plain fixture and on a hashed-registry twin of it (so HashedLabels and
+// the per-client Hashed maps are written too). The digests were recorded
+// from the tree before the section layouts moved onto the Codec; a change
+// that moves them on purpose bumps CheckpointVersion.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	plain, _, _ := buildCheckpoint(t, 4)
+	hashed := hashedCheckpoint(t, 4)
+	for _, g := range []struct {
+		name   string
+		ck     *Checkpoint
+		size   int
+		sha256 string
+	}{
+		{"plain", plain, 1342, "74a0700d9b069a6c6d2196c9a23d85be9b60409b7f8ff1f80e103e3a57ae5c8a"},
+		{"hashed", hashed, 9575, "5ce715bf222e7e48c7da8ff45c0df1d31ba1862e019afeeb00362e0a450d9cb9"},
+	} {
+		data := EncodeCheckpoint(g.ck)
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); len(data) != g.size || got != g.sha256 {
+			t.Errorf("%s: %d bytes sha256 %s, want %d bytes %s", g.name, len(data), got, g.size, g.sha256)
+		}
+	}
+}
+
 // TestCheckpointMatches pins the identity gate: every mismatched dimension
 // is refused with ErrMismatch, an exact match is accepted.
 func TestCheckpointMatches(t *testing.T) {
@@ -126,9 +183,47 @@ func TestCheckpointDecodeRefusals(t *testing.T) {
 }
 
 // FuzzCheckpointDecode extends the fuzz-safety contract to the checkpoint
-// format: arbitrary bytes never panic and never yield partial state.
+// format: arbitrary bytes never panic and never yield partial state, and
+// whatever is accepted is exactly what EncodeCheckpoint writes for it — the
+// decoder takes no second spelling of any state.
 func FuzzCheckpointDecode(f *testing.F) {
-	ck := &Checkpoint{
+	valid := EncodeCheckpoint(seedCheckpoint())
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)/2])
+	for i := 1; i < len(valid); i += 11 {
+		flipped := append([]byte(nil), valid...)
+		flipped[i] ^= 0x20
+		f.Add(flipped)
+	}
+	check := func(t *testing.T, data []byte) {
+		c, err := DecodeCheckpoint(data)
+		if err != nil {
+			if c != nil {
+				t.Fatal("DecodeCheckpoint returned a checkpoint alongside an error")
+			}
+			return
+		}
+		if !bytes.Equal(EncodeCheckpoint(c), data) {
+			t.Fatal("accepted bytes are not the ones the checkpoint encodes to")
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		// Nearly every mutation dies at the checksum; with the trailer
+		// recomputed the same bytes exercise the section layouts.
+		if len(data) >= 8 {
+			resealed := append([]byte(nil), data...)
+			reseal(resealed)
+			check(t, resealed)
+		}
+	})
+}
+
+// seedCheckpoint hand-builds a one-shard checkpoint with every field of a
+// shard state populated, without the cost of running an audit.
+func seedCheckpoint() *Checkpoint {
+	return &Checkpoint{
 		UniverseFP: "u", ConfigFP: "c", Population: 10, Shards: 2,
 		States: map[int]*ShardState{0: {
 			Queried: 5, StubQueries: 5, Stats: resolver.Stats{Resolutions: 5},
@@ -150,25 +245,4 @@ func FuzzCheckpointDecode(f *testing.F) {
 			},
 		}},
 	}
-	valid := EncodeCheckpoint(ck)
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add(valid[:len(valid)/2])
-	for i := 1; i < len(valid); i += 11 {
-		flipped := append([]byte(nil), valid...)
-		flipped[i] ^= 0x20
-		f.Add(flipped)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeCheckpoint(data)
-		if err != nil {
-			if c != nil {
-				t.Fatal("DecodeCheckpoint returned a checkpoint alongside an error")
-			}
-			return
-		}
-		if _, err := DecodeCheckpoint(EncodeCheckpoint(c)); err != nil {
-			t.Fatalf("re-decoding an accepted checkpoint failed: %v", err)
-		}
-	})
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/capture"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dnssec"
-	"github.com/dnsprivacy/lookaside/internal/resolver"
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
 
@@ -52,9 +51,9 @@ type ShardedAuditor struct {
 	auditors    []*Auditor
 	parallelism int
 	// restored[i], when non-nil, is shard i's imported checkpoint state:
-	// QueryDomains skips the shard's block and Report substitutes the
-	// state, so a resumed sweep merges to the same report as an
-	// uninterrupted one.
+	// QueryDomains skips the shard's block and ExportShardState returns the
+	// state in place of the idle auditor's, so a resumed sweep merges to
+	// the same report as an uninterrupted one.
 	restored    []*ShardState
 	onShardDone func(int)
 }
@@ -173,76 +172,36 @@ func (s *ShardedAuditor) QueryDomains(domains []dataset.Domain) error {
 	return errors.Join(errs...)
 }
 
-// Report merges the per-shard reports as a stream: counters and query-mix
-// tables sum, observed-domain sets union (Case-1 dominating, as in live
-// capture), per-shard latency histograms add (so percentiles come from the
+// Report folds every shard's exported state, in shard order: counters and
+// query-mix tables sum, observed-domain sets union (Case-1 dominating, as
+// in live capture), latency histograms add (so percentiles come from the
 // exact pooled distribution without materializing one sample per query),
 // and Elapsed is the slowest shard's simulated time — the parallel
-// wall-clock analogue. Merge state is O(shards + distinct latency values),
-// independent of workload size.
+// wall-clock analogue. A shard that ran here and one restored from a
+// checkpoint go through the same fold, so they cannot be told apart. Merge
+// state is O(shards + distinct latency values), independent of workload
+// size.
 func (s *ShardedAuditor) Report() Report {
 	merged := capture.NewAnalyzer(analyzerConfig(s.u))
-	var stats resolver.Stats
-	var queried, stubQueries, secure, servfails int
-	var elapsed time.Duration
+	var rep Report
 	hist := make(map[time.Duration]int)
 	count := 0
-	for i, a := range s.auditors {
-		if st := s.restored[i]; st != nil {
-			merged.ImportState(st.Capture)
-			stats = stats.Plus(st.Stats)
-			queried += st.Queried
-			stubQueries += st.StubQueries
-			secure += st.SecureAnswers
-			servfails += st.Servfails
-			for _, bin := range st.Lat {
-				hist[bin.Value] += bin.Count
-			}
-			count += st.LatCount
-			if st.Elapsed > elapsed {
-				elapsed = st.Elapsed
-			}
-			continue
+	for i := range s.auditors {
+		st := s.ExportShardState(i)
+		merged.ImportState(st.Capture)
+		rep.ResolverStats = rep.ResolverStats.Plus(st.Stats)
+		rep.QueriedDomains += st.Queried
+		rep.StubQueries += st.StubQueries
+		rep.SecureAnswers += st.SecureAnswers
+		rep.Servfails += st.Servfails
+		rep.Elapsed = max(rep.Elapsed, st.Elapsed)
+		for _, bin := range st.Lat {
+			hist[bin.Value] += bin.Count
 		}
-		merged.Merge(a.analyzer)
-		stats = stats.Plus(a.r.Stats())
-		queried += a.queried
-		stubQueries += a.stubQueries
-		secure += a.secureAnswers
-		servfails += a.servfails
-		for v, n := range a.latHist {
-			hist[v] += n
-		}
-		count += a.latCount
-		if d := a.shard.Now() - a.started; d > elapsed {
-			elapsed = d
-		}
+		count += st.LatCount
 	}
-	p50, p95 := histPercentiles(hist, count)
-	return Report{
-		QueriedDomains: queried,
-		SecureAnswers:  secure,
-		StubQueries:    stubQueries,
-		Servfails:      servfails,
-		Capture:        merged.Snapshot(),
-		ResolverStats:  stats,
-		Elapsed:        elapsed,
-		LatencyP50:     p50,
-		LatencyP95:     p95,
-		observed:       merged.ObservedDomains(),
-	}
-}
-
-// ResolverStats returns the summed per-shard resolver counters without
-// building a full report.
-func (s *ShardedAuditor) ResolverStats() resolver.Stats {
-	var stats resolver.Stats
-	for i, a := range s.auditors {
-		if st := s.restored[i]; st != nil {
-			stats = stats.Plus(st.Stats)
-			continue
-		}
-		stats = stats.Plus(a.r.Stats())
-	}
-	return stats
+	rep.LatencyP50, rep.LatencyP95 = histPercentiles(hist, count)
+	rep.Capture = merged.Snapshot()
+	rep.observed = merged.ObservedDomains()
+	return rep
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -110,6 +112,31 @@ func TestBlockBounds(t *testing.T) {
 			t.Fatalf("n=%d c=%d: covered %d ending at %d", tc.n, tc.c, covered, prevHi)
 		}
 	}
+}
+
+// percentiles is the oracle histPercentiles is checked against: the
+// nearest-rank (Hyndman-Fan type 1) 50th and 95th percentile of a raw latency
+// sample, the value at 1-based rank ceil(p·n). The sample is copied into
+// scratch (grown as needed) and sorted there; the possibly regrown scratch
+// is returned for reuse.
+func percentiles(samples, scratch []time.Duration) (p50, p95 time.Duration, _ []time.Duration) {
+	n := len(samples)
+	if n == 0 {
+		return 0, 0, scratch
+	}
+	scratch = append(scratch[:0], samples...)
+	slices.Sort(scratch)
+	rank := func(p float64) int {
+		i := int(math.Ceil(p*float64(n))) - 1
+		if i < 0 {
+			i = 0
+		}
+		if i >= n {
+			i = n - 1
+		}
+		return i
+	}
+	return scratch[rank(0.50)], scratch[rank(0.95)], scratch
 }
 
 // TestPercentilesNearestRank pins the nearest-rank definition on known

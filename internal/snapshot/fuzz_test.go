@@ -1,6 +1,9 @@
 package snapshot_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -64,9 +67,10 @@ func fuzzSeedState() *snapshot.State {
 // FuzzSnapshotDecode pins the fuzz-safety contract of the snapshot format:
 // Decode of arbitrary bytes — truncated, corrupted, bit-flipped — either
 // succeeds or returns an error; it never panics and never returns a state
-// alongside an error. Whatever it accepts must survive a re-encode round
-// trip unchanged, so a fuzz-found "valid" input cannot smuggle in a state
-// the encoder could not have produced semantically.
+// alongside an error. Whatever it accepts is exactly what Encode writes for
+// the decoded state — the decoder takes no second spelling of any state —
+// and survives the round trip unchanged, so a fuzz-found "valid" input
+// cannot smuggle in a state the encoder could not have produced.
 func FuzzSnapshotDecode(f *testing.F) {
 	valid := snapshot.Encode(fuzzSeedState())
 	f.Add(valid)
@@ -79,7 +83,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		flipped[i] ^= 0x40
 		f.Add(flipped)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	check := func(t *testing.T, data []byte) {
 		st, err := snapshot.Decode(data)
 		if err != nil {
 			if st != nil {
@@ -87,12 +91,27 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 			return
 		}
-		again, err := snapshot.Decode(snapshot.Encode(st))
+		canon := snapshot.Encode(st)
+		if !bytes.Equal(canon, data) {
+			t.Fatal("accepted bytes are not the ones the state encodes to")
+		}
+		again, err := snapshot.Decode(canon)
 		if err != nil {
 			t.Fatalf("re-decoding an accepted state failed: %v", err)
 		}
 		if !reflect.DeepEqual(st, again) {
 			t.Fatal("accepted state does not round-trip")
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		// Nearly every mutation dies at the checksum; with the trailer
+		// recomputed the same bytes exercise the section layouts.
+		if len(data) >= 8 {
+			resealed := append([]byte(nil), data...)
+			body := resealed[:len(resealed)-8]
+			binary.LittleEndian.PutUint64(resealed[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+			check(t, resealed)
 		}
 	})
 }

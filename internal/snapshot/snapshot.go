@@ -3,7 +3,6 @@ package snapshot
 import (
 	"fmt"
 	"math"
-	"net/netip"
 	"os"
 	"path/filepath"
 
@@ -66,88 +65,9 @@ func Capture(u *universe.Universe, cfg resolver.Config, ic *resolver.InfraCache)
 
 // Encode serializes a state to snapshot bytes.
 func Encode(st *State) []byte {
-	b := NewBuilder(Magic, Version)
-	nt := NewNameTable()
-
-	meta := b.Section(secMeta)
-	meta.String(st.UniverseFP)
-	meta.String(st.ConfigFP)
-
-	names := b.Section(secNames) // filled last, once every ref is interned
-
-	deleg := b.Section(secDeleg)
-	deleg.Uvarint(uint64(len(st.Infra.Delegations)))
-	for _, d := range st.Infra.Delegations {
-		deleg.Uvarint(nt.Ref(d.Name))
-		deleg.Uvarint(nt.Ref(d.Parent))
-		deleg.Uvarint(uint64(len(d.Servers)))
-		for _, s := range d.Servers {
-			deleg.Uvarint(nt.Ref(s.Name))
-			deleg.Bytes(encodeAddr(s.Addr))
-		}
-	}
-
-	outc := b.Section(secOutcomes)
-	outc.Uvarint(uint64(len(st.Infra.Outcomes)))
-	for _, o := range st.Infra.Outcomes {
-		outc.Uvarint(nt.Ref(o.Name))
-		outc.Uvarint(uint64(o.Status))
-		var flags uint64
-		if o.Signed {
-			flags |= 1
-		}
-		if o.ViaDLV {
-			flags |= 2
-		}
-		outc.Uvarint(flags)
-		outc.Uvarint(uint64(len(o.Keys)))
-		for _, k := range o.Keys {
-			outc.Uvarint(uint64(k.Flags))
-			outc.Uvarint(uint64(k.Protocol))
-			outc.Uvarint(uint64(k.Algorithm))
-			outc.Bytes(k.PublicKey)
-		}
-	}
-
-	spans := b.Section(secSpans)
-	spans.Uvarint(uint64(len(st.Infra.Spans)))
-	for _, set := range st.Infra.Spans {
-		spans.Uvarint(nt.Ref(set.Zone))
-		spans.Uvarint(uint64(set.Limit))
-		spans.Uvarint(uint64(len(set.Spans)))
-		for _, sp := range set.Spans {
-			spans.Uvarint(nt.Ref(sp.Owner))
-			spans.Uvarint(nt.Ref(sp.Next))
-			spans.Uvarint(uint64(sp.Expires))
-		}
-	}
-
-	zsig := b.Section(secZoneSig)
-	zsig.Uvarint(uint64(len(st.ZoneSigs)))
-	for _, zs := range st.ZoneSigs {
-		zsig.Uvarint(nt.Ref(zs.Apex))
-		zsig.Uvarint(zs.Generation)
-		zsig.Uvarint(uint64(len(zs.Entries)))
-		for _, e := range zs.Entries {
-			data := e.Sig.Data.(*dns.RRSIGData)
-			zsig.Uvarint(nt.Ref(e.Key.Name))
-			zsig.Uvarint(uint64(e.Key.Type))
-			zsig.Uvarint(uint64(e.Key.Class))
-			zsig.Uvarint(uint64(e.Sig.TTL))
-			zsig.Uvarint(uint64(data.TypeCovered))
-			zsig.Uvarint(uint64(data.Algorithm))
-			zsig.Uvarint(uint64(data.Labels))
-			zsig.Uvarint(uint64(data.OriginalTTL))
-			zsig.Uvarint(uint64(data.Expiration))
-			zsig.Uvarint(uint64(data.Inception))
-			zsig.Uvarint(uint64(data.KeyTag))
-			zsig.Uvarint(nt.Ref(data.SignerName))
-			zsig.Bytes(data.Signature)
-		}
-	}
-
-	nt.Encode(names)
-	return b.Finish()
+	c := NewEncoder(Magic, Version)
+	layout(c, st)
+	return c.Finish()
 }
 
 // Decode parses snapshot bytes into a State. It is a pure function of the
@@ -155,331 +75,131 @@ func Encode(st *State) []byte {
 // any kind — truncation, corruption, bit flips — returns an error without
 // panicking (FuzzSnapshotDecode pins this).
 func Decode(data []byte) (*State, error) {
-	r, err := Parse(data, Magic, Version)
-	if err != nil {
-		return nil, err
-	}
-
-	meta, err := r.Section(secMeta)
+	c, err := NewDecoder(data, Magic, Version)
 	if err != nil {
 		return nil, err
 	}
 	st := &State{Infra: &resolver.InfraState{}}
-	if st.UniverseFP, err = meta.String(); err != nil {
-		return nil, err
-	}
-	if st.ConfigFP, err = meta.String(); err != nil {
-		return nil, err
-	}
-	if err := meta.Done(); err != nil {
-		return nil, err
-	}
-
-	nsec, err := r.Section(secNames)
-	if err != nil {
-		return nil, err
-	}
-	names, err := DecodeNames(nsec)
-	if err != nil {
-		return nil, err
-	}
-	if err := nsec.Done(); err != nil {
-		return nil, err
-	}
-	name := func(d *Dec) (dns.Name, error) {
-		ref, err := d.Uvarint()
-		if err != nil {
-			return "", err
-		}
-		return NameAt(names, ref)
-	}
-
-	deleg, err := r.Section(secDeleg)
-	if err != nil {
-		return nil, err
-	}
-	n, err := deleg.Count()
-	if err != nil {
-		return nil, err
-	}
-	// Allocation mirrors the exporters' nil conventions (nil when empty,
-	// allocated otherwise), so Decode(Encode(st)) is DeepEqual to st.
-	if n > 0 {
-		st.Infra.Delegations = make([]resolver.InfraDelegation, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		var d resolver.InfraDelegation
-		if d.Name, err = name(deleg); err != nil {
-			return nil, err
-		}
-		if d.Parent, err = name(deleg); err != nil {
-			return nil, err
-		}
-		ns, err := deleg.Count()
-		if err != nil {
-			return nil, err
-		}
-		d.Servers = make([]resolver.InfraServer, 0, ns)
-		for j := 0; j < ns; j++ {
-			var s resolver.InfraServer
-			if s.Name, err = name(deleg); err != nil {
-				return nil, err
-			}
-			raw, err := deleg.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			if s.Addr, err = decodeAddr(raw); err != nil {
-				return nil, err
-			}
-			d.Servers = append(d.Servers, s)
-		}
-		st.Infra.Delegations = append(st.Infra.Delegations, d)
-	}
-	if err := deleg.Done(); err != nil {
-		return nil, err
-	}
-
-	outc, err := r.Section(secOutcomes)
-	if err != nil {
-		return nil, err
-	}
-	if n, err = outc.Count(); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		st.Infra.Outcomes = make([]resolver.InfraOutcome, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		var o resolver.InfraOutcome
-		if o.Name, err = name(outc); err != nil {
-			return nil, err
-		}
-		status, err := outc.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		o.Status = resolver.ValidationStatus(status)
-		flags, err := outc.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if flags > 3 {
-			return nil, fmt.Errorf("%w: outcome flags %#x", ErrCorrupt, flags)
-		}
-		o.Signed = flags&1 != 0
-		o.ViaDLV = flags&2 != 0
-		nk, err := outc.Count()
-		if err != nil {
-			return nil, err
-		}
-		if nk > 0 {
-			o.Keys = make([]*dns.DNSKEYData, 0, nk)
-		}
-		for j := 0; j < nk; j++ {
-			k := &dns.DNSKEYData{}
-			fields := [3]uint64{}
-			for f := range fields {
-				if fields[f], err = outc.Uvarint(); err != nil {
-					return nil, err
-				}
-			}
-			if fields[0] > math.MaxUint16 || fields[1] > math.MaxUint8 || fields[2] > math.MaxUint8 {
-				return nil, fmt.Errorf("%w: DNSKEY field overflow", ErrCorrupt)
-			}
-			k.Flags = uint16(fields[0])
-			k.Protocol = uint8(fields[1])
-			k.Algorithm = uint8(fields[2])
-			raw, err := outc.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			k.PublicKey = append([]byte(nil), raw...)
-			o.Keys = append(o.Keys, k)
-		}
-		st.Infra.Outcomes = append(st.Infra.Outcomes, o)
-	}
-	if err := outc.Done(); err != nil {
-		return nil, err
-	}
-
-	spans, err := r.Section(secSpans)
-	if err != nil {
-		return nil, err
-	}
-	if n, err = spans.Count(); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		st.Infra.Spans = make([]resolver.InfraSpanSet, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		var set resolver.InfraSpanSet
-		if set.Zone, err = name(spans); err != nil {
-			return nil, err
-		}
-		limit, err := spans.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if limit > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: span limit %d", ErrCorrupt, limit)
-		}
-		set.Limit = int(limit)
-		ns, err := spans.Count()
-		if err != nil {
-			return nil, err
-		}
-		set.Spans = make([]resolver.InfraSpan, 0, ns)
-		for j := 0; j < ns; j++ {
-			var sp resolver.InfraSpan
-			if sp.Owner, err = name(spans); err != nil {
-				return nil, err
-			}
-			if sp.Next, err = name(spans); err != nil {
-				return nil, err
-			}
-			exp, err := spans.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if exp > math.MaxUint32 {
-				return nil, fmt.Errorf("%w: span expiry %d", ErrCorrupt, exp)
-			}
-			sp.Expires = uint32(exp)
-			set.Spans = append(set.Spans, sp)
-		}
-		st.Infra.Spans = append(st.Infra.Spans, set)
-	}
-	if err := spans.Done(); err != nil {
-		return nil, err
-	}
-
-	zsig, err := r.Section(secZoneSig)
-	if err != nil {
-		return nil, err
-	}
-	if n, err = zsig.Count(); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		st.ZoneSigs = make([]*zone.SigState, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		zs := &zone.SigState{}
-		if zs.Apex, err = name(zsig); err != nil {
-			return nil, err
-		}
-		if zs.Generation, err = zsig.Uvarint(); err != nil {
-			return nil, err
-		}
-		ne, err := zsig.Count()
-		if err != nil {
-			return nil, err
-		}
-		zs.Entries = make([]zone.SigEntry, 0, ne)
-		for j := 0; j < ne; j++ {
-			e, err := decodeSigEntry(zsig, name)
-			if err != nil {
-				return nil, err
-			}
-			zs.Entries = append(zs.Entries, e)
-		}
-		st.ZoneSigs = append(st.ZoneSigs, zs)
-	}
-	if err := zsig.Done(); err != nil {
+	layout(c, st)
+	if err := c.Done(); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// decodeSigEntry reads one memoized signature.
-func decodeSigEntry(d *Dec, name func(*Dec) (dns.Name, error)) (zone.SigEntry, error) {
-	var e zone.SigEntry
-	var err error
-	if e.Key.Name, err = name(d); err != nil {
-		return e, err
-	}
-	// Key type/class, RR TTL, then the RRSIG payload fields in order:
-	// covered type, algorithm, labels, original TTL, expiration, inception,
-	// key tag — each bounded by its wire width.
-	fields := [9]uint64{}
-	bounds := [9]uint64{
-		math.MaxUint16, math.MaxUint16, math.MaxUint32,
-		math.MaxUint16, math.MaxUint8, math.MaxUint8,
-		math.MaxUint32, math.MaxUint32, math.MaxUint32,
-	}
-	for f := range fields {
-		if fields[f], err = d.Uvarint(); err != nil {
-			return e, err
-		}
-		if fields[f] > bounds[f] {
-			return e, fmt.Errorf("%w: RRSIG field %d overflow (%d)", ErrCorrupt, f, fields[f])
-		}
-	}
-	keyTag, err := d.Uvarint()
-	if err != nil {
-		return e, err
-	}
-	if keyTag > math.MaxUint16 {
-		return e, fmt.Errorf("%w: RRSIG key tag %d", ErrCorrupt, keyTag)
-	}
-	signer, err := name(d)
-	if err != nil {
-		return e, err
-	}
-	sig, err := d.Bytes()
-	if err != nil {
-		return e, err
-	}
-	e.Key.Type = dns.Type(fields[0])
-	e.Key.Class = dns.Class(fields[1])
-	e.Sig = dns.RR{
-		Name: e.Key.Name, Type: dns.TypeRRSIG,
-		Class: e.Key.Class, TTL: uint32(fields[2]),
-		Data: &dns.RRSIGData{
-			TypeCovered: dns.Type(fields[3]),
-			Algorithm:   uint8(fields[4]),
-			Labels:      uint8(fields[5]),
-			OriginalTTL: uint32(fields[6]),
-			Expiration:  uint32(fields[7]),
-			Inception:   uint32(fields[8]),
-			KeyTag:      uint16(keyTag),
-			SignerName:  signer,
-			Signature:   append([]byte(nil), sig...),
-		},
-	}
-	return e, nil
+// layout is the DLVS version-1 file: the sections in order and, through the
+// functions below, every field of each. Changing any of them changes the
+// bytes (TestSnapshotGoldenBytes) and needs a Version bump.
+func layout(c *Codec, st *State) {
+	c.Section(secMeta)
+	String(c, &st.UniverseFP)
+	String(c, &st.ConfigFP)
+	c.NameTable(secNames)
+	c.Section(secDeleg)
+	Slice(c, &st.Infra.Delegations, delegation)
+	c.Section(secOutcomes)
+	Slice(c, &st.Infra.Outcomes, outcome)
+	c.Section(secSpans)
+	Slice(c, &st.Infra.Spans, spanSet)
+	c.Section(secZoneSig)
+	Slice(c, &st.ZoneSigs, zoneSigs)
 }
 
-// encodeAddr serializes a netip.Addr: empty for the zero value (a glueless
-// server), else the 4- or 16-byte address.
-func encodeAddr(a netip.Addr) []byte {
-	if !a.IsValid() {
-		return nil
-	}
-	raw, _ := a.MarshalBinary()
-	return raw
+func delegation(c *Codec, d *resolver.InfraDelegation) {
+	Name(c, &d.Name)
+	Name(c, &d.Parent)
+	Slice(c, &d.Servers, server)
 }
 
-// decodeAddr inverts encodeAddr, rejecting lengths that are not an address.
-func decodeAddr(raw []byte) (netip.Addr, error) {
-	if len(raw) == 0 {
-		return netip.Addr{}, nil
+func server(c *Codec, s *resolver.InfraServer) {
+	Name(c, &s.Name)
+	Addr(c, &s.Addr)
+}
+
+func outcome(c *Codec, o *resolver.InfraOutcome) {
+	Name(c, &o.Name)
+	// Any status round-trips; RestoreInfra refuses the ones that are not one.
+	Num(c, &o.Status, math.MaxUint64, "validation status")
+	var flags uint8
+	if o.Signed {
+		flags |= 1
 	}
-	a, ok := netip.AddrFromSlice(raw)
-	if !ok {
-		return netip.Addr{}, fmt.Errorf("%w: %d-byte address", ErrCorrupt, len(raw))
+	if o.ViaDLV {
+		flags |= 2
 	}
-	return a, nil
+	Num(c, &flags, 3, "outcome flags")
+	if c.Decoding() {
+		o.Signed, o.ViaDLV = flags&1 != 0, flags&2 != 0
+	}
+	Slice(c, &o.Keys, dnskey)
+}
+
+func dnskey(c *Codec, p **dns.DNSKEYData) {
+	if c.Decoding() {
+		*p = &dns.DNSKEYData{}
+	}
+	k := *p
+	Num(c, &k.Flags, math.MaxUint16, "DNSKEY flags")
+	Num(c, &k.Protocol, math.MaxUint8, "DNSKEY protocol")
+	Num(c, &k.Algorithm, math.MaxUint8, "DNSKEY algorithm")
+	Bytes(c, &k.PublicKey)
+}
+
+func spanSet(c *Codec, set *resolver.InfraSpanSet) {
+	Name(c, &set.Zone)
+	Num(c, &set.Limit, math.MaxInt32, "span limit")
+	Slice(c, &set.Spans, span)
+}
+
+func span(c *Codec, sp *resolver.InfraSpan) {
+	Name(c, &sp.Owner)
+	Name(c, &sp.Next)
+	Num(c, &sp.Expires, math.MaxUint32, "span expiry")
+}
+
+func zoneSigs(c *Codec, p **zone.SigState) {
+	if c.Decoding() {
+		*p = &zone.SigState{}
+	}
+	zs := *p
+	Name(c, &zs.Apex)
+	Num(c, &zs.Generation, math.MaxUint64, "zone generation")
+	Slice(c, &zs.Entries, sigEntry)
+}
+
+// sigEntry is one memoized signature: the RRset key, the RR's TTL, then the
+// RRSIG payload fields, each bounded by its wire width. The RRSIG's owner,
+// type and class are the key's and are not stored twice.
+func sigEntry(c *Codec, e *zone.SigEntry) {
+	data, _ := e.Sig.Data.(*dns.RRSIGData)
+	if c.Decoding() {
+		data = &dns.RRSIGData{}
+	}
+	Name(c, &e.Key.Name)
+	Num(c, &e.Key.Type, math.MaxUint16, "RRset type")
+	Num(c, &e.Key.Class, math.MaxUint16, "RRset class")
+	Num(c, &e.Sig.TTL, math.MaxUint32, "RRSIG TTL")
+	Num(c, &data.TypeCovered, math.MaxUint16, "RRSIG type covered")
+	Num(c, &data.Algorithm, math.MaxUint8, "RRSIG algorithm")
+	Num(c, &data.Labels, math.MaxUint8, "RRSIG labels")
+	Num(c, &data.OriginalTTL, math.MaxUint32, "RRSIG original TTL")
+	Num(c, &data.Expiration, math.MaxUint32, "RRSIG expiration")
+	Num(c, &data.Inception, math.MaxUint32, "RRSIG inception")
+	Num(c, &data.KeyTag, math.MaxUint16, "RRSIG key tag")
+	Name(c, &data.SignerName)
+	Bytes(c, &data.Signature)
+	if c.Decoding() {
+		e.Sig.Name, e.Sig.Type, e.Sig.Class, e.Sig.Data = e.Key.Name, dns.TypeRRSIG, e.Key.Class, data
+	}
 }
 
 // Install verifies a decoded state against the live universe and resolver
 // configuration, then makes it real: a sealed InfraCache is rebuilt and
 // every signed infrastructure zone gets its memoized signatures back. All
-// checks — both fingerprints, the zone set, and every per-zone generation —
-// run before anything is installed, so a refused snapshot leaves the
-// universe untouched.
+// checks — both fingerprints, the zone set, every per-zone generation, and
+// the soundness of every signature entry of every zone — run before
+// anything is installed, so a refused snapshot leaves the universe
+// untouched.
 func Install(st *State, u *universe.Universe, cfg resolver.Config) (*resolver.InfraCache, error) {
 	if fp := u.Fingerprint(); st.UniverseFP != fp {
 		return nil, fmt.Errorf("%w: universe %q, snapshot built for %q", ErrMismatch, fp, st.UniverseFP)
@@ -511,15 +231,19 @@ func Install(st *State, u *universe.Universe, cfg resolver.Config) (*resolver.In
 			return nil, fmt.Errorf("%w: zone %s at generation %d, snapshot at %d (stale)",
 				ErrMismatch, zs.Apex, gen, zs.Generation)
 		}
+		// Apex, signing and generation hold; what remains is a structurally
+		// unsound entry.
+		if err := z.CheckSigState(zs); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 	}
 	ic, err := resolver.RestoreInfra(st.Infra)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	for _, zs := range st.ZoneSigs {
+		// Checked above; only a zone mutated in between can still refuse.
 		if err := zones[zs.Apex].ImportSigState(zs); err != nil {
-			// Apex and generation were pre-checked; what remains is a
-			// structurally unsound entry.
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}

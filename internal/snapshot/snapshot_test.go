@@ -2,6 +2,8 @@ package snapshot_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -21,6 +23,18 @@ import (
 // cache, the state every snapshot test captures.
 func buildWarm(t *testing.T, seed int64) (*universe.Universe, resolver.Config, *resolver.InfraCache) {
 	t.Helper()
+	u, cfg := buildCold(t, seed)
+	ic, err := core.WarmInfra(u, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u, cfg, ic
+}
+
+// buildCold is buildWarm's universe before anything has resolved on it: no
+// zone has memoized a signature yet.
+func buildCold(t *testing.T, seed int64) (*universe.Universe, resolver.Config) {
+	t.Helper()
 	pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: 200, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +47,18 @@ func buildWarm(t *testing.T, seed int64) (*universe.Universe, resolver.Config, *
 	}
 	cfg := u.ResolverConfig(true, true)
 	cfg.NSCompletionPercent, cfg.PTRSamplePercent = 0, 0
-	ic, err := core.WarmInfra(u, cfg)
-	if err != nil {
-		t.Fatal(err)
+	return u, cfg
+}
+
+// memoizedSigs counts the signatures the infrastructure zones hold.
+func memoizedSigs(u *universe.Universe) int {
+	n := 0
+	for _, z := range u.InfraZones() {
+		if st := z.ExportSigState(); st != nil {
+			n += len(st.Entries)
+		}
 	}
-	return u, cfg, ic
+	return n
 }
 
 // TestSnapshotRoundTrip pins the format: Capture → Encode → Decode loses
@@ -87,6 +108,33 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(exp1, exp2) {
 		t.Error("restored cache exports differently than the warmed original")
+	}
+}
+
+// TestSnapshotGoldenBytes pins the DLVS version-1 layout byte for byte: the
+// digests were recorded from the tree before the section layouts moved onto
+// the Codec, so a file written by either side loads at the other. A change
+// that moves them on purpose bumps Version.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	for _, g := range []struct {
+		seed   int64
+		size   int
+		sha256 string
+	}{
+		{3, 6951, "91c93db4eac604a96377c10f01d41421eb8c86bd3bfbdb4ce61b361124926c66"},
+		{4, 6946, "3e817d0e34ae0c74ad3159fa0306bf213b1edb261a808fb1769acfd6d1e7fa34"},
+		{5, 6974, "f4c8242babf6c718763917dcc0134435618465f14a66db72000104f958168cc2"},
+	} {
+		u, cfg, ic := buildWarm(t, g.seed)
+		st, err := snapshot.Capture(u, cfg, ic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := snapshot.Encode(st)
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); len(data) != g.size || got != g.sha256 {
+			t.Errorf("seed %d: %d bytes sha256 %s, want %d bytes %s", g.seed, len(data), got, g.size, g.sha256)
+		}
 	}
 }
 
@@ -241,6 +289,32 @@ func TestSnapshotInstallRefusals(t *testing.T) {
 	}
 	_, err = snapshot.Install(st, u, cfg)
 	wantMismatch("stale generation", err, "stale")
+}
+
+// TestSnapshotInstallAllOrNothing pins that Install checks every zone's
+// signature state before it imports the first: one unsound entry in the
+// last zone of the state is refused with ErrCorrupt, and the zones before it
+// are left without a single imported signature.
+func TestSnapshotInstallAllOrNothing(t *testing.T) {
+	u, cfg, ic := buildWarm(t, 8)
+	st, err := snapshot.Capture(u, cfg, ic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := st.ZoneSigs[len(st.ZoneSigs)-1]
+	if len(st.ZoneSigs) < 2 || len(last.Entries) == 0 {
+		t.Fatalf("fixture too small: %d zones, %d entries in the last", len(st.ZoneSigs), len(last.Entries))
+	}
+	last.Entries[0].Key.Type ^= 0x4000 // the RRSIG no longer covers its key
+
+	cold, coldCfg := buildCold(t, 8)
+	before := memoizedSigs(cold)
+	if _, err := snapshot.Install(st, cold, coldCfg); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("Install of a damaged %s entry: err = %v, want ErrCorrupt", last.Apex, err)
+	}
+	if after := memoizedSigs(cold); after != before {
+		t.Errorf("refused Install left %d signatures installed (had %d)", after, before)
+	}
 }
 
 // TestWriteFileAtomic pins overwrite semantics: the rename replaces the

@@ -6,12 +6,16 @@
 //
 // The wire layout follows the DLVT trace conventions
 // (internal/dataset/traceio.go): a 4-byte magic, a version byte, then
-// length-prefixed sections of uvarint/varint fields, with all DNS names
-// factored into one front-coded name table (each name stores only the
-// prefix length it shares with its predecessor plus the differing suffix).
-// A crc64 trailer covers the whole file, so load is a validate-and-index
-// pass over one contiguous buffer — no per-entry parsing surprises, no
-// partial state on error.
+// length-prefixed sections of uvarint fields, with all DNS names factored
+// into one front-coded name table (each name stores only the prefix length
+// it shares with its predecessor plus the differing suffix). A crc64
+// trailer covers the whole file, so load is a validate-and-index pass over
+// one contiguous buffer — no per-entry parsing surprises, no partial state
+// on error.
+//
+// This file is the envelope and its primitives. What goes inside a section
+// is written once, as a function over a Codec (codec.go), and that one
+// function both encodes and decodes it.
 //
 // Every decode path is bounds-checked and returns an error; corrupted,
 // truncated, or bit-flipped input must never panic or yield partial state
@@ -50,68 +54,41 @@ var (
 // crcTable is the ECMA polynomial table shared by writer and reader.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// Enc accumulates one section's payload.
-type Enc struct {
+// enc accumulates one section's payload.
+type enc struct {
+	tag uint32
 	buf []byte
 }
 
-// Uvarint appends an unsigned varint.
-func (e *Enc) Uvarint(v uint64) {
+func (e *enc) uvarint(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
 }
 
-// Varint appends a signed (zigzag) varint.
-func (e *Enc) Varint(v int64) {
-	e.buf = binary.AppendVarint(e.buf, v)
-}
-
-// Bytes appends a length-prefixed byte string.
-func (e *Enc) Bytes(p []byte) {
-	e.Uvarint(uint64(len(p)))
+// bytes appends a length-prefixed byte string.
+func (e *enc) bytes(p []byte) {
+	e.uvarint(uint64(len(p)))
 	e.buf = append(e.buf, p...)
 }
 
-// String appends a length-prefixed string.
-func (e *Enc) String(s string) {
-	e.Uvarint(uint64(len(s)))
+// str appends a length-prefixed string.
+func (e *enc) str(s string) {
+	e.uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
 }
 
-// Builder assembles a snapshot-family file: magic, version, tagged
-// length-prefixed sections, crc64 trailer. The sweep checkpoint reuses it
-// with its own magic.
-type Builder struct {
-	magic   [4]byte
-	version uint8
-	tags    []uint32
-	secs    []*Enc
-}
-
-// NewBuilder starts a file with the given magic and version.
-func NewBuilder(magic [4]byte, version uint8) *Builder {
-	return &Builder{magic: magic, version: version}
-}
-
-// Section starts a new tagged section and returns its payload encoder.
-func (b *Builder) Section(tag uint32) *Enc {
-	e := &Enc{}
-	b.tags = append(b.tags, tag)
-	b.secs = append(b.secs, e)
-	return e
-}
-
-// Finish serializes the file.
-func (b *Builder) Finish() []byte {
+// seal serializes a snapshot-family file: magic, version, tagged
+// length-prefixed sections in the order given, crc64 trailer.
+func seal(magic [4]byte, version uint8, secs []*enc) []byte {
 	size := 4 + 1 + binary.MaxVarintLen64
-	for _, e := range b.secs {
+	for _, e := range secs {
 		size += 2*binary.MaxVarintLen64 + len(e.buf)
 	}
 	out := make([]byte, 0, size+8)
-	out = append(out, b.magic[:]...)
-	out = append(out, b.version)
-	out = binary.AppendUvarint(out, uint64(len(b.secs)))
-	for i, e := range b.secs {
-		out = binary.AppendUvarint(out, uint64(b.tags[i]))
+	out = append(out, magic[:]...)
+	out = append(out, version)
+	out = binary.AppendUvarint(out, uint64(len(secs)))
+	for _, e := range secs {
+		out = binary.AppendUvarint(out, uint64(e.tag))
 		out = binary.AppendUvarint(out, uint64(len(e.buf)))
 		out = append(out, e.buf...)
 	}
@@ -126,15 +103,10 @@ type section struct {
 	payload []byte
 }
 
-// Reader indexes a parsed file's sections.
-type Reader struct {
-	secs []section
-}
-
-// Parse validates the envelope of a snapshot-family file — magic, version,
+// parse validates the envelope of a snapshot-family file — magic, version,
 // checksum, section framing — and indexes the sections. Payloads are views
 // into data; nothing is copied or interpreted yet.
-func Parse(data []byte, magic [4]byte, version uint8) (*Reader, error) {
+func parse(data []byte, magic [4]byte, version uint8) ([]section, error) {
 	if len(data) < 4 {
 		return nil, ErrTruncated
 	}
@@ -151,97 +123,80 @@ func Parse(data []byte, magic [4]byte, version uint8) (*Reader, error) {
 	if crc64.Checksum(body, crcTable) != binary.LittleEndian.Uint64(trailer) {
 		return nil, ErrChecksum
 	}
-	d := &Dec{buf: body, off: 5}
-	count, err := d.Uvarint()
+	d := &dec{buf: body, off: 5}
+	count, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	if count > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("%w: %d sections in %d bytes", ErrCorrupt, count, d.Remaining())
-	}
-	r := &Reader{secs: make([]section, 0, count)}
-	for i := uint64(0); i < count; i++ {
-		tag, err := d.Uvarint()
+	secs := make([]section, 0, count)
+	for i := 0; i < count; i++ {
+		tag, err := d.uvarint()
 		if err != nil {
 			return nil, err
 		}
 		if tag > 1<<31 {
 			return nil, fmt.Errorf("%w: section tag %d", ErrCorrupt, tag)
 		}
-		payload, err := d.Bytes()
+		payload, err := d.bytes()
 		if err != nil {
 			return nil, err
 		}
-		r.secs = append(r.secs, section{tag: uint32(tag), payload: payload})
+		secs = append(secs, section{tag: uint32(tag), payload: payload})
 	}
-	if err := d.Done(); err != nil {
+	if err := d.done(); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return secs, nil
 }
 
-// Section returns a decoder over the payload of the first section with the
-// given tag; a missing section is an error (sections are not optional in
-// any format built on this envelope).
-func (r *Reader) Section(tag uint32) (*Dec, error) {
-	for _, s := range r.secs {
-		if s.tag == tag {
-			return &Dec{buf: s.payload}, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, tag)
-}
-
-// Dec decodes one section payload with full bounds checking.
-type Dec struct {
+// dec decodes one section payload with full bounds checking.
+type dec struct {
 	buf []byte
 	off int
 }
 
-// Remaining returns the undecoded byte count.
-func (d *Dec) Remaining() int { return len(d.buf) - d.off }
+func (d *dec) remaining() int { return len(d.buf) - d.off }
 
-// Uvarint reads an unsigned varint.
-func (d *Dec) Uvarint() (uint64, error) {
+// uvarint reads one uvarint in its shortest form: a padded encoding of the
+// same value is not what any writer produces, and accepting it would let two
+// different files decode to one state.
+func (d *dec) uvarint() (uint64, error) {
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 { // one byte: most fields
+		d.off++
+		return uint64(d.buf[d.off-1]), nil
+	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
 		return 0, ErrTruncated
 	}
-	d.off += n
-	return v, nil
-}
-
-// Varint reads a signed varint.
-func (d *Dec) Varint() (int64, error) {
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
+	if n > 1 && d.buf[d.off+n-1] == 0 {
+		return 0, fmt.Errorf("%w: padded varint", ErrCorrupt)
 	}
 	d.off += n
 	return v, nil
 }
 
-// Count reads an element count that the following entries must account for
+// count reads an element count that the following entries must account for
 // at a minimum of one byte each — rejecting absurd counts before any
 // allocation is sized from them.
-func (d *Dec) Count() (int, error) {
-	v, err := d.Uvarint()
+func (d *dec) count() (int, error) {
+	v, err := d.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(d.Remaining()) {
-		return 0, fmt.Errorf("%w: count %d exceeds %d remaining bytes", ErrCorrupt, v, d.Remaining())
+	if v > uint64(d.remaining()) {
+		return 0, fmt.Errorf("%w: count %d exceeds %d remaining bytes", ErrCorrupt, v, d.remaining())
 	}
 	return int(v), nil
 }
 
-// Bytes reads a length-prefixed byte string as a view into the buffer.
-func (d *Dec) Bytes() ([]byte, error) {
-	n, err := d.Uvarint()
+// bytes reads a length-prefixed byte string as a view into the buffer.
+func (d *dec) bytes() ([]byte, error) {
+	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(d.Remaining()) {
+	if n > uint64(d.remaining()) {
 		return nil, ErrTruncated
 	}
 	p := d.buf[d.off : d.off+int(n)]
@@ -249,42 +204,31 @@ func (d *Dec) Bytes() ([]byte, error) {
 	return p, nil
 }
 
-// String reads a length-prefixed string (copied out of the buffer).
-func (d *Dec) String() (string, error) {
-	p, err := d.Bytes()
-	if err != nil {
-		return "", err
-	}
-	return string(p), nil
-}
-
-// Done verifies the payload was consumed exactly.
-func (d *Dec) Done() error {
-	if d.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.Remaining())
+// done verifies the payload was consumed exactly.
+func (d *dec) done() error {
+	if d.remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
 	}
 	return nil
 }
 
-// NameTable interns every DNS name of a snapshot once; sections reference
-// names by table index. Encoding is front-coded in insertion order: each
-// name stores the byte length it shares with its predecessor plus the raw
+// nameTable interns every DNS name of a file once; sections reference names
+// by table index. Encoding is front-coded in insertion order: each name
+// stores the byte length it shares with its predecessor plus the raw
 // suffix. Exports insert in sorted order, so prefixes compress well without
 // the decoder needing to re-sort anything.
-type NameTable struct {
+type nameTable struct {
 	names []dns.Name
 	index map[dns.Name]uint64
 }
 
-// NewNameTable returns an empty table.
-func NewNameTable() *NameTable {
-	return &NameTable{index: make(map[dns.Name]uint64)}
-}
-
-// Ref interns n and returns its table index.
-func (t *NameTable) Ref(n dns.Name) uint64 {
+// ref interns n and returns its table index.
+func (t *nameTable) ref(n dns.Name) uint64 {
 	if i, ok := t.index[n]; ok {
 		return i
+	}
+	if t.index == nil {
+		t.index = make(map[dns.Name]uint64)
 	}
 	i := uint64(len(t.names))
 	t.names = append(t.names, n)
@@ -292,9 +236,9 @@ func (t *NameTable) Ref(n dns.Name) uint64 {
 	return i
 }
 
-// Encode writes the table as one section payload.
-func (t *NameTable) Encode(e *Enc) {
-	e.Uvarint(uint64(len(t.names)))
+// encode writes the table as one section payload.
+func (t *nameTable) encode(e *enc) {
+	e.uvarint(uint64(len(t.names)))
 	prev := ""
 	for _, n := range t.names {
 		s := string(n)
@@ -302,54 +246,54 @@ func (t *NameTable) Encode(e *Enc) {
 		for shared < len(prev) && shared < len(s) && prev[shared] == s[shared] {
 			shared++
 		}
-		e.Uvarint(uint64(shared))
-		e.String(s[shared:])
+		e.uvarint(uint64(shared))
+		e.str(s[shared:])
 		prev = s
 	}
 }
 
-// DecodeNames reads a front-coded name table, validating that every entry
-// is a canonical DNS name (lowercase, trailing dot, legal labels) — the
-// names feed map keys across the resolver, so a corrupted table must be
-// refused here, not discovered at lookup time.
-func DecodeNames(d *Dec) ([]dns.Name, error) {
-	count, err := d.Count()
+// decode reads a front-coded name table, validating that every entry is a
+// canonical DNS name (lowercase, trailing dot, legal labels) — the names
+// feed map keys across the resolver, so a corrupted table must be refused
+// here, not discovered at lookup time — and that the table is the one
+// encode would write for these names: no name twice, every shared prefix
+// as long as it can be.
+func (t *nameTable) decode(d *dec) error {
+	count, err := d.count()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	names := make([]dns.Name, 0, count)
-	prev := ""
+	t.names = make([]dns.Name, 0, count)
+	t.index = make(map[dns.Name]uint64, count)
+	var prev []byte // the previous name; the next is built over its prefix
 	for i := 0; i < count; i++ {
-		shared, err := d.Uvarint()
+		shared, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if shared > uint64(len(prev)) {
-			return nil, fmt.Errorf("%w: name %d shares %d bytes of a %d-byte predecessor",
+			return fmt.Errorf("%w: name %d shares %d bytes of a %d-byte predecessor",
 				ErrCorrupt, i, shared, len(prev))
 		}
-		suffix, err := d.String()
+		suffix, err := d.bytes()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s := prev[:shared] + suffix
+		if int(shared) < len(prev) && len(suffix) > 0 && prev[shared] == suffix[0] {
+			return fmt.Errorf("%w: name %d shares more than the %d bytes it declares", ErrCorrupt, i, shared)
+		}
+		prev = append(prev[:shared], suffix...)
+		s := string(prev)
 		canon, err := dns.MakeName(s)
 		if err != nil {
-			return nil, fmt.Errorf("%w: name %d: %v", ErrCorrupt, i, err)
+			return fmt.Errorf("%w: name %d: %v", ErrCorrupt, i, err)
 		}
 		if string(canon) != s {
-			return nil, fmt.Errorf("%w: name %d %q is not canonical", ErrCorrupt, i, s)
+			return fmt.Errorf("%w: name %d %q is not canonical", ErrCorrupt, i, s)
 		}
-		names = append(names, canon)
-		prev = s
+		if t.ref(canon) != uint64(i) {
+			return fmt.Errorf("%w: name %d %q is in the table twice", ErrCorrupt, i, s)
+		}
 	}
-	return names, nil
-}
-
-// NameAt resolves a decoded name reference, rejecting out-of-range indexes.
-func NameAt(names []dns.Name, ref uint64) (dns.Name, error) {
-	if ref >= uint64(len(names)) {
-		return "", fmt.Errorf("%w: name ref %d of %d", ErrCorrupt, ref, len(names))
-	}
-	return names[ref], nil
+	return nil
 }

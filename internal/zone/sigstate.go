@@ -58,6 +58,15 @@ func (z *Zone) ExportSigState() *SigState {
 	return st
 }
 
+// CheckSigState reports whether ImportSigState would accept st, installing
+// nothing: snapshot.Install checks every zone's state this way before it
+// imports the first, so a refusal leaves no zone with foreign signatures.
+func (z *Zone) CheckSigState(st *SigState) error {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return z.checkSigStateLocked(st)
+}
+
 // ImportSigState installs previously exported signatures into the zone's
 // memo cache. It refuses — with no partial installation — when the zone is
 // unsigned, the apex differs, the generation differs (the zone mutated
@@ -68,6 +77,16 @@ func (z *Zone) ExportSigState() *SigState {
 func (z *Zone) ImportSigState(st *SigState) error {
 	z.mu.Lock()
 	defer z.mu.Unlock()
+	if err := z.checkSigStateLocked(st); err != nil {
+		return err
+	}
+	for i := range st.Entries {
+		z.sigCache.put(st.Entries[i].Key, st.Entries[i].Sig)
+	}
+	return nil
+}
+
+func (z *Zone) checkSigStateLocked(st *SigState) error {
 	if !z.signed {
 		return fmt.Errorf("%w: cannot import signatures into %s", ErrNotSigned, z.apex)
 	}
@@ -94,9 +113,6 @@ func (z *Zone) ImportSigState(st *SigState) error {
 		if e.Sig.Name != e.Key.Name || data.TypeCovered != e.Key.Type {
 			return fmt.Errorf("zone %s: imported RRSIG does not cover its key %s", z.apex, e.Key)
 		}
-	}
-	for i := range st.Entries {
-		z.sigCache.put(st.Entries[i].Key, st.Entries[i].Sig)
 	}
 	return nil
 }
