@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet cover bench abpairs expdiff soak fuzz experiments experiments-full clean
+.PHONY: all build test vet cover bench abpairs soak fuzz experiments experiments-full clean
 
 all: build vet test
 
@@ -53,15 +53,6 @@ PAIRS ?= 10
 
 abpairs:
 	bash scripts/abpairs.sh $(REF) $(WORKLOAD) $(PAIRS)
-
-# Which experiments print something else than at REF? Every simulated
-# experiment at -seed 1 -scale 100 plus the 20k sweep on both sides, timing
-# lines dropped; fails unless exactly the experiments in ALLOW differ (see
-# scripts/expdiff.sh). About half a minute.
-ALLOW ?=
-
-expdiff:
-	bash scripts/expdiff.sh $(REF) $(ALLOW)
 
 # Short fuzzing pass over every Fuzz* target (wire decoder, zone parser,
 # fault schedules, snapshot and checkpoint decoders). The packages are found

@@ -13,47 +13,41 @@ func TestRunFastExperiments(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: an unknown name is refused before anything
+// runs, and the message lists every registry name so the user can recover.
 func TestRunUnknownExperiment(t *testing.T) {
-	err := run([]string{"-exp", "nope"})
-	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+	err := run([]string{"-exp", "table1,nope"})
+	if err == nil || !strings.Contains(err.Error(), "unknown experiment(s): nope (valid: all, ") {
 		t.Fatalf("err = %v", err)
 	}
-	// The message must list the valid names so the user can recover.
-	for _, name := range experimentNames {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error does not list %q: %v", name, err)
+	for _, e := range experiment.Registry {
+		if !strings.Contains(err.Error(), e.Name) {
+			t.Errorf("error does not list %q: %v", e.Name, err)
 		}
 	}
 }
 
-func TestDispatchCoversAllNames(t *testing.T) {
-	// Every advertised experiment must dispatch (at tiny scale).
-	p := experiment.Params{Seed: 1, Scale: 5000}
-	for _, name := range experimentNames {
-		switch name {
-		case "fig8", "fig9", "table4", "table5", "fig10", "fig11", "fig12",
-			"order", "utility", "nsec3", "registry-size", "table3", "deployment",
-			"dictionary", "adversary":
-			// Covered by the experiment package's own tests; skipping the
-			// slow ones here keeps this a smoke test of the wiring only.
-			continue
+// TestRegistryWiring: registry names are unique and every entry is complete.
+func TestRegistryWiring(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range experiment.Registry {
+		if seen[e.Name] || e.ID == "" || e.Artifact == "" || e.Run == nil {
+			t.Errorf("entry %q: duplicate or incomplete", e.Name)
 		}
-		if _, err := dispatch(name, p, 2, 0, experiment.FaultKnobs{}, experiment.SweepOpts{}); err != nil {
-			t.Errorf("dispatch(%s): %v", name, err)
-		}
-	}
-	if _, err := dispatch("bogus", p, 0, 0, experiment.FaultKnobs{}, experiment.SweepOpts{}); err == nil {
-		t.Error("bogus experiment dispatched")
+		seen[e.Name] = true
 	}
 }
 
-func TestFigListRendering(t *testing.T) {
-	res, err := experiment.Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := figList{res, res}.String()
-	if strings.Count(out, "Table 2") != 2 {
-		t.Fatalf("figList did not concatenate: %q", out)
+// TestRunRefusesBadFlags: -scale 0 used to reach Fig. 12's trace as "full
+// scale" (100x the queries of the default) while every other experiment
+// read it as 100; it is now refused like -workers 0.
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "fig12", "-scale", "0", "-trace-minutes", "2"},
+		{"-exp", "table1", "-workers", "0"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "must be >= 1") {
+			t.Errorf("run %v: err = %v", args, err)
+		}
 	}
 }

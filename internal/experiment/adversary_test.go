@@ -74,7 +74,4 @@ func TestAdversaryWorkersInvariance(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("results differ across worker counts:\nseq: %+v\npar: %+v", seq, par)
 	}
-	if seq.String() != par.String() {
-		t.Errorf("rendered tables differ across worker counts:\n%s\n---\n%s", seq, par)
-	}
 }

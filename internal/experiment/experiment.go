@@ -1,7 +1,7 @@
 // Package experiment implements one driver per table and figure of the
-// paper's evaluation (see DESIGN.md §4 for the index). Each driver returns
-// a typed result with a String() rendering, consumed by cmd/dlvmeasure
-// and the test suite.
+// paper's evaluation. Each driver returns a typed result with a String()
+// rendering; Registry indexes them (DESIGN.md §4) for cmd/dlvmeasure and
+// the test suite.
 package experiment
 
 import (

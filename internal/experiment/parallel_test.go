@@ -4,40 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
-
-// TestWorkersInvariance pins the fan-out contract: experiment results are
-// identical at any Workers setting, because every measurement point audits
-// on its own shard.
-func TestWorkersInvariance(t *testing.T) {
-	seq := Params{Seed: 7, Scale: 2000}
-	par := Params{Seed: 7, Scale: 2000, Workers: 4}
-
-	lc1, err := LeakCurve(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc4, err := LeakCurve(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lc1, lc4) {
-		t.Errorf("LeakCurve differs across Workers:\nw=1: %+v\nw=4: %+v", lc1.Points, lc4.Points)
-	}
-
-	om1, err := OrderMatters(seq, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	om4, err := OrderMatters(par, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(om1, om4) {
-		t.Errorf("OrderMatters differs across Workers:\nw=1: %+v\nw=4: %+v", om1.Trials, om4.Trials)
-	}
-}
 
 // TestSweepInvariance extends the Workers contract to the sweep engine:
 // lazy materialization plus the shared infrastructure cache must leave the
@@ -87,28 +56,42 @@ type stringerFunc string
 
 func (s stringerFunc) String() string { return string(s) }
 
-func TestRunJobs(t *testing.T) {
+// TestRun: outcomes come back in input order at any width, and an error
+// stays with its experiment.
+func TestRun(t *testing.T) {
 	boom := errors.New("boom")
-	jobs := []Job{
-		{Name: "a", Run: func() (fmt.Stringer, error) { return stringerFunc("ra"), nil }},
-		{Name: "b", Run: func() (fmt.Stringer, error) { return nil, boom }},
-		{Name: "c", Run: func() (fmt.Stringer, error) { return stringerFunc("rc"), nil }},
+	exp := func(name string, res fmt.Stringer, err error) Experiment {
+		return Experiment{Name: name, Run: func(Inputs) (fmt.Stringer, error) { return res, err }}
 	}
+	exps := []Experiment{exp("a", stringerFunc("ra"), nil), exp("b", stringerFunc("partial"), boom), exp("c", stringerFunc("rc"), nil)}
 	for _, workers := range []int{1, 2, 8} {
-		results := RunJobs(jobs, workers)
-		if len(results) != 3 {
-			t.Fatalf("workers=%d: %d results", workers, len(results))
+		out := Run(exps, Inputs{Params: Params{Workers: workers}})
+		if len(out) != 3 || out[0].Name != "a" || out[0].Result != stringerFunc("ra") || out[0].Err != nil ||
+			out[1].Name != "b" || out[1].Result != nil || !errors.Is(out[1].Err, boom) ||
+			out[2].Name != "c" || out[2].Result != stringerFunc("rc") || out[2].Err != nil {
+			t.Errorf("workers=%d: %+v", workers, out)
 		}
-		// Input order is preserved; errors stay attached to their job.
-		if results[0].Name != "a" || results[0].Output.String() != "ra" || results[0].Err != nil {
-			t.Errorf("workers=%d: result a = %+v", workers, results[0])
+	}
+}
+
+// TestSelect: registry order whatever the spec's order, and fig8 with fig9
+// share one leakCurves run, which comes first and is not a name of its own.
+func TestSelect(t *testing.T) {
+	for spec, want := range map[string]string{"fleet,table1": "table1 fleet", "fig9": "fig9", "fig9, fig8,table1": "fig8+fig9 table1"} {
+		exps, err := Select(spec)
+		var names []string
+		for _, e := range exps {
+			names = append(names, e.Name)
 		}
-		if results[1].Name != "b" || results[1].Output != nil || !errors.Is(results[1].Err, boom) {
-			t.Errorf("workers=%d: result b = %+v", workers, results[1])
+		if got := strings.Join(names, " "); err != nil || got != want {
+			t.Errorf("Select(%q) = %q, %v; want %s", spec, got, err, want)
 		}
-		if results[2].Name != "c" || results[2].Output.String() != "rc" || results[2].Err != nil {
-			t.Errorf("workers=%d: result c = %+v", workers, results[2])
-		}
+	}
+	if _, err := Select("fig8+fig9"); err == nil {
+		t.Error("the joint run is selectable by name")
+	}
+	if all, _ := Select("all"); len(all) != len(Registry)-1 || all[0].Name != "fig8+fig9" {
+		t.Errorf("all: %d entries, first %s", len(all), all[0].Name)
 	}
 }
 

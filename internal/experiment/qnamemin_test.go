@@ -6,10 +6,7 @@ import (
 )
 
 func TestQNameMinimizationReducesExposure(t *testing.T) {
-	res, err := QNameMinimization(testParams)
-	if err != nil {
-		t.Fatalf("QNameMinimization: %v", err)
-	}
+	res := result(t, "qname-min").(*QNameMinResult)
 	if len(res.Points) != 2 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -34,10 +31,7 @@ func TestQNameMinimizationReducesExposure(t *testing.T) {
 }
 
 func TestPhaseOutAllCase2(t *testing.T) {
-	res, err := PhaseOut(testParams)
-	if err != nil {
-		t.Fatalf("PhaseOut: %v", err)
-	}
+	res := result(t, "phaseout").(*PhaseOutResult)
 	if res.NormalCase1 == 0 {
 		t.Error("normal registry shows no Case-1 at all")
 	}
@@ -53,10 +47,7 @@ func TestPhaseOutAllCase2(t *testing.T) {
 }
 
 func TestPolicyAblation(t *testing.T) {
-	res, err := PolicyAblation(testParams)
-	if err != nil {
-		t.Fatalf("PolicyAblation: %v", err)
-	}
+	res := result(t, "policy").(*PolicyResult)
 	if res.StrictLeaked >= res.LaxLeaked {
 		t.Errorf("strict policy did not reduce leakage: %d vs %d",
 			res.StrictLeaked, res.LaxLeaked)
@@ -76,10 +67,7 @@ func TestPolicyAblation(t *testing.T) {
 }
 
 func TestPaddingCollapsesSizeChannel(t *testing.T) {
-	res, err := Padding(testParams)
-	if err != nil {
-		t.Fatalf("Padding: %v", err)
-	}
+	res := result(t, "padding").(*PaddingResult)
 	if len(res.Points) != 2 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -109,10 +97,7 @@ func TestPaddingCollapsesSizeChannel(t *testing.T) {
 }
 
 func TestEnumerationAttack(t *testing.T) {
-	res, err := Enumeration(testParams)
-	if err != nil {
-		t.Fatalf("Enumeration: %v", err)
-	}
+	res := result(t, "enumeration").(*EnumerationResult)
 	if res.Deposits == 0 {
 		t.Fatal("registry empty; nothing to enumerate")
 	}

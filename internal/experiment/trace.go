@@ -34,11 +34,14 @@ type Fig12Result struct {
 // seeded universes — baseline DLV and TXT-remedy — to calibrate bytes per
 // query; the minute's full volume is then extrapolated from the calibrated
 // rates, exactly how the paper scales its own estimate to the full trace.
-func Fig12(p Params, traceCfg dataset.TraceConfig) (*Fig12Result, error) {
-	if traceCfg.Minutes == 0 {
-		traceCfg = dataset.DefaultTraceConfig()
-		traceCfg.Scale = p.scale()
-		traceCfg.Seed = p.Seed
+// The trace's rates are divided by Params.Scale; minutes > 0 replaces the
+// paper's 7 hours.
+func Fig12(p Params, minutes int) (*Fig12Result, error) {
+	traceCfg := dataset.DefaultTraceConfig()
+	traceCfg.Scale = p.scale()
+	traceCfg.Seed = p.Seed
+	if minutes > 0 {
+		traceCfg.Minutes = minutes
 	}
 	trace, err := dataset.GenerateTrace(traceCfg)
 	if err != nil {
@@ -165,20 +168,6 @@ func (r *Fig12Result) String() string {
 	last := len(r.PerMinute) - 1
 	fmt.Fprintf(&b, "total queries: %d; baseline %.1f MB; overhead %.1f MB (%.2f%% of baseline)\n",
 		r.Cumulative[last], float64(r.BaselineBytes[last])/1e6, float64(r.OverheadBytes[last])/1e6,
-		100*float64(r.OverheadBytes[last])/float64(max64(r.BaselineBytes[last], 1)))
+		100*float64(r.OverheadBytes[last])/float64(max(r.BaselineBytes[last], 1)))
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
