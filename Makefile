@@ -9,9 +9,14 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# Every command is driven by a test: a main package without one fails vet.
+UNTESTED_MAINS = {{if and (eq .Name "main") (not .TestGoFiles) (not .XTestGoFiles)}}{{.ImportPath}}{{end}}
+
 vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
+	@untested="$$($(GO) list -f '$(UNTESTED_MAINS)' ./...)"; \
+		test -z "$$untested" || { echo "main packages without tests:"; echo "$$untested"; exit 1; }
 
 # bench/ is a module of its own (bench/go.mod replaces onto this tree), so
 # ./... does not reach it; vet and smoke-test it here so a signature change

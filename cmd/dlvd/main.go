@@ -4,16 +4,20 @@
 // operator can observe:
 //
 //	dlvd -listen 127.0.0.1:5301 -deposits 200 &
-//	dig @127.0.0.1 -p 5301 example.com.dlv.isc.org DLV
+//	dig @127.0.0.1 -p 5301 dlv.isc.org AXFR            # every deposit
+//	dig @127.0.0.1 -p 5301 <deposit>.dlv.isc.org DLV
 //
 // With -hashed it runs the paper's privacy-preserving variant, where only
 // crypto_hash(domain) labels ever appear on the wire.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/netip"
 	"os"
 	"os/signal"
 	"syscall"
@@ -27,13 +31,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout, func(netip.AddrPort) {}); err != nil {
 		fmt.Fprintf(os.Stderr, "dlvd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves the registry until ctx is done. ready gets the address both
+// listeners are bound to once they serve.
+func run(ctx context.Context, args []string, stdout io.Writer, ready func(netip.AddrPort)) error {
 	fs := flag.NewFlagSet("dlvd", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:5301", "UDP listen address")
 	zoneName := fs.String("zone", "dlv.isc.org", "registry zone name")
@@ -118,19 +126,18 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dlvd: serving %s on %s udp+tcp (deposits=%d hashed=%t nsec3=%t empty=%t)\n",
+	fmt.Fprintf(stdout, "dlvd: serving %s on %s udp+tcp (deposits=%d hashed=%t nsec3=%t empty=%t)\n",
 		apex, udp.Addr(), reg.DepositCount(), *hashed, *nsec3, *empty)
-	fmt.Printf("trust anchor: %s DS %s\n", apex, anchor)
+	fmt.Fprintf(stdout, "trust anchor: %s DS %s\n", apex, anchor)
 
 	done := make(chan error, 1)
 	go func() { done <- udp.Serve() }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	ready(udp.AddrPort())
 	select {
 	case err := <-done:
 		return err
-	case <-sig:
-		fmt.Println("\ndlvd: shutting down")
+	case <-ctx.Done():
+		fmt.Fprintln(stdout, "\ndlvd: shutting down")
 		_ = udp.Close()
 		<-done
 		return nil

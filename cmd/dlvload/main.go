@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 	server := fs.String("server", "127.0.0.1:5300", "resolved address (UDP and TCP on the same port)")
 	domains := fs.Int("domains", 5000, "population size — must match the server's -domains")
 	seed := fs.Int64("seed", 1, "population seed — must match the server's -seed")
-	traceFile := fs.String("trace", "", "replay this trace file (csv, ndjson, or bin from tracegen); empty generates one")
+	traceFile := fs.String("trace", "", "replay this trace file (tracegen's minute,queries,cumulative CSV); empty generates one")
 	minutes := fs.Int("minutes", 10, "generated trace length in minutes (with no -trace)")
 	traceSeed := fs.Int64("trace-seed", 1, "generated trace seed")
 	scale := fs.Int("scale", 1000, "generated trace rate divisor (1 = the paper's 160k-360k q/min)")
@@ -84,7 +84,7 @@ func run(args []string, out io.Writer) error {
 		names[i] = d.Name
 	}
 
-	var source func() (int, error)
+	var perMin []int
 	if *overdrive > 0 {
 		// A multi-shard server swallows far more concurrent datagrams than
 		// one read loop, so the default window would self-throttle the
@@ -111,11 +111,10 @@ func run(args []string, out io.Writer) error {
 		// exactly -overdrive q/s for -minutes wall seconds. Open loop: the
 		// generator keeps pace even when the server sheds or stalls, which
 		// is the point of an overload test.
-		perMin := make([]int, *minutes)
+		perMin = make([]int, *minutes)
 		for i := range perMin {
 			perMin[i] = *overdrive
 		}
-		source = loadgen.MinuteSource(perMin)
 		*mode = "open"
 		*compress = 60
 		fmt.Fprintf(out, "dlvload: overdrive storm: %d q/s offered for %ds\n", *overdrive, *minutes)
@@ -124,12 +123,12 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer func() { _ = f.Close() }()
-		tr, err := dataset.OpenTrace(f)
+		trace, err := dataset.ReadTrace(f)
+		_ = f.Close()
 		if err != nil {
 			return fmt.Errorf("reading %s: %w", *traceFile, err)
 		}
-		source = tr.Next
+		perMin = trace.PerMinute
 		fmt.Fprintf(out, "dlvload: replaying trace %s\n", *traceFile)
 	} else {
 		trace, err := dataset.GenerateTrace(dataset.TraceConfig{
@@ -139,7 +138,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		source = loadgen.MinuteSource(trace.PerMinute)
+		perMin = trace.PerMinute
 		fmt.Fprintf(out, "dlvload: generated %d-minute trace (seed %d, scale 1/%d, %d queries)\n",
 			*minutes, *traceSeed, *scale, trace.Total())
 	}
@@ -168,14 +167,14 @@ func run(args []string, out io.Writer) error {
 			Clients: *clients, PopSize: len(names), Seed: *schedSeed, MaxQueries: *maxQueries,
 			Uniform: *overdrive > 0,
 		},
-		Source:   source,
-		Names:    func(i int) dns.Name { return names[i] },
-		DNSSECOK: *do,
-		Mode:     m,
-		Compress: *compress,
-		Workers:  *window,
-		Timeout:  *timeout,
-		Retries:  *retries,
+		PerMinute: perMin,
+		Names:     func(i int) dns.Name { return names[i] },
+		DNSSECOK:  *do,
+		Mode:      m,
+		Compress:  *compress,
+		Workers:   *window,
+		Timeout:   *timeout,
+		Retries:   *retries,
 	}
 	if !*quiet {
 		cfg.Progress = func(minute int, sent int64) {

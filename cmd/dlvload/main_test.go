@@ -89,8 +89,7 @@ func TestReplayAgainstLiveServer(t *testing.T) {
 	}
 }
 
-// TestReplayFromTraceFile round-trips satellite 1 + the tentpole: tracegen's
-// binary format drives a replay.
+// TestReplayFromTraceFile replays a trace file in tracegen's format.
 func TestReplayFromTraceFile(t *testing.T) {
 	addr, _ := startServer(t, 300, nil, false)
 	trace, err := dataset.GenerateTrace(dataset.TraceConfig{
@@ -99,12 +98,12 @@ func TestReplayFromTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/trace.bin"
+	path := t.TempDir() + "/trace.csv"
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dataset.WriteTrace(f, dataset.FormatBinary, trace); err != nil {
+	if err := dataset.WriteTrace(f, trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

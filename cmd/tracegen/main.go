@@ -4,12 +4,8 @@
 // cmd/dlvload.
 //
 //	tracegen -minutes 420 -scale 1 > trace.csv
-//	tracegen -minutes 420 -format bin -o trace.dlvt   # compact, streamable
-//
-// The ndjson and bin formats are the streaming inputs dlvload consumes one
-// minute at a time, so a full-scale trace never materializes in the
-// replayer's memory; bin is "DLVT" magic + varint rate deltas (~1 KB for
-// the paper's 7-hour trace).
+//	tracegen -minutes 420 -o trace.csv
+//	dlvload -trace trace.csv ...
 package main
 
 import (
@@ -35,7 +31,6 @@ func run(args []string, stdout io.Writer) error {
 	minRate := fs.Int("min-rate", 160_000, "minimum queries/minute")
 	maxRate := fs.Int("max-rate", 360_000, "maximum queries/minute")
 	scale := fs.Int("scale", 1, "rate divisor for small runs")
-	format := fs.String("format", dataset.FormatCSV, "output format: csv, ndjson, or bin")
 	out := fs.String("o", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -56,10 +51,9 @@ func run(args []string, stdout io.Writer) error {
 		defer func() { _ = f.Close() }()
 		w = f
 	}
-	if err := dataset.WriteTrace(w, *format, trace); err != nil {
+	if err := dataset.WriteTrace(w, trace); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: %d minutes, %d total queries (%s)\n",
-		*minutes, trace.Total(), *format)
+	fmt.Fprintf(os.Stderr, "tracegen: %d minutes, %d total queries\n", *minutes, trace.Total())
 	return nil
 }

@@ -64,8 +64,7 @@ func FuzzDecodeMessage(f *testing.F) {
 // FuzzFaultedDecode feeds the decoder exactly what the fault layer's
 // CorruptRate produces on the simulated wire: a message garbled in place by
 // faults.Corrupt under fuzzer-chosen entropy. The decoder must never panic
-// on a corrupted packet, the fast path and the reference decoder must agree
-// on it, and anything accepted must survive re-encoding — the invariants
+// on a corrupted packet, it must agree with the naive decoder on it, and anything accepted must survive re-encoding — the invariants
 // the simnet corruption path (deliver-if-parseable, else timeout) relies
 // on. Run with `go test -fuzz=FuzzFaultedDecode ./internal/dns`.
 func FuzzFaultedDecode(f *testing.F) {
@@ -90,16 +89,16 @@ func FuzzFaultedDecode(f *testing.F) {
 		wire := append([]byte(nil), data...)
 		faults.Corrupt(entropy, wire)
 		fast, fastErr := DecodeMessage(wire)
-		ref, refErr := decodeMessageReference(wire)
+		ref, refErr := naiveDecode(wire)
 		if (fastErr == nil) != (refErr == nil) {
-			t.Fatalf("accept/reject disagreement on corrupted wire: fast err=%v, reference err=%v",
+			t.Fatalf("accept/reject disagreement on corrupted wire: fast err=%v, naive err=%v",
 				fastErr, refErr)
 		}
 		if fastErr != nil {
 			return // rejected corruption becomes a simnet timeout; fine
 		}
 		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("decoded messages differ:\nfast:      %#v\nreference: %#v", fast, ref)
+			t.Fatalf("decoded messages differ:\nfast:  %#v\nnaive: %#v", fast, ref)
 		}
 		if wire2, err := fast.Encode(); err == nil {
 			if _, err := DecodeMessage(wire2); err != nil {
@@ -109,9 +108,9 @@ func FuzzFaultedDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDifferential pits the zero-allocation decode fast path (interned
-// names, pre-sized sections) against the retained seed-era reference decoder
-// on arbitrary input. Both must agree on accept/reject, produce deeply equal
+// FuzzDecodeDifferential pits the zero-allocation decoder (interned names,
+// pre-sized sections) against the separately written naive decoder on
+// arbitrary input. Both must agree on accept/reject, produce deeply equal
 // messages, and — when the result is encodable — byte-identical re-encodings.
 // Run with `go test -fuzz=FuzzDecodeDifferential ./internal/dns`.
 func FuzzDecodeDifferential(f *testing.F) {
@@ -134,8 +133,8 @@ func FuzzDecodeDifferential(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(pw)
-	// Mixed-case owner: the fast path lowercases while copying, the
-	// reference path lowercases in MakeName; results must still agree.
+	// Mixed-case owner: DecodeMessage lowercases while copying, the naive
+	// decoder in MakeName; results must still agree.
 	f.Add([]byte{
 		0, 7, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
 		3, 'W', 'w', 'W', 7, 'E', 'x', 'A', 'm', 'P', 'l', 'E', 3, 'c', 'O', 'm', 0,
@@ -147,23 +146,23 @@ func FuzzDecodeDifferential(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fast, fastErr := DecodeMessage(data)
-		ref, refErr := decodeMessageReference(data)
+		ref, refErr := naiveDecode(data)
 		if (fastErr == nil) != (refErr == nil) {
-			t.Fatalf("accept/reject disagreement: fast err=%v, reference err=%v", fastErr, refErr)
+			t.Fatalf("accept/reject disagreement: fast err=%v, naive err=%v", fastErr, refErr)
 		}
 		if fastErr != nil {
 			return
 		}
 		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("decoded messages differ:\nfast:      %#v\nreference: %#v", fast, ref)
+			t.Fatalf("decoded messages differ:\nfast:  %#v\nnaive: %#v", fast, ref)
 		}
 		fw, fastEncErr := fast.Encode()
 		rw, refEncErr := ref.Encode()
 		if (fastEncErr == nil) != (refEncErr == nil) {
-			t.Fatalf("re-encode disagreement: fast err=%v, reference err=%v", fastEncErr, refEncErr)
+			t.Fatalf("re-encode disagreement: fast err=%v, naive err=%v", fastEncErr, refEncErr)
 		}
 		if fastEncErr == nil && !bytes.Equal(fw, rw) {
-			t.Fatalf("re-encodings differ:\nfast:      %x\nreference: %x", fw, rw)
+			t.Fatalf("re-encodings differ:\nfast:  %x\nnaive: %x", fw, rw)
 		}
 	})
 }

@@ -12,8 +12,7 @@ import (
 const nameInternCap = 1 << 20
 
 // nameIntern maps decoded presentation text (lowercase, dots between labels,
-// no trailing dot — exactly what the reference decoder hands to MakeName) to
-// the interned Name. Lookups key on a stack buffer via the compiler's
+// no trailing dot) to the interned Name. Lookups key on a stack buffer via the compiler's
 // map[string(bytes)] optimization, so a hit allocates nothing. An entry's key
 // is a slice of its own Name (the Name minus its trailing dot), so a
 // first-seen name costs the table one string, not two.
@@ -23,8 +22,7 @@ var nameIntern = struct {
 }{m: make(map[string]Name, 1024)}
 
 // internName resolves the canonical text of a decoded name to a shared Name
-// value. On a miss the text is validated through MakeName — accepting and
-// rejecting exactly what the reference decoder does — and the result is
+// value. On a miss the text is validated through MakeName and the result is
 // published for subsequent hits.
 func internName(text []byte) (Name, error) {
 	nameIntern.RLock()

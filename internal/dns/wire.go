@@ -476,13 +476,10 @@ func encodeTypeBitmap(b *builder, types []Type) {
 	flush()
 }
 
-// parser consumes wire-format input. reference selects the original
-// allocate-per-label name decoding; the default fast path interns names.
-// Both must agree on every input (pinned by FuzzDecodeDifferential).
+// parser consumes wire-format input; names are interned.
 type parser struct {
-	data      []byte
-	off       int
-	reference bool
+	data []byte
+	off  int
 }
 
 func (p *parser) remaining() int { return len(p.data) - p.off }
@@ -526,13 +523,9 @@ func (p *parser) bytes(n int) ([]byte, error) {
 // name reads a possibly-compressed domain name starting at the current
 // offset, following pointers with a hop limit. The fast path assembles the
 // lowercased presentation text in a stack buffer and resolves it through the
-// intern table, so decoding a hot name allocates nothing; validation falls
-// back to MakeName, keeping accepted inputs and errors identical to the
-// reference path.
+// intern table, so decoding a hot name allocates nothing; a first-seen name
+// is validated by MakeName.
 func (p *parser) name() (Name, error) {
-	if p.reference {
-		return p.nameReference()
-	}
 	// text holds the lowercased dotted form including the trailing dot;
 	// its length equals the wire-format name length, bounded by maxNameLen.
 	var text [maxNameLen]byte
@@ -554,10 +547,9 @@ func (p *parser) name() (Name, error) {
 			if n == 0 {
 				return Root, nil
 			}
-			// Strip the trailing separator: the reference decoder joins
-			// labels with dots *between* them before MakeName, and for
-			// hostile labels that themselves contain '.' the two texts
-			// must stay byte-identical to accept and reject alike.
+			// Strip the trailing separator: the text is the labels joined
+			// by dots, which MakeName validates as a whole, so a hostile
+			// label that itself contains '.' is read as two labels.
 			return internName(text[:n-1])
 		case c&0xC0 == 0xC0:
 			if off+1 >= len(p.data) {
@@ -598,85 +590,10 @@ func (p *parser) name() (Name, error) {
 	}
 }
 
-// nameReference is the seed decoder's name path, retained as the
-// differential-fuzz oracle for the interning fast path.
-func (p *parser) nameReference() (Name, error) {
-	var labels []string
-	off := p.off
-	jumped := false
-	hops := 0
-	total := 0
-	for {
-		if off >= len(p.data) {
-			return "", ErrTruncatedMessage
-		}
-		c := p.data[off]
-		switch {
-		case c == 0:
-			if !jumped {
-				p.off = off + 1
-			}
-			if len(labels) == 0 {
-				return Root, nil
-			}
-			n, err := MakeName(joinLabels(labels))
-			if err != nil {
-				return "", fmt.Errorf("decoding name: %w", err)
-			}
-			return n, nil
-		case c&0xC0 == 0xC0:
-			if off+1 >= len(p.data) {
-				return "", ErrTruncatedMessage
-			}
-			ptr := int(binary.BigEndian.Uint16(p.data[off:]) & 0x3FFF)
-			if !jumped {
-				p.off = off + 2
-				jumped = true
-			}
-			hops++
-			if hops > 32 || ptr >= off {
-				return "", ErrBadPointer
-			}
-			off = ptr
-		case c&0xC0 != 0:
-			return "", fmt.Errorf("%w: label type %#x", ErrBadPointer, c&0xC0)
-		default:
-			n := int(c)
-			if off+1+n > len(p.data) {
-				return "", ErrTruncatedMessage
-			}
-			total += n + 1
-			if total > maxNameLen {
-				return "", ErrNameTooLong
-			}
-			labels = append(labels, string(p.data[off+1:off+1+n]))
-			off += 1 + n
-		}
-	}
-}
-
-func joinLabels(labels []string) string {
-	out := labels[0]
-	for _, l := range labels[1:] {
-		out += "." + l
-	}
-	return out
-}
-
 // DecodeMessage parses a wire-format DNS message. OPT records found in the
 // additional section are lifted into Message.EDNS.
 func DecodeMessage(data []byte) (*Message, error) {
-	return decodeMessage(data, false)
-}
-
-// decodeMessageReference decodes with the seed-era per-label allocation
-// path; FuzzDecodeDifferential uses it as the oracle for the fast path.
-func decodeMessageReference(data []byte) (*Message, error) {
-	return decodeMessage(data, true)
-}
-
-func decodeMessage(data []byte, reference bool) (*Message, error) {
-	p := &parser{data: data, reference: reference}
+	p := &parser{data: data}
 	m := &Message{}
 
 	id, err := p.uint16()
@@ -756,8 +673,7 @@ func decodeMessage(data []byte, reference bool) (*Message, error) {
 			}
 		}
 		if len(rrs) == 0 {
-			// Keep nil sections nil (an OPT-only additional section must
-			// decode identically to the seed path).
+			// Keep nil sections nil, an OPT-only additional section too.
 			return nil, nil
 		}
 		return rrs, nil

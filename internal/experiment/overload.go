@@ -308,7 +308,7 @@ func OverloadWithOpts(p Params, opts OverloadOpts) (*OverloadResult, error) {
 			Clients: o.Clients, PopSize: len(names), Seed: p.Seed,
 			MaxQueries: int64(warm),
 		}
-		cfg.Source = loadgen.MinuteSource([]int{warm})
+		cfg.PerMinute = []int{warm}
 		if _, _, err := rig.replay(cfg); err != nil {
 			return nil, fmt.Errorf("warm pass (shed=%t): %w", shed, err)
 		}
@@ -329,7 +329,7 @@ func OverloadWithOpts(p Params, opts OverloadOpts) (*OverloadResult, error) {
 		Clients: o.Clients, PopSize: len(names), Seed: p.Seed + 1,
 		MaxQueries: int64(o.CapacityQueries), Uniform: true,
 	}
-	cfg.Source = loadgen.MinuteSource([]int{o.CapacityQueries})
+	cfg.PerMinute = []int{o.CapacityQueries}
 	probe, _, err := rigs[false].replay(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("capacity probe: %w", err)
@@ -367,7 +367,7 @@ func OverloadWithOpts(p Params, opts OverloadOpts) (*OverloadResult, error) {
 				Clients: o.Clients, PopSize: len(names), Seed: p.Seed + 2 + int64(pi),
 				MaxQueries: int64(offered * o.Seconds), Uniform: true,
 			}
-			cfg.Source = loadgen.MinuteSource(perMin)
+			cfg.PerMinute = perMin
 			rep, ovl, err := rig.replay(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("point %.1fx (shed=%t): %w", mult, shed, err)

@@ -55,9 +55,8 @@ type Config struct {
 	Server netip.AddrPort
 	// Schedule shapes the deterministic query schedule.
 	Schedule ScheduleConfig
-	// Source supplies per-minute query counts (dataset.TraceReader.Next or
-	// MinuteSource over an in-memory trace).
-	Source func() (int, error)
+	// PerMinute is the trace: the query count of each minute.
+	PerMinute []int
 	// Names maps a population index to the domain to query.
 	Names func(int) dns.Name
 	// QType is the query type (default A).
@@ -146,9 +145,6 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.Names == nil {
 		return nil, errors.New("loadgen: nil name table")
 	}
-	if cfg.Source == nil {
-		return nil, errors.New("loadgen: nil trace source")
-	}
 	if cfg.QType == 0 {
 		cfg.QType = dns.TypeA
 	}
@@ -179,7 +175,7 @@ type dispatch struct {
 // client always go to the same worker, preserving per-client ordering.
 func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	cfg := r.cfg
-	sched, err := NewSchedule(cfg.Schedule, cfg.Source)
+	sched, err := NewSchedule(cfg.Schedule, sliceSource(cfg.PerMinute))
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 
 func collect(t *testing.T, cfg ScheduleConfig, perMinute []int) []Event {
 	t.Helper()
-	s, err := NewSchedule(cfg, MinuteSource(perMinute))
+	s, err := NewSchedule(cfg, sliceSource(perMinute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestScheduleShape(t *testing.T) {
 }
 
 func TestScheduleConfigErrors(t *testing.T) {
-	if _, err := NewSchedule(ScheduleConfig{Clients: 0, PopSize: 10}, MinuteSource(nil)); err == nil {
+	if _, err := NewSchedule(ScheduleConfig{Clients: 0, PopSize: 10}, sliceSource(nil)); err == nil {
 		t.Error("zero clients accepted")
 	}
-	if _, err := NewSchedule(ScheduleConfig{Clients: 1, PopSize: 1}, MinuteSource(nil)); err == nil {
+	if _, err := NewSchedule(ScheduleConfig{Clients: 1, PopSize: 1}, sliceSource(nil)); err == nil {
 		t.Error("tiny population accepted")
 	}
 	if _, err := NewSchedule(ScheduleConfig{Clients: 1, PopSize: 10}, nil); err == nil {
@@ -164,14 +164,14 @@ func TestReplayTruncationFallbackUnderLoad(t *testing.T) {
 	addr := testServer(t, handler)
 
 	r, err := New(Config{
-		Server:   addr,
-		Schedule: ScheduleConfig{Clients: 200, PopSize: 100, Seed: 9, MaxQueries: 2000},
-		Source:   MinuteSource([]int{5000}),
-		Names:    testNames(100),
-		Mode:     ModeClosed,
-		Workers:  16,
-		Timeout:  2 * time.Second,
-		Retries:  1,
+		Server:    addr,
+		Schedule:  ScheduleConfig{Clients: 200, PopSize: 100, Seed: 9, MaxQueries: 2000},
+		PerMinute: []int{5000},
+		Names:     testNames(100),
+		Mode:      ModeClosed,
+		Workers:   16,
+		Timeout:   2 * time.Second,
+		Retries:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,14 +234,14 @@ func TestReplayRetryOnSlowFirstAnswer(t *testing.T) {
 	addr := testServer(t, handler)
 
 	r, err := New(Config{
-		Server:   addr,
-		Schedule: ScheduleConfig{Clients: 8, PopSize: 20, Seed: 3, MaxQueries: 60},
-		Source:   MinuteSource([]int{60}),
-		Names:    testNames(20),
-		Mode:     ModeClosed,
-		Workers:  8,
-		Timeout:  100 * time.Millisecond,
-		Retries:  3,
+		Server:    addr,
+		Schedule:  ScheduleConfig{Clients: 8, PopSize: 20, Seed: 3, MaxQueries: 60},
+		PerMinute: []int{60},
+		Names:     testNames(20),
+		Mode:      ModeClosed,
+		Workers:   8,
+		Timeout:   100 * time.Millisecond,
+		Retries:   3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,14 +268,14 @@ func TestOpenLoopPacing(t *testing.T) {
 
 	// Two trace minutes compressed 600x: ~200ms of wall-clock pacing.
 	r, err := New(Config{
-		Server:   addr,
-		Schedule: ScheduleConfig{Clients: 10, PopSize: 20, Seed: 5},
-		Source:   MinuteSource([]int{40, 40}),
-		Names:    testNames(20),
-		Mode:     ModeOpen,
-		Compress: 600,
-		Workers:  4,
-		Timeout:  time.Second,
+		Server:    addr,
+		Schedule:  ScheduleConfig{Clients: 10, PopSize: 20, Seed: 5},
+		PerMinute: []int{40, 40},
+		Names:     testNames(20),
+		Mode:      ModeOpen,
+		Compress:  600,
+		Workers:   4,
+		Timeout:   time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,13 +304,13 @@ func TestRunContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	r, err := New(Config{
-		Server:   addr,
-		Schedule: ScheduleConfig{Clients: 4, PopSize: 10, Seed: 1},
-		Source:   MinuteSource([]int{1000}),
-		Names:    testNames(10),
-		Mode:     ModeOpen, // real-time pacing: the run would take a minute
-		Workers:  2,
-		Progress: func(minute int, sent int64) {},
+		Server:    addr,
+		Schedule:  ScheduleConfig{Clients: 4, PopSize: 10, Seed: 1},
+		PerMinute: []int{1000},
+		Names:     testNames(10),
+		Mode:      ModeOpen, // real-time pacing: the run would take a minute
+		Workers:   2,
+		Progress:  func(minute int, sent int64) {},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,9 +60,9 @@ type Schedule struct {
 	emitted int64
 }
 
-// NewSchedule builds a schedule over a per-minute query-count source (e.g.
-// dataset.TraceReader.Next, or an in-memory trace wrapped by MinuteSource).
-// The source returns io.EOF at end of trace.
+// NewSchedule builds a schedule over a per-minute query-count source, which
+// returns io.EOF at end of trace. A source that never ends makes an endless
+// schedule of seeded names.
 func NewSchedule(cfg ScheduleConfig, next func() (int, error)) (*Schedule, error) {
 	if cfg.Clients <= 0 {
 		return nil, errors.New("loadgen: schedule needs at least one client")
@@ -76,9 +76,8 @@ func NewSchedule(cfg ScheduleConfig, next func() (int, error)) (*Schedule, error
 	return &Schedule{cfg: cfg, next: next}, nil
 }
 
-// MinuteSource adapts an in-memory per-minute series into a schedule
-// source.
-func MinuteSource(perMinute []int) func() (int, error) {
+// sliceSource is the schedule source over an in-memory trace.
+func sliceSource(perMinute []int) func() (int, error) {
 	i := 0
 	return func() (int, error) {
 		if i >= len(perMinute) {

@@ -4,9 +4,8 @@
 // loaded back by a fleet member or a resumed sweep in milliseconds with
 // zero re-signing.
 //
-// The wire layout follows the DLVT trace conventions
-// (internal/dataset/traceio.go): a 4-byte magic, a version byte, then
-// length-prefixed sections of uvarint fields, with all DNS names factored
+// The wire layout is a 4-byte magic, a version byte, then length-prefixed
+// sections of uvarint fields, with all DNS names factored
 // into one front-coded name table (each name stores only the prefix length
 // it shares with its predecessor plus the differing suffix). A crc64
 // trailer covers the whole file, so load is a validate-and-index pass over

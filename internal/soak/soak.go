@@ -257,13 +257,13 @@ func Run(cfg Config) (*Result, error) {
 			Clients: 64, PopSize: len(names), Seed: cfg.Seed,
 			MaxQueries: int64(cfg.Queries), Uniform: true,
 		},
-		Source:   loadgen.MinuteSource([]int{cfg.Queries}),
-		Names:    func(i int) dns.Name { return names[i] },
-		DNSSECOK: true,
-		Mode:     loadgen.ModeClosed,
-		Workers:  cfg.Window,
-		Timeout:  2 * time.Second,
-		Retries:  1,
+		PerMinute: []int{cfg.Queries},
+		Names:     func(i int) dns.Name { return names[i] },
+		DNSSECOK:  true,
+		Mode:      loadgen.ModeClosed,
+		Workers:   cfg.Window,
+		Timeout:   2 * time.Second,
+		Retries:   1,
 	})
 	if err != nil {
 		return nil, err

@@ -25,8 +25,10 @@
 # by more than the bound, "unresolved" when the parent's spread is wider than
 # the bound and not every run of the change beat every run of the parent,
 # "ok" otherwise. Every run's result line is kept in
-# .bench_build/abpairs/runs.tsv, stderr in *.log. Exit status is non-zero if
-# any run was not "correct" or any metric is "worse".
+# .bench_build/abpairs/runs.tsv, stderr in *.log. Per workload it also prints
+# the share of operations that failed on each side. Exit status is non-zero
+# if any run was not "correct", any metric is "worse", or the change's failed
+# share is above the parent's on any workload.
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
@@ -151,9 +153,16 @@ END {
 			mp ? 100 * (mc - mp) / mp : 0, wins, n, mp ? 100 * (p3 - p1) / mp : 0, verdict
 	}
 	print ""
-	for (w = 1; w <= nw; w++) printf "%s failed operations: parent %d of %d, change %d of %d\n", workloads[w],
-		failed[workloads[w], "parent"], attempted[workloads[w], "parent"],
-		failed[workloads[w], "change"], attempted[workloads[w], "change"]
+	for (w = 1; w <= nw; w++) {
+		workload = workloads[w]
+		fp = attempted[workload, "parent"] ? failed[workload, "parent"] / attempted[workload, "parent"] : 0
+		fc = attempted[workload, "change"] ? failed[workload, "change"] / attempted[workload, "change"] : 0
+		printf "%s failed operations: parent %d of %d, change %d of %d\n", workload,
+			failed[workload, "parent"], attempted[workload, "parent"],
+			failed[workload, "change"], attempted[workload, "change"]
+		printf "%s failed share parent %.6g vs change %.6g%s\n", workload, fp, fc, (fc > fp ? " (worse)" : "")
+		if (fc > fp) worse = 1
+	}
 	exit worse
 }' "${root}/BENCHMARK.json" "${runs}" || bad=1
 
