@@ -38,6 +38,33 @@ func (r *Resolver) HandleQuery(q *dns.Message, _ netip.Addr) (*dns.Message, erro
 		}
 		return nil, err
 	}
+	return r.shape(resp, q, res)
+}
+
+// CachedResponse answers q from the resolver's cache alone, exactly as
+// HandleQuery would answer it on a cache hit; ok is false when it is not
+// one. It reads only the configuration and the concurrency-safe Cache and
+// counts nothing, so a pool may call it on any instance without holding
+// that instance — and then owns the Resolutions and CacheHits accounting
+// of what it served.
+func (r *Resolver) CachedResponse(q *dns.Message) (resp *dns.Message, ok bool) {
+	if len(q.Question) == 0 {
+		return nil, false
+	}
+	question := q.Question[0]
+	hit, ok := r.cache.answer(dns.Key{Name: question.Name, Type: question.Type, Class: dns.ClassIN}, r.cache.advance(0))
+	if !ok {
+		return nil, false
+	}
+	resp = dns.NewResponse(q)
+	resp.Header.RA = true
+	resp, err := r.shape(resp, q, stubResult(hit))
+	return resp, err == nil
+}
+
+// shape fills the stub-facing response to q from a resolution result: the
+// rcode, the answer, AD reflecting validation, and padding.
+func (r *Resolver) shape(resp, q *dns.Message, res *Result) (*dns.Message, error) {
 	resp.Header.RCode = res.RCode
 	resp.Answer = res.Answer
 	if q.DNSSECOK() && res.Status == StatusSecure {

@@ -96,10 +96,12 @@ func (s *Service) BootWall() time.Duration { return s.bootWall }
 func (s *Service) BootMode() core.BootMode { return s.bootMode }
 
 // Build starts the serving resolvers over the universe: opts.Workers
-// independent resolver instances, each on a private simnet shard (own
-// virtual clock and caches), sharing one RRSIG verification cache — and,
-// with SharedInfra, a sealed infrastructure cache warmed once — with
-// incoming queries round-robin across them.
+// resolver instances sharing one resolver.Cache — one set of answer,
+// delegation, validation and NSEC span state, so the registry sees one
+// resolver at any width — plus one RRSIG verification cache and, with
+// SharedInfra, a sealed infrastructure cache warmed once. Each instance
+// walks on its own simnet shard with its own clock, query scratch, breaker
+// and counters; see pool for how queries reach them.
 func Build(u *universe.Universe, cfg resolver.Config, opts Options) (*Service, error) {
 	start := time.Now()
 	if (opts.SnapshotLoad != "" || opts.SnapshotSave != "") && !opts.SharedInfra {
@@ -124,6 +126,9 @@ func Build(u *universe.Universe, cfg resolver.Config, opts Options) (*Service, e
 		}
 		cfg.Infra = ic
 	}
+	// Every shard starts at the network's clock, and so does the shared
+	// cache's process clock.
+	cfg.Cache = resolver.NewCache(cfg.Limits, u.Net.Now())
 	p := &pool{
 		res:  make([]*resolver.Resolver, workers),
 		mus:  make([]sync.Mutex, workers),
@@ -197,9 +202,14 @@ func (s *Service) Snapshot() Snapshot {
 	return snap
 }
 
-// pool fans queries across resolver instances. The resolver's caches are
-// single-threaded by design, so each instance is guarded by its own mutex;
-// round-robin keeps all instances warm.
+// pool fans queries across resolver instances over one shared cache. A
+// query the cache answers is served before any instance is taken. A miss
+// needs an instance — its shard, clock, scratch and counters are
+// single-threaded, so each is guarded by its own mutex — and goes to the
+// next one round-robin. Taking the first free instance instead keeps every
+// instance walking at once, and with fewer cores than instances the
+// walkers then time-slice: on 2 vCPUs the storm workload's p90 rose by a
+// quarter.
 type pool struct {
 	next atomic.Uint64
 	res  []*resolver.Resolver
@@ -207,6 +217,9 @@ type pool struct {
 	// wd, when non-nil, watches per-instance mutex holds (overload
 	// protection's stuck-instance detector).
 	wd *overload.Watchdog
+	// hits counts queries answered from the shared cache without an
+	// instance; stats adds them to Resolutions and CacheHits.
+	hits atomic.Int64
 
 	// statsMu serializes stats readers; last caches the most recent
 	// per-instance counters so a busy instance (mutex held) contributes
@@ -217,6 +230,10 @@ type pool struct {
 
 // HandleQuery implements simnet.Handler.
 func (p *pool) HandleQuery(q *dns.Message, from netip.Addr) (*dns.Message, error) {
+	if resp, ok := p.res[0].CachedResponse(q); ok {
+		p.hits.Add(1)
+		return resp, nil
+	}
 	i := int(p.next.Add(1) % uint64(len(p.res)))
 	p.mus[i].Lock()
 	if p.wd != nil {
@@ -231,11 +248,12 @@ func (p *pool) HandleQuery(q *dns.Message, from netip.Addr) (*dns.Message, error
 	return p.res[i].HandleQuery(q, from)
 }
 
-// stats merges the per-instance counters without ever waiting on a busy
-// instance: TryLock refreshes the cached counters when the mutex is free,
-// otherwise the instance's last-known values stand in. Readers serialize
-// on statsMu, and each cache entry only ever advances, so merged counters
-// are monotone across successive calls — the invariant the stats surface
+// stats merges the per-instance counters, plus the hits the pool served
+// itself, without ever waiting on a busy instance: TryLock refreshes the
+// cached counters when the mutex is free, otherwise the instance's
+// last-known values stand in. Readers serialize on statsMu, and each cache
+// entry and the hit count only ever advance, so merged counters are
+// monotone across successive calls — the invariant the stats surface
 // promises its scrapers even mid-storm.
 func (p *pool) stats() resolver.Stats {
 	p.statsMu.Lock()
@@ -248,5 +266,8 @@ func (p *pool) stats() resolver.Stats {
 		}
 		st = st.Plus(p.last[i])
 	}
+	hits := int(p.hits.Load())
+	st.Resolutions += hits
+	st.CacheHits += hits
 	return st
 }

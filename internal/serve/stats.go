@@ -46,8 +46,7 @@ type Snapshot struct {
 
 // field is one integer of the Snapshot as the stats surface sees it.
 type field struct {
-	// key is the wire name in the TXT answer; "" keeps the field off the
-	// wire.
+	// key is the wire name in the TXT answer.
 	key string
 	// gauge marks an instant, a watermark or a startup fact: Minus keeps the
 	// later value. Everything else is a counter and subtracts.
@@ -89,16 +88,16 @@ var fields = []field{
 	{"udp_servfails", counter, func(s *Snapshot) any { return &s.UDP.ServFails }},
 	{"udp_inflight", gauge, func(s *Snapshot) any { return &s.UDP.InFlight }},
 	{"udp_max_inflight", gauge, func(s *Snapshot) any { return &s.UDP.MaxInFlight }},
-	{"", counter, func(s *Snapshot) any { return &s.UDP.Conns }},
+	{"udp_conns", counter, func(s *Snapshot) any { return &s.UDP.Conns }},
 	{"udp_shards", gauge, func(s *Snapshot) any { return &s.UDPShards }},
 	{"tcp_queries", counter, func(s *Snapshot) any { return &s.TCP.Queries }},
 	{"tcp_conns", counter, func(s *Snapshot) any { return &s.TCP.Conns }},
 	{"tcp_responses", counter, func(s *Snapshot) any { return &s.TCP.Responses }},
 	{"tcp_servfails", counter, func(s *Snapshot) any { return &s.TCP.ServFails }},
-	{"", counter, func(s *Snapshot) any { return &s.TCP.Malformed }},
-	{"", counter, func(s *Snapshot) any { return &s.TCP.Truncated }},
-	{"", gauge, func(s *Snapshot) any { return &s.TCP.InFlight }},
-	{"", gauge, func(s *Snapshot) any { return &s.TCP.MaxInFlight }},
+	{"tcp_malformed", counter, func(s *Snapshot) any { return &s.TCP.Malformed }},
+	{"tcp_truncated", counter, func(s *Snapshot) any { return &s.TCP.Truncated }},
+	{"tcp_inflight", gauge, func(s *Snapshot) any { return &s.TCP.InFlight }},
+	{"tcp_max_inflight", gauge, func(s *Snapshot) any { return &s.TCP.MaxInFlight }},
 	{"boot_ms", gauge, func(s *Snapshot) any { return &s.BootMS }},
 	{"boot_mode", gauge, func(s *Snapshot) any { return &s.BootMode }},
 	{"ovl_admitted", counter, func(s *Snapshot) any { return &s.Overload.Admitted }},
@@ -186,9 +185,7 @@ func (s Snapshot) AnswerCacheHitRate() float64 {
 func statsResponse(q *dns.Message, snap Snapshot) *dns.Message {
 	strs := make([]string, 0, len(fields))
 	for _, f := range fields {
-		if f.key != "" {
-			strs = append(strs, f.key+"="+strconv.FormatUint(f.get(&snap), 10))
-		}
+		strs = append(strs, f.key+"="+strconv.FormatUint(f.get(&snap), 10))
 	}
 	resp := dns.NewResponse(q)
 	resp.Header.RCode = dns.RCodeNoError
@@ -219,9 +216,6 @@ func ParseSnapshot(resp *dns.Message) (Snapshot, error) {
 		v, err := strconv.ParseUint(val, 10, 64)
 		if err != nil {
 			return snap, fmt.Errorf("serve: stats string %q: %w", kv, err)
-		}
-		if key == "" {
-			continue // the table's mark for a field kept off the wire
 		}
 		for _, f := range fields {
 			if f.key == key {
@@ -273,6 +267,7 @@ func (s Snapshot) Render(title string) string {
 	t.AddRow("udp max in-flight", s.UDP.MaxInFlight)
 	t.AddRow("tcp conns", s.TCP.Conns)
 	t.AddRow("tcp queries", s.TCP.Queries)
+	t.AddRow("tcp malformed/truncated", fmt.Sprintf("%d/%d", s.TCP.Malformed, s.TCP.Truncated))
 	if ovl := s.Overload; ovl.Admitted+ovl.Sheds() > 0 {
 		t.AddRow("overload admitted", ovl.Admitted)
 		t.AddRow("sheds (rate/window/queue)", fmt.Sprintf("%d/%d/%d",
