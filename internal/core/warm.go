@@ -14,7 +14,7 @@ import (
 // root-to-TLD delegations with their validated outcomes, plus the
 // registry path and the registry's validated keys when the configuration
 // runs look-aside. Workers handed the sealed cache (via Config.Infra)
-// adopt that state instead of each repeating the identical validation
+// read that state instead of each repeating the identical validation
 // walks, while their per-domain answer caches stay private — the
 // universe's InfraName filter keeps population state out of the export.
 //
