@@ -126,6 +126,15 @@ func TestRegistryViewByWorkers(t *testing.T) {
 	if len(stub) < 800 || len(want) == 0 {
 		t.Fatalf("simulation path asked %d stub questions and showed the registry %d queries", len(stub), len(want))
 	}
+	// The infrastructure-cache accounting is pinned too: every path reads
+	// the same sealed cache the same number of times.
+	const wantInfraHits, wantInfraMisses = 3658, 902
+	infra := func(st resolver.Stats) [2]int { return [2]int{st.InfraHits, st.InfraMisses} }
+	simInfra := infra(a.Resolver().Stats())
+	if simInfra != [2]int{wantInfraHits, wantInfraMisses} {
+		t.Errorf("simulation path infra hits/misses = %d/%d, want %d/%d",
+			simInfra[0], simInfra[1], wantInfraHits, wantInfraMisses)
+	}
 
 	for _, workers := range []int{1, 2, 4} {
 		_, u := buildUniverse(t, 2000)
@@ -144,6 +153,10 @@ func TestRegistryViewByWorkers(t *testing.T) {
 			workers, len(got), len(stub), len(want))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d showed the registry\n%q\nthe simulation path showed it\n%q", workers, got, want)
+		}
+		if got := infra(svc.ResolverStats()); got != simInfra {
+			t.Errorf("workers=%d infra hits/misses = %d/%d, simulation path %d/%d",
+				workers, got[0], got[1], simInfra[0], simInfra[1])
 		}
 	}
 }
