@@ -10,7 +10,7 @@ import (
 )
 
 // WarmInfra pre-resolves the shared infrastructure of a universe on a
-// private network shard and returns a sealed resolver.InfraCache: the
+// private network shard and returns it as a sealed resolver.Cache: the
 // root-to-TLD delegations with their validated outcomes, plus the
 // registry path and the registry's validated keys when the configuration
 // runs look-aside. Workers handed the sealed cache (via Config.Infra)
@@ -32,7 +32,7 @@ import (
 // audits. Individual warm failures are tolerated: a TLD that cannot be
 // resolved (fault injection) simply stays out of the cache and workers
 // learn about it the usual way.
-func WarmInfra(u *universe.Universe, cfg resolver.Config) (*resolver.InfraCache, error) {
+func WarmInfra(u *universe.Universe, cfg resolver.Config) (*resolver.Cache, error) {
 	return WarmInfraUnder(u, cfg, nil)
 }
 
@@ -43,7 +43,7 @@ func WarmInfra(u *universe.Universe, cfg resolver.Config) (*resolver.InfraCache,
 // phase never touches the registry, so shared root/TLD state still warms
 // fully; the registry phase experiences the faults like any worker would
 // and exports only what it actually obtained.
-func WarmInfraUnder(u *universe.Universe, cfg resolver.Config, plan *faults.Plan) (*resolver.InfraCache, error) {
+func WarmInfraUnder(u *universe.Universe, cfg resolver.Config, plan *faults.Plan) (*resolver.Cache, error) {
 	sh := u.NewShard()
 	if plan != nil {
 		sh.SetFaultPlan(universe.RegistryAddr, *plan)
@@ -62,7 +62,7 @@ func WarmInfraUnder(u *universe.Universe, cfg resolver.Config, plan *faults.Plan
 		}
 		_, _ = rt.Resolve(name, dns.TypeNS)
 	}
-	ic := resolver.NewInfraCache()
+	ic := resolver.NewCache(resolver.CacheLimits{}, 0)
 	rt.ExportInfra(ic, u.InfraName)
 
 	if cfg.Lookaside != nil {

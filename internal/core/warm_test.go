@@ -25,12 +25,13 @@ func TestWarmInfraSharedAudit(t *testing.T) {
 	if !ic.Sealed() {
 		t.Fatal("WarmInfra returned an unsealed cache")
 	}
-	delegations, zones, _ := ic.Sizes()
+	sz := ic.Sizes()
+	delegations, zones := sz.Delegations, sz.ZoneOutcomes
 	if delegations == 0 || zones == 0 {
 		t.Fatalf("warm cache is empty: %d delegations, %d zone outcomes", delegations, zones)
 	}
 
-	run := func(infra *resolver.InfraCache) Report {
+	run := func(infra *resolver.Cache) Report {
 		opts := auditorConfig(u)
 		opts.Resolver.Infra = infra
 		s, err := NewShardedAuditor(u, ShardedOptions{Options: opts, Workers: 4})
@@ -122,14 +123,16 @@ func TestWarmInfraUnderOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthyDel, healthyZones, _ := healthy.Sizes()
+	hs := healthy.Sizes()
+	healthyDel, healthyZones := hs.Delegations, hs.ZoneOutcomes
 
 	plan := &faults.Plan{Seed: 1, Outages: []faults.Window{{Start: 0, End: 1 << 62}}}
 	ic, err := WarmInfraUnder(u, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delegations, zones, _ := ic.Sizes()
+	sz := ic.Sizes()
+	delegations, zones := sz.Delegations, sz.ZoneOutcomes
 	if delegations == 0 || zones == 0 {
 		t.Fatalf("outage warm lost the registry-independent state: %d delegations, %d zone outcomes",
 			delegations, zones)

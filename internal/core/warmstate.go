@@ -31,13 +31,13 @@ func (m BootMode) String() string {
 
 // SaveWarmState writes the sealed infrastructure cache plus the universe's
 // signed-zone signature state to a snapshot file (atomically).
-func SaveWarmState(path string, u *universe.Universe, cfg resolver.Config, ic *resolver.InfraCache) error {
+func SaveWarmState(path string, u *universe.Universe, cfg resolver.Config, ic *resolver.Cache) error {
 	return snapshot.Save(path, u, cfg, ic)
 }
 
 // LoadWarmState restores a sealed infrastructure cache from a snapshot
 // file, refusing stale or mismatched state (see snapshot.Load).
-func LoadWarmState(path string, u *universe.Universe, cfg resolver.Config) (*resolver.InfraCache, error) {
+func LoadWarmState(path string, u *universe.Universe, cfg resolver.Config) (*resolver.Cache, error) {
 	return snapshot.Load(path, u, cfg)
 }
 
@@ -47,7 +47,7 @@ func LoadWarmState(path string, u *universe.Universe, cfg resolver.Config) (*res
 // state. A non-nil fault plan disables snapshot loading outright: the
 // snapshot was warmed against a healthy registry, and a fleet booting into
 // an outage must experience the outage, not remember around it.
-func LoadOrWarm(u *universe.Universe, cfg resolver.Config, plan *faults.Plan, path string, logf func(format string, args ...any)) (*resolver.InfraCache, BootMode, error) {
+func LoadOrWarm(u *universe.Universe, cfg resolver.Config, plan *faults.Plan, path string, logf func(format string, args ...any)) (*resolver.Cache, BootMode, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}

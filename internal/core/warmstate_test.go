@@ -41,10 +41,9 @@ func TestLoadOrWarm(t *testing.T) {
 	if len(logs) != 0 {
 		t.Errorf("good snapshot logged: %q", logs)
 	}
-	d1, z1, s1 := ic.Sizes()
-	d2, z2, s2 := got.Sizes()
-	if d1 != d2 || z1 != z2 || s1 != s2 {
-		t.Errorf("restored sizes (%d, %d, %d) != warmed (%d, %d, %d)", d2, z2, s2, d1, z1, s1)
+	warmed := ic.Sizes()
+	if restored := got.Sizes(); restored != warmed {
+		t.Errorf("restored sizes %+v != warmed %+v", restored, warmed)
 	}
 
 	// Corrupt file: refused with a logged reason, live warm-up result.
@@ -78,10 +77,10 @@ func TestLoadOrWarm(t *testing.T) {
 	if len(logs) != 1 || !strings.Contains(logs[0], "fault plan") {
 		t.Errorf("fault plan logs = %q, want the ignore reason", logs)
 	}
-	planDeleg, planZones, _ := got.Sizes()
-	if planDeleg >= d1 || planZones >= z1 {
+	planned := got.Sizes()
+	if planned.Delegations >= warmed.Delegations || planned.ZoneOutcomes >= warmed.ZoneOutcomes {
 		t.Errorf("outage warm matched healthy warm (%d/%d delegations, %d/%d zones) — snapshot state leaked through the plan",
-			planDeleg, d1, planZones, z1)
+			planned.Delegations, warmed.Delegations, planned.ZoneOutcomes, warmed.ZoneOutcomes)
 	}
 
 	// No path, nil logf: plain live warm-up.

@@ -90,8 +90,16 @@ type CacheSizes struct {
 // since it last looked. With one resolver that is exactly its shard clock;
 // with several driven one at a time it is the timeline one resolver doing
 // all their work would have had.
+//
+// Seal freezes a Cache for lock-free reads. The shared infrastructure
+// cache (Config.Infra) is one: warm-up fills it (Resolver.ExportInfra or
+// RestoreInfra) and seals it, and every worker resolver then reads its
+// delegations, zone outcomes and span stores without touching the mutex.
+// A sealed Cache takes no writes: every store is a no-op, so nothing in it
+// is ever evicted or replaced.
 type Cache struct {
-	clock atomic.Int64 // time.Duration
+	clock  atomic.Int64 // time.Duration
+	sealed atomic.Bool
 
 	mu     sync.Mutex
 	limits CacheLimits
@@ -132,6 +140,39 @@ func newCache(limits CacheLimits) *Cache {
 		seenServers: make(map[netip.Addr]bool),
 		nsCompleted: make(map[dns.Name]bool),
 	}
+}
+
+// Seal freezes the cache: every span store is replaced by a fully merged
+// copy under the mutex, then the cache is marked sealed, after which
+// delegation, outcome and span reads skip the mutex and every store is a
+// no-op. A span add that raced Seal
+// lands in a discarded store, as if it had come after. Sealing again does
+// nothing.
+func (c *Cache) Seal() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.sealed.Load() {
+		return
+	}
+	for zone, st := range c.spans {
+		c.spans[zone] = st.clone()
+	}
+	c.sealed.Store(true)
+}
+
+// Sealed reports whether the cache has been frozen.
+func (c *Cache) Sealed() bool { return c.sealed.Load() }
+
+// lockUnsealed takes the mutex for a store and reports true, or reports
+// false, holding nothing, when the cache is sealed. Checking the seal under
+// the mutex orders every accepted store before Seal.
+func (c *Cache) lockUnsealed() bool {
+	c.mu.Lock()
+	if c.sealed.Load() {
+		c.mu.Unlock()
+		return false
+	}
+	return true
 }
 
 // advance adds d to the process clock and returns the new reading in whole
@@ -318,7 +359,7 @@ func (s *spanStore) merge() {
 }
 
 // clone returns an independent, fully merged copy of the store (for export
-// into the shared infrastructure cache).
+// into, and the seal of, the shared infrastructure cache).
 func (s *spanStore) clone() *spanStore {
 	c := &spanStore{limit: s.limit}
 	s.mu.RLock()
@@ -334,7 +375,8 @@ func (s *spanStore) clone() *spanStore {
 // coversKey reports, under the read lock, whether a live cached span
 // proves the nonexistence, at the given time, of the name whose sort key is
 // key. It takes the key rather than the name because the resolver asks its
-// own store and the shared one about the same name and builds the key once.
+// own cache and the infrastructure cache about the same name and builds the
+// key once.
 func (s *spanStore) coversKey(key []byte, now uint32) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -342,7 +384,7 @@ func (s *spanStore) coversKey(key []byte, now uint32) bool {
 }
 
 // sealedCoversKey is coversKey without the lock, for a store nothing
-// writes any more (a sealed infrastructure cache's).
+// writes any more (a sealed Cache's).
 func (s *spanStore) sealedCoversKey(key []byte, now uint32) bool {
 	for i := range s.tail {
 		if sp := &s.tail[i]; sp.expires >= now && sp.covers(key) {
@@ -468,7 +510,9 @@ func (c *Cache) answer(key dns.Key, now uint32) (*coreResult, bool) {
 
 // storePositive writes a positive answer, enforcing the answer bound.
 func (c *Cache) storePositive(key dns.Key, e posEntry, now uint32) {
-	c.mu.Lock()
+	if !c.lockUnsealed() {
+		return
+	}
 	defer c.mu.Unlock()
 	if _, ok := c.positive[key]; !ok {
 		if len(c.positive) >= c.limits.Answers {
@@ -482,7 +526,9 @@ func (c *Cache) storePositive(key dns.Key, e posEntry, now uint32) {
 
 // storeNegative writes a negative answer, enforcing the answer bound.
 func (c *Cache) storeNegative(key dns.Key, e negEntry, now uint32) {
-	c.mu.Lock()
+	if !c.lockUnsealed() {
+		return
+	}
 	defer c.mu.Unlock()
 	if _, ok := c.negative[key]; !ok {
 		if len(c.negative) >= c.limits.Answers {
@@ -496,8 +542,10 @@ func (c *Cache) storeNegative(key dns.Key, e negEntry, now uint32) {
 
 // delegation looks up a cached zone cut.
 func (c *Cache) delegation(name dns.Name) (*delegation, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	if !c.sealed.Load() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	}
 	d, ok := c.delegations[name]
 	return d, ok
 }
@@ -506,7 +554,9 @@ func (c *Cache) delegation(name dns.Name) (*delegation, bool) {
 // Delegations carry no TTL in this model, so eviction is purely FIFO; a
 // dropped cut is relearned through a referral walk.
 func (c *Cache) storeDelegation(name dns.Name, d *delegation) {
-	c.mu.Lock()
+	if !c.lockUnsealed() {
+		return
+	}
 	defer c.mu.Unlock()
 	if _, ok := c.delegations[name]; !ok {
 		if len(c.delegations) >= c.limits.Delegations {
@@ -521,7 +571,9 @@ func (c *Cache) storeDelegation(name dns.Name, d *delegation) {
 // eviction — only while the name still holds old: a cut that was evicted
 // or relearned since old was read stays as it is.
 func (c *Cache) replaceDelegation(name dns.Name, old, d *delegation) {
-	c.mu.Lock()
+	if !c.lockUnsealed() {
+		return
+	}
 	defer c.mu.Unlock()
 	if c.delegations[name] == old {
 		c.delegations[name] = d
@@ -530,8 +582,10 @@ func (c *Cache) replaceDelegation(name dns.Name, old, d *delegation) {
 
 // outcome looks up a cached per-zone validation outcome.
 func (c *Cache) outcome(name dns.Name) (*zoneOutcome, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	if !c.sealed.Load() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	}
 	out, ok := c.zoneStatus[name]
 	return out, ok
 }
@@ -539,7 +593,9 @@ func (c *Cache) outcome(name dns.Name) (*zoneOutcome, bool) {
 // storeZoneStatus writes a per-zone validation outcome, enforcing the zone
 // bound. An evicted outcome is re-established by re-validating the chain.
 func (c *Cache) storeZoneStatus(name dns.Name, out *zoneOutcome) {
-	c.mu.Lock()
+	if !c.lockUnsealed() {
+		return
+	}
 	defer c.mu.Unlock()
 	if _, ok := c.zoneStatus[name]; !ok {
 		if len(c.zoneStatus) >= c.limits.Zones {
@@ -553,7 +609,9 @@ func (c *Cache) storeZoneStatus(name dns.Name, out *zoneOutcome) {
 // noteSeenServer records first contact with a server address, enforcing the
 // server bound. Returns true when the address was already known.
 func (c *Cache) noteSeenServer(addr netip.Addr) (seen bool) {
-	c.mu.Lock()
+	if !c.lockUnsealed() {
+		return c.seenServers[addr]
+	}
 	defer c.mu.Unlock()
 	if c.seenServers[addr] {
 		return true
@@ -569,7 +627,9 @@ func (c *Cache) noteSeenServer(addr netip.Addr) (seen bool) {
 // noteNSCompleted records the NS-completion decision for a zone, enforcing
 // the zone bound. Returns true when the zone was already decided.
 func (c *Cache) noteNSCompleted(name dns.Name) (done bool) {
-	c.mu.Lock()
+	if !c.lockUnsealed() {
+		return c.nsCompleted[name]
+	}
 	defer c.mu.Unlock()
 	if c.nsCompleted[name] {
 		return true
@@ -582,20 +642,39 @@ func (c *Cache) noteNSCompleted(name dns.Name) (done bool) {
 	return false
 }
 
-// spansFor returns the span store of a zone, creating it on first use.
-func (c *Cache) spansFor(zone dns.Name) *spanStore {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// addSpan stores a validated NSEC span of zone, creating the zone's span
+// store on first use. The store's own lock covers the insert, so a merge
+// never holds the cache mutex.
+func (c *Cache) addSpan(zone dns.Name, sp span, now uint32) {
+	if !c.lockUnsealed() {
+		return
+	}
 	st, ok := c.spans[zone]
 	if !ok {
 		st = &spanStore{limit: c.limits.Spans}
 		c.spans[zone] = st
 	}
-	return st
+	c.mu.Unlock()
+	st.add(sp, now)
 }
 
-// sizes snapshots the entry counts.
-func (c *Cache) sizes() CacheSizes {
+// spanCovers reports whether a live span of zone proves the nonexistence,
+// at now, of the name whose sort key (dns.AppendSortKey) is key. A sealed
+// cache's stores are read without any lock. A zone with no store has no
+// spans; the read does not create one.
+func (c *Cache) spanCovers(zone dns.Name, key []byte, now uint32) bool {
+	if c.sealed.Load() {
+		st, ok := c.spans[zone]
+		return ok && st.sealedCoversKey(key, now)
+	}
+	c.mu.Lock()
+	st, ok := c.spans[zone]
+	c.mu.Unlock()
+	return ok && st.coversKey(key, now)
+}
+
+// Sizes snapshots the entry counts.
+func (c *Cache) Sizes() CacheSizes {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	spans := 0

@@ -244,10 +244,7 @@ func (r *Resolver) chaseCNAME(core *coreResult, qname dns.Name, qtype dns.Type, 
 // the cache may evict the name meanwhile.
 func (r *Resolver) closestDelegation(qname dns.Name) (dns.Name, *delegation) {
 	for n := qname; !n.IsRoot(); n = n.Parent() {
-		if d, ok := r.cache.delegation(n); ok {
-			return n, d
-		}
-		if d, ok := r.infraDelegation(n); ok {
+		if d, ok := r.cachedDelegation(n); ok {
 			return n, d
 		}
 	}
@@ -299,11 +296,9 @@ func (r *Resolver) serverAddrs(zone dns.Name, d *delegation, depth int) ([]netip
 	}
 	if d == nil {
 		var ok bool
-		if d, ok = r.cache.delegation(zone); !ok {
-			if d, ok = r.infraDelegation(zone); !ok {
-				r.putAddrBuf(addrs)
-				return nil, fmt.Errorf("%w: zone %s", ErrNoServers, zone)
-			}
+		if d, ok = r.cachedDelegation(zone); !ok {
+			r.putAddrBuf(addrs)
+			return nil, fmt.Errorf("%w: zone %s", ErrNoServers, zone)
 		}
 	}
 	for i := range d.servers {
@@ -476,7 +471,7 @@ func (r *Resolver) harvestSpans(resp *dns.Message) {
 		if !r.verifyWithKeys(reg.keys, sig, []dns.RR{rr}, now) {
 			continue
 		}
-		r.cache.spansFor(lc.Zone).add(span{
+		r.cache.addSpan(lc.Zone, span{
 			owner: rr.Name, next: nsec.NextName, expires: now + rr.TTL,
 		}, now)
 	}

@@ -173,11 +173,12 @@ type Config struct {
 	// negative cache above all — to the servers they query.
 	Cache *Cache
 
-	// Infra is a shared, read-mostly cache of infrastructure state
-	// (root/TLD/registry delegations, validated zone outcomes, NSEC
-	// spans), warmed and sealed before a worker pool starts. Nil keeps
-	// the resolver fully self-contained (the legacy behavior).
-	Infra *InfraCache
+	// Infra is a sealed Cache of infrastructure state (root/TLD/registry
+	// delegations, validated zone outcomes, NSEC spans), warmed before a
+	// worker pool starts. The resolver reads it behind its own Cache and
+	// never writes it. Nil keeps the resolver fully self-contained (the
+	// legacy behavior).
+	Infra *Cache
 
 	// Resilience enables the resilient transport core (attempt budgets,
 	// backoff, per-query deadline, TCP fallback, DLV circuit breaker). Nil
@@ -190,7 +191,7 @@ type Resolver struct {
 	cfg    Config
 	cache  *Cache
 	vcache *dnssec.VerifyCache
-	infra  *InfraCache
+	infra  *Cache
 
 	// seen is the shard-clock reading last added to the cache's process
 	// clock (see nowSeconds).

@@ -2,49 +2,52 @@ package resolver
 
 import (
 	"fmt"
+	"net/netip"
 	"sync"
 	"testing"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
 
-// populatedInfraCache builds an unsealed cache with a few entries of every
-// kind, returning the names it used.
-func populatedInfraCache() (*InfraCache, []dns.Name) {
-	ic := NewInfraCache()
+// populatedCache builds an unsealed Cache with a few entries of every kind,
+// returning the zone names it used.
+func populatedCache() (*Cache, []dns.Name) {
+	c := NewCache(CacheLimits{}, 0)
 	names := make([]dns.Name, 0, 8)
 	for i := 0; i < 8; i++ {
 		n := dns.MustName(fmt.Sprintf("tld%d.", i))
 		names = append(names, n)
-		ic.putDelegation(n, &delegation{parent: dns.Root})
-		ic.putOutcome(n, &zoneOutcome{status: StatusSecure, signed: true})
-		st := &spanStore{limit: 64}
-		st.add(span{
+		c.storeDelegation(n, &delegation{parent: dns.Root})
+		c.storeZoneStatus(n, &zoneOutcome{status: StatusSecure, signed: true})
+		c.addSpan(n, span{
 			owner:   dns.MustName("a." + string(n)),
 			next:    dns.MustName("z." + string(n)),
 			expires: 1 << 30,
 		}, 0)
-		ic.putSpans(n, st)
+		c.storePositive(dns.Key{Name: n, Type: dns.TypeA, Class: dns.ClassIN}, posEntry{zone: n, expires: 1 << 30}, 0)
+		c.storeNegative(dns.Key{Name: n, Type: dns.TypeAAAA, Class: dns.ClassIN}, negEntry{zone: n, expires: 1 << 30}, 0)
+		c.noteSeenServer(netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}))
+		c.noteNSCompleted(n)
 	}
-	return ic, names
+	return c, names
 }
 
 // TestSealIdempotent pins that Seal can be called more than once — including
 // concurrently — without changing the cache: sizes, lookups, and the sealed
 // flag are identical after the first call and every later one.
 func TestSealIdempotent(t *testing.T) {
-	ic, names := populatedInfraCache()
-	if ic.Sealed() {
+	c, names := populatedCache()
+	if c.Sealed() {
 		t.Fatal("fresh cache reports sealed")
 	}
-	ic.Seal()
-	if !ic.Sealed() {
+	c.Seal()
+	if !c.Sealed() {
 		t.Fatal("Seal did not seal")
 	}
-	d1, z1, s1 := ic.Sizes()
-	if d1 != len(names) || z1 != len(names) || s1 != len(names) {
-		t.Fatalf("sealed sizes = (%d, %d, %d), want (%d, %d, %d)",
-			d1, z1, s1, len(names), len(names), len(names))
+	n := len(names)
+	want := CacheSizes{Positive: n, Negative: n, Delegations: n, ZoneOutcomes: n, Servers: n, NSCompleted: n, Spans: n}
+	if got := c.Sizes(); got != want {
+		t.Fatalf("sealed sizes = %+v, want %+v", got, want)
 	}
 
 	var wg sync.WaitGroup
@@ -52,41 +55,44 @@ func TestSealIdempotent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ic.Seal()
+			c.Seal()
 		}()
 	}
 	wg.Wait()
-	d2, z2, s2 := ic.Sizes()
-	if d2 != d1 || z2 != z1 || s2 != s1 {
-		t.Errorf("repeated Seal changed sizes: (%d, %d, %d) -> (%d, %d, %d)",
-			d1, z1, s1, d2, z2, s2)
+	if got := c.Sizes(); got != want {
+		t.Errorf("repeated Seal changed sizes: %+v -> %+v", want, got)
 	}
 	for _, n := range names {
-		if _, ok := ic.delegation(n); !ok {
+		if _, ok := c.delegation(n); !ok {
 			t.Errorf("delegation %s lost after repeated Seal", n)
 		}
-		if _, ok := ic.outcome(n); !ok {
+		if _, ok := c.outcome(n); !ok {
 			t.Errorf("outcome %s lost after repeated Seal", n)
 		}
 	}
 }
 
 // TestWritesAfterSealIgnored pins the read-mostly contract the worker pools
-// rely on: once sealed, every put is a no-op (no new entries, no
-// overwrites), and concurrent writers racing against lock-free readers are
-// safe — run under -race this is the memory-model half of the guarantee.
+// rely on: once sealed, every store method is a no-op (no new entries, no
+// overwrites, no evictions), and concurrent writers racing against
+// lock-free readers are safe — run under -race this is the memory-model
+// half of the guarantee.
 func TestWritesAfterSealIgnored(t *testing.T) {
-	ic, names := populatedInfraCache()
-	ic.Seal()
+	c, names := populatedCache()
+	c.Seal()
 	before := make(map[dns.Name]*zoneOutcome, len(names))
 	for _, n := range names {
-		out, ok := ic.outcome(n)
+		out, ok := c.outcome(n)
 		if !ok {
 			t.Fatalf("outcome %s missing after seal", n)
 		}
 		before[n] = out
 	}
-	d1, z1, s1 := ic.Sizes()
+	sizes := c.Sizes()
+	var buf [256]byte
+	// zm.<zone> falls outside the populated a..z span; a late span would
+	// cover it.
+	uncovered := func(n dns.Name) []byte { return dns.AppendSortKey(buf[:0], dns.MustName("zm."+string(n))) }
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -97,10 +103,19 @@ func TestWritesAfterSealIgnored(t *testing.T) {
 				// New names and overwrites of existing ones: both must be
 				// dropped on the floor.
 				fresh := dns.MustName(fmt.Sprintf("late%d-%d.", w, i))
-				ic.putDelegation(fresh, &delegation{parent: dns.Root})
-				ic.putOutcome(fresh, &zoneOutcome{status: StatusBogus})
-				ic.putSpans(fresh, &spanStore{})
-				ic.putOutcome(names[i%len(names)], &zoneOutcome{status: StatusBogus})
+				old := names[i%len(names)]
+				for _, n := range []dns.Name{fresh, old} {
+					c.storePositive(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, posEntry{zone: n, expires: 1 << 30}, 0)
+					c.storeNegative(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, negEntry{zone: n, expires: 1 << 30}, 0)
+					c.storeDelegation(n, &delegation{parent: dns.Root})
+					c.storeZoneStatus(n, &zoneOutcome{status: StatusBogus})
+					c.noteNSCompleted(n)
+					c.addSpan(n, span{owner: dns.MustName("z." + string(n)), next: dns.MustName("zz." + string(n)), expires: 1 << 30}, 0)
+				}
+				if d, ok := c.delegation(old); ok {
+					c.replaceDelegation(old, d, &delegation{parent: fresh})
+				}
+				c.noteSeenServer(netip.AddrFrom4([4]byte{10, 1, byte(w), byte(i)}))
 			}
 		}(w)
 	}
@@ -108,32 +123,45 @@ func TestWritesAfterSealIgnored(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf [256]byte
 			for i := 0; i < 50; i++ {
 				n := names[i%len(names)]
-				if _, ok := ic.delegation(n); !ok {
-					t.Errorf("delegation %s vanished", n)
+				if d, ok := c.delegation(n); !ok || d.parent != dns.Root {
+					t.Errorf("delegation %s vanished or changed", n)
 				}
-				if out, ok := ic.outcome(n); !ok || out.status != StatusSecure {
+				if out, ok := c.outcome(n); !ok || out.status != StatusSecure {
 					t.Errorf("outcome %s changed under concurrent writes", n)
 				}
-				ic.spanCovers(n, dns.AppendSortKey(nil, dns.MustName("m."+string(n))), 0)
+				if !c.spanCovers(n, dns.AppendSortKey(buf[:0], dns.MustName("m."+string(n))), 0) {
+					t.Errorf("sealed span of %s stopped covering", n)
+				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	d2, z2, s2 := ic.Sizes()
-	if d2 != d1 || z2 != z1 || s2 != s1 {
-		t.Errorf("writes after Seal changed sizes: (%d, %d, %d) -> (%d, %d, %d)",
-			d1, z1, s1, d2, z2, s2)
+	if got := c.Sizes(); got != sizes {
+		t.Errorf("writes after Seal changed sizes: %+v -> %+v", sizes, got)
 	}
 	for _, n := range names {
-		out, ok := ic.outcome(n)
+		out, ok := c.outcome(n)
 		if !ok || out != before[n] {
 			t.Errorf("outcome %s replaced after Seal", n)
 		}
+		if d, _ := c.delegation(n); d.parent != dns.Root {
+			t.Errorf("delegation %s replaced after Seal", n)
+		}
+		if c.spanCovers(n, uncovered(n), 0) {
+			t.Errorf("post-seal span of %s took effect", n)
+		}
+		if _, ok := c.answer(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, 0); ok {
+			t.Errorf("post-seal answer for %s took effect", n)
+		}
 	}
-	if _, ok := ic.delegation(dns.MustName("late0-0.")); ok {
-		t.Error("post-seal putDelegation took effect")
+	if _, ok := c.delegation(dns.MustName("late0-0.")); ok {
+		t.Error("post-seal storeDelegation took effect")
+	}
+	if c.noteSeenServer(netip.AddrFrom4([4]byte{10, 1, 0, 0})) {
+		t.Error("post-seal noteSeenServer took effect")
 	}
 }

@@ -87,7 +87,7 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	got := shared.sizes()
+	got := shared.Sizes()
 	for _, c := range []struct {
 		what      string
 		size, cap int

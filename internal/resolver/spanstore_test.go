@@ -49,7 +49,7 @@ func chainName(r *rand.Rand, apex dns.Name) dns.Name {
 // TestSpanStoreMatchesOracle drives a span store through arbitrary sequences
 // of everything that can happen to one — harvested spans (fresh, duplicate
 // and already expired), tail merges, purges, the wholesale reset at the
-// limit, clones, and a trip through ExportInfraState and RestoreInfra — over
+// limit, clones, and a trip through Export and RestoreInfra — over
 // the NSEC chain of a zone, and after every step requires covers to answer
 // exactly as a linear scan of the retained spans with the CanonicalCompare
 // definition of coverage does. The chain's last span wraps to the apex; with
@@ -92,8 +92,13 @@ func TestSpanStoreMatchesOracle(t *testing.T) {
 				}
 				model = live
 			}
-			check := func(step int, op string) {
+			// check asks covers, the store's answer by default, about every
+			// probe.
+			check := func(step int, op string, covers func(dns.Name) bool) {
 				t.Helper()
+				if covers == nil {
+					covers = func(probe dns.Name) bool { return s.covers(probe, now) }
+				}
 				for _, probe := range probes {
 					want := false
 					for _, sp := range model {
@@ -102,7 +107,7 @@ func TestSpanStoreMatchesOracle(t *testing.T) {
 							break
 						}
 					}
-					if got := s.covers(probe, now); got != want {
+					if got := covers(probe); got != want {
 						t.Fatalf("step %d (%s), now=%d: covers(%s) = %t, oracle says %t", step, op, now, probe, got, want)
 					}
 				}
@@ -145,8 +150,8 @@ func TestSpanStoreMatchesOracle(t *testing.T) {
 					s = s.clone()
 				case p < 94:
 					op = "export+restore"
-					ic := NewInfraCache()
-					ic.putSpans(tc.apex, s.clone())
+					ic := NewCache(CacheLimits{}, 0)
+					ic.spans[tc.apex] = s.clone()
 					ic.Seal()
 					st, err := ic.Export()
 					if err != nil {
@@ -156,7 +161,11 @@ func TestSpanStoreMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatalf("step %d: RestoreInfra refused an exported store: %v", step, err)
 					}
-					s = restored.shard(tc.apex).spans[tc.apex].clone()
+					check(step, "restored cache", func(probe dns.Name) bool {
+						var buf [256]byte
+						return restored.spanCovers(tc.apex, dns.AppendSortKey(buf[:0], probe), now)
+					})
+					s = restored.spans[tc.apex].clone()
 					if s.limit != tc.limit {
 						t.Fatalf("limit %d came back as %d", tc.limit, s.limit)
 					}
@@ -164,7 +173,7 @@ func TestSpanStoreMatchesOracle(t *testing.T) {
 					op = "clock"
 					now += uint32(r.Intn(25))
 				}
-				check(step, op)
+				check(step, op, nil)
 			}
 			if len(s.sorted) == 0 {
 				t.Fatal("the run never exercised the sorted body")
@@ -173,32 +182,70 @@ func TestSpanStoreMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRestoreInfraRefusesUnsortedSpans pins the check the sealed store's
-// binary search depends on: a span set whose owners are not in strictly
-// increasing canonical order is refused, including an order that only plain
-// string comparison would call sorted.
+// TestRestoreInfraRefusesUnsortedSpans pins that RestoreInfra accepts only
+// what Export writes: the names of every list — delegations, outcomes,
+// span-set zones, and the span owners of a set, which the sealed store's
+// binary search depends on — in strictly increasing canonical order. A
+// repeat is refused, and so is an order that only plain string comparison
+// would call sorted.
 func TestRestoreInfraRefusesUnsortedSpans(t *testing.T) {
 	zone := dns.MustName("dlv.test")
-	set := func(owners ...string) *InfraState {
+	spans := func(owners ...string) *InfraState {
 		s := InfraSpanSet{Zone: zone}
 		for _, o := range owners {
 			s.Spans = append(s.Spans, InfraSpan{Owner: dns.MustName(o), Next: zone, Expires: 100})
 		}
 		return &InfraState{Spans: []InfraSpanSet{s}}
 	}
-	for _, bad := range [][]string{
+	delegations := func(names ...string) *InfraState {
+		st := &InfraState{}
+		for _, n := range names {
+			st.Delegations = append(st.Delegations, InfraDelegation{Name: dns.MustName(n), Parent: dns.Root})
+		}
+		return st
+	}
+	outcomes := func(names ...string) *InfraState {
+		st := &InfraState{}
+		for _, n := range names {
+			st.Outcomes = append(st.Outcomes, InfraOutcome{Name: dns.MustName(n), Status: StatusSecure})
+		}
+		return st
+	}
+	spanSets := func(zones ...string) *InfraState {
+		st := &InfraState{}
+		for _, z := range zones {
+			st.Spans = append(st.Spans, InfraSpanSet{Zone: dns.MustName(z)})
+		}
+		return st
+	}
+	bad := [][]string{
 		{"b.dlv.test", "a.dlv.test"},
 		{"a.dlv.test", "a.dlv.test"},
 		{"a-b.dlv.test", "b.a.dlv.test"}, // canonical order puts b.a first
 		{"dlv.test", "z.dlv.test", "y.dlv.test"},
+	}
+	good := []string{"dlv.test", "b.a.dlv.test", "a-b.dlv.test", "ab.dlv.test"}
+	for _, list := range []struct {
+		name  string
+		state func(...string) *InfraState
+	}{
+		{"span owners", spans},
+		{"delegations", delegations},
+		{"outcomes", outcomes},
+		{"span-set zones", spanSets},
 	} {
-		if _, err := RestoreInfra(set(bad...)); err == nil {
-			t.Errorf("RestoreInfra accepted out-of-order owners %v", bad)
+		for _, names := range bad {
+			if _, err := RestoreInfra(list.state(names...)); err == nil {
+				t.Errorf("RestoreInfra accepted %s %v", list.name, names)
+			}
+		}
+		if _, err := RestoreInfra(list.state(good...)); err != nil {
+			t.Errorf("RestoreInfra refused canonically ordered %s: %v", list.name, err)
 		}
 	}
-	ic, err := RestoreInfra(set("dlv.test", "b.a.dlv.test", "a-b.dlv.test", "ab.dlv.test"))
+	ic, err := RestoreInfra(spans(good...))
 	if err != nil {
-		t.Fatalf("RestoreInfra refused a canonically ordered set: %v", err)
+		t.Fatal(err)
 	}
 	var buf [256]byte
 	if !ic.spanCovers(zone, dns.AppendSortKey(buf[:0], dns.MustName("zz.dlv.test")), 50) {

@@ -314,14 +314,15 @@ func (r *Resolver) queryAt(zoneName, qname dns.Name, qtype dns.Type, depth int) 
 }
 
 // parentZone returns the enclosing zone of a zone, preferring the referral
-// topology learned during iteration over plain name arithmetic.
+// topology learned during iteration over plain name arithmetic. Its
+// infrastructure-cache lookup is not counted as an infra hit or miss.
 func (r *Resolver) parentZone(zoneName dns.Name) dns.Name {
 	if d, ok := r.cache.delegation(zoneName); ok {
 		return d.parent
 	}
 	if r.infra != nil {
-		if parent, ok := r.infra.delegationParent(zoneName); ok {
-			return parent
+		if d, ok := r.infra.delegation(zoneName); ok {
+			return d.parent
 		}
 	}
 	return zoneName.Parent()

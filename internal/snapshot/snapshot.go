@@ -45,7 +45,7 @@ type State struct {
 
 // Capture assembles the warm state of a universe: the sealed infrastructure
 // cache plus every signed infrastructure zone's signature state.
-func Capture(u *universe.Universe, cfg resolver.Config, ic *resolver.InfraCache) (*State, error) {
+func Capture(u *universe.Universe, cfg resolver.Config, ic *resolver.Cache) (*State, error) {
 	infra, err := ic.Export()
 	if err != nil {
 		return nil, err
@@ -194,13 +194,13 @@ func sigEntry(c *Codec, e *zone.SigEntry) {
 }
 
 // Install verifies a decoded state against the live universe and resolver
-// configuration, then makes it real: a sealed InfraCache is rebuilt and
-// every signed infrastructure zone gets its memoized signatures back. All
-// checks — both fingerprints, the zone set, every per-zone generation, and
-// the soundness of every signature entry of every zone — run before
-// anything is installed, so a refused snapshot leaves the universe
-// untouched.
-func Install(st *State, u *universe.Universe, cfg resolver.Config) (*resolver.InfraCache, error) {
+// configuration, then makes it real: a sealed infrastructure cache is
+// rebuilt and every signed infrastructure zone gets its memoized signatures
+// back. All checks — both fingerprints, the zone set, every per-zone
+// generation, and the soundness of every signature entry of every zone —
+// run before anything is installed, so a refused snapshot leaves the
+// universe untouched.
+func Install(st *State, u *universe.Universe, cfg resolver.Config) (*resolver.Cache, error) {
 	if fp := u.Fingerprint(); st.UniverseFP != fp {
 		return nil, fmt.Errorf("%w: universe %q, snapshot built for %q", ErrMismatch, fp, st.UniverseFP)
 	}
@@ -253,7 +253,7 @@ func Install(st *State, u *universe.Universe, cfg resolver.Config) (*resolver.In
 // Save captures the warm state and writes it atomically (temp file + rename
 // in the destination directory), so a crashed save never leaves a torn file
 // where a later boot would look for a snapshot.
-func Save(path string, u *universe.Universe, cfg resolver.Config, ic *resolver.InfraCache) error {
+func Save(path string, u *universe.Universe, cfg resolver.Config, ic *resolver.Cache) error {
 	st, err := Capture(u, cfg, ic)
 	if err != nil {
 		return err
@@ -262,10 +262,10 @@ func Save(path string, u *universe.Universe, cfg resolver.Config, ic *resolver.I
 }
 
 // Load reads, decodes, verifies, and installs a snapshot, returning the
-// restored sealed InfraCache. Any failure — unreadable file, bad envelope,
-// corrupt section, fingerprint or generation mismatch — returns an error
-// with nothing installed; callers fall back to a live warm-up.
-func Load(path string, u *universe.Universe, cfg resolver.Config) (*resolver.InfraCache, error) {
+// restored sealed infrastructure cache. Any failure — unreadable file, bad
+// envelope, corrupt section, fingerprint or generation mismatch — returns an
+// error with nothing installed; callers fall back to a live warm-up.
+func Load(path string, u *universe.Universe, cfg resolver.Config) (*resolver.Cache, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)

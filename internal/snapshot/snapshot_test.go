@@ -21,7 +21,7 @@ import (
 
 // buildWarm constructs a small universe and warms its shared infrastructure
 // cache, the state every snapshot test captures.
-func buildWarm(t *testing.T, seed int64) (*universe.Universe, resolver.Config, *resolver.InfraCache) {
+func buildWarm(t *testing.T, seed int64) (*universe.Universe, resolver.Config, *resolver.Cache) {
 	t.Helper()
 	u, cfg := buildCold(t, seed)
 	ic, err := core.WarmInfra(u, cfg)
@@ -152,11 +152,8 @@ func TestSnapshotSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, z1, s1 := ic.Sizes()
-	d2, z2, s2 := ic2.Sizes()
-	if d1 != d2 || z1 != z2 || s1 != s2 {
-		t.Errorf("loaded sizes (%d, %d, %d) != warmed sizes (%d, %d, %d)",
-			d2, z2, s2, d1, z1, s1)
+	if loaded, warmed := ic2.Sizes(), ic.Sizes(); loaded != warmed {
+		t.Errorf("loaded sizes %+v != warmed sizes %+v", loaded, warmed)
 	}
 	// Atomic write leaves no temp debris next to the snapshot.
 	entries, err := os.ReadDir(dir)
@@ -214,7 +211,8 @@ func TestSnapshotEnvelopeRefusals(t *testing.T) {
 // TestSnapshotInstallRefusals pins the staleness checks: a snapshot built
 // for a different universe, a different resolver configuration, a mutated
 // (regenerated) zone, or a different zone set is refused with ErrMismatch —
-// and a refused Install leaves the universe untouched.
+// and a refused Install leaves the universe untouched. A state repeating an
+// infrastructure name is refused with ErrCorrupt.
 func TestSnapshotInstallRefusals(t *testing.T) {
 	u, cfg, ic := buildWarm(t, 6)
 	st, err := snapshot.Capture(u, cfg, ic)
@@ -261,6 +259,28 @@ func TestSnapshotInstallRefusals(t *testing.T) {
 	short.ZoneSigs = st.ZoneSigs[:len(st.ZoneSigs)-1]
 	_, err = snapshot.Install(&short, u, cfg)
 	wantMismatch("zone set", err, "signed zones")
+
+	// A repeated name in any infrastructure list — a second spelling of the
+	// cache the encoder never writes — is corrupt, not a silent overwrite.
+	// Warm-up harvests no spans, so the span-set case writes the registry's
+	// (empty) set twice.
+	registry := []resolver.InfraSpanSet{{Zone: cfg.Lookaside.Zone}}
+	for _, tc := range []struct {
+		list   string
+		damage func(*resolver.InfraState)
+	}{
+		{"delegations", func(s *resolver.InfraState) { s.Delegations = repeatFirst(s.Delegations) }},
+		{"outcomes", func(s *resolver.InfraState) { s.Outcomes = repeatFirst(s.Outcomes) }},
+		{"span sets", func(s *resolver.InfraState) { s.Spans = repeatFirst(registry) }},
+	} {
+		infra := *st.Infra
+		tc.damage(&infra)
+		bad := *st
+		bad.Infra = &infra
+		if _, err := snapshot.Install(&bad, u, cfg); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("repeated name in %s: Install err = %v, want ErrCorrupt", tc.list, err)
+		}
+	}
 
 	// A zone mutated since capture: its generation moved, the memoized
 	// signatures no longer describe it. (Mutate last — it poisons u for
@@ -316,6 +336,9 @@ func TestSnapshotInstallAllOrNothing(t *testing.T) {
 		t.Errorf("refused Install left %d signatures installed (had %d)", after, before)
 	}
 }
+
+// repeatFirst returns list with its first entry written twice.
+func repeatFirst[T any](list []T) []T { return append([]T{list[0]}, list...) }
 
 // TestWriteFileAtomic pins overwrite semantics: the rename replaces the
 // previous file and a reader never sees a torn write.

@@ -1,5 +1,5 @@
 // Package snapshot implements the warm-state snapshot: a versioned,
-// checksummed binary serialization of the sealed resolver.InfraCache plus
+// checksummed binary serialization of the sealed infrastructure cache plus
 // the signed-zone signature state, written after core.WarmInfra seals and
 // loaded back by a fleet member or a resumed sweep in milliseconds with
 // zero re-signing.
