@@ -41,9 +41,6 @@ type Auditor struct {
 	latHist  map[time.Duration]int
 	latCount int
 	nextID   uint16
-	// aaaaShare controls how many domains also get an AAAA stub query
-	// (percent; the paper's captures show roughly half).
-	aaaaShare int
 	// qscratch is the reusable stub-query message, rebuilt per query. The
 	// network never retains queries (the wire path re-derives the server's
 	// view from the encoded bytes) and each stub exchange is synchronous,
@@ -59,9 +56,6 @@ type Options struct {
 	// Resolver is the resolver configuration (typically from
 	// universe.ResolverConfig, adjusted for the environment under test).
 	Resolver resolver.Config
-	// AAAASharePercent is the share of domains additionally queried for
-	// AAAA (default 50, matching the paper's capture mix).
-	AAAASharePercent int
 	// Shard, when non-nil, is the pre-built network shard NewShardAuditor
 	// attaches to instead of creating a fresh one. Experiments use it to
 	// configure the shard — fault plans, extra taps — before the audit
@@ -103,15 +97,10 @@ func NewShardAuditor(u *universe.Universe, opts Options) (*Auditor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: starting shard resolver: %w", err)
 	}
-	share := opts.AAAASharePercent
-	if share == 0 {
-		share = 50
-	}
 	return &Auditor{
 		shard: sh, r: r, analyzer: an,
-		started:   sh.Now(),
-		latHist:   make(map[time.Duration]int),
-		aaaaShare: share,
+		started: sh.Now(),
+		latHist: make(map[time.Duration]int),
 	}, nil
 }
 
@@ -124,8 +113,12 @@ func (a *Auditor) Resolver() *resolver.Resolver { return a.r }
 // Analyzer exposes the capture analyzer.
 func (a *Auditor) Analyzer() *capture.Analyzer { return a.analyzer }
 
-// QueryDomain sends the stub queries for one domain (A always, AAAA for the
-// configured share) through the network.
+// aaaaSharePercent is the share of domains additionally queried for AAAA,
+// matching the paper's capture mix (roughly half).
+const aaaaSharePercent = 50
+
+// QueryDomain sends the stub queries for one domain (A always, AAAA for
+// aaaaSharePercent of domains) through the network.
 func (a *Auditor) QueryDomain(name dns.Name) error {
 	return a.QueryDomainAs(universe.StubAddr, name)
 }
@@ -151,7 +144,7 @@ func (a *Auditor) QueryDomainAs(client netip.Addr, name dns.Name) error {
 	if resp.Header.RCode == dns.RCodeServFail {
 		a.servfails++
 	}
-	if int(hash64(string(name))%100) < a.aaaaShare {
+	if int(hash64(string(name))%100) < aaaaSharePercent {
 		a.stubQueries++
 		a.nextID++
 		resp, err := a.stubQuery(client, a.nextID, name, dns.TypeAAAA)
@@ -299,7 +292,9 @@ func histPercentiles(hist map[time.Duration]int, n int) (p50, p95 time.Duration)
 	return p50, p95
 }
 
-// hash64 is FNV-1a, kept local to avoid a dependency for one helper.
+// hash64 is FNV-1a with an offset basis one digit short of the standard
+// 14695981039346656037. The constant stays as it is: the AAAA split, and
+// through it every golden, depends on it.
 func hash64(s string) uint64 {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(s); i++ {

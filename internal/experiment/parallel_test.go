@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/dnsprivacy/lookaside/internal/resolver"
 )
 
 // TestSweepInvariance extends the Workers contract to the sweep engine:
@@ -49,6 +51,31 @@ func TestSweepInvariance(t *testing.T) {
 	}
 	if w1[0].Servfails != 0 || w1[0].DLVQueries == 0 {
 		t.Errorf("smallest point looks wrong: %+v", w1[0])
+	}
+}
+
+// TestSweepCacheCaps pins that the leak table does not depend on the
+// sweep's answer, delegation and zone caps: the 10k point under caps far
+// below them reads exactly as under the sweep's own. Capping the NSEC span
+// store instead must move DLVQueries, which shows the test can fail.
+func TestSweepCacheCaps(t *testing.T) {
+	const n, seed = 10_000, int64(1)
+	run := func(limits resolver.CacheLimits) SweepMetrics {
+		pt, err := sweepPoint(n, seed, 2, SweepOpts{limits: limits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt.Metrics
+	}
+	base := run(resolver.CacheLimits{})
+	if tight := run(resolver.CacheLimits{Answers: 256, Delegations: 128, Zones: 128}); tight != base {
+		t.Errorf("leak table moved under tight caps:\nsweep caps: %+v\ntight caps: %+v", base, tight)
+	}
+	spans := run(resolver.CacheLimits{
+		Answers: sweepAnswerCap, Delegations: sweepDelegationCap, Zones: sweepZoneCap, Spans: 64,
+	})
+	if spans.DLVQueries == base.DLVQueries {
+		t.Errorf("capping the span store left DLVQueries at %d", base.DLVQueries)
 	}
 }
 

@@ -118,7 +118,6 @@ func TestSweepCheckpointResume(t *testing.T) {
 		Answers:     sweepAnswerCap,
 		Delegations: sweepDelegationCap,
 		Zones:       sweepZoneCap,
-		Servers:     sweepServerCap,
 	}
 	ic, err := core.WarmInfra(u, cfg)
 	if err != nil {

@@ -28,15 +28,15 @@ const sweepShards = 8
 // shared infrastructure cache carries everything that is. Each cap sits
 // far above one domain's working set plus the whole infrastructure set,
 // so FIFO eviction only ever discards entries belonging to finished
-// domains and resolution behavior — hence every metric — is unchanged.
-// The NSEC span store is deliberately NOT capped here: aggressive
-// negative caching accumulates spans across domains (the DLVSuppressed
-// metric), so bounding it would change results, not just memory.
+// domains and resolution behavior — hence every metric — is unchanged
+// (TestSweepCacheCaps runs the 10k point under far tighter caps). The NSEC
+// span store is deliberately NOT capped here: aggressive negative caching
+// accumulates spans across domains (the DLVSuppressed metric), so bounding
+// it would change results, not just memory.
 const (
 	sweepAnswerCap     = 1 << 15
 	sweepDelegationCap = 1 << 14
 	sweepZoneCap       = 1 << 14
-	sweepServerCap     = 1 << 14
 )
 
 // sweepPacketCacheCap bounds every authoritative server's wire-response
@@ -148,6 +148,9 @@ type SweepOpts struct {
 	// Log receives fallback and refusal reasons (nil discards them).
 	// Callers route it to stderr so experiment stdout stays deterministic.
 	Log func(format string, args ...any)
+	// limits, when non-zero, replaces the sweep's cache caps: a test seam
+	// for TestSweepCacheCaps.
+	limits resolver.CacheLimits
 }
 
 // pointPath derives the per-point file path: multi-point sweeps suffix the
@@ -207,11 +210,13 @@ func sweepPoint(n int, seed int64, workers int, opts SweepOpts) (SweepPoint, err
 
 	cfg := u.ResolverConfig(true, true)
 	cfg.NSCompletionPercent, cfg.PTRSamplePercent = 0, 0
-	cfg.Limits = resolver.CacheLimits{
-		Answers:     sweepAnswerCap,
-		Delegations: sweepDelegationCap,
-		Zones:       sweepZoneCap,
-		Servers:     sweepServerCap,
+	cfg.Limits = opts.limits
+	if cfg.Limits == (resolver.CacheLimits{}) {
+		cfg.Limits = resolver.CacheLimits{
+			Answers:     sweepAnswerCap,
+			Delegations: sweepDelegationCap,
+			Zones:       sweepZoneCap,
+		}
 	}
 
 	warmStart := time.Now()

@@ -79,11 +79,10 @@ type CacheSizes struct {
 // shows the registry one aggressive negative cache at any width, as one
 // resolver would. A resolver given no Cache owns a private one.
 //
-// Each map is paired with an insertion-order queue so eviction is
-// deterministic: expired entries at the queue head go first (the logical
-// clock is deterministic), then the oldest survivors. Overwrites keep an
-// entry's original queue position. Stored values are never written again:
-// a changed delegation is a new one, replacing the old.
+// Each bounded map is a table (below), so eviction is deterministic:
+// expired entries at the queue head go first (the logical clock is
+// deterministic), then the oldest survivors. Stored values are never
+// written again: a changed delegation is a new one, replacing the old.
 //
 // TTL arithmetic reads the Cache's process clock, not a shard clock: each
 // sharing resolver adds to it how far its own shard clock has advanced
@@ -101,23 +100,17 @@ type Cache struct {
 	clock  atomic.Int64 // time.Duration
 	sealed atomic.Bool
 
-	mu     sync.Mutex
-	limits CacheLimits
+	mu sync.Mutex
 
-	positive map[dns.Key]posEntry
-	posOrder fifoQueue[dns.Key]
-	negative map[dns.Key]negEntry
-	negOrder fifoQueue[dns.Key]
+	positive    table[dns.Key, posEntry]
+	negative    table[dns.Key, negEntry]
+	delegations table[dns.Name, *delegation]
+	zoneStatus  table[dns.Name, *zoneOutcome]
+	seenServers table[netip.Addr, struct{}]
+	nsCompleted table[dns.Name, struct{}]
 
-	delegations map[dns.Name]*delegation
-	delOrder    fifoQueue[dns.Name]
-	zoneStatus  map[dns.Name]*zoneOutcome
-	zoneOrder   fifoQueue[dns.Name]
-	spans       map[dns.Name]*spanStore
-	seenServers map[netip.Addr]bool
-	seenOrder   fifoQueue[netip.Addr]
-	nsCompleted map[dns.Name]bool
-	nsOrder     fifoQueue[dns.Name]
+	spans     map[dns.Name]*spanStore
+	spanLimit int
 }
 
 // NewCache returns an empty Cache for resolvers to share, bounded by limits
@@ -130,15 +123,16 @@ func NewCache(limits CacheLimits, start time.Duration) *Cache {
 }
 
 func newCache(limits CacheLimits) *Cache {
+	l := limits.withDefaults()
 	return &Cache{
-		limits:      limits.withDefaults(),
-		positive:    make(map[dns.Key]posEntry),
-		negative:    make(map[dns.Key]negEntry),
-		delegations: make(map[dns.Name]*delegation),
-		zoneStatus:  make(map[dns.Name]*zoneOutcome),
+		positive:    newTable[dns.Key](l.Answers, func(e posEntry) uint32 { return e.expires }),
+		negative:    newTable[dns.Key](l.Answers, func(e negEntry) uint32 { return e.expires }),
+		delegations: newTable[dns.Name, *delegation](l.Delegations, nil),
+		zoneStatus:  newTable[dns.Name, *zoneOutcome](l.Zones, nil),
+		seenServers: newTable[netip.Addr, struct{}](l.Servers, nil),
+		nsCompleted: newTable[dns.Name, struct{}](l.Zones, nil),
 		spans:       make(map[dns.Name]*spanStore),
-		seenServers: make(map[netip.Addr]bool),
-		nsCompleted: make(map[dns.Name]bool),
+		spanLimit:   l.Spans,
 	}
 }
 
@@ -418,73 +412,58 @@ func (s *spanStore) size() int {
 	return len(s.sorted) + len(s.tail)
 }
 
-// fifoQueue is the insertion-order eviction queue behind every bounded
-// resolver map. Keys enter once, on first insert (overwrites keep the
-// original position); eviction pops from the head, so enforcing a limit is
-// amortized O(1) per insert — every pop matches one past push — instead of
-// the O(cache) sweep the previous design paid on the hot path at the
-// million-domain scale. The popped prefix is compacted away once it
-// outgrows the live half, keeping total copying linear in pushes.
-type fifoQueue[K comparable] struct {
-	keys []K
-	head int
+// table is the bounded map behind every resolver cache: a map plus the
+// insertion order of its keys. Keys enter the order once, on first insert
+// (an overwrite keeps the original position); eviction pops from the head,
+// so enforcing the limit is amortized O(1) per insert — every pop matches
+// one past push. The popped prefix is compacted away once it outgrows the
+// live half, keeping total copying linear in pushes. expires, when set,
+// reads an entry's expiry; a table without it evicts strictly FIFO.
+type table[K comparable, V any] struct {
+	m       map[K]V
+	order   []K
+	head    int
+	limit   int
+	expires func(V) uint32
 }
 
-func (q *fifoQueue[K]) push(k K) {
-	if q.head > 64 && q.head > len(q.keys)/2 {
-		n := copy(q.keys, q.keys[q.head:])
-		q.keys = q.keys[:n]
-		q.head = 0
-	}
-	q.keys = append(q.keys, k)
+func newTable[K comparable, V any](limit int, expires func(V) uint32) table[K, V] {
+	return table[K, V]{m: make(map[K]V), limit: limit, expires: expires}
 }
 
-func (q *fifoQueue[K]) peek() (K, bool) {
-	if q.head >= len(q.keys) {
-		var zero K
-		return zero, false
-	}
-	return q.keys[q.head], true
-}
-
-func (q *fifoQueue[K]) pop() (K, bool) {
-	k, ok := q.peek()
-	if ok {
-		q.head++
-	}
-	return k, ok
-}
-
-// evictForInsert makes room in m for one new entry: consecutive expired
-// entries at the queue head are dropped first, then the oldest entries
-// until the map is under its limit. Both steps depend only on per-resolver
-// insertion order and the logical clock, so eviction is deterministic (and
-// in particular independent of how many sweep shards run concurrently).
+// put stores v under k. A new key at the limit first drops the run of
+// entries expired at now from the queue head, then the oldest entries
+// until the table is under its limit. Both steps depend only on insertion
+// order and the logical clock, so eviction is deterministic (and in
+// particular independent of how many sweep shards run concurrently).
 // Expired entries that are not yet at the head survive until they reach
 // it; memory stays bounded by the limit either way.
-func evictForInsert[K comparable, V any](m map[K]V, q *fifoQueue[K], limit int, expired func(V) bool) {
-	if expired != nil {
-		for {
-			k, ok := q.peek()
-			if !ok {
-				break
-			}
-			v, live := m[k]
-			if live && !expired(v) {
-				break
-			}
-			q.pop()
-			if live {
-				delete(m, k)
-			}
+func (t *table[K, V]) put(k K, v V, now uint32) {
+	if _, ok := t.m[k]; !ok {
+		if len(t.m) >= t.limit {
+			t.evict(now)
 		}
+		if t.head > 64 && t.head > len(t.order)/2 {
+			t.order = t.order[:copy(t.order, t.order[t.head:])]
+			t.head = 0
+		}
+		t.order = append(t.order, k)
 	}
-	for len(m) >= limit {
-		k, ok := q.pop()
-		if !ok {
+	t.m[k] = v
+}
+
+func (t *table[K, V]) evict(now uint32) {
+	for t.expires != nil && t.head < len(t.order) {
+		k := t.order[t.head]
+		if v, ok := t.m[k]; ok && t.expires(v) >= now {
 			break
 		}
-		delete(m, k)
+		delete(t.m, k)
+		t.head++
+	}
+	for len(t.m) >= t.limit && t.head < len(t.order) {
+		delete(t.m, t.order[t.head])
+		t.head++
 	}
 }
 
@@ -492,7 +471,7 @@ func evictForInsert[K comparable, V any](m map[K]V, q *fifoQueue[K], limit int, 
 // returns the entry if it is live at now.
 func (c *Cache) answer(key dns.Key, now uint32) (*coreResult, bool) {
 	c.mu.Lock()
-	pos, ok := c.positive[key]
+	pos, ok := c.positive.m[key]
 	if ok && pos.expires >= now {
 		c.mu.Unlock()
 		return &coreResult{
@@ -500,7 +479,7 @@ func (c *Cache) answer(key dns.Key, now uint32) (*coreResult, bool) {
 			zbit: pos.zbit, fromCache: true, status: pos.status, usedDLV: pos.usedDLV,
 		}, true
 	}
-	neg, ok := c.negative[key]
+	neg, ok := c.negative.m[key]
 	c.mu.Unlock()
 	if ok && neg.expires >= now {
 		return &coreResult{rcode: neg.rcode, zone: neg.zone, fromCache: true}, true
@@ -510,34 +489,18 @@ func (c *Cache) answer(key dns.Key, now uint32) (*coreResult, bool) {
 
 // storePositive writes a positive answer, enforcing the answer bound.
 func (c *Cache) storePositive(key dns.Key, e posEntry, now uint32) {
-	if !c.lockUnsealed() {
-		return
+	if c.lockUnsealed() {
+		c.positive.put(key, e, now)
+		c.mu.Unlock()
 	}
-	defer c.mu.Unlock()
-	if _, ok := c.positive[key]; !ok {
-		if len(c.positive) >= c.limits.Answers {
-			evictForInsert(c.positive, &c.posOrder, c.limits.Answers,
-				func(e posEntry) bool { return e.expires < now })
-		}
-		c.posOrder.push(key)
-	}
-	c.positive[key] = e
 }
 
 // storeNegative writes a negative answer, enforcing the answer bound.
 func (c *Cache) storeNegative(key dns.Key, e negEntry, now uint32) {
-	if !c.lockUnsealed() {
-		return
+	if c.lockUnsealed() {
+		c.negative.put(key, e, now)
+		c.mu.Unlock()
 	}
-	defer c.mu.Unlock()
-	if _, ok := c.negative[key]; !ok {
-		if len(c.negative) >= c.limits.Answers {
-			evictForInsert(c.negative, &c.negOrder, c.limits.Answers,
-				func(e negEntry) bool { return e.expires < now })
-		}
-		c.negOrder.push(key)
-	}
-	c.negative[key] = e
 }
 
 // delegation looks up a cached zone cut.
@@ -546,7 +509,7 @@ func (c *Cache) delegation(name dns.Name) (*delegation, bool) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
-	d, ok := c.delegations[name]
+	d, ok := c.delegations.m[name]
 	return d, ok
 }
 
@@ -554,17 +517,10 @@ func (c *Cache) delegation(name dns.Name) (*delegation, bool) {
 // Delegations carry no TTL in this model, so eviction is purely FIFO; a
 // dropped cut is relearned through a referral walk.
 func (c *Cache) storeDelegation(name dns.Name, d *delegation) {
-	if !c.lockUnsealed() {
-		return
+	if c.lockUnsealed() {
+		c.delegations.put(name, d, 0)
+		c.mu.Unlock()
 	}
-	defer c.mu.Unlock()
-	if _, ok := c.delegations[name]; !ok {
-		if len(c.delegations) >= c.limits.Delegations {
-			evictForInsert(c.delegations, &c.delOrder, c.limits.Delegations, nil)
-		}
-		c.delOrder.push(name)
-	}
-	c.delegations[name] = d
 }
 
 // replaceDelegation swaps old for d in place — same queue position, no
@@ -575,8 +531,8 @@ func (c *Cache) replaceDelegation(name dns.Name, old, d *delegation) {
 		return
 	}
 	defer c.mu.Unlock()
-	if c.delegations[name] == old {
-		c.delegations[name] = d
+	if c.delegations.m[name] == old {
+		c.delegations.m[name] = d
 	}
 }
 
@@ -586,59 +542,43 @@ func (c *Cache) outcome(name dns.Name) (*zoneOutcome, bool) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
-	out, ok := c.zoneStatus[name]
+	out, ok := c.zoneStatus.m[name]
 	return out, ok
 }
 
 // storeZoneStatus writes a per-zone validation outcome, enforcing the zone
 // bound. An evicted outcome is re-established by re-validating the chain.
 func (c *Cache) storeZoneStatus(name dns.Name, out *zoneOutcome) {
-	if !c.lockUnsealed() {
-		return
+	if c.lockUnsealed() {
+		c.zoneStatus.put(name, out, 0)
+		c.mu.Unlock()
 	}
-	defer c.mu.Unlock()
-	if _, ok := c.zoneStatus[name]; !ok {
-		if len(c.zoneStatus) >= c.limits.Zones {
-			evictForInsert(c.zoneStatus, &c.zoneOrder, c.limits.Zones, nil)
-		}
-		c.zoneOrder.push(name)
-	}
-	c.zoneStatus[name] = out
 }
 
 // noteSeenServer records first contact with a server address, enforcing the
 // server bound. Returns true when the address was already known.
 func (c *Cache) noteSeenServer(addr netip.Addr) (seen bool) {
-	if !c.lockUnsealed() {
-		return c.seenServers[addr]
-	}
-	defer c.mu.Unlock()
-	if c.seenServers[addr] {
-		return true
-	}
-	if len(c.seenServers) >= c.limits.Servers {
-		evictForInsert(c.seenServers, &c.seenOrder, c.limits.Servers, nil)
-	}
-	c.seenOrder.push(addr)
-	c.seenServers[addr] = true
-	return false
+	return note(c, &c.seenServers, addr)
 }
 
 // noteNSCompleted records the NS-completion decision for a zone, enforcing
 // the zone bound. Returns true when the zone was already decided.
 func (c *Cache) noteNSCompleted(name dns.Name) (done bool) {
+	return note(c, &c.nsCompleted, name)
+}
+
+// note records k in one of c's ledgers and reports whether it was there
+// already. A sealed cache's ledger is only read.
+func note[K comparable](c *Cache, ledger *table[K, struct{}], k K) bool {
 	if !c.lockUnsealed() {
-		return c.nsCompleted[name]
+		_, ok := ledger.m[k]
+		return ok
 	}
 	defer c.mu.Unlock()
-	if c.nsCompleted[name] {
+	if _, ok := ledger.m[k]; ok {
 		return true
 	}
-	if len(c.nsCompleted) >= c.limits.Zones {
-		evictForInsert(c.nsCompleted, &c.nsOrder, c.limits.Zones, nil)
-	}
-	c.nsOrder.push(name)
-	c.nsCompleted[name] = true
+	ledger.put(k, struct{}{}, 0)
 	return false
 }
 
@@ -651,7 +591,7 @@ func (c *Cache) addSpan(zone dns.Name, sp span, now uint32) {
 	}
 	st, ok := c.spans[zone]
 	if !ok {
-		st = &spanStore{limit: c.limits.Spans}
+		st = &spanStore{limit: c.spanLimit}
 		c.spans[zone] = st
 	}
 	c.mu.Unlock()
@@ -682,12 +622,12 @@ func (c *Cache) Sizes() CacheSizes {
 		spans += st.size()
 	}
 	return CacheSizes{
-		Positive:     len(c.positive),
-		Negative:     len(c.negative),
-		Delegations:  len(c.delegations),
-		ZoneOutcomes: len(c.zoneStatus),
-		Servers:      len(c.seenServers),
-		NSCompleted:  len(c.nsCompleted),
+		Positive:     len(c.positive.m),
+		Negative:     len(c.negative.m),
+		Delegations:  len(c.delegations.m),
+		ZoneOutcomes: len(c.zoneStatus.m),
+		Servers:      len(c.seenServers.m),
+		NSCompleted:  len(c.nsCompleted.m),
 		Spans:        spans,
 	}
 }

@@ -187,71 +187,135 @@ func TestStripSigsAndHasRRSIG(t *testing.T) {
 	}
 }
 
+// tableView is what TestCacheEviction reads of one of a Cache's tables:
+// its entry count, its queue (live slots and backing length) and
+// membership of the i-th test key.
+type tableView struct {
+	size, queued, slots int
+	has                 func(i int) bool
+}
+
+func viewOf[K comparable, V any](t *table[K, V], key func(int) K) tableView {
+	return tableView{
+		size: len(t.m), queued: len(t.order) - t.head, slots: len(t.order),
+		has: func(i int) bool { _, ok := t.m[key(i)]; return ok },
+	}
+}
+
+// TestCacheEviction pins the eviction order of every bounded table of a
+// Cache, each capped at 100 entries: the two answer tables drop the expired
+// run at the queue head first, the four without TTLs evict strictly FIFO,
+// an overwrite keeps its queue position, and the order queue stays bounded
+// under churn.
 func TestCacheEviction(t *testing.T) {
-	key := func(i int) dns.Key {
+	answerKey := func(i int) dns.Key {
 		return dns.Key{Name: dns.MustName(fmt.Sprintf("n%d.test", i)), Type: dns.TypeA, Class: dns.ClassIN}
 	}
-	// An expired run at the queue head is dropped wholesale before any
-	// live entry is touched: fill to the cap with the oldest half expired,
-	// and the next store must reclaim all of them and no live ones.
-	c := newCache(CacheLimits{Answers: 100})
-	for i := 0; i < 100; i++ {
-		expires := uint32(50) // entries 0..49 expired at now=60
-		if i >= 50 {
-			expires = 1000
-		}
-		c.storePositive(key(i), posEntry{expires: expires}, 10)
+	zone := func(i int) dns.Name { return dns.MustName(fmt.Sprintf("n%d.test", i)) }
+	addr := func(i int) netip.Addr { return netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}) }
+	cases := []struct {
+		name   string
+		limits CacheLimits
+		ttl    bool
+		store  func(c *Cache, i int, expires, now uint32)
+		view   func(c *Cache) tableView
+	}{
+		{"positive", CacheLimits{Answers: 100}, true,
+			func(c *Cache, i int, expires, now uint32) {
+				c.storePositive(answerKey(i), posEntry{expires: expires}, now)
+			},
+			func(c *Cache) tableView { return viewOf(&c.positive, answerKey) }},
+		{"negative", CacheLimits{Answers: 100}, true,
+			func(c *Cache, i int, expires, now uint32) {
+				c.storeNegative(answerKey(i), negEntry{expires: expires}, now)
+			},
+			func(c *Cache) tableView { return viewOf(&c.negative, answerKey) }},
+		{"delegations", CacheLimits{Delegations: 100}, false,
+			func(c *Cache, i int, _, _ uint32) { c.storeDelegation(zone(i), &delegation{}) },
+			func(c *Cache) tableView { return viewOf(&c.delegations, zone) }},
+		{"zone outcomes", CacheLimits{Zones: 100}, false,
+			func(c *Cache, i int, _, _ uint32) { c.storeZoneStatus(zone(i), &zoneOutcome{}) },
+			func(c *Cache) tableView { return viewOf(&c.zoneStatus, zone) }},
+		{"servers", CacheLimits{Servers: 100}, false,
+			func(c *Cache, i int, _, _ uint32) { c.noteSeenServer(addr(i)) },
+			func(c *Cache) tableView { return viewOf(&c.seenServers, addr) }},
+		{"ns completed", CacheLimits{Zones: 100}, false,
+			func(c *Cache, i int, _, _ uint32) { c.noteNSCompleted(zone(i)) },
+			func(c *Cache) tableView { return viewOf(&c.nsCompleted, zone) }},
 	}
-	c.storePositive(key(100), posEntry{expires: 1000}, 60)
-	if len(c.positive) != 51 {
-		t.Fatalf("after expiry-first eviction: %d entries, want 51", len(c.positive))
-	}
-	for i := 50; i <= 100; i++ {
-		if _, ok := c.positive[key(i)]; !ok {
-			t.Fatalf("live entry %d evicted while expired entries headed the queue", i)
-		}
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Fill to the cap with the oldest half expired at now=60. A
+			// table with TTLs reclaims that whole run, and no live entry,
+			// on the next insert; one without evicts only the oldest.
+			c := newCache(tc.limits)
+			for i := 0; i < 100; i++ {
+				expires := uint32(50)
+				if i >= 50 {
+					expires = 1000
+				}
+				tc.store(c, i, expires, 10)
+			}
+			tc.store(c, 100, 1000, 60)
+			v := tc.view(c)
+			first, size := 1, 100
+			if tc.ttl {
+				first, size = 50, 51
+			}
+			if v.size != size {
+				t.Fatalf("after inserting past the cap: %d entries, want %d", v.size, size)
+			}
+			for i := 0; i <= 100; i++ {
+				if v.has(i) != (i >= first) {
+					t.Fatalf("entry %d present=%t, want entries %d..100", i, v.has(i), first)
+				}
+			}
 
-	// With nothing expired, each insert past the cap evicts exactly the
-	// oldest entry — deterministic strict FIFO, independent of map
-	// iteration order, and O(1) per insert rather than a full-cache scan.
-	c = newCache(CacheLimits{Answers: 100})
-	for i := 0; i < 103; i++ {
-		c.storePositive(key(i), posEntry{expires: 1000}, 10)
-	}
-	if len(c.positive) != 100 {
-		t.Fatalf("after FIFO eviction: %d entries, want 100", len(c.positive))
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok := c.positive[key(i)]; ok {
-			t.Fatalf("oldest entry %d survived FIFO eviction", i)
-		}
-	}
-	for i := 3; i < 103; i++ {
-		if _, ok := c.positive[key(i)]; !ok {
-			t.Fatalf("newer entry %d evicted", i)
-		}
-	}
+			// With nothing expired, each insert past the cap evicts
+			// exactly the oldest entry — strict FIFO, independent of map
+			// iteration order.
+			c = newCache(tc.limits)
+			for i := 0; i < 103; i++ {
+				tc.store(c, i, 1000, 10)
+			}
+			v = tc.view(c)
+			if v.size != 100 {
+				t.Fatalf("after FIFO eviction: %d entries, want 100", v.size)
+			}
+			for i := 0; i < 103; i++ {
+				if v.has(i) != (i >= 3) {
+					t.Fatalf("entry %d present=%t, want entries 3..102", i, v.has(i))
+				}
+			}
 
-	// Overwriting a key keeps its original queue position and never grows
-	// the order queue.
-	c = newCache(CacheLimits{Answers: 100})
-	for i := 0; i < 50; i++ {
-		c.storePositive(key(0), posEntry{expires: uint32(i)}, 10)
-	}
-	if len(c.positive) != 1 || len(c.posOrder.keys)-c.posOrder.head != 1 {
-		t.Fatalf("overwrites grew the cache: %d entries, %d order slots",
-			len(c.positive), len(c.posOrder.keys)-c.posOrder.head)
-	}
+			// Storing an existing key again keeps its original queue
+			// position: the oldest key, rewritten, is still evicted first.
+			c = newCache(tc.limits)
+			for i := 0; i < 100; i++ {
+				tc.store(c, i, 1000, 10)
+			}
+			for n := 0; n < 50; n++ {
+				tc.store(c, 0, 1000, 10)
+			}
+			if v = tc.view(c); v.size != 100 || v.queued != 100 {
+				t.Fatalf("rewrites grew the table: %d entries, %d queued", v.size, v.queued)
+			}
+			tc.store(c, 100, 1000, 10)
+			if v = tc.view(c); v.has(0) || !v.has(1) {
+				t.Fatalf("rewritten key moved in the queue: 0 present=%t, 1 present=%t", v.has(0), v.has(1))
+			}
 
-	// The order queue's backing array stays bounded under sustained
-	// insert/evict churn (the popped prefix is compacted away), so
-	// steady-state memory is set by the limit, not the insert count.
-	c = newCache(CacheLimits{Answers: 100})
-	for i := 0; i < 10_000; i++ {
-		c.storePositive(key(i), posEntry{expires: 1000}, 10)
-	}
-	if got := len(c.posOrder.keys); got > 400 {
-		t.Fatalf("order queue grew to %d slots for a 100-entry cache", got)
+			// The order queue's backing array stays bounded under
+			// sustained insert/evict churn (the popped prefix is compacted
+			// away), so steady-state memory is set by the limit, not the
+			// insert count.
+			c = newCache(tc.limits)
+			for i := 0; i < 10_000; i++ {
+				tc.store(c, i, 1000, 10)
+			}
+			if v = tc.view(c); v.slots > 400 {
+				t.Fatalf("order queue grew to %d slots for a 100-entry table", v.slots)
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ type InfraCache = Cache
 func (r *Resolver) ExportInfra(ic *Cache, keep func(dns.Name) bool) {
 	c := r.cache
 	c.mu.Lock()
-	dels, outs, spans := maps.Clone(c.delegations), maps.Clone(c.zoneStatus), maps.Clone(c.spans)
+	dels, outs, spans := maps.Clone(c.delegations.m), maps.Clone(c.zoneStatus.m), maps.Clone(c.spans)
 	c.mu.Unlock()
 	if !ic.lockUnsealed() {
 		return
@@ -29,12 +29,12 @@ func (r *Resolver) ExportInfra(ic *Cache, keep func(dns.Name) bool) {
 	defer ic.mu.Unlock()
 	for n, d := range dels {
 		if keep(n) {
-			ic.delegations[n] = d
+			ic.delegations.m[n] = d
 		}
 	}
 	for n, out := range outs {
 		if keep(n) {
-			ic.zoneStatus[n] = out
+			ic.zoneStatus.m[n] = out
 		}
 	}
 	for n, st := range spans {

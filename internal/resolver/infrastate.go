@@ -98,7 +98,7 @@ func (c *Cache) Export() (*InfraState, error) {
 		return nil, fmt.Errorf("resolver: exporting unsealed infra cache")
 	}
 	st := &InfraState{}
-	for n, d := range c.delegations {
+	for n, d := range c.delegations.m {
 		servers := make([]InfraServer, len(d.servers))
 		for j, s := range d.servers {
 			servers[j] = InfraServer{Name: s.name, Addr: s.addr}
@@ -107,7 +107,7 @@ func (c *Cache) Export() (*InfraState, error) {
 			Name: n, Parent: d.parent, Servers: servers,
 		})
 	}
-	for n, out := range c.zoneStatus {
+	for n, out := range c.zoneStatus.m {
 		st.Outcomes = append(st.Outcomes, InfraOutcome{
 			Name: n, Status: out.status, Keys: out.keys,
 			Signed: out.signed, ViaDLV: out.viaDLV,
@@ -156,13 +156,13 @@ func RestoreInfra(st *InfraState) (*Cache, error) {
 		for j, s := range d.Servers {
 			servers[j] = nsServer{name: s.Name, addr: s.Addr}
 		}
-		c.delegations[d.Name] = &delegation{parent: d.Parent, servers: servers}
+		c.delegations.m[d.Name] = &delegation{parent: d.Parent, servers: servers}
 	}
 	for _, out := range st.Outcomes {
 		if out.Status < StatusSecure || out.Status > StatusIndeterminate {
 			return nil, fmt.Errorf("resolver: restoring %s: invalid validation status %d", out.Name, out.Status)
 		}
-		c.zoneStatus[out.Name] = &zoneOutcome{
+		c.zoneStatus.m[out.Name] = &zoneOutcome{
 			status: out.Status, keys: out.Keys,
 			signed: out.Signed, viaDLV: out.ViaDLV,
 		}

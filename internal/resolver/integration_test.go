@@ -359,6 +359,75 @@ func TestMiniNoDLVAnchorStillLeaksButCannotValidate(t *testing.T) {
 	}
 }
 
+// TestMiniMismatchedDeposit deposits for lonely.test a DLV record made
+// from a key the zone does not hold: the look-aside walk finds and trusts
+// the record, but it anchors none of the zone's keys, so the answer is
+// bogus (SERVFAIL) rather than validated through the registry.
+func TestMiniMismatchedDeposit(t *testing.T) {
+	u := buildMini(t)
+	lonely := dns.MustName("lonely.test")
+	evil, _ := miniKeys(t, 99)
+	ds, err := dnssec.MakeDS(lonely, evil.Public(), dnssec.DigestSHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.registry.Deposit(lonely, &dns.DLVData{
+		KeyTag: ds.KeyTag, Algorithm: ds.Algorithm, DigestType: ds.DigestType, Digest: ds.Digest,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r := u.miniResolver(t, nil)
+	res, err := r.Resolve(lonely, dns.TypeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusBogus || res.RCode != dns.RCodeServFail || res.UsedDLV {
+		t.Fatalf("res = %+v, want bogus SERVFAIL not via DLV", res)
+	}
+	if r.Stats().DLVQueries == 0 {
+		t.Fatal("the deposit was never looked up")
+	}
+}
+
+// TestMiniWrongDLVAnchor installs a DLV trust anchor that matches none of
+// the registry's keys. The registry outcome is bogus, so its deposits are
+// not trusted and its NSEC spans are not harvested: every walk still sends
+// its queries, none is suppressed, and the deposited island stays
+// unvalidated.
+func TestMiniWrongDLVAnchor(t *testing.T) {
+	u := buildMini(t)
+	evil, _ := miniKeys(t, 99)
+	badDS, err := dnssec.MakeDS(dns.MustName("dlv.isc.org"), evil.Public(), dnssec.DigestSHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := u.miniResolver(t, func(c *Config) { c.Lookaside.Anchor = badDS })
+	res, err := r.Resolve(dns.MustName("island.test"), dns.TypeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status == StatusSecure || res.UsedDLV {
+		t.Fatalf("validated through a registry with a wrong anchor: %+v", res)
+	}
+	if out, ok := r.cache.outcome(dns.MustName("dlv.isc.org")); !ok || out.status != StatusBogus {
+		t.Fatalf("registry outcome = %+v, want bogus", out)
+	}
+	// lonely.test and plain.test share a span of the registry's chain
+	// (TestMiniAggressiveCacheSuppression), but no span was harvested.
+	for _, name := range []string{"lonely.test", "plain.test"} {
+		q := r.Stats().DLVQueries
+		if _, err := r.Resolve(dns.MustName(name), dns.TypeA); err != nil {
+			t.Fatal(err)
+		}
+		if r.Stats().DLVQueries == q {
+			t.Fatalf("%s: no registry query sent", name)
+		}
+	}
+	if st := r.Stats(); st.DLVSuppressed != 0 {
+		t.Fatalf("DLVSuppressed = %d with an untrusted registry", st.DLVSuppressed)
+	}
+}
+
 func TestMiniBogusRootAnchor(t *testing.T) {
 	u := buildMini(t)
 	evil, _ := miniKeys(t, 99)

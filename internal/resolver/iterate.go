@@ -65,7 +65,7 @@ func (r *Resolver) resolveInternal(qname dns.Name, qtype dns.Type, depth int) (*
 // resolveCore checks the caches, walks referrals, validates (unless
 // internal), and writes the caches back.
 func (r *Resolver) resolveCore(qname dns.Name, qtype dns.Type, depth int, internal bool) (*coreResult, error) {
-	if depth > r.cfg.MaxDepth {
+	if depth > maxDepth {
 		return nil, fmt.Errorf("%w: %s/%s", ErrDepthLimit, qname, qtype)
 	}
 	now := r.nowSeconds()
@@ -392,11 +392,10 @@ func (r *Resolver) exchangeWithZone(zone dns.Name, d *delegation, qname dns.Name
 }
 
 // noteServer performs the first-contact PTR sampling of server addresses.
+// With sampling off nothing reads the seen-server ledger, so it is left
+// untouched.
 func (r *Resolver) noteServer(addr netip.Addr, depth int) {
-	if r.cache.noteSeenServer(addr) {
-		return
-	}
-	if r.cfg.PTRSamplePercent <= 0 || depth > 0 {
+	if r.cfg.PTRSamplePercent <= 0 || r.cache.noteSeenServer(addr) || depth > 0 {
 		return
 	}
 	if int(hashString(addr.String())%100) >= r.cfg.PTRSamplePercent {

@@ -178,22 +178,12 @@ func (r *Resolver) validateRegistry(depth int) error {
 	if _, ok := r.cachedOutcome(lc.Zone); ok {
 		return nil
 	}
-	keys, sig, err := r.fetchDNSKEYs(lc.Zone, depth)
+	out, err := r.keyOutcome(lc.Zone, anchorSet(lc.Anchor), depth)
 	if err != nil {
 		// The registry may be unreachable (outages were a known DLV
 		// failure mode); record an indeterminate outcome so the resolver
 		// keeps functioning.
-		r.cache.storeZoneStatus(lc.Zone, &zoneOutcome{status: StatusIndeterminate})
-		return nil
-	}
-	out := &zoneOutcome{signed: len(keys) > 0, keys: keys}
-	switch {
-	case lc.Anchor == nil:
-		out.status = StatusIndeterminate
-	case r.keysMatchDS(lc.Zone, keys, sig, lc.Anchor):
-		out.status = StatusSecure
-	default:
-		out.status = StatusBogus
+		out = &zoneOutcome{status: StatusIndeterminate}
 	}
 	r.cache.storeZoneStatus(lc.Zone, out)
 	return nil

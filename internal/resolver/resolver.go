@@ -30,6 +30,10 @@ var (
 	ErrLoopDetected = errors.New("resolver: referral loop detected")
 )
 
+// maxDepth bounds nested resolutions (NS-address chasing, validation and
+// look-aside plumbing).
+const maxDepth = 8
+
 // Clock supplies simulation time for TTL arithmetic; *simnet.Network
 // satisfies it.
 type Clock interface {
@@ -141,9 +145,6 @@ type Config struct {
 	// newly contacted server addresses. Both default to 0.
 	NSCompletionPercent int
 	PTRSamplePercent    int
-
-	// MaxDepth bounds nested resolutions (NS-address chasing); default 8.
-	MaxDepth int
 
 	// QNameMinimization walks the hierarchy per RFC 7816: each ancestor
 	// server is asked only for the next label (as an NS query) instead of
@@ -299,9 +300,6 @@ func New(cfg Config) (*Resolver, error) {
 	}
 	if len(cfg.RootHints) == 0 {
 		return nil, errors.New("resolver: root hints are required")
-	}
-	if cfg.MaxDepth == 0 {
-		cfg.MaxDepth = 8
 	}
 	if cfg.Lookaside != nil {
 		if cfg.Lookaside.Zone == "" {

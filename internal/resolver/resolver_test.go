@@ -301,9 +301,6 @@ func TestConfigValidation(t *testing.T) {
 	if r.cfg.Lookaside.Policy != PolicyOnFailure || r.cfg.Lookaside.Remedy != RemedyNone {
 		t.Fatalf("defaults not applied: %+v", r.cfg.Lookaside)
 	}
-	if r.cfg.MaxDepth != 8 {
-		t.Fatalf("MaxDepth default = %d", r.cfg.MaxDepth)
-	}
 }
 
 func TestHandlerShapesStubErrors(t *testing.T) {

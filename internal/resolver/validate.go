@@ -60,11 +60,11 @@ func (r *Resolver) validateResponse(core *coreResult, qname dns.Name, depth int)
 	}
 	// A deposited DLV record acts as a DS for the zone: fetch and match
 	// the zone's DNSKEYs, then verify the answer.
-	viaDLV, err := r.anchorZoneWithDS(core.zone, rec.AsDS(), depth)
+	viaDLV, err := r.keyOutcome(core.zone, []*dns.DSData{rec.AsDS()}, depth)
 	if err != nil {
 		return err
 	}
-	if viaDLV == nil {
+	if viaDLV.status != StatusSecure {
 		core.status = StatusBogus // deposit exists but does not match the keys
 		return nil
 	}
@@ -120,29 +120,25 @@ func (r *Resolver) validateZone(zoneName dns.Name, depth int) (*zoneOutcome, err
 	if out, ok := r.cachedOutcome(zoneName); ok {
 		return out, nil
 	}
-	if depth > r.cfg.MaxDepth {
+	if depth > maxDepth {
 		return nil, fmt.Errorf("%w: validating %s", ErrDepthLimit, zoneName)
 	}
 
 	var out *zoneOutcome
+	var err error
 	if zoneName.IsRoot() {
-		var err error
-		out, err = r.validateRoot(depth)
-		if err != nil {
-			return nil, err
-		}
+		// With no root trust anchor installed (the §4.3 misconfiguration)
+		// the resolver cannot determine whether anything should be signed.
+		out, err = r.keyOutcome(dns.Root, anchorSet(r.cfg.RootAnchor), depth)
 	} else {
 		parent := r.parentZone(zoneName)
-		parentOut, err := r.validateZone(parent, depth+1)
-		if err != nil {
+		var parentOut *zoneOutcome
+		if parentOut, err = r.validateZone(parent, depth+1); err != nil {
 			return nil, err
 		}
 		switch parentOut.status {
 		case StatusSecure:
 			out, err = r.validateDelegation(zoneName, parent, depth)
-			if err != nil {
-				return nil, err
-			}
 		case StatusInsecure, StatusIndeterminate:
 			// No validated parent: the child cannot chain on-path.
 			out = &zoneOutcome{status: parentOut.status}
@@ -150,69 +146,57 @@ func (r *Resolver) validateZone(zoneName dns.Name, depth int) (*zoneOutcome, err
 			out = &zoneOutcome{status: StatusBogus}
 		}
 	}
-	r.cache.storeZoneStatus(zoneName, out)
-	return out, nil
-}
-
-// validateRoot checks the root DNSKEY RRset against the configured trust
-// anchor.
-func (r *Resolver) validateRoot(depth int) (*zoneOutcome, error) {
-	keys, sig, err := r.fetchDNSKEYs(dns.Root, depth)
 	if err != nil {
 		return nil, err
 	}
-	out := &zoneOutcome{signed: len(keys) > 0, keys: keys}
-	switch {
-	case r.cfg.RootAnchor == nil:
-		// The §4.3 misconfiguration: no trust anchor installed. The
-		// resolver cannot determine whether anything should be signed.
-		out.status = StatusIndeterminate
-	case r.keysMatchDS(dns.Root, keys, sig, r.cfg.RootAnchor):
-		out.status = StatusSecure
-	default:
-		out.status = StatusBogus
-	}
+	r.cache.storeZoneStatus(zoneName, out)
 	return out, nil
 }
 
 // validateDelegation validates child under a secure parent: query DS at the
 // parent, then DNSKEY at the child.
 func (r *Resolver) validateDelegation(child, parent dns.Name, depth int) (*zoneOutcome, error) {
-	dsSet, denied, err := r.fetchDS(child, parent, depth)
+	dsSet, err := r.fetchDS(child, parent, depth)
 	if err != nil {
 		return nil, err
 	}
-	if denied || len(dsSet) == 0 {
+	if len(dsSet) == 0 {
 		// Authenticated unsigned delegation: the island-of-security
 		// precondition when the child itself is signed.
 		return &zoneOutcome{status: StatusInsecure}, nil
 	}
-	keys, sig, err := r.fetchDNSKEYs(child, depth)
+	return r.keyOutcome(child, dsSet, depth)
+}
+
+// keyOutcome fetches a zone's DNSKEY RRset and anchors it: secure when a
+// key matches one of the anchors (the parent's DS set, a trust anchor or a
+// DLV deposit) and signs the key set, bogus when no key does, and
+// indeterminate when there is no anchor to check against.
+func (r *Resolver) keyOutcome(zone dns.Name, anchors []*dns.DSData, depth int) (*zoneOutcome, error) {
+	keys, sig, err := r.fetchDNSKEYs(zone, depth)
 	if err != nil {
 		return nil, err
 	}
-	out := &zoneOutcome{signed: len(keys) > 0, keys: keys}
-	for _, ds := range dsSet {
-		if r.keysMatchDS(child, keys, sig, ds) {
+	out := &zoneOutcome{status: StatusBogus, signed: len(keys) > 0, keys: keys}
+	if len(anchors) == 0 {
+		out.status = StatusIndeterminate
+	}
+	for _, ds := range anchors {
+		if r.keysMatchDS(zone, keys, sig, ds) {
 			out.status = StatusSecure
-			return out, nil
+			break
 		}
 	}
-	out.status = StatusBogus
 	return out, nil
 }
 
-// anchorZoneWithDS attempts to validate a zone's keys against an
-// out-of-band DS (a DLV deposit). It returns nil when the keys don't match.
-func (r *Resolver) anchorZoneWithDS(zoneName dns.Name, ds *dns.DSData, depth int) (*zoneOutcome, error) {
-	keys, sig, err := r.fetchDNSKEYs(zoneName, depth)
-	if err != nil {
-		return nil, err
+// anchorSet is the anchor list of a configured trust anchor: empty when
+// none is installed.
+func anchorSet(ds *dns.DSData) []*dns.DSData {
+	if ds == nil {
+		return nil
 	}
-	if !r.keysMatchDS(zoneName, keys, sig, ds) {
-		return nil, nil
-	}
-	return &zoneOutcome{status: StatusSecure, signed: true, keys: keys}, nil
+	return []*dns.DSData{ds}
 }
 
 // keysMatchDS reports whether some key matches the DS and the DNSKEY RRset
@@ -254,21 +238,20 @@ func (r *Resolver) fetchDNSKEYs(zoneName dns.Name, depth int) ([]*dns.DNSKEYData
 	return keys, sig, nil
 }
 
-// fetchDS queries the child's DS RRset at the parent zone.
-func (r *Resolver) fetchDS(child, parent dns.Name, depth int) (ds []*dns.DSData, denied bool, err error) {
+// fetchDS queries the child's DS RRset at the parent zone; an empty set
+// means the delegation is unsigned.
+func (r *Resolver) fetchDS(child, parent dns.Name, depth int) ([]*dns.DSData, error) {
 	core, err := r.queryAt(parent, child, dns.TypeDS, depth)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	var ds []*dns.DSData
 	for _, rr := range core.answer {
 		if d, ok := rr.Data.(*dns.DSData); ok {
 			ds = append(ds, d)
 		}
 	}
-	if len(ds) == 0 {
-		return nil, true, nil
-	}
-	return ds, false, nil
+	return ds, nil
 }
 
 // queryAt sends (qname, qtype) directly to the servers of a zone, with
