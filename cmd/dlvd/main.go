@@ -112,13 +112,9 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(netip.
 	if err != nil {
 		return err
 	}
-	udp, err := udptransport.Listen(*listen, srv)
+	udp, tcp, err := udptransport.ListenPair(*listen, srv, 1)
 	if err != nil {
 		return err
-	}
-	tcp, err := udptransport.ListenTCP(udp.AddrPort().String(), srv)
-	if err != nil {
-		return fmt.Errorf("binding tcp: %w", err)
 	}
 	go func() { _ = tcp.Serve() }()
 	defer func() { _ = tcp.Close() }()

@@ -45,17 +45,13 @@ func startServer(t *testing.T, popSize int, plan *faults.Plan, breaker bool) (st
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := udptransport.Listen("127.0.0.1:0", svc)
+	srv, tcpSrv, err := udptransport.ListenPair("127.0.0.1:0", svc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.SetWorkers(2)
 	go func() { _ = srv.Serve() }()
 	t.Cleanup(func() { _ = srv.Close() })
-	tcpSrv, err := udptransport.ListenTCP(srv.AddrPort().String(), svc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	go func() { _ = tcpSrv.Serve() }()
 	t.Cleanup(func() { _ = tcpSrv.Close() })
 	svc.AttachTransports(srv, tcpSrv)

@@ -195,13 +195,9 @@ func run(args []string) error {
 	fmt.Printf("resolved: serving tier ready in %v (boot=%s)\n",
 		svc.BootWall().Round(time.Millisecond), svc.BootMode())
 
-	srv, err := udptransport.ListenShards(*listen, svc, *udpShards)
+	srv, tcpSrv, err := udptransport.ListenPair(*listen, svc, *udpShards)
 	if err != nil {
 		return err
-	}
-	tcpSrv, err := udptransport.ListenTCP(srv.AddrPort().String(), svc)
-	if err != nil {
-		return fmt.Errorf("binding tcp: %w", err)
 	}
 	if gate != nil {
 		srv.SetGate(gate)

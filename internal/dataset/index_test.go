@@ -171,3 +171,25 @@ func TestPopulationIsConstantObjects(t *testing.T) {
 	}
 	runtime.KeepAlive(pop)
 }
+
+// TestGeneratorAllocationsDoNotGrow pins the generator's allocations as a
+// count that does not grow with the population: names go straight into the
+// arena, so 100k domains allocate no more objects than 10k, give or take the
+// arena's growth steps.
+func TestGeneratorAllocationsDoNotGrow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	allocs := func(size int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, err := AlexaLike(PopulationConfig{Size: size, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10_000), allocs(100_000)
+	t.Logf("AlexaLike: %.0f allocs at 10k, %.0f at 100k", small, large)
+	if large-small >= 8 {
+		t.Errorf("AlexaLike allocates %.0f more objects at 100k than at 10k, want under 8", large-small)
+	}
+}

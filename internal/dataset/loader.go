@@ -73,7 +73,7 @@ func LoadRanked(r io.Reader, rates Rates, seed int64) (*Population, error) {
 		if _, dup := pop.Lookup(name); dup {
 			continue
 		}
-		pop.index.add(name, uint32(len(pop.Domains)))
+		pop.index.add(hashName(name), uint32(len(pop.Domains)))
 		labels := name.Labels()
 		tld := labels[1]
 		if _, seen := tldSigned[tld]; !seen {

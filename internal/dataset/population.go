@@ -11,6 +11,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
@@ -132,23 +133,29 @@ func newPosTable(n int) posTable {
 	return make(posTable, size)
 }
 
-// start is where name's probe sequence begins: FNV-1a over its bytes, the
-// high half folded into the low bits the mask keeps.
-func (t posTable) start(name dns.Name) uint32 {
+// hashName is FNV-1a over a name's bytes, whether it is a Name already or
+// still sits in the generator's arena.
+func hashName[T dns.Name | []byte](name T) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint64(name[i])) * 1099511628211
 	}
+	return h
+}
+
+// start is where the probe sequence of a name hashing to h begins: the high
+// half folded into the low bits the mask keeps.
+func (t posTable) start(h uint64) uint32 {
 	return uint32(h^h>>32) & uint32(len(t)-1)
 }
 
-// find returns the position stored for name; is reports whether the name at
-// a position equals it.
-func (t posTable) find(name dns.Name, is func(pos uint32) bool) (uint32, bool) {
+// find returns the position stored for a name hashing to h; is reports
+// whether the name at a position is the one sought.
+func (t posTable) find(h uint64, is func(pos uint32) bool) (uint32, bool) {
 	if len(t) == 0 {
 		return 0, false
 	}
-	for i := t.start(name); t[i] != 0; i = (i + 1) & uint32(len(t)-1) {
+	for i := t.start(h); t[i] != 0; i = (i + 1) & uint32(len(t)-1) {
 		if pos := t[i] - 1; is(pos) {
 			return pos, true
 		}
@@ -156,9 +163,9 @@ func (t posTable) find(name dns.Name, is func(pos uint32) bool) (uint32, bool) {
 	return 0, false
 }
 
-// add stores pos for a name find did not report.
-func (t posTable) add(name dns.Name, pos uint32) {
-	i := t.start(name)
+// add stores pos for a name hashing to h that find did not report.
+func (t posTable) add(h uint64, pos uint32) {
+	i := t.start(h)
 	for t[i] != 0 {
 		i = (i + 1) & uint32(len(t)-1)
 	}
@@ -247,16 +254,18 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 
 	// Names go end to end into one byte arena — ends[i] closes name i — and
 	// are sliced out of a single string once the arena has stopped growing.
-	// Until then the table de-duplicates against the arena's bytes.
+	// Each candidate is written straight onto the arena's tail and
+	// de-duplicated there; syllables and TLD labels are lowercase letters,
+	// so every name is valid as written.
 	arena := make([]byte, 0, 16*cfg.Size)
 	ends := make([]uint32, 0, cfg.Size)
-	var name dns.Name
+	var cand uint32 // where the candidate on the tail begins
 	inArena := func(pos uint32) bool {
-		start := uint32(0)
+		from := uint32(0)
 		if pos > 0 {
-			start = ends[pos-1]
+			from = ends[pos-1]
 		}
-		return string(arena[start:ends[pos]]) == string(name)
+		return string(arena[from:ends[pos]]) == string(arena[cand:])
 	}
 	pop.Domains = make([]Domain, 0, cfg.Size)
 	for rank := 1; len(pop.Domains) < cfg.Size; rank++ {
@@ -270,21 +279,20 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 			}
 		}
 		t := tldTable[ti]
-		label := makeLabel(rng)
-		full := label + "." + t.label
-		var err error
-		if name, err = dns.MakeName(full); err != nil {
-			return nil, fmt.Errorf("dataset: generated invalid name %q: %w", full, err)
+		cand = uint32(len(arena))
+		for n := 2 + rng.Intn(4); n > 0; n-- { // 2..5 syllables: 4..10 chars
+			arena = append(arena, syllables[rng.Intn(len(syllables))]...)
 		}
-		if _, dup := pop.index.find(name, inArena); dup {
+		labelEnd := len(arena)
+		arena = appendTLD(arena, t.label)
+		h := hashName(arena[cand:])
+		if _, dup := pop.index.find(h, inArena); dup {
 			// The position is unique, and labels carry no digits of their own.
-			full = fmt.Sprintf("%s%d.%s", label, len(pop.Domains), t.label)
-			if name, err = dns.MakeName(full); err != nil {
-				return nil, fmt.Errorf("dataset: generated invalid name %q: %w", full, err)
-			}
+			arena = strconv.AppendInt(arena[:labelEnd], int64(len(pop.Domains)), 10)
+			arena = appendTLD(arena, t.label)
+			h = hashName(arena[cand:])
 		}
-		pop.index.add(name, uint32(len(pop.Domains)))
-		arena = append(arena, name...)
+		pop.index.add(h, uint32(len(pop.Domains)))
 		ends = append(ends, uint32(len(arena)))
 
 		d := Domain{TLD: t.label, Rank: len(pop.Domains) + 1}
@@ -311,22 +319,26 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 	return pop, nil
 }
 
-func makeLabel(rng *rand.Rand) string {
-	n := 2 + rng.Intn(4) // 2..5 syllables: 4..10 chars
-	out := make([]byte, 0, 12)
-	for i := 0; i < n; i++ {
-		out = append(out, syllables[rng.Intn(len(syllables))]...)
-	}
-	return string(out)
+// appendTLD closes an SLD label on the arena with ".tld.".
+func appendTLD(arena []byte, tld string) []byte {
+	arena = append(arena, '.')
+	arena = append(arena, tld...)
+	return append(arena, '.')
 }
 
 // Lookup returns the population entry for a domain name.
 func (p *Population) Lookup(name dns.Name) (*Domain, bool) {
-	pos, ok := p.index.find(name, func(pos uint32) bool { return p.Domains[pos].Name == name })
+	pos, ok := p.Position(name)
 	if !ok {
 		return nil, false
 	}
 	return &p.Domains[pos], true
+}
+
+// Position returns where a domain name sits in Domains.
+func (p *Population) Position(name dns.Name) (int, bool) {
+	pos, ok := p.index.find(hashName(name), func(pos uint32) bool { return p.Domains[pos].Name == name })
+	return int(pos), ok
 }
 
 // Top returns the n highest-ranked domains (all of them when n exceeds the

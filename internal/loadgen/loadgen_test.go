@@ -114,17 +114,13 @@ func TestScheduleConfigErrors(t *testing.T) {
 // testServer runs a handler behind real UDP+TCP loopback listeners.
 func testServer(t *testing.T, h simnet.Handler) netip.AddrPort {
 	t.Helper()
-	srv, err := udptransport.Listen("127.0.0.1:0", h)
+	srv, tcpSrv, err := udptransport.ListenPair("127.0.0.1:0", h, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.SetWorkers(32)
 	go func() { _ = srv.Serve() }()
 	t.Cleanup(func() { _ = srv.Close() })
-	tcpSrv, err := udptransport.ListenTCP(srv.AddrPort().String(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
 	go func() { _ = tcpSrv.Serve() }()
 	t.Cleanup(func() { _ = tcpSrv.Close() })
 	return srv.AddrPort()

@@ -169,16 +169,12 @@ func TestStatsSurfaceOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := udptransport.Listen("127.0.0.1:0", svc)
+	srv, tcpSrv, err := udptransport.ListenPair("127.0.0.1:0", svc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve() }()
 	defer srv.Close()
-	tcpSrv, err := udptransport.ListenTCP(srv.AddrPort().String(), svc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	go func() { _ = tcpSrv.Serve() }()
 	defer tcpSrv.Close()
 	svc.AttachTransports(srv, tcpSrv)

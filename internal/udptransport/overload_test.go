@@ -147,17 +147,13 @@ func TestGatedTCPShedsRefused(t *testing.T) {
 		r.Header.RCode = dns.RCodeNoError
 		return r, nil
 	})
-	udpSrv, err := Listen("127.0.0.1:0", h)
+	udpSrv, tcpSrv, err := ListenPair("127.0.0.1:0", h, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	udpSrv.SetGate(g)
 	go func() { _ = udpSrv.Serve() }()
 	defer func() { _ = udpSrv.Close() }()
-	tcpSrv, err := ListenTCP(udpSrv.AddrPort().String(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tcpSrv.SetGate(g)
 	go func() { _ = tcpSrv.Serve() }()
 	defer func() { _ = tcpSrv.Close() }()

@@ -86,15 +86,11 @@ func bigHandler() simnet.Handler {
 
 func TestTruncationFallbackToTCP(t *testing.T) {
 	// UDP and TCP servers on the same port, like a real deployment.
-	udpSrv, err := Listen("127.0.0.1:0", bigHandler())
+	udpSrv, tcpSrv, err := ListenPair("127.0.0.1:0", bigHandler(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	port := udpSrv.AddrPort().Port()
-	tcpSrv, err := ListenTCP(udpSrv.AddrPort().String(), bigHandler())
-	if err != nil {
-		t.Fatalf("binding TCP on UDP's port: %v", err)
-	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); _ = udpSrv.Serve() }()

@@ -10,6 +10,7 @@ package universe
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,7 +32,9 @@ func (u *Universe) lookupDomain(name dns.Name) (*dataset.Domain, bool) {
 }
 
 // eachDomain visits every domain exactly once — the population with extras
-// overriding same-name entries, then the extras — stopping on error.
+// overriding same-name entries, then the extras — stopping on error. The
+// eager build and the registry's deposit set walk it; TLD indexes read the
+// population grouped once by TLD instead (tldGroups).
 func (u *Universe) eachDomain(fn func(*dataset.Domain) error) error {
 	for i := range u.opts.Population.Domains {
 		d := &u.opts.Population.Domains[i]
@@ -50,6 +53,63 @@ func (u *Universe) eachDomain(fn func(*dataset.Domain) error) error {
 	return nil
 }
 
+// tldGroups is the population grouped by TLD, built by one pass over it on
+// the first TLD index any zone asks for: pos holds population positions, a
+// TLD's run in population order, and byLabel slices it per label. Entries
+// an extra overrides are left out, as eachDomain leaves them out. pos holds
+// no pointers — 4 B a domain, one object for the collector to skip — where
+// a *Domain per entry would cost 8 B a domain and a pointer to trace.
+type tldGroups struct {
+	once    sync.Once
+	pos     []uint32
+	byLabel map[string][]uint32
+}
+
+// tldChildren returns the population positions under a TLD label, grouping
+// the whole population on the first call.
+func (u *Universe) tldChildren(label string) []uint32 {
+	g := &u.groups
+	g.once.Do(func() { g.build(u) })
+	return g.byLabel[label]
+}
+
+// build is a counting sort of positions by TLD: one pass counts, one places.
+// The positions extras override are found through the population's index
+// and skipped in both passes.
+func (g *tldGroups) build(u *Universe) {
+	pop := u.opts.Population
+	var skip []int
+	for name := range u.extras {
+		if i, ok := pop.Position(name); ok {
+			skip = append(skip, i)
+		}
+	}
+	slices.Sort(skip)
+	// each calls fn on every position not overridden, with its TLD.
+	each := func(fn func(i int, tld string)) {
+		s := 0
+		for i := range pop.Domains {
+			if s < len(skip) && skip[s] == i {
+				s++
+				continue
+			}
+			fn(i, pop.Domains[i].TLD)
+		}
+	}
+	count := make(map[string]uint32)
+	each(func(_ int, tld string) { count[tld]++ })
+	// Each label's run starts empty with its exact capacity, so the appends
+	// of the second pass fill it in place.
+	g.pos = make([]uint32, len(pop.Domains)-len(skip))
+	g.byLabel = make(map[string][]uint32, len(count))
+	off := uint32(0)
+	for label, n := range count {
+		g.byLabel[label] = g.pos[off : off : off+n]
+		off += n
+	}
+	each(func(i int, tld string) { g.byLabel[tld] = append(g.byLabel[tld], uint32(i)) })
+}
+
 // tldSynth derives one TLD zone's delegation universe: a cut per child
 // domain (with DS when the chain reaches the parent) and one glue address
 // per hosting pool the TLD's children use.
@@ -61,23 +121,49 @@ type tldSynth struct {
 
 // SynthIndex implements zone.SynthSource. The index is the complete child
 // set of the TLD — independent of query order, so NSEC chain arithmetic in
-// the zone is exact from the first query.
+// the zone is exact from the first query. It reads the TLD's own run of the
+// grouped population and the extras under the label, not the population.
 func (s *tldSynth) SynthIndex() []zone.SynthEntry {
-	var entries []zone.SynthEntry
-	pools := make(map[int]bool)
-	_ = s.u.eachDomain(func(d *dataset.Domain) error {
-		if d.TLD != s.label {
-			return nil
+	doms := s.u.opts.Population.Domains
+	children := s.u.tldChildren(s.label)
+	var extras []*dataset.Domain
+	for _, d := range s.u.extras {
+		if d.TLD == s.label {
+			extras = append(extras, d)
 		}
-		pools[s.u.pool(d.Name)] = true
+	}
+	// Pools first, so entries is sized exactly before it is filled.
+	used, pools := make([]bool, s.u.hostPools), 0
+	use := func(d *dataset.Domain) {
+		if p := s.u.pool(d.Name); !used[p] {
+			used[p] = true
+			pools++
+		}
+	}
+	for _, i := range children {
+		use(&doms[i])
+	}
+	for _, d := range extras {
+		use(d)
+	}
+	entries := make([]zone.SynthEntry, 0, len(children)+len(extras)+pools)
+	add := func(d *dataset.Domain) {
 		kind := zone.SynthCut
 		if d.Signed && d.DSInParent && s.signed {
 			kind = zone.SynthSecureCut
 		}
 		entries = append(entries, zone.SynthEntry{Name: d.Name, Kind: kind})
-		return nil
-	})
-	for p := range pools {
+	}
+	for _, i := range children {
+		add(&doms[i])
+	}
+	for _, d := range extras {
+		add(d)
+	}
+	for p, ok := range used {
+		if !ok {
+			continue
+		}
 		// poolNSName cannot fail for a label that already formed a zone apex.
 		if name, err := poolNSName(p, s.label); err == nil {
 			entries = append(entries, zone.SynthEntry{Name: name, Kind: zone.SynthGlue, Aux: uint32(p)})

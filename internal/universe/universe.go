@@ -133,6 +133,8 @@ type Universe struct {
 	// Population.Lookup (see lookupDomain).
 	extras      map[dns.Name]*dataset.Domain
 	domainCount int
+	// groups is the population grouped by TLD for the lazy TLD indexes.
+	groups tldGroups
 
 	keyMu sync.Mutex
 	keys  map[dns.Name]*domainKeys

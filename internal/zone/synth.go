@@ -18,6 +18,7 @@ package zone
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -105,25 +106,69 @@ func (z *Zone) synthEnsureLocked() {
 	for i := range idx {
 		size += len(idx[i].Name)
 	}
-	// Keys in source order first; order is then sorted by memcmp on them.
+	// Keys in source order first, then sorted by memcmp on them.
 	keys, off := make([]byte, 0, size), make([]uint32, len(idx)+1)
-	order := make([]uint32, len(idx))
 	for i := range idx {
 		keys = dns.AppendSortKey(keys, idx[i].Name)
 		off[i+1] = uint32(len(keys))
-		order[i] = uint32(i)
 	}
-	slices.SortFunc(order, func(a, b uint32) int {
-		return bytes.Compare(keys[off[a]:off[a+1]], keys[off[b]:off[b+1]])
-	})
+	key := func(i uint32) []byte { return keys[off[i]:off[i+1]] }
+	ents := prefixSorted(len(idx), key)
 	z.synthKeys, z.synthOff = make([]byte, 0, len(keys)), make([]uint32, len(idx)+1)
 	z.synthKind, z.synthAux = make([]SynthKind, len(idx)), make([]uint32, len(idx))
-	for i, o := range order {
-		z.synthKeys = append(z.synthKeys, keys[off[o]:off[o+1]]...)
+	for i, e := range ents {
+		z.synthKeys = append(z.synthKeys, key(e.at)...)
 		z.synthOff[i+1] = uint32(len(z.synthKeys))
-		z.synthKind[i], z.synthAux[i] = idx[o].Kind, idx[o].Aux
+		z.synthKind[i], z.synthAux[i] = idx[e.at].Kind, idx[e.at].Aux
 	}
 	z.synthReady = true
+}
+
+// prefixEnt is one key to sort: the 8 bytes that follow the prefix every key
+// shares, big-endian and zero-padded, and the key's position.
+type prefixEnt struct {
+	prefix uint64
+	at     uint32
+}
+
+// prefixSorted returns positions 0..n-1 in bytes.Compare order of key(i).
+// Every owner of a zone sits under its apex, so every key starts with the
+// apex's key; the sort compares the next 8 bytes as one integer and falls
+// back to bytes.Compare only on a tie. A zero-padded prefix can tie with a
+// longer key whose next bytes are zeros (the label separator), and the
+// fallback orders that tie exactly.
+func prefixSorted(n int, key func(i uint32) []byte) []prefixEnt {
+	ents := make([]prefixEnt, n)
+	if n == 0 {
+		return ents
+	}
+	// common is the length of the prefix all keys share.
+	first := key(0)
+	common := len(first)
+	for i := 1; i < n && common > 0; i++ {
+		k := key(uint32(i))
+		if len(k) < common {
+			common = len(k)
+		}
+		for j := 0; j < common; j++ {
+			if k[j] != first[j] {
+				common = j
+				break
+			}
+		}
+	}
+	for i := range ents {
+		var buf [8]byte
+		copy(buf[:], key(uint32(i))[common:])
+		ents[i] = prefixEnt{prefix: binary.BigEndian.Uint64(buf[:]), at: uint32(i)}
+	}
+	slices.SortFunc(ents, func(a, b prefixEnt) int {
+		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+			return c
+		}
+		return bytes.Compare(key(a.at), key(b.at))
+	})
+	return ents
 }
 
 // synthKeyLocked returns the sort key of index entry i.
