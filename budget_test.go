@@ -164,7 +164,7 @@ func TestSweepSteadyStateMemory(t *testing.T) {
 	cfg := u.ResolverConfig(true, true)
 	cfg.NSCompletionPercent, cfg.PTRSamplePercent = 0, 0
 	cfg.Limits = resolver.CacheLimits{
-		Answers: 256, Delegations: 256, Zones: 256, Servers: 256, Spans: 256,
+		Answers: 256, Delegations: 256, Zones: 256, Spans: 256,
 	}
 	ic, err := core.WarmInfra(u, cfg)
 	if err != nil {

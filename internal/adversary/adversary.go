@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"github.com/dnsprivacy/lookaside/internal/capture"
+	"github.com/dnsprivacy/lookaside/internal/par"
 )
 
 // Profile is the adversary's reconstruction of one client: the multiset of
@@ -151,9 +152,10 @@ func Analyze(profiles []Profile, workers int) Report {
 	}
 	fingerprints := make([]string, n)
 	entropies := make([]float64, n)
-	forEach(n, workers, func(i int) {
+	_ = par.Each(n, workers, func(i int) error {
 		fingerprints[i] = profiles[i].fingerprint()
 		entropies[i] = profiles[i].EntropyBits()
+		return nil
 	})
 
 	classSize := make(map[string]int, n)

@@ -5,6 +5,7 @@ import (
 
 	"github.com/dnsprivacy/lookaside/internal/dlv"
 	"github.com/dnsprivacy/lookaside/internal/dns"
+	"github.com/dnsprivacy/lookaside/internal/par"
 )
 
 // DictEntry is one entry of the attacker's inversion dictionary: a public
@@ -46,8 +47,9 @@ func InvertDictionary(profiles []Profile, dict []DictEntry, truth map[string]int
 
 	// The attacker's rainbow table: hash label → dictionary entry.
 	hashes := make([]string, len(dict))
-	forEach(len(dict), workers, func(i int) {
+	_ = par.Each(len(dict), workers, func(i int) error {
 		hashes[i] = dlv.HashLabel(dict[i].Domain)
+		return nil
 	})
 	table := make(map[string]int, len(dict))
 	for i, h := range hashes {

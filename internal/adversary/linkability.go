@@ -1,6 +1,10 @@
 package adversary
 
-import "net/netip"
+import (
+	"net/netip"
+
+	"github.com/dnsprivacy/lookaside/internal/par"
+)
 
 // LinkReport quantifies cross-epoch re-identification: the adversary
 // observes two windows of traffic and tries to match the anonymous profiles
@@ -76,7 +80,7 @@ func Linkability(epochA, epochB []Profile, workers int) LinkReport {
 		ambiguous bool
 	}
 	matches := make([]match, len(targets))
-	forEach(len(targets), workers, func(ti int) {
+	_ = par.Each(len(targets), workers, func(ti int) error {
 		b := &epochB[targets[ti]]
 		m := match{bestIdx: -1}
 		// Scan candidates in slice order so ties resolve deterministically.
@@ -93,6 +97,7 @@ func Linkability(epochA, epochB []Profile, workers int) LinkReport {
 			}
 		}
 		matches[ti] = m
+		return nil
 	})
 
 	sum := 0.0

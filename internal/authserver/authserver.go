@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/dnsprivacy/lookaside/internal/dlv"
 	"github.com/dnsprivacy/lookaside/internal/dns"
 	"github.com/dnsprivacy/lookaside/internal/simnet"
 	"github.com/dnsprivacy/lookaside/internal/zone"
@@ -42,32 +43,6 @@ func (f SignalerFunc) HasDLV(domain dns.Name) bool { return f(domain) }
 
 // ErrNoZone is returned when the server is not authoritative for a query.
 var ErrNoZone = errors.New("authserver: not authoritative for name")
-
-// TXTSignalPrefix is the TXT payload prefix of the DLV-aware DNS remedy:
-// "dlv=1" advertises a deposited DLV record, "dlv=0" its absence.
-const TXTSignalPrefix = "dlv="
-
-// TXTSignal renders the TXT remedy payload.
-func TXTSignal(hasDLV bool) string {
-	if hasDLV {
-		return TXTSignalPrefix + "1"
-	}
-	return TXTSignalPrefix + "0"
-}
-
-// ParseTXTSignal extracts the remedy bit from TXT strings; ok is false when
-// no dlv= string is present.
-func ParseTXTSignal(strings []string) (hasDLV, ok bool) {
-	for _, s := range strings {
-		switch s {
-		case TXTSignalPrefix + "1":
-			return true, true
-		case TXTSignalPrefix + "0":
-			return false, true
-		}
-	}
-	return false, false
-}
 
 // Config configures an authoritative server.
 type Config struct {
@@ -254,7 +229,7 @@ func respondAXFR(src Source, question dns.Question, resp *dns.Message) (*dns.Mes
 
 // synthesizeTXT builds the remedy signal answer.
 func synthesizeTXT(qname dns.Name, sig Signaler) *zone.Result {
-	signal := TXTSignal(sig.HasDLV(qname))
+	signal := dlv.TXTSignal(sig.HasDLV(qname))
 	return &zone.Result{
 		Kind:  zone.KindAnswer,
 		RCode: dns.RCodeNoError,

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"github.com/dnsprivacy/lookaside/internal/dlv"
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
 
@@ -259,11 +260,11 @@ func TestPacketCacheRemedyKeying(t *testing.T) {
 		if len(r.Answer) != 1 {
 			t.Fatalf("answer = %+v", r.Answer)
 		}
-		s, ok := ParseTXTSignal(r.Answer[0].Data.(*dns.TXTData).Strings)
+		s, ok := dlv.ParseTXTSignal(r.Answer[0].Data.(*dns.TXTData).Strings)
 		if !ok {
 			t.Fatalf("no dlv= signal in %+v", r.Answer[0].Data)
 		}
-		return TXTSignal(s)
+		return dlv.TXTSignal(s)
 	}
 
 	r1, _ := queryWire(t, srv, 1, "www.example.com", dns.TypeTXT)

@@ -74,7 +74,7 @@ func TestWarmInfraSharedAudit(t *testing.T) {
 func TestBoundedCachesSteadyState(t *testing.T) {
 	u, pop := buildUniverse(t, 4)
 	limits := resolver.CacheLimits{
-		Answers: 64, Delegations: 24, Zones: 24, Servers: 16, Spans: 48,
+		Answers: 64, Delegations: 24, Zones: 24, Spans: 48,
 	}
 	opts := auditorConfig(u)
 	opts.Resolver.Limits = limits
@@ -100,7 +100,7 @@ func TestBoundedCachesSteadyState(t *testing.T) {
 	check("delegations", sizes.Delegations, limits.Delegations)
 	check("zone-outcomes", sizes.ZoneOutcomes, limits.Zones)
 	check("ns-completed", sizes.NSCompleted, limits.Zones)
-	check("servers", sizes.Servers, limits.Servers)
+	check("servers", sizes.Servers, limits.Zones)
 	check("spans", sizes.Spans, limits.Spans)
 	if sizes.Positive == 0 {
 		t.Error("positive cache empty after 200 domains — limits disabled caching entirely?")

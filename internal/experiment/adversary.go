@@ -12,6 +12,7 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dlv"
 	"github.com/dnsprivacy/lookaside/internal/metrics"
+	"github.com/dnsprivacy/lookaside/internal/par"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
@@ -90,7 +91,7 @@ func adversaryWorkload(seed int64, popSize, c, epoch, q int) []int {
 func adversaryObserve(u *universe.Universe, pop *dataset.Population, p Params, clients, perEpoch int, remedy resolver.RemedyMode, qmin bool) ([2]*capture.Analyzer, error) {
 	var epochs [2]*capture.Analyzer
 	cells := make([]*capture.Analyzer, clients*2)
-	err := forEach(clients*2, p.workers(), func(i int) error {
+	err := par.Each(clients*2, p.workers(), func(i int) error {
 		c, epoch := i/2, i%2
 		cfg := u.ResolverConfig(true, true)
 		if remedy != 0 && cfg.Lookaside != nil {

@@ -5,10 +5,7 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/dnsprivacy/lookaside/internal/core"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
@@ -45,40 +42,6 @@ func (p Params) workers() int {
 		return 1
 	}
 	return p.Workers
-}
-
-// forEach runs fn(0..n-1) on a bounded worker pool, collecting all errors.
-// With workers <= 1 it degrades to a plain sequential loop.
-func forEach(n, workers int, fn func(i int) error) error {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // scaled divides a paper-scale workload size, keeping at least min.

@@ -9,6 +9,7 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/faults"
 	"github.com/dnsprivacy/lookaside/internal/metrics"
+	"github.com/dnsprivacy/lookaside/internal/par"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
@@ -253,7 +254,7 @@ func Faults(p Params, knobs FaultKnobs) (*FaultsResult, error) {
 		faultRun{plan: truncPlan, resil: &resolver.Resilience{TCPFallback: true}})
 
 	outcomes := make([]faultOutcome, len(runs))
-	err = forEach(len(runs), p.workers(), func(i int) error {
+	err = par.Each(len(runs), p.workers(), func(i int) error {
 		o, err := runFaultAudit(u, runs[i], workload)
 		if err != nil {
 			return fmt.Errorf("fault run %d: %w", i, err)

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/metrics"
+	"github.com/dnsprivacy/lookaside/internal/par"
 )
 
 // LeakPoint is one sample-size point of Figs. 8 and 9.
@@ -56,7 +57,7 @@ func LeakCurve(p Params) (*LeakCurveResult, error) {
 	// Each sample size is an independent audit on its own shard, so the
 	// points run concurrently on the shared universe.
 	res := &LeakCurveResult{Points: make([]LeakPoint, len(sizes))}
-	err = forEach(len(sizes), p.workers(), func(i int) error {
+	err = par.Each(len(sizes), p.workers(), func(i int) error {
 		n := sizes[i]
 		rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop.Top(n))
 		if err != nil {
@@ -155,7 +156,7 @@ func OrderMatters(p Params, trials int) (*OrderMattersResult, error) {
 	}
 	// Trials are independent shuffles; fan them out across shards.
 	res := &OrderMattersResult{N: n, Trials: make([]OrderTrial, trials)}
-	err = forEach(trials, p.workers(), func(trial int) error {
+	err = par.Each(trials, p.workers(), func(trial int) error {
 		workload := pop.Shuffled(n, p.Seed+int64(trial)*7919)
 		rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true}, workload)
 		if err != nil {
@@ -211,7 +212,7 @@ func RegistrySize(p Params) (*RegistrySizeResult, error) {
 	// Each rate builds its own universe, so the points are fully
 	// independent and run concurrently.
 	res := &RegistrySizeResult{N: n, Points: make([]RegistrySizePoint, len(depositRates))}
-	err := forEach(len(depositRates), p.workers(), func(i int) error {
+	err := par.Each(len(depositRates), p.workers(), func(i int) error {
 		rate := depositRates[i]
 		rates := dataset.DefaultRatesWithDeposit(rate)
 		pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: n, Seed: p.Seed, Rates: rates})

@@ -121,31 +121,3 @@ func TestSelect(t *testing.T) {
 		t.Errorf("all: %d entries, first %s", len(all), all[0].Name)
 	}
 }
-
-func TestForEachErrors(t *testing.T) {
-	errOdd := errors.New("odd")
-	err := forEach(5, 3, func(i int) error {
-		if i%2 == 1 {
-			return fmt.Errorf("%w: %d", errOdd, i)
-		}
-		return nil
-	})
-	if !errors.Is(err, errOdd) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := forEach(4, 2, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	// Sequential path stops at the first error.
-	calls := 0
-	err = forEach(5, 1, func(i int) error {
-		calls++
-		if i == 2 {
-			return errOdd
-		}
-		return nil
-	})
-	if !errors.Is(err, errOdd) || calls != 3 {
-		t.Fatalf("sequential: err=%v calls=%d", err, calls)
-	}
-}

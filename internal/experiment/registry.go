@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/dnsprivacy/lookaside/internal/metrics"
+	"github.com/dnsprivacy/lookaside/internal/par"
 )
 
 // Inputs are what one experiment run reads: the shared Params plus the
@@ -174,7 +175,7 @@ func (o Outcome) String() string {
 // failed one does not discard the others' results.
 func Run(exps []Experiment, in Inputs) []Outcome {
 	out := make([]Outcome, len(exps))
-	_ = forEach(len(exps), in.workers(), func(i int) error {
+	_ = par.Each(len(exps), in.workers(), func(i int) error {
 		start := time.Now()
 		res, err := exps[i].Run(in)
 		if err != nil {

@@ -27,9 +27,11 @@ const sweepShards = 8
 // delegations, SLD zone outcomes) are never re-used across domains; the
 // shared infrastructure cache carries everything that is. Each cap sits
 // far above one domain's working set plus the whole infrastructure set,
-// so FIFO eviction only ever discards entries belonging to finished
-// domains and resolution behavior — hence every metric — is unchanged
-// (TestSweepCacheCaps runs the 10k point under far tighter caps). The NSEC
+// and eviction is by recency (an entry goes only after half a cap of
+// inserts without a touch), so it only ever discards entries belonging to
+// finished domains and resolution behavior — hence every metric — is
+// unchanged (TestSweepCacheCaps runs the 10k point under far tighter
+// caps). The NSEC
 // span store is deliberately NOT capped here: aggressive negative caching
 // accumulates spans across domains (the DLVSuppressed metric), so bounding
 // it would change results, not just memory.

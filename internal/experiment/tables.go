@@ -7,6 +7,7 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dns"
 	"github.com/dnsprivacy/lookaside/internal/metrics"
+	"github.com/dnsprivacy/lookaside/internal/par"
 	"github.com/dnsprivacy/lookaside/internal/resconf"
 )
 
@@ -123,7 +124,7 @@ func Table3(p Params) (*Table3Result, error) {
 	// A fresh universe per scenario keeps captures independent, which also
 	// makes the scenarios safe to measure concurrently.
 	res := &Table3Result{Rows: make([]Table3Row, len(scenarios))}
-	err = forEach(len(scenarios), p.workers(), func(i int) error {
+	err = par.Each(len(scenarios), p.workers(), func(i int) error {
 		sc := scenarios[i]
 		u, err := buildUniverse(pop, p.Seed, nil)
 		if err != nil {
@@ -226,7 +227,7 @@ func Table4(p Params) (*Table4Result, error) {
 	// Sizes share the universe but audit on private shards: run them
 	// concurrently.
 	res := &Table4Result{Rows: make([]Table4Row, len(sizes))}
-	err = forEach(len(sizes), p.workers(), func(i int) error {
+	err = par.Each(len(sizes), p.workers(), func(i int) error {
 		n := sizes[i]
 		rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop.Top(n))
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
+	"github.com/dnsprivacy/lookaside/internal/gencache"
 )
 
 // CacheLimits bounds every piece of per-resolver cache state. Zero fields
@@ -21,12 +22,10 @@ type CacheLimits struct {
 	Answers int
 	// Delegations bounds the referral (zone-cut) cache. Default 1<<20.
 	Delegations int
-	// Zones bounds the per-zone validation outcomes and the NS-completion
-	// ledger. Default 1<<20.
-	Zones int
-	// Servers bounds the first-contact server ledger (PTR sampling).
+	// Zones bounds the per-zone validation outcomes and the two ledgers:
+	// NS completion and first contact with a server (PTR sampling).
 	// Default 1<<20.
-	Servers int
+	Zones int
 	// Spans bounds each zone's validated NSEC span store. Default 1<<20.
 	Spans int
 }
@@ -47,9 +46,6 @@ func (l CacheLimits) withDefaults() CacheLimits {
 	}
 	if l.Zones <= 0 {
 		l.Zones = defaultOtherCap
-	}
-	if l.Servers <= 0 {
-		l.Servers = defaultOtherCap
 	}
 	if l.Spans <= 0 {
 		l.Spans = defaultOtherCap
@@ -79,10 +75,13 @@ type CacheSizes struct {
 // shows the registry one aggressive negative cache at any width, as one
 // resolver would. A resolver given no Cache owns a private one.
 //
-// Each bounded map is a table (below), so eviction is deterministic:
-// expired entries at the queue head go first (the logical clock is
-// deterministic), then the oldest survivors. Stored values are never
-// written again: a changed delegation is a new one, replacing the old.
+// Each bounded map is a gencache.Cache whose generations span half its
+// limit, so it holds at most the limit: what is stored or read within the
+// last half-limit inserts stays, what nothing touched for two generations
+// is dropped. Eviction depends only on the order of stores and reads, so it
+// is deterministic for a deterministic walk. Expiry is checked on every
+// read, never by eviction. Stored values are never written again: a
+// changed delegation is a new one, replacing the old.
 //
 // TTL arithmetic reads the Cache's process clock, not a shard clock: each
 // sharing resolver adds to it how far its own shard clock has advanced
@@ -102,12 +101,12 @@ type Cache struct {
 
 	mu sync.Mutex
 
-	positive    table[dns.Key, posEntry]
-	negative    table[dns.Key, negEntry]
-	delegations table[dns.Name, *delegation]
-	zoneStatus  table[dns.Name, *zoneOutcome]
-	seenServers table[netip.Addr, struct{}]
-	nsCompleted table[dns.Name, struct{}]
+	positive    gencache.Cache[dns.Key, posEntry]
+	negative    gencache.Cache[dns.Key, negEntry]
+	delegations gencache.Cache[dns.Name, *delegation]
+	zoneStatus  gencache.Cache[dns.Name, *zoneOutcome]
+	seenServers gencache.Cache[netip.Addr, struct{}]
+	nsCompleted gencache.Cache[dns.Name, struct{}]
 
 	spans     map[dns.Name]*spanStore
 	spanLimit int
@@ -125,12 +124,12 @@ func NewCache(limits CacheLimits, start time.Duration) *Cache {
 func newCache(limits CacheLimits) *Cache {
 	l := limits.withDefaults()
 	return &Cache{
-		positive:    newTable[dns.Key](l.Answers, func(e posEntry) uint32 { return e.expires }),
-		negative:    newTable[dns.Key](l.Answers, func(e negEntry) uint32 { return e.expires }),
-		delegations: newTable[dns.Name, *delegation](l.Delegations, nil),
-		zoneStatus:  newTable[dns.Name, *zoneOutcome](l.Zones, nil),
-		seenServers: newTable[netip.Addr, struct{}](l.Servers, nil),
-		nsCompleted: newTable[dns.Name, struct{}](l.Zones, nil),
+		positive:    gencache.New[dns.Key, posEntry](l.Answers / 2),
+		negative:    gencache.New[dns.Key, negEntry](l.Answers / 2),
+		delegations: gencache.New[dns.Name, *delegation](l.Delegations / 2),
+		zoneStatus:  gencache.New[dns.Name, *zoneOutcome](l.Zones / 2),
+		seenServers: gencache.New[netip.Addr, struct{}](l.Zones / 2),
+		nsCompleted: gencache.New[dns.Name, struct{}](l.Zones / 2),
 		spans:       make(map[dns.Name]*spanStore),
 		spanLimit:   l.Spans,
 	}
@@ -138,10 +137,9 @@ func newCache(limits CacheLimits) *Cache {
 
 // Seal freezes the cache: every span store is replaced by a fully merged
 // copy under the mutex, then the cache is marked sealed, after which
-// delegation, outcome and span reads skip the mutex and every store is a
-// no-op. A span add that raced Seal
-// lands in a discarded store, as if it had come after. Sealing again does
-// nothing.
+// delegation, outcome, ledger and span reads skip the mutex and every
+// store is a no-op. A span add that raced Seal lands in a discarded store,
+// as if it had come after. Sealing again does nothing.
 func (c *Cache) Seal() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -184,9 +182,15 @@ type posEntry struct {
 	expires uint32
 }
 
+// negEntry is a cached denial. It keeps the validation state of the answer
+// it stands for, as posEntry does, so a repeated NXDOMAIN or NODATA comes
+// back with the status, look-aside use and Z bit of the first.
 type negEntry struct {
 	rcode   dns.RCode
 	zone    dns.Name
+	status  ValidationStatus
+	usedDLV bool
+	zbit    bool
 	expires uint32
 }
 
@@ -412,66 +416,11 @@ func (s *spanStore) size() int {
 	return len(s.sorted) + len(s.tail)
 }
 
-// table is the bounded map behind every resolver cache: a map plus the
-// insertion order of its keys. Keys enter the order once, on first insert
-// (an overwrite keeps the original position); eviction pops from the head,
-// so enforcing the limit is amortized O(1) per insert — every pop matches
-// one past push. The popped prefix is compacted away once it outgrows the
-// live half, keeping total copying linear in pushes. expires, when set,
-// reads an entry's expiry; a table without it evicts strictly FIFO.
-type table[K comparable, V any] struct {
-	m       map[K]V
-	order   []K
-	head    int
-	limit   int
-	expires func(V) uint32
-}
-
-func newTable[K comparable, V any](limit int, expires func(V) uint32) table[K, V] {
-	return table[K, V]{m: make(map[K]V), limit: limit, expires: expires}
-}
-
-// put stores v under k. A new key at the limit first drops the run of
-// entries expired at now from the queue head, then the oldest entries
-// until the table is under its limit. Both steps depend only on insertion
-// order and the logical clock, so eviction is deterministic (and in
-// particular independent of how many sweep shards run concurrently).
-// Expired entries that are not yet at the head survive until they reach
-// it; memory stays bounded by the limit either way.
-func (t *table[K, V]) put(k K, v V, now uint32) {
-	if _, ok := t.m[k]; !ok {
-		if len(t.m) >= t.limit {
-			t.evict(now)
-		}
-		if t.head > 64 && t.head > len(t.order)/2 {
-			t.order = t.order[:copy(t.order, t.order[t.head:])]
-			t.head = 0
-		}
-		t.order = append(t.order, k)
-	}
-	t.m[k] = v
-}
-
-func (t *table[K, V]) evict(now uint32) {
-	for t.expires != nil && t.head < len(t.order) {
-		k := t.order[t.head]
-		if v, ok := t.m[k]; ok && t.expires(v) >= now {
-			break
-		}
-		delete(t.m, k)
-		t.head++
-	}
-	for len(t.m) >= t.limit && t.head < len(t.order) {
-		delete(t.m, t.order[t.head])
-		t.head++
-	}
-}
-
 // answer looks key up in the positive, then the negative cache, and
 // returns the entry if it is live at now.
 func (c *Cache) answer(key dns.Key, now uint32) (*coreResult, bool) {
 	c.mu.Lock()
-	pos, ok := c.positive.m[key]
+	pos, ok := c.positive.Get(key)
 	if ok && pos.expires >= now {
 		c.mu.Unlock()
 		return &coreResult{
@@ -479,84 +428,86 @@ func (c *Cache) answer(key dns.Key, now uint32) (*coreResult, bool) {
 			zbit: pos.zbit, fromCache: true, status: pos.status, usedDLV: pos.usedDLV,
 		}, true
 	}
-	neg, ok := c.negative.m[key]
+	neg, ok := c.negative.Get(key)
 	c.mu.Unlock()
 	if ok && neg.expires >= now {
-		return &coreResult{rcode: neg.rcode, zone: neg.zone, fromCache: true}, true
+		return &coreResult{
+			rcode: neg.rcode, zone: neg.zone,
+			zbit: neg.zbit, fromCache: true, status: neg.status, usedDLV: neg.usedDLV,
+		}, true
 	}
 	return nil, false
 }
 
 // storePositive writes a positive answer, enforcing the answer bound.
-func (c *Cache) storePositive(key dns.Key, e posEntry, now uint32) {
+func (c *Cache) storePositive(key dns.Key, e posEntry) {
 	if c.lockUnsealed() {
-		c.positive.put(key, e, now)
+		c.positive.Put(key, e)
 		c.mu.Unlock()
 	}
 }
 
 // storeNegative writes a negative answer, enforcing the answer bound.
-func (c *Cache) storeNegative(key dns.Key, e negEntry, now uint32) {
+func (c *Cache) storeNegative(key dns.Key, e negEntry) {
 	if c.lockUnsealed() {
-		c.negative.put(key, e, now)
+		c.negative.Put(key, e)
 		c.mu.Unlock()
 	}
 }
 
 // delegation looks up a cached zone cut.
 func (c *Cache) delegation(name dns.Name) (*delegation, bool) {
-	if !c.sealed.Load() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
+	if c.sealed.Load() {
+		return c.delegations.Peek(name)
 	}
-	d, ok := c.delegations.m[name]
-	return d, ok
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.delegations.Get(name)
 }
 
-// storeDelegation writes a zone cut, enforcing the delegation bound.
-// Delegations carry no TTL in this model, so eviction is purely FIFO; a
+// storeDelegation writes a zone cut, enforcing the delegation bound. A
 // dropped cut is relearned through a referral walk.
 func (c *Cache) storeDelegation(name dns.Name, d *delegation) {
 	if c.lockUnsealed() {
-		c.delegations.put(name, d, 0)
+		c.delegations.Put(name, d)
 		c.mu.Unlock()
 	}
 }
 
-// replaceDelegation swaps old for d in place — same queue position, no
-// eviction — only while the name still holds old: a cut that was evicted
-// or relearned since old was read stays as it is.
+// replaceDelegation stores d in place of old only while the name still
+// holds old: a cut that was evicted or relearned since old was read stays
+// as it is.
 func (c *Cache) replaceDelegation(name dns.Name, old, d *delegation) {
 	if !c.lockUnsealed() {
 		return
 	}
 	defer c.mu.Unlock()
-	if c.delegations.m[name] == old {
-		c.delegations.m[name] = d
+	if cur, _ := c.delegations.Peek(name); cur == old {
+		c.delegations.Put(name, d)
 	}
 }
 
 // outcome looks up a cached per-zone validation outcome.
 func (c *Cache) outcome(name dns.Name) (*zoneOutcome, bool) {
-	if !c.sealed.Load() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
+	if c.sealed.Load() {
+		return c.zoneStatus.Peek(name)
 	}
-	out, ok := c.zoneStatus.m[name]
-	return out, ok
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.zoneStatus.Get(name)
 }
 
 // storeZoneStatus writes a per-zone validation outcome, enforcing the zone
 // bound. An evicted outcome is re-established by re-validating the chain.
 func (c *Cache) storeZoneStatus(name dns.Name, out *zoneOutcome) {
 	if c.lockUnsealed() {
-		c.zoneStatus.put(name, out, 0)
+		c.zoneStatus.Put(name, out)
 		c.mu.Unlock()
 	}
 }
 
 // noteSeenServer records first contact with a server address, enforcing the
-// server bound. Returns true when the address was already known.
+// zone bound. Returns true when the address was already known.
 func (c *Cache) noteSeenServer(addr netip.Addr) (seen bool) {
 	return note(c, &c.seenServers, addr)
 }
@@ -569,16 +520,16 @@ func (c *Cache) noteNSCompleted(name dns.Name) (done bool) {
 
 // note records k in one of c's ledgers and reports whether it was there
 // already. A sealed cache's ledger is only read.
-func note[K comparable](c *Cache, ledger *table[K, struct{}], k K) bool {
+func note[K comparable](c *Cache, ledger *gencache.Cache[K, struct{}], k K) bool {
 	if !c.lockUnsealed() {
-		_, ok := ledger.m[k]
+		_, ok := ledger.Peek(k)
 		return ok
 	}
 	defer c.mu.Unlock()
-	if _, ok := ledger.m[k]; ok {
+	if _, ok := ledger.Get(k); ok {
 		return true
 	}
-	ledger.put(k, struct{}{}, 0)
+	ledger.Put(k, struct{}{})
 	return false
 }
 
@@ -622,12 +573,12 @@ func (c *Cache) Sizes() CacheSizes {
 		spans += st.size()
 	}
 	return CacheSizes{
-		Positive:     len(c.positive.m),
-		Negative:     len(c.negative.m),
-		Delegations:  len(c.delegations.m),
-		ZoneOutcomes: len(c.zoneStatus.m),
-		Servers:      len(c.seenServers.m),
-		NSCompleted:  len(c.nsCompleted.m),
+		Positive:     c.positive.Len(),
+		Negative:     c.negative.Len(),
+		Delegations:  c.delegations.Len(),
+		ZoneOutcomes: c.zoneStatus.Len(),
+		Servers:      c.seenServers.Len(),
+		NSCompleted:  c.nsCompleted.Len(),
 		Spans:        spans,
 	}
 }

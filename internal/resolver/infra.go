@@ -2,7 +2,6 @@ package resolver
 
 import (
 	"fmt"
-	"maps"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
@@ -16,28 +15,27 @@ type InfraCache = Cache
 // into ic, the infrastructure cache warm-up fills before sealing it.
 // Delegations and zone outcomes are shared as they are (nothing writes a
 // stored one again); span stores are cloned fully merged, and empty ones
-// are left out. The copy writes ic's maps directly, past its bounds: ic
-// holds exactly what was exported. A sealed ic takes nothing.
+// are left out. ic is locked before the resolver's cache, and must not be
+// it. A sealed ic takes nothing.
 func (r *Resolver) ExportInfra(ic *Cache, keep func(dns.Name) bool) {
-	c := r.cache
-	c.mu.Lock()
-	dels, outs, spans := maps.Clone(c.delegations.m), maps.Clone(c.zoneStatus.m), maps.Clone(c.spans)
-	c.mu.Unlock()
 	if !ic.lockUnsealed() {
 		return
 	}
 	defer ic.mu.Unlock()
-	for n, d := range dels {
+	c := r.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.delegations.Each(func(n dns.Name, d *delegation) {
 		if keep(n) {
-			ic.delegations.m[n] = d
+			ic.delegations.Put(n, d)
 		}
-	}
-	for n, out := range outs {
+	})
+	c.zoneStatus.Each(func(n dns.Name, out *zoneOutcome) {
 		if keep(n) {
-			ic.zoneStatus.m[n] = out
+			ic.zoneStatus.Put(n, out)
 		}
-	}
-	for n, st := range spans {
+	})
+	for n, st := range c.spans {
 		if keep(n) && st.size() > 0 {
 			ic.spans[n] = st.clone()
 		}

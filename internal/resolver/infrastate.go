@@ -98,7 +98,7 @@ func (c *Cache) Export() (*InfraState, error) {
 		return nil, fmt.Errorf("resolver: exporting unsealed infra cache")
 	}
 	st := &InfraState{}
-	for n, d := range c.delegations.m {
+	c.delegations.Each(func(n dns.Name, d *delegation) {
 		servers := make([]InfraServer, len(d.servers))
 		for j, s := range d.servers {
 			servers[j] = InfraServer{Name: s.name, Addr: s.addr}
@@ -106,13 +106,13 @@ func (c *Cache) Export() (*InfraState, error) {
 		st.Delegations = append(st.Delegations, InfraDelegation{
 			Name: n, Parent: d.parent, Servers: servers,
 		})
-	}
-	for n, out := range c.zoneStatus.m {
+	})
+	c.zoneStatus.Each(func(n dns.Name, out *zoneOutcome) {
 		st.Outcomes = append(st.Outcomes, InfraOutcome{
 			Name: n, Status: out.status, Keys: out.keys,
 			Signed: out.signed, ViaDLV: out.viaDLV,
 		})
-	}
+	})
 	for n, store := range c.spans {
 		set := InfraSpanSet{Zone: n, Limit: store.limit,
 			Spans: make([]InfraSpan, len(store.sorted))}
@@ -150,22 +150,23 @@ func RestoreInfra(st *InfraState) (*Cache, error) {
 	if err := ascending("span sets", st.Spans, func(s InfraSpanSet) dns.Name { return s.Zone }); err != nil {
 		return nil, err
 	}
-	c := newCache(CacheLimits{})
+	// Generations as long as the state, so nothing rotates out.
+	c := newCache(CacheLimits{Delegations: 2 * len(st.Delegations), Zones: 2 * len(st.Outcomes)})
 	for _, d := range st.Delegations {
 		servers := make([]nsServer, len(d.Servers))
 		for j, s := range d.Servers {
 			servers[j] = nsServer{name: s.Name, addr: s.Addr}
 		}
-		c.delegations.m[d.Name] = &delegation{parent: d.Parent, servers: servers}
+		c.delegations.Put(d.Name, &delegation{parent: d.Parent, servers: servers})
 	}
 	for _, out := range st.Outcomes {
 		if out.Status < StatusSecure || out.Status > StatusIndeterminate {
 			return nil, fmt.Errorf("resolver: restoring %s: invalid validation status %d", out.Name, out.Status)
 		}
-		c.zoneStatus.m[out.Name] = &zoneOutcome{
+		c.zoneStatus.Put(out.Name, &zoneOutcome{
 			status: out.Status, keys: out.Keys,
 			signed: out.Signed, viaDLV: out.ViaDLV,
-		}
+		})
 	}
 	for _, set := range st.Spans {
 		store := &spanStore{limit: set.Limit, sorted: make([]span, len(set.Spans))}

@@ -95,12 +95,13 @@ func (r *Resolver) resolveCore(qname dns.Name, qtype dns.Type, depth int, intern
 			rrs: core.answer, zone: core.zone, status: core.status,
 			usedDLV: core.usedDLV, zbit: core.zbit,
 			expires: now + minTTL(core.answer),
-		}, now)
+		})
 	} else {
 		r.cache.storeNegative(key, negEntry{
-			rcode: core.rcode, zone: core.zone,
+			rcode: core.rcode, zone: core.zone, status: core.status,
+			usedDLV: core.usedDLV, zbit: core.zbit,
 			expires: now + negativeTTLFrom(core.authority),
-		}, now)
+		})
 	}
 	return core, nil
 }

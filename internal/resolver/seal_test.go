@@ -24,8 +24,8 @@ func populatedCache() (*Cache, []dns.Name) {
 			next:    dns.MustName("z." + string(n)),
 			expires: 1 << 30,
 		}, 0)
-		c.storePositive(dns.Key{Name: n, Type: dns.TypeA, Class: dns.ClassIN}, posEntry{zone: n, expires: 1 << 30}, 0)
-		c.storeNegative(dns.Key{Name: n, Type: dns.TypeAAAA, Class: dns.ClassIN}, negEntry{zone: n, expires: 1 << 30}, 0)
+		c.storePositive(dns.Key{Name: n, Type: dns.TypeA, Class: dns.ClassIN}, posEntry{zone: n, expires: 1 << 30})
+		c.storeNegative(dns.Key{Name: n, Type: dns.TypeAAAA, Class: dns.ClassIN}, negEntry{zone: n, expires: 1 << 30})
 		c.noteSeenServer(netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}))
 		c.noteNSCompleted(n)
 	}
@@ -105,8 +105,8 @@ func TestWritesAfterSealIgnored(t *testing.T) {
 				fresh := dns.MustName(fmt.Sprintf("late%d-%d.", w, i))
 				old := names[i%len(names)]
 				for _, n := range []dns.Name{fresh, old} {
-					c.storePositive(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, posEntry{zone: n, expires: 1 << 30}, 0)
-					c.storeNegative(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, negEntry{zone: n, expires: 1 << 30}, 0)
+					c.storePositive(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, posEntry{zone: n, expires: 1 << 30})
+					c.storeNegative(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, negEntry{zone: n, expires: 1 << 30})
 					c.storeDelegation(n, &delegation{parent: dns.Root})
 					c.storeZoneStatus(n, &zoneOutcome{status: StatusBogus})
 					c.noteNSCompleted(n)

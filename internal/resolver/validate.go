@@ -289,9 +289,9 @@ func (r *Resolver) queryAt(zoneName, qname dns.Name, qtype dns.Type, depth int) 
 		return nil, err
 	}
 	if core.rcode == dns.RCodeNoError && len(core.answer) > 0 {
-		r.cache.storePositive(key, posEntry{rrs: core.answer, zone: zoneName, expires: now + minTTL(core.answer)}, now)
+		r.cache.storePositive(key, posEntry{rrs: core.answer, zone: zoneName, expires: now + minTTL(core.answer)})
 	} else {
-		r.cache.storeNegative(key, negEntry{rcode: core.rcode, zone: zoneName, expires: now + negativeTTLFrom(core.authority)}, now)
+		r.cache.storeNegative(key, negEntry{rcode: core.rcode, zone: zoneName, expires: now + negativeTTLFrom(core.authority)})
 	}
 	return core, nil
 }

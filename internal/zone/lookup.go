@@ -463,7 +463,7 @@ func (z *Zone) signSetLocked(rrset []dns.RR) (dns.RR, error) {
 		return dns.RR{}, ErrNotSigned
 	}
 	key := rrset[0].Key()
-	if sig, ok := z.sigCache.get(key); ok {
+	if sig, ok := z.sigCache.Get(key); ok {
 		return sig, nil
 	}
 	signer := z.zsk
@@ -474,7 +474,7 @@ func (z *Zone) signSetLocked(rrset []dns.RR) (dns.RR, error) {
 	if err != nil {
 		return dns.RR{}, fmt.Errorf("zone %s: signing %s: %w", z.apex, key, err)
 	}
-	z.sigCache.put(key, sig)
+	z.sigCache.Put(key, sig)
 	return sig, nil
 }
 

@@ -41,8 +41,8 @@ func (z *Zone) ExportSigState() *SigState {
 		return nil
 	}
 	st := &SigState{Apex: z.apex, Generation: z.gen,
-		Entries: make([]SigEntry, 0, z.sigCache.len())}
-	z.sigCache.each(func(key dns.Key, sig dns.RR) {
+		Entries: make([]SigEntry, 0, z.sigCache.Len())}
+	z.sigCache.Each(func(key dns.Key, sig dns.RR) {
 		st.Entries = append(st.Entries, SigEntry{Key: key, Sig: sig})
 	})
 	sort.Slice(st.Entries, func(i, j int) bool {
@@ -81,7 +81,7 @@ func (z *Zone) ImportSigState(st *SigState) error {
 		return err
 	}
 	for i := range st.Entries {
-		z.sigCache.put(st.Entries[i].Key, st.Entries[i].Sig)
+		z.sigCache.Put(st.Entries[i].Key, st.Entries[i].Sig)
 	}
 	return nil
 }

@@ -9,7 +9,7 @@ package zone
 // when a query first needs them. A paper-scale TLD zone with a million
 // delegations costs one index, not a million RRsets.
 //
-// Materialized records live in a small recency-bounded cache (genCache) that
+// Materialized records live in a small recency-bounded cache (gencache) that
 // never contributes to the zone generation counter: a synth-backed zone
 // serves byte-identical responses before a record is materialized, while it
 // is held, and after it has been dropped and derived again, so authoritative
@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
+	"github.com/dnsprivacy/lookaside/internal/gencache"
 )
 
 // SynthKind classifies a synthesized owner name; it determines the record
@@ -79,7 +80,7 @@ func (z *Zone) AttachSynth(src SynthSource) {
 	z.gen++
 	z.synth = src
 	z.synthReady = false
-	z.synthRecords = genCache[dns.Name, []dns.RR]{}
+	z.synthRecords = gencache.New[dns.Name, []dns.RR](genCacheSpan)
 }
 
 // MaterializedNames returns how many synthesized owners currently hold
@@ -87,7 +88,7 @@ func (z *Zone) AttachSynth(src SynthSource) {
 func (z *Zone) MaterializedNames() int {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	return z.synthRecords.len()
+	return z.synthRecords.Len()
 }
 
 // synthEnsureLocked builds the sorted owner index on first use. Entry i is
@@ -245,7 +246,7 @@ func (k SynthKind) isCut() bool { return k == SynthCut || k == SynthSecureCut }
 // synthRecordsLocked returns every record the synthesized owner o holds,
 // deriving them when the cache does not hold them yet, or no longer.
 func (z *Zone) synthRecordsLocked(o owner) ([]dns.RR, error) {
-	if rrs, ok := z.synthRecords.get(o.name); ok {
+	if rrs, ok := z.synthRecords.Get(o.name); ok {
 		return rrs, nil
 	}
 	rrs, err := z.synth.SynthRecords(SynthEntry{Name: o.name, Kind: z.synthKind[o.at], Aux: z.synthAux[o.at]})
@@ -260,7 +261,7 @@ func (z *Zone) synthRecordsLocked(o owner) ([]dns.RR, error) {
 	// Grouped by type, order within a type kept, so rrsetLocked can hand out
 	// an RRset as a sub-slice.
 	slices.SortStableFunc(rrs, func(a, b dns.RR) int { return cmp.Compare(a.Type, b.Type) })
-	z.synthRecords.put(o.name, rrs)
+	z.synthRecords.Put(o.name, rrs)
 	return rrs, nil
 }
 

@@ -18,7 +18,18 @@ import (
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 	"github.com/dnsprivacy/lookaside/internal/dnssec"
+	"github.com/dnsprivacy/lookaside/internal/gencache"
 )
+
+// genCacheSpan is how many inserts one generation of a zone's derived-state
+// caches (materialized records, memoized signatures) takes. A zone re-asks
+// for derived state only within one resolution — the DS query that follows
+// a referral by microseconds — so the span need only outlast the
+// resolutions in flight; it does not scale with the zone's population.
+const genCacheSpan = 2048
+
+// genCacheCap is the most entries one of those caches ever holds.
+const genCacheCap = 2 * genCacheSpan
 
 // Zone errors.
 var (
@@ -85,7 +96,7 @@ type Zone struct {
 	synthOff     []uint32
 	synthKind    []SynthKind
 	synthAux     []uint32
-	synthRecords genCache[dns.Name, []dns.RR]
+	synthRecords gencache.Cache[dns.Name, []dns.RR]
 
 	signed     bool
 	nsec3      bool
@@ -96,7 +107,7 @@ type Zone struct {
 	expiration uint32
 	rng        io.Reader
 	// sigCache memoizes the RRSIGs of recently served RRsets.
-	sigCache genCache[dns.Key, dns.RR]
+	sigCache gencache.Cache[dns.Key, dns.RR]
 }
 
 // New creates an empty zone with its SOA and apex NS record.
@@ -129,6 +140,9 @@ func New(cfg Config) (*Zone, error) {
 		records:     make(map[dns.Key][]dns.RR),
 		typesByName: make(map[dns.Name][]dns.Type),
 		nameSet:     make(map[dns.Name]bool),
+
+		synthRecords: gencache.New[dns.Name, []dns.RR](genCacheSpan),
+		sigCache:     gencache.New[dns.Key, dns.RR](genCacheSpan),
 	}
 	rname, err := dns.Concat("hostmaster", cfg.Apex)
 	if err != nil {
@@ -263,7 +277,7 @@ func (z *Zone) insertLocked(rr dns.RR) {
 		z.namesDirty = true
 	}
 	// Any cached signature for this RRset is now stale.
-	z.sigCache.delete(key)
+	z.sigCache.Delete(key)
 }
 
 // SignConfig configures zone signing.
@@ -297,7 +311,7 @@ func (z *Zone) Sign(cfg SignConfig) error {
 	z.ksk, z.zsk = cfg.KSK, cfg.ZSK
 	z.inception, z.expiration = cfg.Inception, cfg.Expiration
 	z.rng = cfg.Rand
-	z.sigCache = genCache[dns.Key, dns.RR]{} // re-signing invalidates every memoized signature
+	z.sigCache = gencache.New[dns.Key, dns.RR](genCacheSpan) // re-signing invalidates every memoized signature
 	z.nsec3 = cfg.NSEC3
 	z.nsec3Salt = cfg.NSEC3Salt
 	z.nsec3Iter = cfg.NSEC3Iterations
