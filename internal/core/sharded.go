@@ -1,16 +1,14 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dnsprivacy/lookaside/internal/capture"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dnssec"
+	"github.com/dnsprivacy/lookaside/internal/par"
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
 
@@ -137,39 +135,21 @@ func blockBounds(n, c, i int) (lo, hi int) {
 // (and in what order shards are picked up) cannot affect the result — only
 // wall-clock. Any shard errors are joined.
 func (s *ShardedAuditor) QueryDomains(domains []dataset.Domain) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(s.auditors))
-	var next atomic.Int64
-	pool := s.parallelism
-	if pool <= 0 || pool > len(s.auditors) {
-		pool = len(s.auditors)
-	}
-	for w := 0; w < pool; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.auditors) {
-					return
-				}
-				// A restored shard's block already ran (in the run that
-				// wrote the checkpoint); re-running it would double-count.
-				if s.restored[i] != nil {
-					continue
-				}
-				lo, hi := blockBounds(len(domains), len(s.auditors), i)
-				if lo != hi {
-					errs[i] = s.auditors[i].QueryDomains(domains[lo:hi])
-				}
-				if errs[i] == nil && s.onShardDone != nil {
-					s.onShardDone(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return par.Each(len(s.auditors), s.parallelism, func(i int) error {
+		// A restored shard's block already ran (in the run that wrote the
+		// checkpoint); re-running it would double-count.
+		if s.restored[i] != nil {
+			return nil
+		}
+		var err error
+		if lo, hi := blockBounds(len(domains), len(s.auditors), i); lo != hi {
+			err = s.auditors[i].QueryDomains(domains[lo:hi])
+		}
+		if err == nil && s.onShardDone != nil {
+			s.onShardDone(i)
+		}
+		return err
+	})
 }
 
 // Report folds every shard's exported state, in shard order: counters and
