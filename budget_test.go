@@ -164,7 +164,7 @@ func TestSweepSteadyStateMemory(t *testing.T) {
 	cfg := u.ResolverConfig(true, true)
 	cfg.NSCompletionPercent, cfg.PTRSamplePercent = 0, 0
 	cfg.Limits = resolver.CacheLimits{
-		Answers: 256, Delegations: 256, Zones: 256, Spans: 256,
+		Answers: 256, Zones: 256, Spans: 256,
 	}
 	ic, err := core.WarmInfra(u, cfg)
 	if err != nil {
@@ -242,7 +242,7 @@ func TestAuthoritativeSteadyStateMemory(t *testing.T) {
 	}
 	var names []dns.Name
 	for i := range pop.Domains {
-		if pop.Domains[i].TLD == "com" {
+		if pop.Domains[i].TLD() == "com" {
 			names = append(names, pop.Domains[i].Name)
 		}
 	}

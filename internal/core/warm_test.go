@@ -74,7 +74,7 @@ func TestWarmInfraSharedAudit(t *testing.T) {
 func TestBoundedCachesSteadyState(t *testing.T) {
 	u, pop := buildUniverse(t, 4)
 	limits := resolver.CacheLimits{
-		Answers: 64, Delegations: 24, Zones: 24, Spans: 48,
+		Answers: 64, Zones: 24, Spans: 48,
 	}
 	opts := auditorConfig(u)
 	opts.Resolver.Limits = limits
@@ -97,7 +97,7 @@ func TestBoundedCachesSteadyState(t *testing.T) {
 	}
 	check("positive", sizes.Positive, limits.Answers)
 	check("negative", sizes.Negative, limits.Answers)
-	check("delegations", sizes.Delegations, limits.Delegations)
+	check("delegations", sizes.Delegations, limits.Zones)
 	check("zone-outcomes", sizes.ZoneOutcomes, limits.Zones)
 	check("ns-completed", sizes.NSCompleted, limits.Zones)
 	check("servers", sizes.Servers, limits.Zones)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
@@ -23,7 +24,7 @@ func TestAlexaLikeBasics(t *testing.T) {
 			t.Fatalf("duplicate domain %s", d.Name)
 		}
 		seen[d.Name] = true
-		if d.Rank != i+1 {
+		if int(d.Rank) != i+1 {
 			t.Fatalf("rank mismatch at %d: %d", i, d.Rank)
 		}
 		if d.Name.LabelCount() != 2 {
@@ -87,7 +88,7 @@ func TestDeploymentRatesCalibration(t *testing.T) {
 	// com must dominate the population.
 	comCount := 0
 	for _, d := range pop.Domains {
-		if d.TLD == "com" {
+		if d.TLD() == "com" {
 			comCount++
 		}
 	}
@@ -288,5 +289,50 @@ func TestSurveyMarginals(t *testing.T) {
 	}
 	if isc < 0.6 || isc > 0.65 {
 		t.Fatalf("ISC share %.3f", isc)
+	}
+}
+
+// TestDomainTLD holds TLD, which reads the label off Name, to the label
+// each domain was generated under: the last label as dns.Name parses it,
+// one of the population's TLDs, and for the secured list the label its
+// index picks. Generated ranks are positions plus one, and TLD allocates
+// nothing.
+func TestDomainTLD(t *testing.T) {
+	pop, err := AlexaLike(PopulationConfig{Size: 100_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlds := make(map[string]bool, len(pop.TLDs))
+	for _, tld := range pop.TLDs {
+		tlds[tld.Label] = true
+	}
+	for i := range pop.Domains {
+		d := &pop.Domains[i]
+		labels := d.Name.Labels()
+		if got := d.TLD(); got != labels[len(labels)-1] || !tlds[got] {
+			t.Fatalf("%s: TLD() = %q, generated under %q", d.Name, got, labels[len(labels)-1])
+		}
+		if int(d.Rank) != i+1 {
+			t.Fatalf("%s at position %d has rank %d", d.Name, i, d.Rank)
+		}
+	}
+	for i, d := range SecureDomains() {
+		if want := []string{"edu", "net", "org"}[i%3]; d.TLD() != want {
+			t.Errorf("%s: TLD() = %q, want %q", d.Name, d.TLD(), want)
+		}
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { _ = pop.Domains[7].TLD() }); n != 0 {
+			t.Errorf("TLD() allocates %v times", n)
+		}
+	}
+}
+
+// TestDomainLayout pins Domain at 24 bytes: a population holds one per
+// name, so every byte a new field adds costs 1 MB at the paper's 1M.
+func TestDomainLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Domain{}); size != 24 {
+		t.Errorf("Domain is %d bytes, pinned at 24: %+.1f MB at 1,000,000 domains",
+			size, (float64(size)-24)*1e6/(1<<20))
 	}
 }

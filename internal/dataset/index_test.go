@@ -19,7 +19,7 @@ func populationDigest(p *Population) string {
 		fmt.Fprintf(h, "%s %t %g\n", t.Label, t.Signed, t.Weight)
 	}
 	for _, d := range p.Domains {
-		fmt.Fprintf(h, "%s %s %t %t %t %d\n", d.Name, d.TLD, d.Signed, d.DSInParent, d.InDLV, d.Rank)
+		fmt.Fprintf(h, "%s %s %t %t %t %d\n", d.Name, d.TLD(), d.Signed, d.DSInParent, d.InDLV, d.Rank)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
@@ -134,7 +134,7 @@ func TestPopulationIndexMatchesMapOracle(t *testing.T) {
 		t.Fatalf("loaded %d domains, want %d", len(loaded.Domains), want)
 	}
 	for i := range loaded.Domains {
-		if loaded.Domains[i].Rank != i+1 {
+		if int(loaded.Domains[i].Rank) != i+1 {
 			t.Fatalf("rank %d at position %d", loaded.Domains[i].Rank, i)
 		}
 	}

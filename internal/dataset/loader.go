@@ -81,7 +81,7 @@ func LoadRanked(r io.Reader, rates Rates, seed int64) (*Population, error) {
 			tldSigned[tld] = signed
 			pop.TLDs = append(pop.TLDs, TLD{Label: tld, Signed: signed})
 		}
-		d := Domain{Name: name, TLD: tld, Rank: len(pop.Domains) + 1}
+		d := Domain{Name: name, Rank: int32(len(pop.Domains) + 1)}
 		if rng.Float64() < rates.SLDSigned {
 			d.Signed = true
 			if tldSigned[tld] && rng.Float64() < rates.DSGivenSigned {

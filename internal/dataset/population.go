@@ -12,17 +12,19 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
 
 // Domain is one second-level domain of the population with its DNSSEC
-// deployment state.
+// deployment state. It is 24 bytes: a million-name population holds one per
+// name, so the top-level label is read off Name (TLD) rather than stored.
 type Domain struct {
 	// Name is the SLD, e.g. "example.com.".
 	Name dns.Name
-	// TLD is the top-level label, e.g. "com".
-	TLD string
+	// Rank is the popularity rank (1-based).
+	Rank int32
 	// Signed reports whether the zone is DNSSEC-signed (publishes DNSKEYs).
 	Signed bool
 	// DSInParent reports whether the signed zone registered a DS with its
@@ -31,8 +33,13 @@ type Domain struct {
 	// InDLV reports whether the owner deposited the key in the DLV
 	// registry.
 	InDLV bool
-	// Rank is the popularity rank (1-based).
-	Rank int
+}
+
+// TLD returns the top-level label of the domain, e.g. "com": the last
+// label of Name, sliced out of it.
+func (d *Domain) TLD() string {
+	s := strings.TrimSuffix(string(d.Name), ".")
+	return s[strings.LastIndexByte(s, '.')+1:]
 }
 
 // IsIsland reports whether the domain is an island of security: signed but
@@ -295,7 +302,7 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 		pop.index.add(h, uint32(len(pop.Domains)))
 		ends = append(ends, uint32(len(arena)))
 
-		d := Domain{TLD: t.label, Rank: len(pop.Domains) + 1}
+		d := Domain{Rank: int32(len(pop.Domains) + 1)}
 		if rng.Float64() < rates.SLDSigned*t.signedMult {
 			d.Signed = true
 			// A DS needs a signed parent to live in.
@@ -377,10 +384,11 @@ func (p *Population) Census() Census {
 	perTLDSigned := make(map[string]int)
 	for i := range p.Domains {
 		d := &p.Domains[i]
-		perTLDTotal[d.TLD]++
+		tld := d.TLD()
+		perTLDTotal[tld]++
 		if d.Signed {
 			c.Signed++
-			perTLDSigned[d.TLD]++
+			perTLDSigned[tld]++
 			if d.DSInParent {
 				c.Chained++
 			} else {

@@ -31,9 +31,8 @@ func SecureDomains() []Domain {
 		tld := []string{"edu", "net", "org"}[i%3]
 		d := Domain{
 			Name:   dns.MustName(fmt.Sprintf("secure%02d.%s", i, tld)),
-			TLD:    tld,
 			Signed: true,
-			Rank:   i + 1,
+			Rank:   int32(i + 1),
 		}
 		switch {
 		case i < SecureDomainsCount-SecureIslandCount:

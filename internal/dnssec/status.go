@@ -2,8 +2,9 @@ package dnssec
 
 // Status is the outcome of DNSSEC validation for a response, per RFC 4033
 // §5: a resolver returns the answer for Secure and Insecure, and SERVFAIL
-// for Bogus and Indeterminate.
-type Status int
+// for Bogus and Indeterminate. It is a byte, so the resolver's cache
+// entries hold it in one.
+type Status uint8
 
 // Validation statuses.
 const (

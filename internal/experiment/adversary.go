@@ -178,13 +178,13 @@ func Adversary(p Params) (*AdversaryResult, error) {
 		// evaluation's omniscient label → rank mapping for the band split.
 		truth := make(map[string]int, len(pop.Domains))
 		for i := range pop.Domains {
-			truth[dlv.HashLabel(pop.Domains[i].Name)] = pop.Domains[i].Rank
+			truth[dlv.HashLabel(pop.Domains[i].Name)] = int(pop.Domains[i].Rank)
 		}
 		for _, cov := range res.Coverages {
 			k := int(cov * float64(n))
 			dict := make([]adversary.DictEntry, k)
 			for i := 0; i < k; i++ {
-				dict[i] = adversary.DictEntry{Domain: pop.Domains[i].Name, Rank: pop.Domains[i].Rank}
+				dict[i] = adversary.DictEntry{Domain: pop.Domains[i].Name, Rank: int(pop.Domains[i].Rank)}
 			}
 			res.Inversions = append(res.Inversions,
 				adversary.InvertDictionary(profA, dict, truth, res.TopBandRank, p.workers()))

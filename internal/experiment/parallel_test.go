@@ -55,25 +55,36 @@ func TestSweepInvariance(t *testing.T) {
 }
 
 // TestSweepCacheCaps pins that the leak table does not depend on the
-// sweep's answer, delegation and zone caps: the 10k point under caps far
-// below them reads exactly as under the sweep's own. Capping the NSEC span
-// store instead must move DLVQueries, which shows the test can fail.
+// sweep's answer and zone caps: the 10k point under caps far below them
+// reads exactly as under the sweep's own. Nor does it depend on the
+// authoritative servers' packet-cache cap: one entry, the sweep's 64 and
+// the authserver default read alike. Capping the NSEC span store instead
+// must move DLVQueries, which shows the test can fail.
 func TestSweepCacheCaps(t *testing.T) {
 	const n, seed = 10_000, int64(1)
-	run := func(limits resolver.CacheLimits) SweepMetrics {
-		pt, err := sweepPoint(n, seed, 2, SweepOpts{limits: limits})
+	run := func(opts SweepOpts) SweepMetrics {
+		pt, err := sweepPoint(n, seed, 2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pt.Metrics
 	}
-	base := run(resolver.CacheLimits{})
-	if tight := run(resolver.CacheLimits{Answers: 256, Delegations: 128, Zones: 128}); tight != base {
+	base := run(SweepOpts{})
+	if tight := run(SweepOpts{limits: resolver.CacheLimits{Answers: 256, Zones: 128}}); tight != base {
 		t.Errorf("leak table moved under tight caps:\nsweep caps: %+v\ntight caps: %+v", base, tight)
 	}
-	spans := run(resolver.CacheLimits{
-		Answers: sweepAnswerCap, Delegations: sweepDelegationCap, Zones: sweepZoneCap, Spans: 64,
-	})
+	for _, pc := range []struct {
+		name string
+		cap  int
+	}{{"1", 1}, {"the authserver default", -1}} {
+		if got := run(SweepOpts{packetCacheCap: pc.cap}); got != base {
+			t.Errorf("leak table moved with packet-cache cap %s:\ncap %d: %+v\ncap %s: %+v",
+				pc.name, sweepPacketCacheCap, base, pc.name, got)
+		}
+	}
+	spans := run(SweepOpts{limits: resolver.CacheLimits{
+		Answers: sweepAnswerCap, Zones: sweepZoneCap, Spans: 64,
+	}})
 	if spans.DLVQueries == base.DLVQueries {
 		t.Errorf("capping the span store left DLVQueries at %d", base.DLVQueries)
 	}

@@ -114,11 +114,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 	cfg := u.ResolverConfig(true, true)
 	cfg.NSCompletionPercent, cfg.PTRSamplePercent = 0, 0
-	cfg.Limits = resolver.CacheLimits{
-		Answers:     sweepAnswerCap,
-		Delegations: sweepDelegationCap,
-		Zones:       sweepZoneCap,
-	}
+	cfg.Limits = resolver.CacheLimits{Answers: sweepAnswerCap, Zones: sweepZoneCap}
 	ic, err := core.WarmInfra(u, cfg)
 	if err != nil {
 		t.Fatal(err)

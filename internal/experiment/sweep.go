@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"runtime"
@@ -24,21 +25,19 @@ const sweepShards = 8
 
 // Per-worker resolver cache caps during a sweep. Sweep workloads query
 // every domain exactly once, so per-domain cache entries (answers, SLD
-// delegations, SLD zone outcomes) are never re-used across domains; the
+// zone records) are never re-used across domains; the
 // shared infrastructure cache carries everything that is. Each cap sits
 // far above one domain's working set plus the whole infrastructure set,
 // and eviction is by recency (an entry goes only after half a cap of
 // inserts without a touch), so it only ever discards entries belonging to
 // finished domains and resolution behavior — hence every metric — is
 // unchanged (TestSweepCacheCaps runs the 10k point under far tighter
-// caps). The NSEC
-// span store is deliberately NOT capped here: aggressive negative caching
+// caps). The NSEC span store is deliberately NOT capped here: aggressive negative caching
 // accumulates spans across domains (the DLVSuppressed metric), so bounding
 // it would change results, not just memory.
 const (
-	sweepAnswerCap     = 1 << 15
-	sweepDelegationCap = 1 << 14
-	sweepZoneCap       = 1 << 14
+	sweepAnswerCap = 1 << 15
+	sweepZoneCap   = 1 << 14
 )
 
 // sweepPacketCacheCap bounds every authoritative server's wire-response
@@ -150,9 +149,11 @@ type SweepOpts struct {
 	// Log receives fallback and refusal reasons (nil discards them).
 	// Callers route it to stderr so experiment stdout stays deterministic.
 	Log func(format string, args ...any)
-	// limits, when non-zero, replaces the sweep's cache caps: a test seam
-	// for TestSweepCacheCaps.
-	limits resolver.CacheLimits
+	// limits and packetCacheCap, when non-zero, replace the sweep's
+	// resolver cache caps and its packet-cache cap (negative: the
+	// authserver default): test seams for TestSweepCacheCaps.
+	limits         resolver.CacheLimits
+	packetCacheCap int
 }
 
 // pointPath derives the per-point file path: multi-point sweeps suffix the
@@ -203,7 +204,7 @@ func sweepPoint(n int, seed int64, workers int, opts SweepOpts) (SweepPoint, err
 		return SweepPoint{}, err
 	}
 	u, err := buildUniverse(pop, seed, func(o *universe.Options) {
-		o.PacketCacheCap = sweepPacketCacheCap
+		o.PacketCacheCap = cmp.Or(opts.packetCacheCap, sweepPacketCacheCap)
 	})
 	if err != nil {
 		return SweepPoint{}, err
@@ -214,11 +215,7 @@ func sweepPoint(n int, seed int64, workers int, opts SweepOpts) (SweepPoint, err
 	cfg.NSCompletionPercent, cfg.PTRSamplePercent = 0, 0
 	cfg.Limits = opts.limits
 	if cfg.Limits == (resolver.CacheLimits{}) {
-		cfg.Limits = resolver.CacheLimits{
-			Answers:     sweepAnswerCap,
-			Delegations: sweepDelegationCap,
-			Zones:       sweepZoneCap,
-		}
+		cfg.Limits = resolver.CacheLimits{Answers: sweepAnswerCap, Zones: sweepZoneCap}
 	}
 
 	warmStart := time.Now()

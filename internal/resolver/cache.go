@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,11 +21,9 @@ type CacheLimits struct {
 	// Answers bounds the positive and negative answer caches (entries
 	// each). Default 1<<21, the historical cap.
 	Answers int
-	// Delegations bounds the referral (zone-cut) cache. Default 1<<20.
-	Delegations int
-	// Zones bounds the per-zone validation outcomes and the two ledgers:
-	// NS completion and first contact with a server (PTR sampling).
-	// Default 1<<20.
+	// Zones bounds the per-zone records (zone cut, validation outcome and
+	// NS-completion decision) and the ledger of servers contacted (PTR
+	// sampling). Default 1<<20.
 	Zones int
 	// Spans bounds each zone's validated NSEC span store. Default 1<<20.
 	Spans int
@@ -41,9 +40,6 @@ func (l CacheLimits) withDefaults() CacheLimits {
 	if l.Answers <= 0 {
 		l.Answers = defaultAnswerCap
 	}
-	if l.Delegations <= 0 {
-		l.Delegations = defaultOtherCap
-	}
 	if l.Zones <= 0 {
 		l.Zones = defaultOtherCap
 	}
@@ -55,7 +51,8 @@ func (l CacheLimits) withDefaults() CacheLimits {
 
 // CacheSizes reports the current entry counts of every cache (see
 // Resolver.CacheSizes); the steady-state tests assert these stay within the
-// configured limits.
+// configured limits. Delegations, ZoneOutcomes and NSCompleted count the
+// zone records holding each part.
 type CacheSizes struct {
 	Positive, Negative int
 	Delegations        int
@@ -66,9 +63,10 @@ type CacheSizes struct {
 }
 
 // Cache is a resolver's whole state: the positive and negative answer
-// caches, the delegation (referral) cache, per-zone validation results, the
-// server and NS-completion ledgers, and the validated NSEC span stores that
-// power aggressive negative caching of the DLV zone, all under one mutex.
+// caches, one record per zone (its cut, validation outcome and NS-completion
+// decision), the ledger of servers contacted, and the validated NSEC span
+// stores that power aggressive negative caching of the DLV zone, all under
+// one mutex.
 // The mutex is held for one map get or put only, never across an exchange,
 // a signature check or a nested resolution, so resolvers walking on
 // different shards can share one Cache (Config.Cache): a serving pool then
@@ -80,7 +78,8 @@ type CacheSizes struct {
 // last half-limit inserts stays, what nothing touched for two generations
 // is dropped. Eviction depends only on the order of stores and reads, so it
 // is deterministic for a deterministic walk. Expiry is checked on every
-// read, never by eviction. Stored values are never written again: a
+// read, never by eviction. A zone's parts share its record, so they are
+// kept and dropped together. Stored delegations are never written again: a
 // changed delegation is a new one, replacing the old.
 //
 // TTL arithmetic reads the Cache's process clock, not a shard clock: each
@@ -103,10 +102,8 @@ type Cache struct {
 
 	positive    gencache.Cache[dns.Key, posEntry]
 	negative    gencache.Cache[dns.Key, negEntry]
-	delegations gencache.Cache[dns.Name, *delegation]
-	zoneStatus  gencache.Cache[dns.Name, *zoneOutcome]
+	zones       gencache.Cache[dns.Name, zoneRec]
 	seenServers gencache.Cache[netip.Addr, struct{}]
-	nsCompleted gencache.Cache[dns.Name, struct{}]
 
 	spans     map[dns.Name]*spanStore
 	spanLimit int
@@ -126,10 +123,8 @@ func newCache(limits CacheLimits) *Cache {
 	return &Cache{
 		positive:    gencache.New[dns.Key, posEntry](l.Answers / 2),
 		negative:    gencache.New[dns.Key, negEntry](l.Answers / 2),
-		delegations: gencache.New[dns.Name, *delegation](l.Delegations / 2),
-		zoneStatus:  gencache.New[dns.Name, *zoneOutcome](l.Zones / 2),
+		zones:       gencache.New[dns.Name, zoneRec](l.Zones / 2),
 		seenServers: gencache.New[netip.Addr, struct{}](l.Zones / 2),
-		nsCompleted: gencache.New[dns.Name, struct{}](l.Zones / 2),
 		spans:       make(map[dns.Name]*spanStore),
 		spanLimit:   l.Spans,
 	}
@@ -173,25 +168,28 @@ func (c *Cache) advance(d time.Duration) uint32 {
 	return uint32(time.Duration(c.clock.Add(int64(d))) / time.Second)
 }
 
+// posEntry is a cached positive answer. The answer tables are the largest
+// part of a serving cache, so the fields of both entry types are ordered
+// for size.
 type posEntry struct {
 	rrs     []dns.RR
 	zone    dns.Name
+	expires uint32
 	status  ValidationStatus
 	usedDLV bool
 	zbit    bool
-	expires uint32
 }
 
 // negEntry is a cached denial. It keeps the validation state of the answer
 // it stands for, as posEntry does, so a repeated NXDOMAIN or NODATA comes
 // back with the status, look-aside use and Z bit of the first.
 type negEntry struct {
-	rcode   dns.RCode
 	zone    dns.Name
+	expires uint32
+	rcode   dns.RCode
 	status  ValidationStatus
 	usedDLV bool
 	zbit    bool
-	expires uint32
 }
 
 // nsServer is one name server of a delegation; addr is the zero value when
@@ -201,31 +199,51 @@ type nsServer struct {
 	addr netip.Addr
 }
 
-// delegation caches a zone cut discovered through referrals.
+// delegation caches a zone cut discovered through referrals. servers starts
+// on one, its own backing array, so the common cut of one server is a single
+// allocation.
 type delegation struct {
 	parent  dns.Name
 	servers []nsServer
+	one     [1]nsServer
+}
+
+// newDelegation returns a cut below parent with no servers yet.
+func newDelegation(parent dns.Name) *delegation {
+	d := &delegation{parent: parent}
+	d.servers = d.one[:0]
+	return d
 }
 
 // clone deep-copies a delegation: the glueless-resolution path records a
 // resolved address in a copy, because a stored delegation may be read by
 // every resolver sharing the cache and by the shared infrastructure cache.
 func (d *delegation) clone() *delegation {
-	c := &delegation{parent: d.parent, servers: make([]nsServer, len(d.servers))}
-	copy(c.servers, d.servers)
+	c := newDelegation(d.parent)
+	c.servers = append(c.servers, d.servers...)
 	return c
 }
 
-// zoneOutcome caches per-zone validation state.
+// zoneOutcome is a zone's validation state.
 type zoneOutcome struct {
-	status ValidationStatus
 	// keys are the zone's validated (or best-effort) DNSKEYs.
-	keys []*dns.DNSKEYData
+	keys   []*dns.DNSKEYData
+	status ValidationStatus
 	// signed reports whether the zone publishes DNSKEYs at all.
 	signed bool
 	// viaDLV reports whether the chain was established through the
 	// look-aside registry.
 	viaDLV bool
+}
+
+// zoneRec is what the cache keeps about one zone, each part present on its
+// own: its cut (nil: none), its validation outcome (status 0: none) and
+// whether its NS completion was decided. The outcome is held by value, so
+// a keyless one costs no allocation.
+type zoneRec struct {
+	zoneOutcome
+	deleg  *delegation
+	nsDone bool
 }
 
 // span is one validated NSEC interval of a zone's canonical chain. The
@@ -301,20 +319,9 @@ func (s *spanStore) add(sp span, now uint32) {
 // purge drops expired spans from both the sorted body and the tail. The
 // caller holds the write lock.
 func (s *spanStore) purge(now uint32) {
-	live := s.sorted[:0]
-	for _, sp := range s.sorted {
-		if sp.expires >= now {
-			live = append(live, sp)
-		}
-	}
-	s.sorted = live
-	liveTail := s.tail[:0]
-	for _, sp := range s.tail {
-		if sp.expires >= now {
-			liveTail = append(liveTail, sp)
-		}
-	}
-	s.tail = liveTail
+	expired := func(sp span) bool { return sp.expires < now }
+	s.sorted = slices.DeleteFunc(s.sorted, expired)
+	s.tail = slices.DeleteFunc(s.tail, expired)
 }
 
 // merge folds the tail into the sorted body: sort the (small) tail, then
@@ -338,8 +345,8 @@ func (s *spanStore) merge() {
 		}
 		out = append(out, sp)
 	}
-	for i < len(s.sorted) && j < len(s.tail) {
-		if s.sorted[i].ownerKey <= s.tail[j].ownerKey {
+	for i < len(s.sorted) || j < len(s.tail) {
+		if j == len(s.tail) || i < len(s.sorted) && s.sorted[i].ownerKey <= s.tail[j].ownerKey {
 			push(s.sorted[i])
 			i++
 		} else {
@@ -347,26 +354,16 @@ func (s *spanStore) merge() {
 			j++
 		}
 	}
-	for ; i < len(s.sorted); i++ {
-		push(s.sorted[i])
-	}
-	for ; j < len(s.tail); j++ {
-		push(s.tail[j])
-	}
 	s.sorted, s.tail = out, s.tail[:0]
 }
 
 // clone returns an independent, fully merged copy of the store (for export
 // into, and the seal of, the shared infrastructure cache).
 func (s *spanStore) clone() *spanStore {
-	c := &spanStore{limit: s.limit}
 	s.mu.RLock()
-	c.sorted = append(c.sorted, s.sorted...)
-	c.tail = append(c.tail, s.tail...)
-	s.mu.RUnlock()
-	if len(c.tail) > 0 {
-		c.merge()
-	}
+	defer s.mu.RUnlock()
+	c := &spanStore{limit: s.limit, sorted: s.sorted, tail: slices.Clone(s.tail)}
+	c.merge() // builds c's own body
 	return c
 }
 
@@ -389,20 +386,13 @@ func (s *spanStore) sealedCoversKey(key []byte, now uint32) bool {
 			return true
 		}
 	}
-	if len(s.sorted) == 0 {
-		return false
-	}
 	// Binary search for the last owner <= name, then check that span and
 	// the wrap-around span at the end of the chain.
 	i := sort.Search(len(s.sorted), func(i int) bool {
 		return s.sorted[i].ownerKey > string(key)
 	})
-	candidates := [...]int{i - 1, len(s.sorted) - 1}
-	for _, j := range candidates {
-		if j < 0 || j >= len(s.sorted) {
-			continue
-		}
-		if sp := &s.sorted[j]; sp.expires >= now && sp.covers(key) {
+	for _, j := range [...]int{i - 1, len(s.sorted) - 1} {
+		if j >= 0 && s.sorted[j].expires >= now && s.sorted[j].covers(key) {
 			return true
 		}
 	}
@@ -439,97 +429,116 @@ func (c *Cache) answer(key dns.Key, now uint32) (*coreResult, bool) {
 	return nil, false
 }
 
-// storePositive writes a positive answer, enforcing the answer bound.
-func (c *Cache) storePositive(key dns.Key, e posEntry) {
-	if c.lockUnsealed() {
-		c.positive.Put(key, e)
-		c.mu.Unlock()
+// storeAnswer caches core under key, as a positive answer or a denial, live
+// until now plus its TTL, enforcing the answer bound.
+func (c *Cache) storeAnswer(key dns.Key, core *coreResult, now uint32) {
+	if !c.lockUnsealed() {
+		return
 	}
+	defer c.mu.Unlock()
+	if core.rcode == dns.RCodeNoError && len(core.answer) > 0 {
+		c.positive.Put(key, posEntry{
+			rrs: core.answer, zone: core.zone, status: core.status,
+			usedDLV: core.usedDLV, zbit: core.zbit, expires: now + minTTL(core.answer),
+		})
+		return
+	}
+	c.negative.Put(key, negEntry{
+		rcode: core.rcode, zone: core.zone, status: core.status,
+		usedDLV: core.usedDLV, zbit: core.zbit, expires: now + negativeTTLFrom(core.authority),
+	})
 }
 
-// storeNegative writes a negative answer, enforcing the answer bound.
-func (c *Cache) storeNegative(key dns.Key, e negEntry) {
-	if c.lockUnsealed() {
-		c.negative.Put(key, e)
-		c.mu.Unlock()
+// zone reads the record of a zone; a sealed cache's without the mutex and
+// without promoting it.
+func (c *Cache) zone(name dns.Name) (rec zoneRec) {
+	if c.sealed.Load() {
+		rec, _ = c.zones.Peek(name)
+		return rec
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec, _ = c.zones.Get(name)
+	return rec
+}
+
+// updateZone stores the record of a zone as fn edits it (a zero one if none
+// is held), unless fn returns false or the cache is sealed. An update
+// touches the record as a read does.
+func (c *Cache) updateZone(name dns.Name, fn func(*zoneRec) bool) {
+	if !c.lockUnsealed() {
+		return
+	}
+	defer c.mu.Unlock()
+	rec, _ := c.zones.Get(name)
+	if fn(&rec) {
+		c.zones.Put(name, rec)
 	}
 }
 
 // delegation looks up a cached zone cut.
 func (c *Cache) delegation(name dns.Name) (*delegation, bool) {
-	if c.sealed.Load() {
-		return c.delegations.Peek(name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.delegations.Get(name)
+	d := c.zone(name).deleg
+	return d, d != nil
 }
 
-// storeDelegation writes a zone cut, enforcing the delegation bound. A
-// dropped cut is relearned through a referral walk.
+// storeDelegation writes a zone cut. A dropped cut is relearned through a
+// referral walk.
 func (c *Cache) storeDelegation(name dns.Name, d *delegation) {
-	if c.lockUnsealed() {
-		c.delegations.Put(name, d)
-		c.mu.Unlock()
-	}
+	c.updateZone(name, func(rec *zoneRec) bool { rec.deleg = d; return true })
 }
 
 // replaceDelegation stores d in place of old only while the name still
 // holds old: a cut that was evicted or relearned since old was read stays
 // as it is.
 func (c *Cache) replaceDelegation(name dns.Name, old, d *delegation) {
-	if !c.lockUnsealed() {
-		return
-	}
-	defer c.mu.Unlock()
-	if cur, _ := c.delegations.Peek(name); cur == old {
-		c.delegations.Put(name, d)
-	}
+	c.updateZone(name, func(rec *zoneRec) bool {
+		ok := rec.deleg == old
+		if ok {
+			rec.deleg = d
+		}
+		return ok
+	})
 }
 
 // outcome looks up a cached per-zone validation outcome.
-func (c *Cache) outcome(name dns.Name) (*zoneOutcome, bool) {
-	if c.sealed.Load() {
-		return c.zoneStatus.Peek(name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.zoneStatus.Get(name)
+func (c *Cache) outcome(name dns.Name) (zoneOutcome, bool) {
+	out := c.zone(name).zoneOutcome
+	return out, out.status != 0
 }
 
-// storeZoneStatus writes a per-zone validation outcome, enforcing the zone
-// bound. An evicted outcome is re-established by re-validating the chain.
-func (c *Cache) storeZoneStatus(name dns.Name, out *zoneOutcome) {
-	if c.lockUnsealed() {
-		c.zoneStatus.Put(name, out)
-		c.mu.Unlock()
+// storeZoneStatus writes a per-zone validation outcome. An evicted outcome
+// is re-established by re-validating the chain.
+func (c *Cache) storeZoneStatus(name dns.Name, out zoneOutcome) {
+	c.updateZone(name, func(rec *zoneRec) bool { rec.zoneOutcome = out; return true })
+}
+
+// noteNSCompleted records the NS-completion decision for a zone. Returns
+// true when the zone was already decided.
+func (c *Cache) noteNSCompleted(name dns.Name) (done bool) {
+	if c.sealed.Load() {
+		return c.zone(name).nsDone
 	}
+	c.updateZone(name, func(rec *zoneRec) bool {
+		done, rec.nsDone = rec.nsDone, true
+		return !done
+	})
+	return done
 }
 
 // noteSeenServer records first contact with a server address, enforcing the
-// zone bound. Returns true when the address was already known.
+// zone bound. Returns true when the address was already known. A sealed
+// cache's ledger is only read.
 func (c *Cache) noteSeenServer(addr netip.Addr) (seen bool) {
-	return note(c, &c.seenServers, addr)
-}
-
-// noteNSCompleted records the NS-completion decision for a zone, enforcing
-// the zone bound. Returns true when the zone was already decided.
-func (c *Cache) noteNSCompleted(name dns.Name) (done bool) {
-	return note(c, &c.nsCompleted, name)
-}
-
-// note records k in one of c's ledgers and reports whether it was there
-// already. A sealed cache's ledger is only read.
-func note[K comparable](c *Cache, ledger *gencache.Cache[K, struct{}], k K) bool {
 	if !c.lockUnsealed() {
-		_, ok := ledger.Peek(k)
+		_, ok := c.seenServers.Peek(addr)
 		return ok
 	}
 	defer c.mu.Unlock()
-	if _, ok := ledger.Get(k); ok {
+	if _, ok := c.seenServers.Get(addr); ok {
 		return true
 	}
-	ledger.Put(k, struct{}{})
+	c.seenServers.Put(addr, struct{}{})
 	return false
 }
 
@@ -568,17 +577,20 @@ func (c *Cache) spanCovers(zone dns.Name, key []byte, now uint32) bool {
 func (c *Cache) Sizes() CacheSizes {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	spans := 0
+	sz := CacheSizes{Positive: c.positive.Len(), Negative: c.negative.Len(), Servers: c.seenServers.Len()}
+	c.zones.Each(func(_ dns.Name, rec zoneRec) {
+		if rec.deleg != nil {
+			sz.Delegations++
+		}
+		if rec.status != 0 {
+			sz.ZoneOutcomes++
+		}
+		if rec.nsDone {
+			sz.NSCompleted++
+		}
+	})
 	for _, st := range c.spans {
-		spans += st.size()
+		sz.Spans += st.size()
 	}
-	return CacheSizes{
-		Positive:     c.positive.Len(),
-		Negative:     c.negative.Len(),
-		Delegations:  c.delegations.Len(),
-		ZoneOutcomes: c.zoneStatus.Len(),
-		Servers:      c.seenServers.Len(),
-		NSCompleted:  c.nsCompleted.Len(),
-		Spans:        spans,
-	}
+	return sz
 }

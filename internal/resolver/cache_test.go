@@ -234,21 +234,21 @@ func TestCacheEviction(t *testing.T) {
 		view   func(c *Cache) tableView
 	}{
 		{"positive", CacheLimits{Answers: limit},
-			func(c *Cache, i int) { c.storePositive(answerKey(i), posEntry{expires: 1000}) },
+			func(c *Cache, i int) { c.storeAnswer(answerKey(i), &coreResult{answer: []dns.RR{{TTL: 1000}}}, 0) },
 			readAnswer,
 			func(c *Cache) tableView { return viewOf(&c.positive, answerKey) }},
 		{"negative", CacheLimits{Answers: limit},
-			func(c *Cache, i int) { c.storeNegative(answerKey(i), negEntry{expires: 1000}) },
+			func(c *Cache, i int) { c.storeAnswer(answerKey(i), &coreResult{rcode: dns.RCodeNXDomain}, 0) },
 			readAnswer,
 			func(c *Cache) tableView { return viewOf(&c.negative, answerKey) }},
-		{"delegations", CacheLimits{Delegations: limit},
+		{"delegations", CacheLimits{Zones: limit},
 			func(c *Cache, i int) { c.storeDelegation(zone(i), &delegation{}) },
 			func(c *Cache, i int) { c.delegation(zone(i)) },
-			func(c *Cache) tableView { return viewOf(&c.delegations, zone) }},
+			func(c *Cache) tableView { return viewOf(&c.zones, zone) }},
 		{"zone outcomes", CacheLimits{Zones: limit},
-			func(c *Cache, i int) { c.storeZoneStatus(zone(i), &zoneOutcome{}) },
+			func(c *Cache, i int) { c.storeZoneStatus(zone(i), zoneOutcome{status: StatusInsecure}) },
 			func(c *Cache, i int) { c.outcome(zone(i)) },
-			func(c *Cache) tableView { return viewOf(&c.zoneStatus, zone) }},
+			func(c *Cache) tableView { return viewOf(&c.zones, zone) }},
 		{"servers", CacheLimits{Zones: limit},
 			func(c *Cache, i int) { c.noteSeenServer(addr(i)) },
 			func(c *Cache, i int) { c.noteSeenServer(addr(i)) },
@@ -256,7 +256,7 @@ func TestCacheEviction(t *testing.T) {
 		{"ns completed", CacheLimits{Zones: limit},
 			func(c *Cache, i int) { c.noteNSCompleted(zone(i)) },
 			func(c *Cache, i int) { c.noteNSCompleted(zone(i)) },
-			func(c *Cache) tableView { return viewOf(&c.nsCompleted, zone) }},
+			func(c *Cache) tableView { return viewOf(&c.zones, zone) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

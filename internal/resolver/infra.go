@@ -12,11 +12,12 @@ import (
 type InfraCache = Cache
 
 // ExportInfra copies the resolver's cache entries whose names pass keep
-// into ic, the infrastructure cache warm-up fills before sealing it.
-// Delegations and zone outcomes are shared as they are (nothing writes a
-// stored one again); span stores are cloned fully merged, and empty ones
-// are left out. ic is locked before the resolver's cache, and must not be
-// it. A sealed ic takes nothing.
+// into ic, the infrastructure cache warm-up fills before sealing it. A
+// zone's cut and outcome each replace that part of ic's record and are
+// shared as they are (nothing writes a stored delegation again); its
+// NS-completion decision stays behind. Span stores are cloned fully merged,
+// and empty ones are left out. ic is locked before the resolver's cache,
+// and must not be it. A sealed ic takes nothing.
 func (r *Resolver) ExportInfra(ic *Cache, keep func(dns.Name) bool) {
 	if !ic.lockUnsealed() {
 		return
@@ -25,15 +26,19 @@ func (r *Resolver) ExportInfra(ic *Cache, keep func(dns.Name) bool) {
 	c := r.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.delegations.Each(func(n dns.Name, d *delegation) {
-		if keep(n) {
-			ic.delegations.Put(n, d)
+	c.zones.Each(func(n dns.Name, rec zoneRec) {
+		if !keep(n) || rec.deleg == nil && rec.status == 0 {
+			return
 		}
-	})
-	c.zoneStatus.Each(func(n dns.Name, out *zoneOutcome) {
-		if keep(n) {
-			ic.zoneStatus.Put(n, out)
+		to, _ := ic.zones.Peek(n)
+		if rec.deleg == nil {
+			rec.deleg = to.deleg
 		}
+		if rec.status == 0 {
+			rec.zoneOutcome = to.zoneOutcome
+		}
+		rec.nsDone = false
+		ic.zones.Put(n, rec)
 	})
 	for n, st := range c.spans {
 		if keep(n) && st.size() > 0 {
@@ -57,9 +62,8 @@ func (r *Resolver) cachedDelegation(n dns.Name) (*delegation, bool) {
 
 // cachedOutcome returns the validation outcome of a zone from the
 // resolver's cache, falling back to the shared infrastructure cache and
-// counting that lookup as cachedDelegation does. Outcomes are immutable
-// after storage, so the pointer is shared.
-func (r *Resolver) cachedOutcome(n dns.Name) (*zoneOutcome, bool) {
+// counting that lookup as cachedDelegation does.
+func (r *Resolver) cachedOutcome(n dns.Name) (zoneOutcome, bool) {
 	if out, ok := r.cache.outcome(n); ok || r.infra == nil {
 		return out, ok
 	}

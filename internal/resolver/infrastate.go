@@ -98,20 +98,22 @@ func (c *Cache) Export() (*InfraState, error) {
 		return nil, fmt.Errorf("resolver: exporting unsealed infra cache")
 	}
 	st := &InfraState{}
-	c.delegations.Each(func(n dns.Name, d *delegation) {
-		servers := make([]InfraServer, len(d.servers))
-		for j, s := range d.servers {
-			servers[j] = InfraServer{Name: s.name, Addr: s.addr}
+	c.zones.Each(func(n dns.Name, rec zoneRec) {
+		if d := rec.deleg; d != nil {
+			servers := make([]InfraServer, len(d.servers))
+			for j, s := range d.servers {
+				servers[j] = InfraServer{Name: s.name, Addr: s.addr}
+			}
+			st.Delegations = append(st.Delegations, InfraDelegation{
+				Name: n, Parent: d.parent, Servers: servers,
+			})
 		}
-		st.Delegations = append(st.Delegations, InfraDelegation{
-			Name: n, Parent: d.parent, Servers: servers,
-		})
-	})
-	c.zoneStatus.Each(func(n dns.Name, out *zoneOutcome) {
-		st.Outcomes = append(st.Outcomes, InfraOutcome{
-			Name: n, Status: out.status, Keys: out.keys,
-			Signed: out.signed, ViaDLV: out.viaDLV,
-		})
+		if out := rec.zoneOutcome; out.status != 0 {
+			st.Outcomes = append(st.Outcomes, InfraOutcome{
+				Name: n, Status: out.status, Keys: out.keys,
+				Signed: out.signed, ViaDLV: out.viaDLV,
+			})
+		}
 	})
 	for n, store := range c.spans {
 		set := InfraSpanSet{Zone: n, Limit: store.limit,
@@ -151,22 +153,19 @@ func RestoreInfra(st *InfraState) (*Cache, error) {
 		return nil, err
 	}
 	// Generations as long as the state, so nothing rotates out.
-	c := newCache(CacheLimits{Delegations: 2 * len(st.Delegations), Zones: 2 * len(st.Outcomes)})
+	c := newCache(CacheLimits{Zones: 2 * (len(st.Delegations) + len(st.Outcomes))})
 	for _, d := range st.Delegations {
-		servers := make([]nsServer, len(d.Servers))
-		for j, s := range d.Servers {
-			servers[j] = nsServer{name: s.Name, addr: s.Addr}
+		del := newDelegation(d.Parent)
+		for _, s := range d.Servers {
+			del.servers = append(del.servers, nsServer{name: s.Name, addr: s.Addr})
 		}
-		c.delegations.Put(d.Name, &delegation{parent: d.Parent, servers: servers})
+		c.storeDelegation(d.Name, del)
 	}
 	for _, out := range st.Outcomes {
 		if out.Status < StatusSecure || out.Status > StatusIndeterminate {
 			return nil, fmt.Errorf("resolver: restoring %s: invalid validation status %d", out.Name, out.Status)
 		}
-		c.zoneStatus.Put(out.Name, &zoneOutcome{
-			status: out.Status, keys: out.Keys,
-			signed: out.Signed, viaDLV: out.ViaDLV,
-		})
+		c.storeZoneStatus(out.Name, zoneOutcome{status: out.Status, keys: out.Keys, signed: out.Signed, viaDLV: out.ViaDLV})
 	}
 	for _, set := range st.Spans {
 		store := &spanStore{limit: set.Limit, sorted: make([]span, len(set.Spans))}

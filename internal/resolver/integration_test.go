@@ -259,7 +259,7 @@ func TestMiniChainedSecure(t *testing.T) {
 	}
 }
 
-// TestDSAskedOfParentAfterEviction holds one delegation. plain.test is
+// TestDSAskedOfParentAfterEviction holds one zone record. plain.test is
 // resolved first, so the outcome of test is cached; reaching secure.test
 // then evicts the cut of test, and the DS lookup, with no server for the
 // parent, walks from the root. That walk must ask the parent, not the
@@ -267,7 +267,7 @@ func TestMiniChainedSecure(t *testing.T) {
 // chain insecure.
 func TestDSAskedOfParentAfterEviction(t *testing.T) {
 	u := buildMini(t)
-	r := u.miniResolver(t, func(c *Config) { c.Limits = CacheLimits{Delegations: 1} })
+	r := u.miniResolver(t, func(c *Config) { c.Limits = CacheLimits{Zones: 1} })
 	for _, name := range []string{"plain.test", "secure.test"} {
 		res, err := r.Resolve(dns.MustName(name), dns.TypeA)
 		if err != nil {

@@ -89,20 +89,7 @@ func (r *Resolver) resolveCore(qname dns.Name, qtype dns.Type, depth int, intern
 	// Write back caches with the final (validated) state. The caches are
 	// bounded: million-domain sweeps would otherwise hold every answer
 	// ever seen, which no real resolver does.
-	now = r.nowSeconds()
-	if core.rcode == dns.RCodeNoError && len(core.answer) > 0 {
-		r.cache.storePositive(key, posEntry{
-			rrs: core.answer, zone: core.zone, status: core.status,
-			usedDLV: core.usedDLV, zbit: core.zbit,
-			expires: now + minTTL(core.answer),
-		})
-	} else {
-		r.cache.storeNegative(key, negEntry{
-			rcode: core.rcode, zone: core.zone, status: core.status,
-			usedDLV: core.usedDLV, zbit: core.zbit,
-			expires: now + negativeTTLFrom(core.authority),
-		})
-	}
+	r.cache.storeAnswer(key, core, r.nowSeconds())
 	return core, nil
 }
 
@@ -412,7 +399,7 @@ func (r *Resolver) noteServer(addr netip.Addr, depth int) {
 // and this runs once per learned zone cut. The last matching A record wins,
 // as it did when the glue went through a map.
 func (r *Resolver) cacheDelegation(child, parent dns.Name, resp *dns.Message) *delegation {
-	d := &delegation{parent: parent}
+	d := newDelegation(parent)
 	for _, rr := range resp.Authority {
 		ns, ok := rr.Data.(*dns.NSData)
 		if !ok || rr.Name != child {

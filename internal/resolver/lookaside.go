@@ -151,7 +151,7 @@ func (r *Resolver) lookasideQuery(lookName dns.Name, depth int) (*dns.DLVData, b
 	if len(rrset) == 0 {
 		return nil, false, nil
 	}
-	if reg != nil && reg.status == StatusSecure {
+	if reg.status == StatusSecure {
 		sig, ok := findSig(core.answer, lookName, dns.TypeDLV)
 		if !ok || !r.verifyWithKeys(reg.keys, sig, rrset, now) {
 			// Unverifiable deposit: treated as absent (bogus look-aside).
@@ -178,7 +178,7 @@ func (r *Resolver) validateRegistry(depth int) error {
 		// The registry may be unreachable (outages were a known DLV
 		// failure mode); record an indeterminate outcome so the resolver
 		// keeps functioning.
-		out = &zoneOutcome{status: StatusIndeterminate}
+		out = zoneOutcome{status: StatusIndeterminate}
 	}
 	r.cache.storeZoneStatus(lc.Zone, out)
 	return nil

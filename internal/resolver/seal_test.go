@@ -3,11 +3,17 @@ package resolver
 import (
 	"fmt"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
+
+// answerOf is a positive answer from zone n, live for 1<<30 seconds.
+func answerOf(n dns.Name) *coreResult {
+	return &coreResult{answer: []dns.RR{{Name: n, Type: dns.TypeA, Class: dns.ClassIN, TTL: 1 << 30}}, zone: n}
+}
 
 // populatedCache builds an unsealed Cache with a few entries of every kind,
 // returning the zone names it used.
@@ -18,14 +24,14 @@ func populatedCache() (*Cache, []dns.Name) {
 		n := dns.MustName(fmt.Sprintf("tld%d.", i))
 		names = append(names, n)
 		c.storeDelegation(n, &delegation{parent: dns.Root})
-		c.storeZoneStatus(n, &zoneOutcome{status: StatusSecure, signed: true})
+		c.storeZoneStatus(n, zoneOutcome{status: StatusSecure, signed: true})
 		c.addSpan(n, span{
 			owner:   dns.MustName("a." + string(n)),
 			next:    dns.MustName("z." + string(n)),
 			expires: 1 << 30,
 		}, 0)
-		c.storePositive(dns.Key{Name: n, Type: dns.TypeA, Class: dns.ClassIN}, posEntry{zone: n, expires: 1 << 30})
-		c.storeNegative(dns.Key{Name: n, Type: dns.TypeAAAA, Class: dns.ClassIN}, negEntry{zone: n, expires: 1 << 30})
+		c.storeAnswer(dns.Key{Name: n, Type: dns.TypeA, Class: dns.ClassIN}, answerOf(n), 0)
+		c.storeAnswer(dns.Key{Name: n, Type: dns.TypeAAAA, Class: dns.ClassIN}, &coreResult{rcode: dns.RCodeNXDomain, zone: n}, 0)
 		c.noteSeenServer(netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}))
 		c.noteNSCompleted(n)
 	}
@@ -80,7 +86,7 @@ func TestSealIdempotent(t *testing.T) {
 func TestWritesAfterSealIgnored(t *testing.T) {
 	c, names := populatedCache()
 	c.Seal()
-	before := make(map[dns.Name]*zoneOutcome, len(names))
+	before := make(map[dns.Name]zoneOutcome, len(names))
 	for _, n := range names {
 		out, ok := c.outcome(n)
 		if !ok {
@@ -105,10 +111,10 @@ func TestWritesAfterSealIgnored(t *testing.T) {
 				fresh := dns.MustName(fmt.Sprintf("late%d-%d.", w, i))
 				old := names[i%len(names)]
 				for _, n := range []dns.Name{fresh, old} {
-					c.storePositive(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, posEntry{zone: n, expires: 1 << 30})
-					c.storeNegative(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, negEntry{zone: n, expires: 1 << 30})
+					c.storeAnswer(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, answerOf(n), 0)
+					c.storeAnswer(dns.Key{Name: n, Type: dns.TypeMX, Class: dns.ClassIN}, &coreResult{rcode: dns.RCodeNXDomain, zone: n}, 0)
 					c.storeDelegation(n, &delegation{parent: dns.Root})
-					c.storeZoneStatus(n, &zoneOutcome{status: StatusBogus})
+					c.storeZoneStatus(n, zoneOutcome{status: StatusBogus})
 					c.noteNSCompleted(n)
 					c.addSpan(n, span{owner: dns.MustName("z." + string(n)), next: dns.MustName("zz." + string(n)), expires: 1 << 30}, 0)
 				}
@@ -145,7 +151,7 @@ func TestWritesAfterSealIgnored(t *testing.T) {
 	}
 	for _, n := range names {
 		out, ok := c.outcome(n)
-		if !ok || out != before[n] {
+		if !ok || !reflect.DeepEqual(out, before[n]) {
 			t.Errorf("outcome %s replaced after Seal", n)
 		}
 		if d, _ := c.delegation(n); d.parent != dns.Root {

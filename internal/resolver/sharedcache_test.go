@@ -55,7 +55,7 @@ func TestSharedCacheConcurrent(t *testing.T) {
 		}
 	}
 
-	limits := CacheLimits{Answers: 16, Delegations: 4, Zones: 8}
+	limits := CacheLimits{Answers: 16, Zones: 8}
 	shared := NewCache(limits, u.net.Now())
 	const walkers = 4
 	rs := make([]*Resolver, walkers)
@@ -94,7 +94,7 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	}{
 		{"positive answers", got.Positive, limits.Answers},
 		{"negative answers", got.Negative, limits.Answers},
-		{"delegations", got.Delegations, limits.Delegations},
+		{"delegations", got.Delegations, limits.Zones},
 		{"zone outcomes", got.ZoneOutcomes, limits.Zones},
 		{"servers", got.Servers, limits.Zones},
 		{"NS completions", got.NSCompleted, limits.Zones},

@@ -89,7 +89,7 @@ func lookasideStart(core *coreResult, qname dns.Name) dns.Name {
 
 // verifyAnswer checks the answer RRset signatures against a zone outcome
 // holding validated keys.
-func (r *Resolver) verifyAnswer(core *coreResult, outcome *zoneOutcome) ValidationStatus {
+func (r *Resolver) verifyAnswer(core *coreResult, outcome zoneOutcome) ValidationStatus {
 	if len(core.answer) == 0 {
 		// Negative response from a secure zone: we accept the denial as
 		// secure (full NSEC denial-proof checking is out of scope; the
@@ -116,15 +116,15 @@ func (r *Resolver) verifyAnswer(core *coreResult, outcome *zoneOutcome) Validati
 // validateZone establishes (and caches) the chain-of-trust status of a
 // zone, issuing DS and DNSKEY queries exactly as a validating resolver
 // does.
-func (r *Resolver) validateZone(zoneName dns.Name, depth int) (*zoneOutcome, error) {
+func (r *Resolver) validateZone(zoneName dns.Name, depth int) (zoneOutcome, error) {
 	if out, ok := r.cachedOutcome(zoneName); ok {
 		return out, nil
 	}
 	if depth > maxDepth {
-		return nil, fmt.Errorf("%w: validating %s", ErrDepthLimit, zoneName)
+		return zoneOutcome{}, fmt.Errorf("%w: validating %s", ErrDepthLimit, zoneName)
 	}
 
-	var out *zoneOutcome
+	var out zoneOutcome
 	var err error
 	if zoneName.IsRoot() {
 		// With no root trust anchor installed (the §4.3 misconfiguration)
@@ -132,22 +132,22 @@ func (r *Resolver) validateZone(zoneName dns.Name, depth int) (*zoneOutcome, err
 		out, err = r.keyOutcome(dns.Root, anchorSet(r.cfg.RootAnchor), depth)
 	} else {
 		parent := r.parentZone(zoneName)
-		var parentOut *zoneOutcome
+		var parentOut zoneOutcome
 		if parentOut, err = r.validateZone(parent, depth+1); err != nil {
-			return nil, err
+			return zoneOutcome{}, err
 		}
 		switch parentOut.status {
 		case StatusSecure:
 			out, err = r.validateDelegation(zoneName, parent, depth)
 		case StatusInsecure, StatusIndeterminate:
 			// No validated parent: the child cannot chain on-path.
-			out = &zoneOutcome{status: parentOut.status}
+			out = zoneOutcome{status: parentOut.status}
 		default:
-			out = &zoneOutcome{status: StatusBogus}
+			out = zoneOutcome{status: StatusBogus}
 		}
 	}
 	if err != nil {
-		return nil, err
+		return zoneOutcome{}, err
 	}
 	r.cache.storeZoneStatus(zoneName, out)
 	return out, nil
@@ -155,15 +155,15 @@ func (r *Resolver) validateZone(zoneName dns.Name, depth int) (*zoneOutcome, err
 
 // validateDelegation validates child under a secure parent: query DS at the
 // parent, then DNSKEY at the child.
-func (r *Resolver) validateDelegation(child, parent dns.Name, depth int) (*zoneOutcome, error) {
+func (r *Resolver) validateDelegation(child, parent dns.Name, depth int) (zoneOutcome, error) {
 	dsSet, err := r.fetchDS(child, parent, depth)
 	if err != nil {
-		return nil, err
+		return zoneOutcome{}, err
 	}
 	if len(dsSet) == 0 {
 		// Authenticated unsigned delegation: the island-of-security
 		// precondition when the child itself is signed.
-		return &zoneOutcome{status: StatusInsecure}, nil
+		return zoneOutcome{status: StatusInsecure}, nil
 	}
 	return r.keyOutcome(child, dsSet, depth)
 }
@@ -172,12 +172,12 @@ func (r *Resolver) validateDelegation(child, parent dns.Name, depth int) (*zoneO
 // key matches one of the anchors (the parent's DS set, a trust anchor or a
 // DLV deposit) and signs the key set, bogus when no key does, and
 // indeterminate when there is no anchor to check against.
-func (r *Resolver) keyOutcome(zone dns.Name, anchors []*dns.DSData, depth int) (*zoneOutcome, error) {
+func (r *Resolver) keyOutcome(zone dns.Name, anchors []*dns.DSData, depth int) (zoneOutcome, error) {
 	keys, sig, err := r.fetchDNSKEYs(zone, depth)
 	if err != nil {
-		return nil, err
+		return zoneOutcome{}, err
 	}
-	out := &zoneOutcome{status: StatusBogus, signed: len(keys) > 0, keys: keys}
+	out := zoneOutcome{status: StatusBogus, signed: len(keys) > 0, keys: keys}
 	if len(anchors) == 0 {
 		out.status = StatusIndeterminate
 	}
@@ -288,11 +288,7 @@ func (r *Resolver) queryAt(zoneName, qname dns.Name, qtype dns.Type, depth int) 
 	default:
 		return nil, err
 	}
-	if core.rcode == dns.RCodeNoError && len(core.answer) > 0 {
-		r.cache.storePositive(key, posEntry{rrs: core.answer, zone: zoneName, expires: now + minTTL(core.answer)})
-	} else {
-		r.cache.storeNegative(key, negEntry{rcode: core.rcode, zone: zoneName, expires: now + negativeTTLFrom(core.authority)})
-	}
+	r.cache.storeAnswer(key, core, now)
 	return core, nil
 }
 

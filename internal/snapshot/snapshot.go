@@ -118,8 +118,8 @@ func server(c *Codec, s *resolver.InfraServer) {
 
 func outcome(c *Codec, o *resolver.InfraOutcome) {
 	Name(c, &o.Name)
-	// Any status round-trips; RestoreInfra refuses the ones that are not one.
-	Num(c, &o.Status, math.MaxUint64, "validation status")
+	// Any byte round-trips; RestoreInfra refuses the ones that are not a status.
+	Num(c, &o.Status, math.MaxUint8, "validation status")
 	var flags uint8
 	if o.Signed {
 		flags |= 1

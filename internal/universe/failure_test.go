@@ -66,8 +66,8 @@ func TestTLDOutage(t *testing.T) {
 	r := newResolver(t, u, true, true)
 	// Find the com TLD address by resolving something first.
 	var comDomain, otherDomain *dataset.Domain
-	comDomain = pickDomain(t, u, func(d *dataset.Domain) bool { return d.TLD == "com" && !d.Signed })
-	otherDomain = pickDomain(t, u, func(d *dataset.Domain) bool { return d.TLD == "de" && !d.Signed })
+	comDomain = pickDomain(t, u, func(d *dataset.Domain) bool { return d.TLD() == "com" && !d.Signed })
+	otherDomain = pickDomain(t, u, func(d *dataset.Domain) bool { return d.TLD() == "de" && !d.Signed })
 
 	// Locate com's server: it is deterministic from the TLD table order,
 	// but deriving it through a query capture is topology-independent.

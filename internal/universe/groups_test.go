@@ -20,7 +20,7 @@ func scanSynthIndex(s *tldSynth) []zone.SynthEntry {
 	var entries []zone.SynthEntry
 	pools := make(map[int]bool)
 	_ = s.u.eachDomain(func(d *dataset.Domain) error {
-		if d.TLD != s.label {
+		if d.TLD() != s.label {
 			return nil
 		}
 		pools[s.u.pool(d.Name)] = true
@@ -52,7 +52,7 @@ func TestGroupedSynthIndexMatchesScan(t *testing.T) {
 	// index that kept the population entry would show the wrong kind.
 	var override dataset.Domain
 	for _, d := range pop.Domains {
-		if !d.Signed && pop.TLDSignedMap()[d.TLD] {
+		if !d.Signed && pop.TLDSignedMap()[d.TLD()] {
 			override = d
 			break
 		}

@@ -69,17 +69,17 @@ func (u *Universe) buildHosting() error {
 	// Glue per (tld, pool) pair is added once; delegations reference it.
 	glueAdded := make(map[string]bool)
 	return u.eachDomain(func(d *dataset.Domain) error {
-		name := d.Name
-		tz, ok := u.tlds[d.TLD]
+		name, tld := d.Name, d.TLD()
+		tz, ok := u.tlds[tld]
 		if !ok {
-			return fmt.Errorf("universe: domain %s references unknown TLD %q", name, d.TLD)
+			return fmt.Errorf("universe: domain %s references unknown TLD %q", name, tld)
 		}
 		p := u.pool(name)
-		nsName, err := poolNSName(p, d.TLD)
+		nsName, err := poolNSName(p, tld)
 		if err != nil {
 			return err
 		}
-		glueKey := d.TLD + "/" + fmt.Sprint(p)
+		glueKey := tld + "/" + fmt.Sprint(p)
 		if !glueAdded[glueKey] {
 			glueAdded[glueKey] = true
 			if err := tz.Add(dns.RR{
@@ -140,7 +140,7 @@ func (u *Universe) sldZone(d *dataset.Domain) (*zone.Zone, error) {
 // buildSLDZone materializes one SLD zone from its spec.
 func (u *Universe) buildSLDZone(d *dataset.Domain) (*zone.Zone, error) {
 	p := u.pool(d.Name)
-	primary, err := poolNSName(p, d.TLD)
+	primary, err := poolNSName(p, d.TLD())
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ package universe
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -73,41 +72,56 @@ func (u *Universe) tldChildren(label string) []uint32 {
 	return g.byLabel[label]
 }
 
-// build is a counting sort of positions by TLD: one pass counts, one places.
-// The positions extras override are found through the population's index
-// and skipped in both passes.
+// build is a counting sort of positions by TLD: one pass numbers each
+// position's label and counts, one places. Only the first reads a name or a
+// map. The positions extras override are found through the population's
+// index and left out.
 func (g *tldGroups) build(u *Universe) {
 	pop := u.opts.Population
-	var skip []int
+	const overridden = ^uint32(0)
+	labelOf := make([]uint32, len(pop.Domains)) // position -> label number
 	for name := range u.extras {
 		if i, ok := pop.Position(name); ok {
-			skip = append(skip, i)
+			labelOf[i] = overridden
 		}
 	}
-	slices.Sort(skip)
-	// each calls fn on every position not overridden, with its TLD.
-	each := func(fn func(i int, tld string)) {
-		s := 0
-		for i := range pop.Domains {
-			if s < len(skip) && skip[s] == i {
-				s++
-				continue
-			}
-			fn(i, pop.Domains[i].TLD)
+	ids := make(map[string]uint32)
+	var labels []string
+	var counts []uint32
+	placed := 0
+	for i := range labelOf {
+		if labelOf[i] == overridden {
+			continue
 		}
+		tld := pop.Domains[i].TLD()
+		id, ok := ids[tld]
+		if !ok {
+			id = uint32(len(labels))
+			ids[tld] = id
+			labels, counts = append(labels, tld), append(counts, 0)
+		}
+		labelOf[i] = id
+		counts[id]++
+		placed++
 	}
-	count := make(map[string]uint32)
-	each(func(_ int, tld string) { count[tld]++ })
 	// Each label's run starts empty with its exact capacity, so the appends
 	// of the second pass fill it in place.
-	g.pos = make([]uint32, len(pop.Domains)-len(skip))
-	g.byLabel = make(map[string][]uint32, len(count))
+	g.pos = make([]uint32, placed)
+	runs := make([][]uint32, len(labels))
 	off := uint32(0)
-	for label, n := range count {
-		g.byLabel[label] = g.pos[off : off : off+n]
+	for id, n := range counts {
+		runs[id] = g.pos[off : off : off+n]
 		off += n
 	}
-	each(func(i int, tld string) { g.byLabel[tld] = append(g.byLabel[tld], uint32(i)) })
+	for i, id := range labelOf {
+		if id != overridden {
+			runs[id] = append(runs[id], uint32(i))
+		}
+	}
+	g.byLabel = make(map[string][]uint32, len(labels))
+	for id, l := range labels {
+		g.byLabel[l] = runs[id]
+	}
 }
 
 // tldSynth derives one TLD zone's delegation universe: a cut per child
@@ -128,7 +142,7 @@ func (s *tldSynth) SynthIndex() []zone.SynthEntry {
 	children := s.u.tldChildren(s.label)
 	var extras []*dataset.Domain
 	for _, d := range s.u.extras {
-		if d.TLD == s.label {
+		if d.TLD() == s.label {
 			extras = append(extras, d)
 		}
 	}

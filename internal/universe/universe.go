@@ -351,8 +351,8 @@ func (u *Universe) buildTLDs() error {
 	}
 	// Extras may reference TLDs missing from the population map.
 	for _, d := range u.opts.Extra {
-		if _, ok := signedMap[d.TLD]; !ok {
-			signedMap[d.TLD] = true
+		if _, ok := signedMap[d.TLD()]; !ok {
+			signedMap[d.TLD()] = true
 		}
 	}
 
