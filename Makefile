@@ -60,7 +60,7 @@ abpairs:
 	bash scripts/abpairs.sh $(REF) $(WORKLOAD) $(PAIRS)
 
 # Short fuzzing pass over every Fuzz* target (wire decoder, zone parser,
-# fault schedules, snapshot and checkpoint decoders). The packages are found
+# fault schedules, snapshot decoder). The packages are found
 # from the tree, so a new target needs no edit here or in CI; -fuzz accepts a
 # single target per run, so list and loop. FUZZTIME is per target.
 FUZZ_PKGS = $(shell grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' . | xargs -n1 dirname | sort -u)

@@ -39,12 +39,6 @@ func run(args []string) error {
 	traceMinutes := fs.Int("trace-minutes", 0, "override Fig. 12 trace length in minutes (0 = the paper's 7 hours)")
 	population := fs.Int("population", 0,
 		"single population size for -exp sweep, up to 1M (0 = the 10k/100k/1M ladder divided by -scale)")
-	snapLoad := fs.String("snapshot-load", "",
-		"-exp sweep: boot each point's infra cache from this warm-state snapshot (multi-point sweeps suffix .pop<N>; stale/corrupt/mismatched snapshots fall back to live warm-up)")
-	snapSave := fs.String("snapshot-save", "",
-		"-exp sweep: write each point's warmed infra cache to this snapshot file")
-	checkpoint := fs.String("checkpoint", "",
-		"-exp sweep: persist per-shard progress to this file after every finished shard and resume from it on restart")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"concurrent experiments and sweep points; results are identical at any setting")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -80,8 +74,6 @@ func run(args []string) error {
 			}
 		}()
 	}
-	// Snapshot/checkpoint fallbacks log to stderr so experiment stdout
-	// stays byte-comparable across runs.
 	in := experiment.Inputs{
 		Params:       experiment.Params{Seed: *seed, Scale: *scale, Workers: *workers},
 		TraceMinutes: *traceMinutes,
@@ -91,14 +83,6 @@ func run(args []string) error {
 			Loss:           *loss,
 			OutageFraction: *dlvOutage,
 			DisableBreaker: !*breaker,
-		},
-		Sweep: experiment.SweepOpts{
-			SnapshotLoad: *snapLoad,
-			SnapshotSave: *snapSave,
-			Checkpoint:   *checkpoint,
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "dlvmeasure: "+format+"\n", args...)
-			},
 		},
 	}
 

@@ -358,8 +358,8 @@ func (a *Analyzer) ObservedDomains() []dns.Name {
 }
 
 // Merge folds another analyzer's observations into a: an export of o
-// imported into a, so merging, checkpoint resume and the sharded report all
-// fold the same State by the same rules (ImportState). o is copied under
+// imported into a, so every merge folds the same State by the same rules
+// (ImportState). o is copied under
 // its own lock and folded under a's, so the two are never held together.
 func (a *Analyzer) Merge(o *Analyzer) {
 	if o == nil || o == a {

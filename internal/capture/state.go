@@ -9,10 +9,10 @@ import (
 )
 
 // State is the full serializable contents of an Analyzer — everything Tap
-// has accumulated, not just the Report aggregates. Sweep checkpoints carry
-// one per completed shard so an interrupted run resumes with leak
-// classification (including the Case-1-dominance union and per-client
-// profiles) identical to a run that never stopped.
+// has accumulated, not just the Report aggregates. Merge folds one
+// analyzer's State into another, so merged leak classification (including
+// the Case-1-dominance union and per-client profiles) is identical to one
+// analyzer having seen all the traffic.
 type State struct {
 	Events     int
 	BytesTotal int64
@@ -104,7 +104,7 @@ func (a *Analyzer) ExportState() *State {
 // classifyLookaside), hashed labels union. Importing into a fresh analyzer
 // reproduces the exporter exactly, and folding the states of several
 // analyzers gives what one analyzer over their combined traffic would hold;
-// Merge, sweep resume and the sharded report are all this one fold.
+// Merge, and through it the sharded report, is this one fold.
 func (a *Analyzer) ImportState(st *State) {
 	if st == nil {
 		return

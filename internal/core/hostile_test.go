@@ -17,7 +17,7 @@ import (
 )
 
 // payloadBytes returns the offset of every byte inside a section payload of a
-// snapshot-family file: what is left after the envelope (magic, version,
+// snapshot file: what is left after the envelope (magic, version,
 // section count, each section's tag and length, crc64 trailer).
 func payloadBytes(t *testing.T, file []byte) []int {
 	t.Helper()
@@ -60,25 +60,21 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// hostileDisk flips every bit of every section payload of file in turn and
-// reseals the trailer. Required of every flip: no panic; a refusal by decode
-// or by install (optional) is one of the typed sentinels; a state decode
-// accepts re-encodes to exactly the damaged bytes, so nothing in a payload
+// hostileDisk flips every bit of every section payload of a DLVS file in
+// turn and reseals the trailer. Required of every flip: no panic; a refusal
+// by snapshot.Decode or by install is one of the typed sentinels; a state
+// Decode accepts re-encodes to exactly the damaged bytes, so nothing in a payload
 // is ignored, defaulted or silently folded; and the eight decodes of one
 // byte's flips together allocate at most 8 × (16 × the file size + 4 KB) — a
 // count is checked against the bytes left before anything is sized from it,
 // so the most a damaged one can cost is an element per remaining byte.
 // (Measuring per byte, not per flip, keeps ReadMemStats off the critical
 // path.)
-func hostileDisk[S any](t *testing.T, file []byte, decode func([]byte) (S, error), encode func(S) []byte, install func(S) error, refusals ...error) {
+func hostileDisk(t *testing.T, file []byte, install func(*snapshot.State) error) {
 	t.Helper()
 	typed := func(err error) bool {
-		for _, want := range refusals {
-			if errors.Is(err, want) {
-				return true
-			}
-		}
-		return false
+		return errors.Is(err, snapshot.ErrTruncated) || errors.Is(err, snapshot.ErrCorrupt) ||
+			errors.Is(err, snapshot.ErrMismatch)
 	}
 	stride := 1
 	if raceEnabled || testing.Short() {
@@ -90,7 +86,7 @@ func hostileDisk[S any](t *testing.T, file []byte, decode func([]byte) (S, error
 	defer debug.SetGCPercent(debug.SetGCPercent(800))
 	accepted, refused, worst := 0, 0, uint64(0)
 	var damaged [8][]byte
-	var states [8]S
+	var states [8]*snapshot.State
 	var errs [8]error
 	for i, off := range payloadBytes(t, file) {
 		n := 0
@@ -102,19 +98,17 @@ func hostileDisk[S any](t *testing.T, file []byte, decode func([]byte) (S, error
 		}
 		worst = max(worst, allocated(func() {
 			for j := 0; j < n; j++ {
-				states[j], errs[j] = decode(damaged[j])
+				states[j], errs[j] = snapshot.Decode(damaged[j])
 			}
 		}))
 		for j := 0; j < n; j++ {
 			err := errs[j]
 			if err == nil {
-				if again := encode(states[j]); !bytes.Equal(again, damaged[j]) {
+				if again := snapshot.Encode(states[j]); !bytes.Equal(again, damaged[j]) {
 					t.Fatalf("byte %d, flip %d: accepted, but re-encodes to different bytes (%d vs %d)",
 						off, j, len(again), len(damaged[j]))
 				}
-				if install != nil {
-					err = install(states[j])
-				}
+				err = install(states[j])
 			}
 			switch {
 			case err == nil:
@@ -189,23 +183,11 @@ func TestHostileDiskSnapshot(t *testing.T) {
 		}
 		return err
 	}
-	hostileDisk(t, file, snapshot.Decode, snapshot.Encode, install,
-		snapshot.ErrTruncated, snapshot.ErrCorrupt, snapshot.ErrMismatch)
+	hostileDisk(t, file, install)
 	if replayed == 0 {
 		t.Error("no flip reached Install's structural checks")
 	}
 	t.Logf("%d structurally unsound states replayed on a cold universe", replayed)
-}
-
-// TestHostileDiskCheckpoint is the same for DLVC: on a real sweep's
-// checkpoint, and on the fuzz seed, which is small and has every field of a
-// shard state populated (a real one has either domains or hash labels).
-func TestHostileDiskCheckpoint(t *testing.T) {
-	real, _, _ := buildCheckpoint(t, 4)
-	for _, ck := range []*Checkpoint{real, seedCheckpoint()} {
-		hostileDisk(t, EncodeCheckpoint(ck), DecodeCheckpoint, EncodeCheckpoint, nil,
-			snapshot.ErrTruncated, snapshot.ErrCorrupt)
-	}
 }
 
 // TestLoadOrWarmDamagedSnapshot takes damaged files through the boot path.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 
@@ -26,10 +25,6 @@ type ShardedOptions struct {
 	// order, the report is identical at any Parallelism — it only changes
 	// how many OS threads the same deterministic work spreads across.
 	Parallelism int
-	// OnShardDone, when non-nil, is called after each shard finishes its
-	// workload block without error (from that shard's worker goroutine;
-	// the callback synchronizes itself). Sweeps use it to checkpoint.
-	OnShardDone func(shard int)
 }
 
 // ShardedAuditor partitions a domain workload across N worker shards and
@@ -48,12 +43,6 @@ type ShardedAuditor struct {
 	u           *universe.Universe
 	auditors    []*Auditor
 	parallelism int
-	// restored[i], when non-nil, is shard i's imported checkpoint state:
-	// QueryDomains skips the shard's block and ExportShardState returns the
-	// state in place of the idle auditor's, so a resumed sweep merges to
-	// the same report as an uninterrupted one.
-	restored    []*ShardState
-	onShardDone func(int)
 }
 
 // NewShardedAuditor builds one shard auditor per worker. The resolver
@@ -75,8 +64,6 @@ func NewShardedAuditor(u *universe.Universe, opts ShardedOptions) (*ShardedAudit
 		u:           u,
 		auditors:    make([]*Auditor, 0, workers),
 		parallelism: parallelism,
-		restored:    make([]*ShardState, workers),
-		onShardDone: opts.OnShardDone,
 	}
 	for i := 0; i < workers; i++ {
 		a, err := NewShardAuditor(u, opts.Options)
@@ -90,30 +77,6 @@ func NewShardedAuditor(u *universe.Universe, opts ShardedOptions) (*ShardedAudit
 
 // Workers returns the shard count.
 func (s *ShardedAuditor) Workers() int { return len(s.auditors) }
-
-// RestoreShardState marks shard i as already complete with the given
-// checkpointed state: QueryDomains will skip its block and Report will
-// merge the state in the shard's fixed position.
-func (s *ShardedAuditor) RestoreShardState(i int, st *ShardState) error {
-	if i < 0 || i >= len(s.auditors) {
-		return fmt.Errorf("core: restoring shard %d of %d", i, len(s.auditors))
-	}
-	if st == nil || st.Capture == nil {
-		return fmt.Errorf("core: restoring shard %d: empty state", i)
-	}
-	s.restored[i] = st
-	return nil
-}
-
-// ExportShardState returns shard i's contribution: the imported checkpoint
-// state if the shard was restored, else an export of its live auditor.
-// Call it only when the shard is quiescent (its block finished).
-func (s *ShardedAuditor) ExportShardState(i int) *ShardState {
-	if st := s.restored[i]; st != nil {
-		return st
-	}
-	return s.auditors[i].ExportState()
-}
 
 // blockBounds returns the [lo, hi) slice of an n-item workload owned by
 // shard i of c: contiguous blocks, sizes differing by at most one, the
@@ -136,49 +99,35 @@ func blockBounds(n, c, i int) (lo, hi int) {
 // wall-clock. Any shard errors are joined.
 func (s *ShardedAuditor) QueryDomains(domains []dataset.Domain) error {
 	return par.Each(len(s.auditors), s.parallelism, func(i int) error {
-		// A restored shard's block already ran (in the run that wrote the
-		// checkpoint); re-running it would double-count.
-		if s.restored[i] != nil {
-			return nil
-		}
-		var err error
-		if lo, hi := blockBounds(len(domains), len(s.auditors), i); lo != hi {
-			err = s.auditors[i].QueryDomains(domains[lo:hi])
-		}
-		if err == nil && s.onShardDone != nil {
-			s.onShardDone(i)
-		}
-		return err
+		lo, hi := blockBounds(len(domains), len(s.auditors), i)
+		return s.auditors[i].QueryDomains(domains[lo:hi])
 	})
 }
 
-// Report folds every shard's exported state, in shard order: counters and
+// Report folds every shard's auditor, in shard order: counters and
 // query-mix tables sum, observed-domain sets union (Case-1 dominating, as
 // in live capture), latency histograms add (so percentiles come from the
 // exact pooled distribution without materializing one sample per query),
 // and Elapsed is the slowest shard's simulated time — the parallel
-// wall-clock analogue. A shard that ran here and one restored from a
-// checkpoint go through the same fold, so they cannot be told apart. Merge
-// state is O(shards + distinct latency values), independent of workload
-// size.
+// wall-clock analogue. Merge state is O(shards + distinct latency values),
+// independent of workload size. Call it when the shards are quiescent.
 func (s *ShardedAuditor) Report() Report {
 	merged := capture.NewAnalyzer(analyzerConfig(s.u))
 	var rep Report
 	hist := make(map[time.Duration]int)
 	count := 0
-	for i := range s.auditors {
-		st := s.ExportShardState(i)
-		merged.ImportState(st.Capture)
-		rep.ResolverStats = rep.ResolverStats.Plus(st.Stats)
-		rep.QueriedDomains += st.Queried
-		rep.StubQueries += st.StubQueries
-		rep.SecureAnswers += st.SecureAnswers
-		rep.Servfails += st.Servfails
-		rep.Elapsed = max(rep.Elapsed, st.Elapsed)
-		for _, bin := range st.Lat {
-			hist[bin.Value] += bin.Count
+	for _, a := range s.auditors {
+		merged.Merge(a.analyzer)
+		rep.ResolverStats = rep.ResolverStats.Plus(a.r.Stats())
+		rep.QueriedDomains += a.queried
+		rep.StubQueries += a.stubQueries
+		rep.SecureAnswers += a.secureAnswers
+		rep.Servfails += a.servfails
+		rep.Elapsed = max(rep.Elapsed, a.shard.Now()-a.started)
+		for v, n := range a.latHist {
+			hist[v] += n
 		}
-		count += st.LatCount
+		count += a.latCount
 	}
 	rep.LatencyP50, rep.LatencyP95 = histPercentiles(hist, count)
 	rep.Capture = merged.Snapshot()

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/dnsprivacy/lookaside/internal/faults"
+	"github.com/dnsprivacy/lookaside/internal/resolver"
+	"github.com/dnsprivacy/lookaside/internal/universe"
 )
 
 // TestLoadOrWarm pins the boot decision table: a good snapshot restores
@@ -93,7 +96,77 @@ func TestLoadOrWarm(t *testing.T) {
 	}
 }
 
-// TestBootModeString pins the labels the stats surface and timing lines use.
+// TestSnapshotBootEquivalence pins that a snapshot boot only saves the
+// warm-up: an audit on a fresh twin universe whose infrastructure cache
+// LoadWarmState restored reports exactly what the same audit reports with
+// the live-warmed cache the snapshot was saved from, at 1 and 4 shards. So
+// does a twin whose corrupt snapshot LoadOrWarm refused, with a logged
+// reason, in favour of a live warm-up.
+func TestSnapshotBootEquivalence(t *testing.T) {
+	const n = 120
+	u, pop := buildUniverse(t, 6)
+	cfg := auditorConfig(u).Resolver
+	dir := t.TempDir()
+	path := filepath.Join(dir, "warm.snap")
+	live, err := WarmInfra(u, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveWarmState(path, u, cfg, live); err != nil {
+		t.Fatal(err)
+	}
+
+	loadedU, _ := buildUniverse(t, 6)
+	loaded, err := LoadWarmState(path, loadedU, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.snap")
+	if err := os.WriteFile(bad, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs []string
+	fallbackU, _ := buildUniverse(t, 6)
+	fallback, mode, err := LoadOrWarm(fallbackU, cfg, nil, bad, func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode != BootLiveWarm || len(logs) != 1 || !strings.Contains(logs[0], "refused") {
+		t.Errorf("corrupt snapshot: mode=%v logs=%q, want a live warm-up and one refusal reason", mode, logs)
+	}
+
+	audit := func(u *universe.Universe, infra *resolver.Cache, shards int) Report {
+		t.Helper()
+		c := cfg
+		c.Infra = infra
+		s, err := NewShardedAuditor(u, ShardedOptions{Options: Options{Resolver: c}, Workers: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.QueryDomains(pop.Top(n)); err != nil {
+			t.Fatal(err)
+		}
+		return s.Report()
+	}
+	for _, shards := range []int{1, 4} {
+		want := audit(u, live, shards)
+		if want.QueriedDomains != n || want.Capture.DLVQueries == 0 || want.ResolverStats.InfraHits == 0 {
+			t.Fatalf("shards=%d: audit did not exercise the infrastructure cache: %+v", shards, want)
+		}
+		if got := audit(loadedU, loaded, shards); !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: snapshot boot reports differently from live warm-up:\nlive:     %+v\nsnapshot: %+v",
+				shards, want, got)
+		}
+		if got := audit(fallbackU, fallback, shards); !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: refused-snapshot fallback reports differently from live warm-up:\nlive:     %+v\nfallback: %+v",
+				shards, want, got)
+		}
+	}
+}
+
+// TestBootModeString pins the labels the stats surface and resolved use.
 func TestBootModeString(t *testing.T) {
 	if BootLiveWarm.String() != "live-warm" || BootSnapshot.String() != "snapshot" {
 		t.Errorf("BootMode strings = %q/%q", BootLiveWarm, BootSnapshot)

@@ -88,6 +88,19 @@ type auditSetup struct {
 // and resolver — so concurrent runAudit calls on a shared universe do not
 // interfere, and nothing accumulates on the root shard between calls.
 func runAudit(u *universe.Universe, setup auditSetup, workload []dataset.Domain) (core.Report, error) {
+	auditor, err := newAuditor(u, setup)
+	if err != nil {
+		return core.Report{}, err
+	}
+	if err := auditor.QueryDomains(workload); err != nil {
+		return core.Report{}, err
+	}
+	return auditor.Report(), nil
+}
+
+// newAuditor attaches an auditor with a fresh resolver, configured per the
+// setup, to a shard of its own.
+func newAuditor(u *universe.Universe, setup auditSetup) (*core.Auditor, error) {
 	cfg := u.ResolverConfig(setup.withRootAnchor, setup.withLookaside)
 	if setup.remedy != 0 && cfg.Lookaside != nil {
 		cfg.Lookaside.Remedy = setup.remedy
@@ -106,10 +119,7 @@ func runAudit(u *universe.Universe, setup auditSetup, workload []dataset.Domain)
 	}
 	auditor, err := core.NewShardAuditor(u, core.Options{Resolver: cfg})
 	if err != nil {
-		return core.Report{}, fmt.Errorf("experiment: %w", err)
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	if err := auditor.QueryDomains(workload); err != nil {
-		return core.Report{}, err
-	}
-	return auditor.Report(), nil
+	return auditor, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/dnsprivacy/lookaside/internal/core"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/metrics"
 	"github.com/dnsprivacy/lookaside/internal/par"
@@ -35,17 +36,13 @@ type LeakCurveResult struct {
 // paperSampleSizes are the sweep points of Figs. 8/9.
 var paperSampleSizes = []int{100, 1000, 10_000, 100_000, 1_000_000}
 
-// LeakCurve runs experiments E3/E4 (Figs. 8 and 9): resolve the top-N
-// domains for growing N under a correctly configured, DLV-armed resolver,
-// and count distinct domains leaked to the registry.
+// LeakCurve runs experiments E3/E4 (Figs. 8 and 9): one correctly
+// configured, DLV-armed resolver crawls the top-N domains, and at each
+// paper sample size the distinct domains leaked to the registry so far are
+// read off. A fresh resolver's state after N queries depends only on the
+// first N, so each point is what a separate audit of the top N reports.
 func LeakCurve(p Params) (*LeakCurveResult, error) {
-	var sizes []int
-	for _, s := range paperSampleSizes {
-		n := p.scaled(s, 50)
-		if len(sizes) == 0 || n > sizes[len(sizes)-1] {
-			sizes = append(sizes, n)
-		}
-	}
+	sizes := leakCurveSizes(p)
 	pop, err := buildPopulation(sizes[len(sizes)-1], p.Seed)
 	if err != nil {
 		return nil, err
@@ -54,29 +51,46 @@ func LeakCurve(p Params) (*LeakCurveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each sample size is an independent audit on its own shard, so the
-	// points run concurrently on the shared universe.
-	res := &LeakCurveResult{Points: make([]LeakPoint, len(sizes))}
-	err = par.Each(len(sizes), p.workers(), func(i int) error {
-		n := sizes[i]
-		rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop.Top(n))
-		if err != nil {
-			return fmt.Errorf("leak curve at n=%d: %w", n, err)
-		}
-		res.Points[i] = LeakPoint{
-			N:             n,
-			DLVQueries:    rep.Capture.DLVQueries,
-			LeakedDomains: rep.Capture.Case2Domains,
-			Case1Domains:  rep.Capture.Case1Domains,
-			Proportion:    rep.LeakProportion(),
-			Suppressed:    rep.ResolverStats.DLVSuppressed,
-		}
-		return nil
-	})
+	auditor, err := newAuditor(u, auditSetup{withRootAnchor: true, withLookaside: true})
 	if err != nil {
 		return nil, err
 	}
+	top := pop.Top(sizes[len(sizes)-1])
+	res := &LeakCurveResult{Points: make([]LeakPoint, len(sizes))}
+	done := 0
+	for i, n := range sizes {
+		if err := auditor.QueryDomains(top[done:n]); err != nil {
+			return nil, fmt.Errorf("leak curve at n=%d: %w", n, err)
+		}
+		done = n
+		res.Points[i] = leakPoint(n, auditor.Report())
+	}
 	return res, nil
+}
+
+// leakCurveSizes are the paper's sample sizes divided by p.Scale, floored
+// at 50 and with duplicates dropped.
+func leakCurveSizes(p Params) []int {
+	var sizes []int
+	for _, s := range paperSampleSizes {
+		n := p.scaled(s, 50)
+		if len(sizes) == 0 || n > sizes[len(sizes)-1] {
+			sizes = append(sizes, n)
+		}
+	}
+	return sizes
+}
+
+// leakPoint is a Figs. 8/9 point from an audit of the top n domains.
+func leakPoint(n int, rep core.Report) LeakPoint {
+	return LeakPoint{
+		N:             n,
+		DLVQueries:    rep.Capture.DLVQueries,
+		LeakedDomains: rep.Capture.Case2Domains,
+		Case1Domains:  rep.Capture.Case1Domains,
+		Proportion:    rep.LeakProportion(),
+		Suppressed:    rep.ResolverStats.DLVSuppressed,
+	}
 }
 
 // Fig8 renders the leaked-domain counts.

@@ -62,27 +62,27 @@ func TestSweepInvariance(t *testing.T) {
 // must move DLVQueries, which shows the test can fail.
 func TestSweepCacheCaps(t *testing.T) {
 	const n, seed = 10_000, int64(1)
-	run := func(opts SweepOpts) SweepMetrics {
+	run := func(opts sweepOpts) SweepMetrics {
 		pt, err := sweepPoint(n, seed, 2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pt.Metrics
 	}
-	base := run(SweepOpts{})
-	if tight := run(SweepOpts{limits: resolver.CacheLimits{Answers: 256, Zones: 128}}); tight != base {
+	base := run(sweepOpts{})
+	if tight := run(sweepOpts{limits: resolver.CacheLimits{Answers: 256, Zones: 128}}); tight != base {
 		t.Errorf("leak table moved under tight caps:\nsweep caps: %+v\ntight caps: %+v", base, tight)
 	}
 	for _, pc := range []struct {
 		name string
 		cap  int
 	}{{"1", 1}, {"the authserver default", -1}} {
-		if got := run(SweepOpts{packetCacheCap: pc.cap}); got != base {
+		if got := run(sweepOpts{packetCacheCap: pc.cap}); got != base {
 			t.Errorf("leak table moved with packet-cache cap %s:\ncap %d: %+v\ncap %s: %+v",
 				pc.name, sweepPacketCacheCap, base, pc.name, got)
 		}
 	}
-	spans := run(SweepOpts{limits: resolver.CacheLimits{
+	spans := run(sweepOpts{limits: resolver.CacheLimits{
 		Answers: sweepAnswerCap, Zones: sweepZoneCap, Spans: 64,
 	}})
 	if spans.DLVQueries == base.DLVQueries {

@@ -19,7 +19,6 @@ type Inputs struct {
 	// ladder divided by Scale).
 	Population int
 	Faults     FaultKnobs
-	Sweep      SweepOpts
 }
 
 // Experiment is one entry of the evaluation index (DESIGN.md §4).
@@ -76,7 +75,7 @@ var Registry = []Experiment{
 			if in.Population > 0 {
 				populations = []int{in.Population}
 			}
-			return SweepWithOpts(in.Params, populations, in.Sweep)
+			return Sweep(in.Params, populations)
 		}},
 }
 

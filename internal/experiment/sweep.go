@@ -3,10 +3,8 @@ package experiment
 import (
 	"cmp"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/dnsprivacy/lookaside/internal/core"
@@ -68,11 +66,7 @@ type SweepMetrics struct {
 	LatencyP50, LatencyP95 time.Duration
 	// MaterializedSLDs is how many SLD zones the lazy universe held at the
 	// end of the run — bounded by its internal zone cache, so it stops
-	// tracking the population size once the cache cap is reached. It
-	// measures work done by THIS process: a checkpoint-resumed point only
-	// materializes the zones its remaining shards touch, so it is the one
-	// cell of the leak table that legitimately differs from an
-	// uninterrupted run.
+	// tracking the population size once the cache cap is reached.
 	MaterializedSLDs int
 }
 
@@ -87,14 +81,6 @@ type SweepTiming struct {
 	// HeapAllocMB is the live heap after the run (runtime.ReadMemStats),
 	// a coarse peak-footprint proxy.
 	HeapAllocMB float64
-	// BootMode reports how the point's infrastructure state came up
-	// (live warm-up or snapshot restore); ResumedShards how many of the
-	// point's shards were restored from a checkpoint instead of run.
-	// Both live here — in the bracketed timing line, outside the
-	// deterministic leak table — because they describe provenance, and
-	// snapshot/checkpoint boots are pinned to produce identical metrics.
-	BootMode      core.BootMode
-	ResumedShards int
 }
 
 // SweepPoint is one population size of the sweep.
@@ -120,54 +106,8 @@ type SweepResult struct {
 // multiplies peak heap — and Params.Workers instead parallelizes *inside*
 // a point, spreading the fixed shards across cores. An empty populations
 // slice uses the paper-scale ladder 10k / 100k / 1M divided by
-// Params.Scale.
+// Params.Scale. Nothing is read from or written to disk.
 func Sweep(p Params, populations []int) (*SweepResult, error) {
-	return SweepWithOpts(p, populations, SweepOpts{})
-}
-
-// SweepOpts adds warm-state persistence to a sweep. All fields are
-// optional; the zero value reproduces Sweep's behavior exactly.
-type SweepOpts struct {
-	// SnapshotLoad, when set, boots each point's infrastructure cache from
-	// this warm-state snapshot instead of a live warm-up. A snapshot that
-	// is missing, corrupt, or built for a different universe/configuration
-	// is refused: the point logs why (via Log) and warms live — it never
-	// silently serves mismatched state.
-	SnapshotLoad string
-	// SnapshotSave, when set, writes each point's sealed infrastructure
-	// cache (plus signed-zone signature state) to this path after warm-up.
-	SnapshotSave string
-	// Checkpoint, when set, persists per-shard progress to this path after
-	// every finished shard, and resumes from it when a matching checkpoint
-	// exists: restored shards are not re-run, and the merged leak
-	// accounting is identical to an uninterrupted run (only the
-	// MaterializedSLDs diagnostic reflects the smaller amount of work
-	// actually performed). A checkpoint for a different
-	// universe, configuration, population, or shard count starts fresh.
-	// The file is removed when the point completes.
-	Checkpoint string
-	// Log receives fallback and refusal reasons (nil discards them).
-	// Callers route it to stderr so experiment stdout stays deterministic.
-	Log func(format string, args ...any)
-	// limits and packetCacheCap, when non-zero, replace the sweep's
-	// resolver cache caps and its packet-cache cap (negative: the
-	// authserver default): test seams for TestSweepCacheCaps.
-	limits         resolver.CacheLimits
-	packetCacheCap int
-}
-
-// pointPath derives the per-point file path: multi-point sweeps suffix the
-// population size so points don't clobber each other's files.
-func pointPath(base string, n int, multi bool) string {
-	if base == "" || !multi {
-		return base
-	}
-	return fmt.Sprintf("%s.pop%d", base, n)
-}
-
-// SweepWithOpts is Sweep with snapshot boot, snapshot save, and
-// checkpoint/resume wired in (see SweepOpts).
-func SweepWithOpts(p Params, populations []int, opts SweepOpts) (*SweepResult, error) {
 	if len(populations) == 0 {
 		populations = []int{
 			p.scaled(10_000, 50),
@@ -175,29 +115,28 @@ func SweepWithOpts(p Params, populations []int, opts SweepOpts) (*SweepResult, e
 			p.scaled(1_000_000, 200),
 		}
 	}
-	multi := len(populations) > 1
 	res := &SweepResult{Points: make([]SweepPoint, len(populations))}
-	for i := range populations {
-		ptOpts := opts
-		ptOpts.SnapshotLoad = pointPath(opts.SnapshotLoad, populations[i], multi)
-		ptOpts.SnapshotSave = pointPath(opts.SnapshotSave, populations[i], multi)
-		ptOpts.Checkpoint = pointPath(opts.Checkpoint, populations[i], multi)
-		pt, err := sweepPoint(populations[i], p.Seed, p.workers(), ptOpts)
+	for i, n := range populations {
+		pt, err := sweepPoint(n, p.Seed, p.workers(), sweepOpts{})
 		if err != nil {
-			return nil, fmt.Errorf("sweep at population=%d: %w", populations[i], err)
+			return nil, fmt.Errorf("sweep at population=%d: %w", n, err)
 		}
 		res.Points[i] = pt
 	}
 	return res, nil
 }
 
+// sweepOpts, when non-zero, replace the sweep's resolver cache caps and its
+// packet-cache cap (negative: the authserver default): test seams for
+// TestSweepCacheCaps.
+type sweepOpts struct {
+	limits         resolver.CacheLimits
+	packetCacheCap int
+}
+
 // sweepPoint measures one population size, running up to workers shards
 // concurrently.
-func sweepPoint(n int, seed int64, workers int, opts SweepOpts) (SweepPoint, error) {
-	logf := opts.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+func sweepPoint(n int, seed int64, workers int, opts sweepOpts) (SweepPoint, error) {
 	setupStart := time.Now()
 	pop, err := buildPopulation(n, seed)
 	if err != nil {
@@ -219,72 +158,19 @@ func sweepPoint(n int, seed int64, workers int, opts SweepOpts) (SweepPoint, err
 	}
 
 	warmStart := time.Now()
-	ic, bootMode, err := core.LoadOrWarm(u, cfg, nil, opts.SnapshotLoad, logf)
+	cfg.Infra, err = core.WarmInfra(u, cfg)
 	if err != nil {
 		return SweepPoint{}, err
-	}
-	if opts.SnapshotSave != "" {
-		if err := core.SaveWarmState(opts.SnapshotSave, u, cfg, ic); err != nil {
-			return SweepPoint{}, fmt.Errorf("saving snapshot %s: %w", opts.SnapshotSave, err)
-		}
 	}
 	warmWall := time.Since(warmStart)
 
-	cfg.Infra = ic
-	shardedOpts := core.ShardedOptions{
+	auditor, err := core.NewShardedAuditor(u, core.ShardedOptions{
 		Options:     core.Options{Resolver: cfg},
 		Workers:     sweepShards,
 		Parallelism: workers,
-	}
-
-	// Checkpoint plumbing: load a matching checkpoint (or start a fresh
-	// one) and rewrite the file after every finished shard. The auditor
-	// variable is captured by the OnShardDone closure before it is built;
-	// QueryDomains only fires the hook once shards finish, long after
-	// NewShardedAuditor assigned it.
-	var auditor *core.ShardedAuditor
-	var ck *core.Checkpoint
-	var ckMu sync.Mutex
-	resumed := 0
-	if opts.Checkpoint != "" {
-		uFP, cFP := u.Fingerprint(), cfg.WarmFingerprint()
-		if loaded, err := core.LoadCheckpoint(opts.Checkpoint); err == nil {
-			if merr := loaded.Matches(uFP, cFP, n, sweepShards); merr == nil {
-				ck = loaded
-				resumed = len(ck.States)
-			} else {
-				logf("checkpoint %s refused, starting fresh: %v", opts.Checkpoint, merr)
-			}
-		} else if !os.IsNotExist(err) {
-			logf("checkpoint %s unreadable, starting fresh: %v", opts.Checkpoint, err)
-		}
-		if ck == nil {
-			ck = &core.Checkpoint{
-				UniverseFP: uFP, ConfigFP: cFP,
-				Population: n, Shards: sweepShards,
-				States: make(map[int]*core.ShardState),
-			}
-		}
-		shardedOpts.OnShardDone = func(i int) {
-			ckMu.Lock()
-			defer ckMu.Unlock()
-			ck.States[i] = auditor.ExportShardState(i)
-			if err := core.SaveCheckpoint(opts.Checkpoint, ck); err != nil {
-				logf("checkpoint %s not written: %v", opts.Checkpoint, err)
-			}
-		}
-	}
-
-	auditor, err = core.NewShardedAuditor(u, shardedOpts)
+	})
 	if err != nil {
 		return SweepPoint{}, err
-	}
-	if ck != nil {
-		for i, st := range ck.States {
-			if err := auditor.RestoreShardState(i, st); err != nil {
-				return SweepPoint{}, fmt.Errorf("restoring checkpoint %s: %w", opts.Checkpoint, err)
-			}
-		}
 	}
 	workload := pop.Top(n)
 	runStart := time.Now()
@@ -293,13 +179,6 @@ func sweepPoint(n int, seed int64, workers int, opts SweepOpts) (SweepPoint, err
 	}
 	rep := auditor.Report()
 	runWall := time.Since(runStart)
-	// The point is complete; its checkpoint has served its purpose and
-	// would make a future run at the same parameters an instant no-op.
-	if opts.Checkpoint != "" {
-		if err := os.Remove(opts.Checkpoint); err != nil && !os.IsNotExist(err) {
-			logf("checkpoint %s not removed: %v", opts.Checkpoint, err)
-		}
-	}
 
 	// Collect before reading so HeapAllocMB is the live heap the point
 	// actually retains, not whatever garbage the last GC cycle left behind.
@@ -332,8 +211,6 @@ func sweepPoint(n int, seed int64, workers int, opts SweepOpts) (SweepPoint, err
 			RunWall:       runWall,
 			DomainsPerSec: perSec,
 			HeapAllocMB:   float64(ms.HeapAlloc) / (1 << 20),
-			BootMode:      bootMode,
-			ResumedShards: resumed,
 		},
 	}, nil
 }
@@ -358,13 +235,12 @@ func (r *SweepResult) String() string {
 	for _, pt := range r.Points {
 		total := pt.Timing.SetupWall + pt.Timing.WarmWall + pt.Timing.RunWall
 		fmt.Fprintf(&b,
-			"[sweep population=%d finished in %v: setup=%v warm=%v run=%v %.0f domains/sec heap=%.1fMB boot=%s resumed=%d/%d]\n",
+			"[sweep population=%d finished in %v: setup=%v warm=%v run=%v %.0f domains/sec heap=%.1fMB]\n",
 			pt.Population, total.Round(time.Millisecond),
 			pt.Timing.SetupWall.Round(time.Millisecond),
 			pt.Timing.WarmWall.Round(time.Millisecond),
 			pt.Timing.RunWall.Round(time.Millisecond),
-			pt.Timing.DomainsPerSec, pt.Timing.HeapAllocMB,
-			pt.Timing.BootMode, pt.Timing.ResumedShards, sweepShards)
+			pt.Timing.DomainsPerSec, pt.Timing.HeapAllocMB)
 	}
 	b.WriteString("\n")
 	return b.String()

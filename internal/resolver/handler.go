@@ -53,7 +53,7 @@ func (r *Resolver) CachedResponse(q *dns.Message) (resp *dns.Message, ok bool) {
 	}
 	question := q.Question[0]
 	hit, ok := r.cache.answer(dns.Key{Name: question.Name, Type: question.Type, Class: dns.ClassIN}, r.cache.advance(0))
-	if !ok {
+	if !ok || !r.answersStub(hit) {
 		return nil, false
 	}
 	resp = dns.NewResponse(q)

@@ -56,6 +56,15 @@ func stubResult(core *coreResult) *Result {
 	return res
 }
 
+// answersStub reports whether a cached answer may answer a stub. With
+// validation on, an entry that a plumbing resolution wrote (resolveInternal,
+// queryAt) carries no status: it was never validated, so a stub's question
+// for the same key resolves afresh, and its validated answer replaces the
+// entry.
+func (r *Resolver) answersStub(hit *coreResult) bool {
+	return hit.status != 0 || !r.cfg.ValidationEnabled
+}
+
 // resolveInternal performs plumbing resolutions (NS addresses, PTR, TXT
 // signals, DLV queries): no validation, no look-aside recursion.
 func (r *Resolver) resolveInternal(qname dns.Name, qtype dns.Type, depth int) (*coreResult, error) {
@@ -70,7 +79,7 @@ func (r *Resolver) resolveCore(qname dns.Name, qtype dns.Type, depth int, intern
 	}
 	now := r.nowSeconds()
 	key := dns.Key{Name: qname, Type: qtype, Class: dns.ClassIN}
-	if hit, ok := r.cache.answer(key, now); ok {
+	if hit, ok := r.cache.answer(key, now); ok && (internal || r.answersStub(hit)) {
 		r.stats.CacheHits++
 		return hit, nil
 	}

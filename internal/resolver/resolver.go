@@ -271,9 +271,8 @@ type Stats struct {
 }
 
 // Fields enumerates the counters in declaration order. It is the one list
-// of them: Plus loops over it, and the sweep checkpoint writes them in this
-// order, so a new counter is appended here and to the struct, never
-// inserted (TestStatsFieldsComplete holds the list to the struct).
+// of them: Plus loops over it, so a new counter is added here and to the
+// struct (TestStatsFieldsComplete holds the list to the struct).
 func (s *Stats) Fields() []*int {
 	return []*int{
 		&s.Resolutions, &s.DLVQueries, &s.DLVSuppressed, &s.DLVSkippedByRemedy,

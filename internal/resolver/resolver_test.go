@@ -428,9 +428,8 @@ func (f exchangerFunc) Exchange(src, dst netip.Addr, q *dns.Message) (*dns.Messa
 
 // TestStatsFieldsComplete catches drift between Stats and its enumerator:
 // Fields must return every field exactly once, and every field must be an
-// int (the only kind the checkpoint encoder writes). Adding a counter to
-// Stats without extending Fields fails here, not in a merged report or a
-// checkpoint that silently drops the new counter.
+// int (Fields hands out *int). Adding a counter to Stats without extending
+// Fields fails here, not in a merged report that silently drops it.
 func TestStatsFieldsComplete(t *testing.T) {
 	var s Stats
 	fields := s.Fields()
@@ -441,7 +440,7 @@ func TestStatsFieldsComplete(t *testing.T) {
 	}
 	for i := 0; i < typ.NumField(); i++ {
 		if typ.Field(i).Type.Kind() != reflect.Int {
-			t.Errorf("field %s is %s; the checkpoint encoder only handles int",
+			t.Errorf("field %s is %s; Fields only enumerates int",
 				typ.Field(i).Name, typ.Field(i).Type)
 		}
 	}

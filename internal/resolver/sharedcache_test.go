@@ -107,3 +107,41 @@ func TestSharedCacheConcurrent(t *testing.T) {
 		t.Errorf("shared cache holds nothing: %+v", got)
 	}
 }
+
+// TestPlumbingEntryDoesNotAnswerStub: resolving glueless.test learns its
+// server's address through a plumbing lookup of ns.plain.test/A, which the
+// answer cache holds unvalidated. A stub asking ns.plain.test/A next must
+// get what a fresh resolver gives it, validated, not that entry — neither
+// through Resolve nor through CachedResponse. The stub's resolution then
+// replaces the entry, and CachedResponse serves it.
+func TestPlumbingEntryDoesNotAnswerStub(t *testing.T) {
+	u := buildMini(t)
+	ns := dns.MustName("ns.plain.test")
+	fresh, err := u.miniResolver(t, nil).Resolve(ns, dns.TypeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Status != StatusInsecure {
+		t.Fatalf("fresh %s/A: status %v, want insecure", ns, fresh.Status)
+	}
+
+	r := u.miniResolver(t, nil)
+	if _, err := r.Resolve(dns.MustName("glueless.test"), dns.TypeA); err != nil {
+		t.Fatal(err)
+	}
+	q := dns.NewQuery(1, ns, dns.TypeA, true)
+	if resp, ok := r.CachedResponse(q); ok {
+		t.Errorf("CachedResponse served the plumbing entry: %+v", resp)
+	}
+	got, err := r.Resolve(ns, dns.TypeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Elapsed, fresh.Elapsed = 0, 0
+	if !reflect.DeepEqual(got, fresh) {
+		t.Errorf("%s/A after glueless.test answered %+v, a fresh resolver %+v", ns, got, fresh)
+	}
+	if _, ok := r.CachedResponse(q); !ok {
+		t.Error("the stub's validated answer was not cached")
+	}
+}

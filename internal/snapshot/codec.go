@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"slices"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
 
-// Codec walks a snapshot-family file in one direction: built by NewEncoder
-// it appends, built by NewDecoder it reads. A section's layout is one plain
+// Codec walks a snapshot file in one direction: built by newEncoder it
+// appends, built by newDecoder it reads. A section's layout is one plain
 // function over (*Codec, *T) that lists the moves in file order; the
 // direction is the Codec's, so the field order and every bound are written
 // once and Encode and Decode cannot drift apart.
@@ -19,13 +18,12 @@ import (
 // it. Only a decoder can fail — an encoder writes what it is given.
 //
 // Reading is the exact inverse of writing, not a superset of it: varints in
-// their shortest form, sections in layout order with none left over, map
-// keys in the writer's order, the name table holding exactly the names the
-// sections use in the order they first use them. A file the decoder accepts
-// is therefore byte for byte the file the encoder writes for the decoded
-// state (the fuzz targets and the hostile-disk tests assert it), so no bit
-// of a payload is ignored and a damaged file is refused rather than read as
-// some neighbouring state.
+// their shortest form, sections in layout order with none left over, the
+// name table holding exactly the names the sections use in the order they
+// first use them. A file the decoder accepts is therefore byte for byte the
+// file the encoder writes for the decoded state (the fuzz target and the
+// hostile-disk test assert it), so no bit of a payload is ignored and a
+// damaged file is refused rather than read as some neighbouring state.
 type Codec struct {
 	err     error
 	reading bool
@@ -36,8 +34,6 @@ type Codec struct {
 	used  uint64
 
 	// Writing: sections in file order, the reserved name-table section.
-	magic   [4]byte
-	version uint8
 	out     []*enc
 	enc     *enc
 	tableAt *enc
@@ -47,15 +43,13 @@ type Codec struct {
 	dec  dec
 }
 
-// NewEncoder starts a file with the given magic and version.
-func NewEncoder(magic [4]byte, version uint8) *Codec {
-	return &Codec{magic: magic, version: version}
-}
+// newEncoder starts a file.
+func newEncoder() *Codec { return &Codec{} }
 
-// NewDecoder validates the envelope of data (magic, version, crc64 trailer,
+// newDecoder validates the envelope of data (magic, version, crc64 trailer,
 // section framing) and returns a Codec that reads its sections.
-func NewDecoder(data []byte, magic [4]byte, version uint8) (*Codec, error) {
-	secs, err := parse(data, magic, version)
+func newDecoder(data []byte) (*Codec, error) {
+	secs, err := parse(data)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +114,7 @@ func (c *Codec) Finish() []byte {
 	if c.tableAt != nil {
 		c.table.encode(c.tableAt)
 	}
-	return seal(c.magic, c.version, c.out)
+	return seal(c.out)
 }
 
 // Done ends a decode: the last section must be consumed exactly, none may be
@@ -187,12 +181,6 @@ func Num[T ~int | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64](c *Codec, v *T,
 		return
 	}
 	*v = T(c.readNum(max, what))
-}
-
-// Count moves a non-negative counter or duration. It has the shape of a Map
-// value move, so Count[int] can be passed as one.
-func Count[T ~int | ~int64](c *Codec, v *T) {
-	Num(c, v, math.MaxInt64, "counter")
 }
 
 // String moves a length-prefixed string (copied out of the file buffer).
@@ -266,46 +254,5 @@ func Slice[T any](c *Codec, s *[]T, elem func(*Codec, *T)) {
 	}
 	for i := 0; i < n && c.err == nil; i++ {
 		elem(c, &(*s)[i])
-	}
-}
-
-// Map moves a count followed by that many key/value pairs in strictly
-// increasing key order by cmp: the order the encoder writes, so file bytes
-// are deterministic, and the order the decoder requires, so a duplicate or
-// displaced key is refused rather than silently folded. Reading always
-// allocates the map, empty or not; val is handed the same cell for every
-// pair and must set all of it.
-func Map[K comparable, V any](c *Codec, m *map[K]V, cmp func(a, b K) int, key func(*Codec, *K), val func(*Codec, *V)) {
-	// One key and one value cell for the whole walk: key and val are called
-	// through function values, so a per-pair cell would escape per pair.
-	var k, prev K
-	var v V
-	if !c.reading {
-		keys := make([]K, 0, len(*m))
-		for k := range *m {
-			keys = append(keys, k)
-		}
-		slices.SortFunc(keys, cmp)
-		c.count(len(keys))
-		for _, k = range keys {
-			v = (*m)[k]
-			key(c, &k)
-			val(c, &v)
-		}
-		return
-	}
-	n := c.count(0)
-	*m = make(map[K]V)
-	for i := 0; i < n; i++ {
-		key(c, &k)
-		val(c, &v)
-		if i > 0 && c.err == nil && cmp(prev, k) >= 0 {
-			c.Corrupt("map key %v does not follow %v", k, prev)
-		}
-		if c.err != nil {
-			return
-		}
-		(*m)[k] = v
-		prev = k
 	}
 }

@@ -65,7 +65,7 @@ func Capture(u *universe.Universe, cfg resolver.Config, ic *resolver.Cache) (*St
 
 // Encode serializes a state to snapshot bytes.
 func Encode(st *State) []byte {
-	c := NewEncoder(Magic, Version)
+	c := newEncoder()
 	layout(c, st)
 	return c.Finish()
 }
@@ -75,7 +75,7 @@ func Encode(st *State) []byte {
 // any kind — truncation, corruption, bit flips — returns an error without
 // panicking (FuzzSnapshotDecode pins this).
 func Decode(data []byte) (*State, error) {
-	c, err := NewDecoder(data, Magic, Version)
+	c, err := newDecoder(data)
 	if err != nil {
 		return nil, err
 	}

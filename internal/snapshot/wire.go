@@ -75,16 +75,16 @@ func (e *enc) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// seal serializes a snapshot-family file: magic, version, tagged
-// length-prefixed sections in the order given, crc64 trailer.
-func seal(magic [4]byte, version uint8, secs []*enc) []byte {
+// seal serializes a snapshot file: magic, version, tagged length-prefixed
+// sections in the order given, crc64 trailer.
+func seal(secs []*enc) []byte {
 	size := 4 + 1 + binary.MaxVarintLen64
 	for _, e := range secs {
 		size += 2*binary.MaxVarintLen64 + len(e.buf)
 	}
 	out := make([]byte, 0, size+8)
-	out = append(out, magic[:]...)
-	out = append(out, version)
+	out = append(out, Magic[:]...)
+	out = append(out, Version)
 	out = binary.AppendUvarint(out, uint64(len(secs)))
 	for _, e := range secs {
 		out = binary.AppendUvarint(out, uint64(e.tag))
@@ -102,21 +102,21 @@ type section struct {
 	payload []byte
 }
 
-// parse validates the envelope of a snapshot-family file — magic, version,
+// parse validates the envelope of a snapshot file — magic, version,
 // checksum, section framing — and indexes the sections. Payloads are views
 // into data; nothing is copied or interpreted yet.
-func parse(data []byte, magic [4]byte, version uint8) ([]section, error) {
+func parse(data []byte) ([]section, error) {
 	if len(data) < 4 {
 		return nil, ErrTruncated
 	}
-	if [4]byte(data[:4]) != magic {
+	if [4]byte(data[:4]) != Magic {
 		return nil, ErrMagic
 	}
 	if len(data) < 4+1+8 {
 		return nil, ErrTruncated
 	}
-	if data[4] != version {
-		return nil, fmt.Errorf("%w: have %d, want %d", ErrVersion, data[4], version)
+	if data[4] != Version {
+		return nil, fmt.Errorf("%w: have %d, want %d", ErrVersion, data[4], Version)
 	}
 	body, trailer := data[:len(data)-8], data[len(data)-8:]
 	if crc64.Checksum(body, crcTable) != binary.LittleEndian.Uint64(trailer) {
