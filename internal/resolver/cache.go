@@ -25,7 +25,8 @@ type CacheLimits struct {
 	// NS-completion decision) and the ledger of servers contacted (PTR
 	// sampling). Default 1<<20.
 	Zones int
-	// Spans bounds each zone's validated NSEC span store. Default 1<<20.
+	// Spans bounds the distinct spans each zone's validated NSEC span store
+	// holds. Default 1<<20.
 	Spans int
 }
 
@@ -280,14 +281,15 @@ func (sp *span) covers(key []byte) bool {
 	return sp.ownerKey < string(key) && string(key) < sp.nextKey
 }
 
-// spanStore keeps validated NSEC spans queryable by coverage. Inserts go to
-// an unsorted tail; when the tail grows past a threshold it is merged into
-// the sorted body, keeping both insert and lookup cheap at the scale of the
-// million-domain sweeps. A limit bounds the total span count: at the cap,
-// expired spans are purged; if every span is still live the store resets
-// wholesale — crude, but deterministic, and spans rebuild from subsequent
-// denials. Coverage checks read under mu's read lock; add, purge and merge
-// write under its write lock.
+// spanStore keeps validated NSEC spans queryable by coverage. A span the
+// store already holds — same owner, same next — is refreshed in place; any
+// other insert goes to an unsorted tail, and when the tail grows past a
+// threshold it is merged into the sorted body, keeping both insert and
+// lookup cheap at the scale of the million-domain sweeps. A limit bounds the
+// number of distinct spans: at the cap, expired spans are purged; if every
+// span is still live the store resets wholesale — crude, but deterministic,
+// and spans rebuild from subsequent denials. Coverage checks read under mu's
+// read lock; add, purge and merge write under its write lock.
 type spanStore struct {
 	mu     sync.RWMutex
 	sorted []span
@@ -300,10 +302,21 @@ type spanStore struct {
 // are cheap (sort the tail, then one linear pass over the body).
 const tailLimit = 64
 
+// add stores sp. If the store holds it already, only the held copy's expiry
+// is raised to the later of the two: one copy covers exactly what the pair
+// would, so the refresh allocates nothing, queues nothing and never meets the
+// cap. A span with a held owner but another next is queued like a new one,
+// and the merge keeps the fresher of the two.
 func (s *spanStore) add(sp span, now uint32) {
-	sp = sp.keyed()
+	var buf [256]byte
+	ownerKey := dns.AppendSortKey(buf[:0], sp.owner)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if held := s.held(ownerKey, sp); held != nil {
+		held.expires = max(held.expires, sp.expires)
+		return
+	}
+	sp = sp.keyed()
 	if s.limit > 0 && len(s.sorted)+len(s.tail) >= s.limit {
 		s.purge(now)
 		if len(s.sorted)+len(s.tail) >= s.limit {
@@ -314,6 +327,25 @@ func (s *spanStore) add(sp span, now uint32) {
 	if len(s.tail) >= tailLimit {
 		s.merge()
 	}
+}
+
+// held returns the store's copy of sp — the same owner and the same next —
+// or nil; ownerKey is the owner's sort key. The body holds one span per
+// owner, found by binary search; the short tail is scanned whole. The caller
+// holds the write lock.
+func (s *spanStore) held(ownerKey []byte, sp span) *span {
+	i := sort.Search(len(s.sorted), func(i int) bool {
+		return s.sorted[i].ownerKey >= string(ownerKey)
+	})
+	if i < len(s.sorted) && s.sorted[i].owner == sp.owner && s.sorted[i].next == sp.next {
+		return &s.sorted[i]
+	}
+	for i := range s.tail {
+		if t := &s.tail[i]; t.owner == sp.owner && t.next == sp.next {
+			return t
+		}
+	}
+	return nil
 }
 
 // purge drops expired spans from both the sorted body and the tail. The
