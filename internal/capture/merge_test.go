@@ -10,23 +10,49 @@ import (
 )
 
 // TestMergeEqualsSingleAnalyzer pins the shard-merge semantics: merging
-// per-shard analyzers must equal one analyzer that saw all the traffic.
+// per-shard analyzers must equal one analyzer that saw all the traffic —
+// the report, the domain sets and every client's profile.
 func TestMergeEqualsSingleAnalyzer(t *testing.T) {
-	events := []simnet.Event{
+	assertMergeEqualsSingle(t, false, []simnet.Event{
 		plainEvent("example.com", dns.TypeA, simnet.RoleRoot),
 		plainEvent("example.com", dns.TypeA, simnet.RoleTLD),
 		dlvEvent("deposited.com.dlv.isc.org", dns.RCodeNoError),
 		dlvEvent("leaked1.net.dlv.isc.org", dns.RCodeNXDomain),
 		dlvEvent("leaked2.org.dlv.isc.org", dns.RCodeNXDomain),
 		plainEvent("other.net", dns.TypeAAAA, simnet.RoleSLD),
-	}
+		clientEvent("10.1.0.1", "deposited.com.dlv.isc.org", dns.RCodeNoError),
+		clientEvent("10.1.0.1", "leaked1.net.dlv.isc.org", dns.RCodeNXDomain),
+		clientEvent("10.1.0.2", "leaked1.net.dlv.isc.org", dns.RCodeNXDomain),
+		clientEvent("10.1.0.1", "leaked1.net.dlv.isc.org", dns.RCodeNXDomain),
+		clientEvent("10.1.0.2", "org.dlv.isc.org", dns.RCodeNXDomain),
+		clientEvent("10.1.0.2", "deposited.com.dlv.isc.org", dns.RCodeNoError),
+	})
+}
 
-	single := newTestAnalyzer(false)
+// TestMergeEqualsSingleAnalyzerHashed is the hashed-registry variant: the
+// merged analyzer holds the union of the shards' hash labels, counted once
+// however many shards saw a label.
+func TestMergeEqualsSingleAnalyzerHashed(t *testing.T) {
+	assertMergeEqualsSingle(t, true, []simnet.Event{
+		plainEvent("example.com", dns.TypeA, simnet.RoleRoot),
+		clientEvent("10.1.0.1", "abcdef123.dlv.isc.org", dns.RCodeNXDomain),
+		clientEvent("10.1.0.2", "abcdef123.dlv.isc.org", dns.RCodeNXDomain),
+		clientEvent("10.1.0.1", "0badc0de.dlv.isc.org", dns.RCodeNoError),
+		clientEvent("10.1.0.1", "abcdef123.dlv.isc.org", dns.RCodeNXDomain),
+		dlvEvent("77aa55.dlv.isc.org", dns.RCodeNXDomain),
+	})
+}
+
+// assertMergeEqualsSingle taps events into one analyzer and, alternately,
+// into two shards merged into a third, and requires the two views to agree.
+func assertMergeEqualsSingle(t *testing.T, hashed bool, events []simnet.Event) {
+	t.Helper()
+	single := newTestAnalyzer(hashed)
 	for _, ev := range events {
 		single.Tap(ev)
 	}
 
-	a, b := newTestAnalyzer(false), newTestAnalyzer(false)
+	a, b := newTestAnalyzer(hashed), newTestAnalyzer(hashed)
 	for i, ev := range events {
 		if i%2 == 0 {
 			a.Tap(ev)
@@ -34,18 +60,24 @@ func TestMergeEqualsSingleAnalyzer(t *testing.T) {
 			b.Tap(ev)
 		}
 	}
-	merged := newTestAnalyzer(false)
+	merged := newTestAnalyzer(hashed)
 	merged.Merge(a)
 	merged.Merge(b)
 
 	if got, want := merged.Snapshot(), single.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("merged snapshot differs:\nmerged: %+v\nsingle: %+v", got, want)
 	}
+	if hashed && merged.Snapshot().HashedLabels != 3 {
+		t.Errorf("merged hashed labels = %d, want 3", merged.Snapshot().HashedLabels)
+	}
 	if got, want := merged.ObservedDomains(), single.ObservedDomains(); !reflect.DeepEqual(got, want) {
 		t.Errorf("observed domains differ: %v vs %v", got, want)
 	}
 	if got, want := merged.LeakedDomains(), single.LeakedDomains(); !reflect.DeepEqual(got, want) {
 		t.Errorf("leaked domains differ: %v vs %v", got, want)
+	}
+	if got, want := merged.ClientProfiles(), single.ClientProfiles(); !reflect.DeepEqual(got, want) {
+		t.Errorf("client profiles differ:\nmerged: %+v\nsingle: %+v", got, want)
 	}
 }
 

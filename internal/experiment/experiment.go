@@ -21,7 +21,7 @@ type Params struct {
 	// 1 reproduces the paper's magnitudes, 100 runs the same sweeps at 1%
 	// size. Zero means 100 (the test-friendly default).
 	Scale int
-	// Workers bounds how many independent measurement points (sweep sizes,
+	// Workers bounds how many independent measurement points (sweep shards,
 	// shuffle trials, configuration scenarios) run concurrently. Every
 	// audit runs on its own network shard with its own resolver and
 	// capture, so results are identical at any setting; <= 1 is sequential.
@@ -51,6 +51,19 @@ func (p Params) scaled(n, min int) int {
 		v = min
 	}
 	return v
+}
+
+// sizeLadder is a ladder of paper workload sizes divided by the scale,
+// floored at 50, with duplicates dropped.
+func (p Params) sizeLadder(paper ...int) []int {
+	var sizes []int
+	for _, s := range paper {
+		n := p.scaled(s, 50)
+		if len(sizes) == 0 || n > sizes[len(sizes)-1] {
+			sizes = append(sizes, n)
+		}
+	}
+	return sizes
 }
 
 // buildPopulation generates the Alexa-like population of the given size.
@@ -96,6 +109,28 @@ func runAudit(u *universe.Universe, setup auditSetup, workload []dataset.Domain)
 		return core.Report{}, err
 	}
 	return auditor.Report(), nil
+}
+
+// crawl is the paper's method for a size ladder: one fresh resolver,
+// configured per the setup, walks the top domains of pop in order, and at
+// each of the ascending sizes the report so far is handed to at. A fresh
+// resolver's state after N queries depends only on the first N, so each
+// report is what a separate audit of the top N reports.
+func crawl(u *universe.Universe, setup auditSetup, pop *dataset.Population, sizes []int, at func(i int, rep core.Report)) error {
+	auditor, err := newAuditor(u, setup)
+	if err != nil {
+		return err
+	}
+	top := pop.Top(sizes[len(sizes)-1])
+	done := 0
+	for i, n := range sizes {
+		if err := auditor.QueryDomains(top[done:n]); err != nil {
+			return fmt.Errorf("crawl at n=%d: %w", n, err)
+		}
+		done = n
+		at(i, auditor.Report())
+	}
+	return nil
 }
 
 // newAuditor attaches an auditor with a fresh resolver, configured per the

@@ -30,11 +30,14 @@ type FaultKnobs struct {
 	// DisableBreaker drops the circuit-breaker variants, measuring only
 	// the unprotected resilient resolver.
 	DisableBreaker bool
-	// BreakerThreshold and BreakerCooldown configure the DLV circuit
-	// breaker (0: 5 consecutive failures, 2 minutes).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
+
+// The breaker cells' DLV circuit breaker: it opens after breakerThreshold
+// consecutive registry failures and probes again after breakerCooldown.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 2 * time.Minute
+)
 
 // withDefaults resolves zero knobs.
 func (k FaultKnobs) withDefaults(p Params) FaultKnobs {
@@ -50,23 +53,17 @@ func (k FaultKnobs) withDefaults(p Params) FaultKnobs {
 	if k.OutageFraction > 1 {
 		k.OutageFraction = 1
 	}
-	if k.BreakerThreshold <= 0 {
-		k.BreakerThreshold = 5
-	}
-	if k.BreakerCooldown <= 0 {
-		k.BreakerCooldown = 2 * time.Minute
-	}
 	return k
 }
 
-// resilience builds the per-cell resolver resilience policy: defaults for
+// cellResilience builds the per-cell resolver resilience policy: defaults for
 // attempts/backoff/deadline, TCP fallback on, breaker per the cell.
-func (k FaultKnobs) resilience(breaker bool) *resolver.Resilience {
+func cellResilience(breaker bool) *resolver.Resilience {
 	res := &resolver.Resilience{TCPFallback: true}
 	if breaker {
 		res.Breaker = &faults.BreakerConfig{
-			Threshold: k.BreakerThreshold,
-			Cooldown:  k.BreakerCooldown,
+			Threshold: breakerThreshold,
+			Cooldown:  breakerCooldown,
 		}
 	}
 	return res
@@ -242,7 +239,7 @@ func Faults(p Params, knobs FaultKnobs) (*FaultsResult, error) {
 	var runs []faultRun
 	for _, c := range conds {
 		for _, br := range breakers {
-			runs = append(runs, faultRun{plan: c.plan, resil: k.resilience(br)})
+			runs = append(runs, faultRun{plan: c.plan, resil: cellResilience(br)})
 		}
 	}
 	legacyIdx := len(runs)

@@ -91,8 +91,7 @@ func TestFaultsExperiment(t *testing.T) {
 // TestFaultsKnobs pins knob resolution and the DisableBreaker shape.
 func TestFaultsKnobs(t *testing.T) {
 	k := FaultKnobs{}.withDefaults(Params{Seed: 42})
-	if k.FaultSeed != 42 || k.Loss != 0.30 || k.OutageFraction != 0.5 ||
-		k.BreakerThreshold != 5 || k.BreakerCooldown == 0 {
+	if k.FaultSeed != 42 || k.Loss != 0.30 || k.OutageFraction != 0.5 {
 		t.Fatalf("defaults = %+v", k)
 	}
 	k = FaultKnobs{FaultSeed: 9, Loss: 0.1, OutageFraction: 3}.withDefaults(Params{Seed: 42})

@@ -39,10 +39,9 @@ var paperSampleSizes = []int{100, 1000, 10_000, 100_000, 1_000_000}
 // LeakCurve runs experiments E3/E4 (Figs. 8 and 9): one correctly
 // configured, DLV-armed resolver crawls the top-N domains, and at each
 // paper sample size the distinct domains leaked to the registry so far are
-// read off. A fresh resolver's state after N queries depends only on the
-// first N, so each point is what a separate audit of the top N reports.
+// read off.
 func LeakCurve(p Params) (*LeakCurveResult, error) {
-	sizes := leakCurveSizes(p)
+	sizes := p.sizeLadder(paperSampleSizes...)
 	pop, err := buildPopulation(sizes[len(sizes)-1], p.Seed)
 	if err != nil {
 		return nil, err
@@ -51,34 +50,14 @@ func LeakCurve(p Params) (*LeakCurveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	auditor, err := newAuditor(u, auditSetup{withRootAnchor: true, withLookaside: true})
-	if err != nil {
-		return nil, err
-	}
-	top := pop.Top(sizes[len(sizes)-1])
 	res := &LeakCurveResult{Points: make([]LeakPoint, len(sizes))}
-	done := 0
-	for i, n := range sizes {
-		if err := auditor.QueryDomains(top[done:n]); err != nil {
-			return nil, fmt.Errorf("leak curve at n=%d: %w", n, err)
-		}
-		done = n
-		res.Points[i] = leakPoint(n, auditor.Report())
+	err = crawl(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop, sizes, func(i int, rep core.Report) {
+		res.Points[i] = leakPoint(sizes[i], rep)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("leak curve: %w", err)
 	}
 	return res, nil
-}
-
-// leakCurveSizes are the paper's sample sizes divided by p.Scale, floored
-// at 50 and with duplicates dropped.
-func leakCurveSizes(p Params) []int {
-	var sizes []int
-	for _, s := range paperSampleSizes {
-		n := p.scaled(s, 50)
-		if len(sizes) == 0 || n > sizes[len(sizes)-1] {
-			sizes = append(sizes, n)
-		}
-	}
-	return sizes
 }
 
 // leakPoint is a Figs. 8/9 point from an audit of the top n domains.

@@ -16,86 +16,61 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
 
-// OverloadOpts tunes experiment E18 (goodput under overload). The zero
-// value selects the defaults below.
-type OverloadOpts struct {
-	// PopSize is the population size (0: scaled 200k, floor 2000).
-	PopSize int
-	// Workers is the resolver instance count per rig (0: 2).
-	Workers int
-	// Clients is the simulated stub-client count (0: 200).
-	Clients int
-	// CapacityQueries sizes the closed-loop capacity probe (0: scaled
+// E18's fixed shape.
+const (
+	// overloadWorkers is the resolver instance count per rig.
+	overloadWorkers = 2
+	// overloadSeconds is the offered-load duration of each point.
+	overloadSeconds = 1
+	// overloadTimeout is the load generator's per-query deadline for the
+	// storm points: scaled stub patience. Real stubs wait a few seconds
+	// against ~10ms resolutions (a few hundred times the service time);
+	// cold resolution here costs tens of microseconds, so 25ms keeps the
+	// same ratio. Patience far above the saturated queueing delay would
+	// let clients absorb any backlog and no storm could form.
+	overloadTimeout = 25 * time.Millisecond
+)
+
+// overloadOpts is E18's load shape; zero fields select the defaults below.
+// Only TestOverloadSmoke sets a field, to run a miniature E18.
+type overloadOpts struct {
+	// clients is the simulated stub-client count (0: 200).
+	clients int
+	// capacityQueries sizes the closed-loop capacity probe (0: scaled
 	// 300k, floor 3000).
-	CapacityQueries int
-	// Seconds is the offered-load duration of each point (0: 1).
-	Seconds int
-	// Multiples are the offered-load points as multiples of the measured
+	capacityQueries int
+	// multiples are the offered-load points as multiples of the measured
 	// capacity (nil: 0.5, 1, 2).
-	Multiples []float64
-	// MaxInFlight and QueueTarget configure the shed-on rig's admission
-	// controller (0: 256 and 5ms).
-	MaxInFlight int
-	QueueTarget time.Duration
-	// Shards is the UDP listener shard count per rig (0: min(GOMAXPROCS,
-	// 8)). On platforms without SO_REUSEPORT the rigs fall back to one
-	// socket; both rigs always get the same count, so the shed-on/off
-	// comparison stays fair either way.
-	Shards int
-	// Window and Timeout are the load generator's in-flight bound and
-	// per-query deadline for the storm points (0: 2048 and 100ms). The
-	// window must exceed MaxInFlight — and the kernel's UDP receive
-	// buffer — or the generator self-throttles and never overloads the
-	// server.
-	Window  int
-	Timeout time.Duration
+	multiples []float64
+	// maxInFlight and queueTarget configure the shed-on rig's admission
+	// controller (0: 64 and 5ms).
+	maxInFlight int
+	queueTarget time.Duration
+	// window is the load generator's in-flight bound for the storm points
+	// (0: 2048). It must exceed maxInFlight — and the kernel's UDP
+	// receive buffer — or the generator self-throttles and never
+	// overloads the server.
+	window int
 }
 
-func (o OverloadOpts) withDefaults(p Params) OverloadOpts {
-	if o.PopSize <= 0 {
-		// The floor is deliberately high: the storm samples uniformly
-		// (cache-busting), and the population must dwarf the total query
-		// budget or the flood warms the whole cache mid-run and stops
-		// being an overload.
-		o.PopSize = p.scaled(200_000, 100_000)
+func (o overloadOpts) withDefaults(p Params) overloadOpts {
+	if o.clients <= 0 {
+		o.clients = 200
 	}
-	if o.Workers <= 0 {
-		o.Workers = 2
+	if o.capacityQueries <= 0 {
+		o.capacityQueries = p.scaled(300_000, 3_000)
 	}
-	if o.Clients <= 0 {
-		o.Clients = 200
+	if len(o.multiples) == 0 {
+		o.multiples = []float64{0.5, 1, 2}
 	}
-	if o.CapacityQueries <= 0 {
-		o.CapacityQueries = p.scaled(300_000, 3_000)
+	if o.maxInFlight <= 0 {
+		o.maxInFlight = 64
 	}
-	if o.Seconds <= 0 {
-		o.Seconds = 1
+	if o.queueTarget <= 0 {
+		o.queueTarget = 5 * time.Millisecond
 	}
-	if len(o.Multiples) == 0 {
-		o.Multiples = []float64{0.5, 1, 2}
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 64
-	}
-	if o.QueueTarget <= 0 {
-		o.QueueTarget = 5 * time.Millisecond
-	}
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-		if o.Shards > 8 {
-			o.Shards = 8
-		}
-	}
-	if o.Window <= 0 {
-		o.Window = 2048
-	}
-	if o.Timeout <= 0 {
-		// Scaled stub patience: real stubs wait a few seconds against
-		// ~10ms resolutions (a few hundred times the service time); cold
-		// resolution here costs tens of microseconds, so 25ms keeps the
-		// same ratio. Patience far above the saturated queueing delay
-		// would let clients absorb any backlog and no storm could form.
-		o.Timeout = 25 * time.Millisecond
+	if o.window <= 0 {
+		o.window = 2048
 	}
 	return o
 }
@@ -202,23 +177,26 @@ func (r *overloadRig) close() {
 
 // buildOverloadRig boots a serving stack on a loopback port. The two rigs
 // share one universe — each serve.Build call gets private shards — so the
-// populations and zone signatures are identical.
-func buildOverloadRig(u *universe.Universe, o OverloadOpts, shed bool) (*overloadRig, error) {
+// populations and zone signatures are identical. Each rig binds
+// min(GOMAXPROCS, 8) UDP listener shards; on platforms without
+// SO_REUSEPORT both fall back to one socket, so the shed-on/off comparison
+// stays fair either way.
+func buildOverloadRig(u *universe.Universe, o overloadOpts, shed bool) (*overloadRig, error) {
 	var gate *overload.Controller
 	if shed {
 		gate = overload.New(overload.Config{
-			MaxInFlight: o.MaxInFlight,
-			Exec:        o.Workers,
-			QueueTarget: o.QueueTarget,
+			MaxInFlight: o.maxInFlight,
+			Exec:        overloadWorkers,
+			QueueTarget: o.queueTarget,
 		})
 	}
 	svc, err := serve.Build(u, u.ResolverConfig(true, true), serve.Options{
-		Workers: o.Workers, SharedInfra: true, Overload: gate,
+		Workers: overloadWorkers, SharedInfra: true, Overload: gate,
 	})
 	if err != nil {
 		return nil, err
 	}
-	srv, err := udptransport.ListenShards("127.0.0.1:0", svc, o.Shards)
+	srv, err := udptransport.ListenShards("127.0.0.1:0", svc, min(runtime.GOMAXPROCS(0), 8))
 	if err != nil {
 		svc.Close()
 		return nil, err
@@ -226,7 +204,7 @@ func buildOverloadRig(u *universe.Universe, o OverloadOpts, shed bool) (*overloa
 	if gate != nil {
 		srv.SetGate(gate)
 	} else {
-		srv.SetWorkers(o.Workers)
+		srv.SetWorkers(overloadWorkers)
 	}
 	svc.AttachTransports(srv, nil)
 	go func() { _ = srv.Serve() }()
@@ -249,22 +227,28 @@ func (r *overloadRig) replay(cfg loadgen.Config) (*loadgen.Report, overload.Stat
 	return rep, delta.Overload, nil
 }
 
-// Overload runs experiment E18 with default options.
-func Overload(p Params) (*OverloadResult, error) {
-	return OverloadWithOpts(p, OverloadOpts{})
-}
-
-// OverloadWithOpts runs experiment E18: measure the serving tier's
-// capacity under a cache-busting flood, then offer multiples of it to two
+// Overload runs experiment E18: measure the serving tier's capacity under
+// a cache-busting flood, then offer multiples of it to two
 // otherwise-identical rigs — one unprotected, one behind the admission
 // controller — and compare goodput and tail latency. Overload is offered
 // over real UDP sockets, so the numbers are wall-clock measurements, not
 // simulations. The storm samples names uniformly: Zipf replay mostly hits
 // the answer cache, and a cacheable workload cannot overload the tier —
 // uniform floods are the shape real resolver storms take.
-func OverloadWithOpts(p Params, opts OverloadOpts) (*OverloadResult, error) {
+func Overload(p Params) (*OverloadResult, error) {
+	return overloadWith(p, overloadOpts{})
+}
+
+// overloadWith is Overload with its load shape replaced where opts is
+// non-zero.
+func overloadWith(p Params, opts overloadOpts) (*OverloadResult, error) {
 	o := opts.withDefaults(p)
-	pop, err := buildPopulation(o.PopSize, p.Seed)
+	// The population floor is deliberately high: the storm samples
+	// uniformly (cache-busting), and the population must dwarf the total
+	// query budget or the flood warms the whole cache mid-run and stops
+	// being an overload.
+	popSize := p.scaled(200_000, 100_000)
+	pop, err := buildPopulation(popSize, p.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -281,8 +265,8 @@ func OverloadWithOpts(p Params, opts OverloadOpts) (*OverloadResult, error) {
 			Server:   rig.srv.AddrPort(),
 			Names:    func(i int) dns.Name { return names[i] },
 			DNSSECOK: true,
-			Workers:  o.Window,
-			Timeout:  o.Timeout,
+			Workers:  o.window,
+			Timeout:  overloadTimeout,
 			Retries:  0,
 		}
 	}
@@ -305,7 +289,7 @@ func OverloadWithOpts(p Params, opts OverloadOpts) (*OverloadResult, error) {
 		cfg.Mode = loadgen.ModeClosed
 		cfg.Workers = 32
 		cfg.Schedule = loadgen.ScheduleConfig{
-			Clients: o.Clients, PopSize: len(names), Seed: p.Seed,
+			Clients: o.clients, PopSize: len(names), Seed: p.Seed,
 			MaxQueries: int64(warm),
 		}
 		cfg.PerMinute = []int{warm}
@@ -322,14 +306,14 @@ func OverloadWithOpts(p Params, opts OverloadOpts) (*OverloadResult, error) {
 	cfg := baseCfg(rigs[false])
 	cfg.Mode = loadgen.ModeClosed
 	cfg.Workers = 256
-	if cfg.Workers > o.Window {
-		cfg.Workers = o.Window
+	if cfg.Workers > o.window {
+		cfg.Workers = o.window
 	}
 	cfg.Schedule = loadgen.ScheduleConfig{
-		Clients: o.Clients, PopSize: len(names), Seed: p.Seed + 1,
-		MaxQueries: int64(o.CapacityQueries), Uniform: true,
+		Clients: o.clients, PopSize: len(names), Seed: p.Seed + 1,
+		MaxQueries: int64(o.capacityQueries), Uniform: true,
 	}
-	cfg.PerMinute = []int{o.CapacityQueries}
+	cfg.PerMinute = []int{o.capacityQueries}
 	probe, _, err := rigs[false].replay(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("capacity probe: %w", err)
@@ -340,10 +324,10 @@ func OverloadWithOpts(p Params, opts OverloadOpts) (*OverloadResult, error) {
 	}
 
 	res := &OverloadResult{
-		PopSize: o.PopSize, Workers: o.Workers,
+		PopSize: popSize, Workers: overloadWorkers,
 		Shards: rigs[true].srv.Shards(), CapacityQPS: capacity,
 	}
-	for pi, mult := range o.Multiples {
+	for pi, mult := range o.multiples {
 		offered := int(mult * capacity)
 		if offered < 1 {
 			offered = 1
@@ -353,7 +337,7 @@ func OverloadWithOpts(p Params, opts OverloadOpts) (*OverloadResult, error) {
 			// An open-loop storm: each "trace minute" carries one second of
 			// offered load and replays at compress 60, so the generator
 			// holds the offered rate regardless of how the server fares.
-			perMin := make([]int, o.Seconds)
+			perMin := make([]int, overloadSeconds)
 			for i := range perMin {
 				perMin[i] = offered
 			}
@@ -364,8 +348,8 @@ func OverloadWithOpts(p Params, opts OverloadOpts) (*OverloadResult, error) {
 			cfg.Mode = loadgen.ModeOpen
 			cfg.Compress = 60
 			cfg.Schedule = loadgen.ScheduleConfig{
-				Clients: o.Clients, PopSize: len(names), Seed: p.Seed + 2 + int64(pi),
-				MaxQueries: int64(offered * o.Seconds), Uniform: true,
+				Clients: o.clients, PopSize: len(names), Seed: p.Seed + 2 + int64(pi),
+				MaxQueries: int64(offered * overloadSeconds), Uniform: true,
 			}
 			cfg.PerMinute = perMin
 			rep, ovl, err := rig.replay(cfg)

@@ -12,16 +12,13 @@ func TestOverloadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-socket load test")
 	}
-	res, err := OverloadWithOpts(Params{Seed: 1, Scale: 100}, OverloadOpts{
-		PopSize:         100_000,
-		Clients:         50,
-		CapacityQueries: 2_000,
-		Seconds:         1,
-		Multiples:       []float64{1, 2},
-		MaxInFlight:     32,
-		QueueTarget:     2 * time.Millisecond,
-		Window:          512,
-		Timeout:         25 * time.Millisecond,
+	res, err := overloadWith(Params{Seed: 1, Scale: 100}, overloadOpts{
+		clients:         50,
+		capacityQueries: 2_000,
+		multiples:       []float64{1, 2},
+		maxInFlight:     32,
+		queueTarget:     2 * time.Millisecond,
+		window:          512,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/dnsprivacy/lookaside/internal/core"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/metrics"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
@@ -47,36 +48,30 @@ type Table5Result struct {
 
 // Table5 runs experiment E9 (Table 5 / Fig. 10): measure the cost of the
 // TXT-signaling remedy against the plain-DLV baseline for growing
-// workloads.
+// workloads, each mode's rows read off one crawl.
 func Table5(p Params) (*Table5Result, error) {
-	var sizes []int
-	for _, s := range []int{100, 1000, 10_000, 100_000} {
-		n := p.scaled(s, 50)
-		if len(sizes) == 0 || n > sizes[len(sizes)-1] {
-			sizes = append(sizes, n)
-		}
-	}
+	sizes := p.sizeLadder(table45Sizes...)
 	pop, err := buildPopulation(sizes[len(sizes)-1], p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res := &Table5Result{}
-	for _, n := range sizes {
-		base, err := measureCost(pop, p.Seed, n, resolver.RemedyNone, false)
-		if err != nil {
-			return nil, fmt.Errorf("table5 baseline n=%d: %w", n, err)
-		}
-		remedy, err := measureCost(pop, p.Seed, n, resolver.RemedyTXT, false)
-		if err != nil {
-			return nil, fmt.Errorf("table5 remedy n=%d: %w", n, err)
-		}
-		res.Rows = append(res.Rows, Table5Row{
+	base, err := measureCost(pop, p.Seed, sizes, resolver.RemedyNone)
+	if err != nil {
+		return nil, fmt.Errorf("table5 baseline: %w", err)
+	}
+	remedy, err := measureCost(pop, p.Seed, sizes, resolver.RemedyTXT)
+	if err != nil {
+		return nil, fmt.Errorf("table5 remedy: %w", err)
+	}
+	res := &Table5Result{Rows: make([]Table5Row, len(sizes))}
+	for i, n := range sizes {
+		res.Rows[i] = Table5Row{
 			Domains:        n,
-			Baseline:       base.cost,
-			Remedy:         remedy.cost,
-			BaselineLeaked: base.leaked,
-			RemedyLeaked:   remedy.leaked,
-		})
+			Baseline:       base[i].cost,
+			Remedy:         remedy[i].cost,
+			BaselineLeaked: base[i].leaked,
+			RemedyLeaked:   remedy[i].leaked,
+		}
 	}
 	return res, nil
 }
@@ -87,30 +82,30 @@ type measured struct {
 	leaked int
 }
 
-// measureCost runs one workload under a remedy mode on a fresh universe
-// (fresh server remedy config and clock) and returns its cost.
-func measureCost(pop *dataset.Population, seed int64, n int, remedy resolver.RemedyMode, zbitUniverse bool) (*measured, error) {
+// measureCost crawls the top domains of pop under a remedy mode on a fresh
+// universe (fresh server remedy config and clock) and returns the cost and
+// leakage of the first n domains for each n in sizes.
+func measureCost(pop *dataset.Population, seed int64, sizes []int, remedy resolver.RemedyMode) ([]measured, error) {
 	u, err := buildUniverse(pop, seed, func(o *universe.Options) {
 		o.TXTRemedy = remedy == resolver.RemedyTXT
-		o.ZBitRemedy = remedy == resolver.RemedyZBit || zbitUniverse
+		o.ZBitRemedy = remedy == resolver.RemedyZBit
 	})
 	if err != nil {
 		return nil, err
 	}
 	startQ, startB := u.Net.Stats()
-	rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true, remedy: remedy}, pop.Top(n))
+	out := make([]measured, len(sizes))
+	err = crawl(u, auditSetup{withRootAnchor: true, withLookaside: true, remedy: remedy}, pop, sizes, func(i int, rep core.Report) {
+		q, b := u.Net.Stats()
+		out[i] = measured{
+			cost:   RunCost{ResponseTime: rep.Elapsed, Bytes: b - startB, Queries: q - startQ},
+			leaked: rep.Capture.Case2Domains,
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	endQ, endB := u.Net.Stats()
-	return &measured{
-		cost: RunCost{
-			ResponseTime: rep.Elapsed,
-			Bytes:        endB - startB,
-			Queries:      endQ - startQ,
-		},
-		leaked: rep.Capture.Case2Domains,
-	}, nil
+	return out, nil
 }
 
 // String renders Table 5 in the paper's layout.
@@ -187,21 +182,21 @@ func Fig11(p Params) (*Fig11Result, error) {
 		return nil, err
 	}
 	res := &Fig11Result{Domains: n}
-	base, err := measureCost(pop, p.Seed, n, resolver.RemedyNone, false)
+	base, err := measureCost(pop, p.Seed, []int{n}, resolver.RemedyNone)
 	if err != nil {
 		return nil, err
 	}
-	res.DLV, res.DLVLeaked = base.cost, base.leaked
-	txt, err := measureCost(pop, p.Seed, n, resolver.RemedyTXT, false)
+	res.DLV, res.DLVLeaked = base[0].cost, base[0].leaked
+	txt, err := measureCost(pop, p.Seed, []int{n}, resolver.RemedyTXT)
 	if err != nil {
 		return nil, err
 	}
-	res.TXT, res.TXTLeaked = txt.cost, txt.leaked
-	zb, err := measureCost(pop, p.Seed, n, resolver.RemedyZBit, false)
+	res.TXT, res.TXTLeaked = txt[0].cost, txt[0].leaked
+	zb, err := measureCost(pop, p.Seed, []int{n}, resolver.RemedyZBit)
 	if err != nil {
 		return nil, err
 	}
-	res.ZBit, res.ZBitLeaked = zb.cost, zb.leaked
+	res.ZBit, res.ZBitLeaked = zb[0].cost, zb[0].leaked
 	return res, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/dnsprivacy/lookaside/internal/core"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dns"
 	"github.com/dnsprivacy/lookaside/internal/metrics"
@@ -203,19 +204,16 @@ type Table4Result struct {
 	Rows []Table4Row
 }
 
+// table45Sizes are the workload sizes of Tables 4 and 5.
+var table45Sizes = []int{100, 1000, 10_000, 100_000}
+
 // table4Types are the columns the paper tabulates.
 var table4Types = []dns.Type{dns.TypeA, dns.TypeAAAA, dns.TypeDNSKEY, dns.TypeDS, dns.TypeNS, dns.TypePTR}
 
 // Table4 runs experiment E8: count the resolver's outbound queries by type
-// for growing workloads.
+// for growing workloads, read off one crawl.
 func Table4(p Params) (*Table4Result, error) {
-	var sizes []int
-	for _, s := range []int{100, 1000, 10_000, 100_000} {
-		n := p.scaled(s, 50)
-		if len(sizes) == 0 || n > sizes[len(sizes)-1] {
-			sizes = append(sizes, n)
-		}
-	}
+	sizes := p.sizeLadder(table45Sizes...)
 	pop, err := buildPopulation(sizes[len(sizes)-1], p.Seed)
 	if err != nil {
 		return nil, err
@@ -224,24 +222,16 @@ func Table4(p Params) (*Table4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sizes share the universe but audit on private shards: run them
-	// concurrently.
 	res := &Table4Result{Rows: make([]Table4Row, len(sizes))}
-	err = par.Each(len(sizes), p.workers(), func(i int) error {
-		n := sizes[i]
-		rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop.Top(n))
-		if err != nil {
-			return err
-		}
-		row := Table4Row{Domains: n, Counts: make(map[dns.Type]int), DLV: rep.Capture.DLVQueries}
+	err = crawl(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop, sizes, func(i int, rep core.Report) {
+		row := Table4Row{Domains: sizes[i], Counts: make(map[dns.Type]int), DLV: rep.Capture.DLVQueries}
 		for _, t := range table4Types {
 			row.Counts[t] = rep.Capture.QueriesByType[t]
 		}
 		res.Rows[i] = row
-		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("table4: %w", err)
 	}
 	return res, nil
 }

@@ -59,8 +59,6 @@ type Config struct {
 	PerMinute []int
 	// Names maps a population index to the domain to query.
 	Names func(int) dns.Name
-	// QType is the query type (default A).
-	QType dns.Type
 	// DNSSECOK sets the EDNS DO bit on every query.
 	DNSSECOK bool
 
@@ -144,9 +142,6 @@ func New(cfg Config) (*Runner, error) {
 	}
 	if cfg.Names == nil {
 		return nil, errors.New("loadgen: nil name table")
-	}
-	if cfg.QType == 0 {
-		cfg.QType = dns.TypeA
 	}
 	if cfg.Compress <= 0 {
 		cfg.Compress = 1
@@ -327,7 +322,7 @@ func (w *worker) close() {
 func (w *worker) doQuery(d dispatch) {
 	name := w.cfg.Names(int(d.ev.Name))
 	w.idSeq++
-	q := dns.NewQuery(w.idSeq, name, w.cfg.QType, w.cfg.DNSSECOK)
+	q := dns.NewQuery(w.idSeq, name, dns.TypeA, w.cfg.DNSSECOK)
 	wire, err := q.Encode()
 	if err != nil {
 		// Population names always encode; treat failure as a timeout so it

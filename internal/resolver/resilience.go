@@ -21,12 +21,6 @@ type Resilience struct {
 	// (across all of a zone's servers and retries; default 3).
 	MaxAttempts int
 
-	// BackoffBase and BackoffMax shape the exponential backoff before each
-	// retry: attempt k waits min(BackoffBase<<(k-1), BackoffMax) plus a
-	// deterministic jitter of up to half that (defaults 200ms and 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
 	// QueryDeadline bounds one top-level Resolve in simulated time: once
 	// exceeded, further attempts fail with faults.ErrDeadlineExceeded and
 	// the query servfails. Zero selects the 15s default; negative disables
@@ -47,16 +41,17 @@ type Resilience struct {
 	Breaker *faults.BreakerConfig
 }
 
+// Retry backoff: attempt k waits min(backoffBase<<(k-1), backoffMax) plus a
+// deterministic jitter of up to half that.
+const (
+	backoffBase = 200 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
 // withDefaults fills zero fields.
 func (re Resilience) withDefaults() Resilience {
 	if re.MaxAttempts <= 0 {
 		re.MaxAttempts = 3
-	}
-	if re.BackoffBase <= 0 {
-		re.BackoffBase = 200 * time.Millisecond
-	}
-	if re.BackoffMax <= 0 {
-		re.BackoffMax = 2 * time.Second
 	}
 	if re.QueryDeadline == 0 {
 		re.QueryDeadline = 15 * time.Second
@@ -108,9 +103,9 @@ func (r *Resolver) checkDeadline(qname dns.Name, qtype dns.Type) error {
 // (query name, attempt) so identical runs replay identical timelines while
 // distinct queries still decorrelate.
 func (r *Resolver) backoffFor(qname dns.Name, attempt int) time.Duration {
-	d := r.resil.BackoffBase << (attempt - 1)
-	if d <= 0 || d > r.resil.BackoffMax {
-		d = r.resil.BackoffMax
+	d := backoffBase << (attempt - 1)
+	if d <= 0 || d > backoffMax {
+		d = backoffMax
 	}
 	if half := uint64(d / 2); half > 0 {
 		h := hashString(string(qname)) ^ uint64(attempt)*0x9E3779B97F4A7C15

@@ -33,64 +33,37 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
 
-// Config parameterizes one soak run. The zero value of any field selects
-// its default; Seed 0 is a valid (and distinct) seed.
+// The soak's fixed shape: a tight admission controller (both shed layers
+// fire) under a closed-loop window well past its in-flight cap.
+const (
+	// soakPopSize is the served population.
+	soakPopSize = 1500
+	// soakQueries is the total load: enough wall time for the scraper to
+	// poll the surface dozens of times mid-storm.
+	soakQueries = 50_000
+	// soakWindow is the closed-loop in-flight window; it deliberately
+	// exceeds soakMaxInFlight so the admission window is contested.
+	soakWindow = 128
+	// soakMaxInFlight and soakQueueTarget configure the admission
+	// controller.
+	soakMaxInFlight = 16
+	soakQueueTarget = 3 * time.Millisecond
+	// soakScrapeEvery is the over-the-wire stats poll period.
+	soakScrapeEvery = 40 * time.Millisecond
+	// soakRecoverDeadline bounds how long health may take to return to
+	// Healthy after the storm (the shed-rate window ages out in about two
+	// seconds).
+	soakRecoverDeadline = 5 * time.Second
+	// soakDrainDeadline bounds listener shutdown.
+	soakDrainDeadline = 5 * time.Second
+)
+
+// Config parameterizes one soak run; Seed 0 is a valid (and distinct) seed.
 type Config struct {
 	// Seed derives the fault plan, the population, and the load schedule.
 	Seed int64
-	// PopSize is the served population (0: 1500).
-	PopSize int
-	// Queries is the total load (0: 50000 — enough wall time for the
-	// scraper to poll the surface dozens of times mid-storm).
-	Queries int
-	// Window is the closed-loop in-flight window; it deliberately exceeds
-	// MaxInFlight so the admission window is actually contested (0: 128).
-	Window int
-	// MaxInFlight and QueueTarget configure the admission controller
-	// (0: 16 and 3ms — tight, so the soak exercises both shed layers).
-	MaxInFlight int
-	QueueTarget time.Duration
-	// ScrapeEvery is the over-the-wire stats poll period (0: 40ms).
-	ScrapeEvery time.Duration
-	// RecoverDeadline bounds how long health may take to return to
-	// Healthy after the storm (0: 5s — the shed-rate window ages out in
-	// about two seconds).
-	RecoverDeadline time.Duration
-	// DrainDeadline bounds listener shutdown (0: 5s).
-	DrainDeadline time.Duration
 	// Log receives progress lines; nil discards them.
 	Log func(format string, args ...any)
-}
-
-func (c Config) withDefaults() Config {
-	if c.PopSize <= 0 {
-		c.PopSize = 1500
-	}
-	if c.Queries <= 0 {
-		c.Queries = 50_000
-	}
-	if c.Window <= 0 {
-		c.Window = 128
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 16
-	}
-	if c.QueueTarget <= 0 {
-		c.QueueTarget = 3 * time.Millisecond
-	}
-	if c.ScrapeEvery <= 0 {
-		c.ScrapeEvery = 40 * time.Millisecond
-	}
-	if c.RecoverDeadline <= 0 {
-		c.RecoverDeadline = 5 * time.Second
-	}
-	if c.DrainDeadline <= 0 {
-		c.DrainDeadline = 5 * time.Second
-	}
-	if c.Log == nil {
-		c.Log = func(string, ...any) {}
-	}
-	return c
 }
 
 // PlanForSeed derives the registry-link fault plan from the seed alone:
@@ -167,11 +140,13 @@ func monotone(s serve.Snapshot) map[string]uint64 {
 // config); invariant breaches are returned in the Result for the caller
 // to assert on, so a test failure shows the full scorecard.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Log == nil {
+		cfg.Log = func(string, ...any) {}
+	}
 	plan := PlanForSeed(cfg.Seed)
 	res := &Result{Plan: plan}
 
-	pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: cfg.PopSize, Seed: cfg.Seed})
+	pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: soakPopSize, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -180,9 +155,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	gate := overload.New(overload.Config{
-		MaxInFlight: cfg.MaxInFlight,
+		MaxInFlight: soakMaxInFlight,
 		Exec:        2,
-		QueueTarget: cfg.QueueTarget,
+		QueueTarget: soakQueueTarget,
 	})
 	svc, err := serve.Build(u, u.ResolverConfig(true, true), serve.Options{
 		Workers: 2, SharedInfra: true, Plan: &plan, Overload: gate, Log: cfg.Log,
@@ -219,7 +194,7 @@ func Run(cfg Config) (*Result, error) {
 		defer scrapeWG.Done()
 		client := &udptransport.Client{Timeout: 500 * time.Millisecond}
 		var last map[string]uint64
-		t := time.NewTicker(cfg.ScrapeEvery)
+		t := time.NewTicker(soakScrapeEvery)
 		defer t.Stop()
 		for {
 			select {
@@ -245,7 +220,7 @@ func Run(cfg Config) (*Result, error) {
 	}()
 
 	// The storm: closed-loop, cache-busting, with an in-flight window well
-	// past MaxInFlight so the admission window and queue deadline are both
+	// past soakMaxInFlight so the admission window and queue deadline are both
 	// contested while the registry link misbehaves underneath.
 	names := make([]dns.Name, len(pop.Domains))
 	for i, d := range pop.Domains {
@@ -255,20 +230,20 @@ func Run(cfg Config) (*Result, error) {
 		Server: addr,
 		Schedule: loadgen.ScheduleConfig{
 			Clients: 64, PopSize: len(names), Seed: cfg.Seed,
-			MaxQueries: int64(cfg.Queries), Uniform: true,
+			MaxQueries: soakQueries, Uniform: true,
 		},
-		PerMinute: []int{cfg.Queries},
+		PerMinute: []int{soakQueries},
 		Names:     func(i int) dns.Name { return names[i] },
 		DNSSECOK:  true,
 		Mode:      loadgen.ModeClosed,
-		Workers:   cfg.Window,
+		Workers:   soakWindow,
 		Timeout:   2 * time.Second,
 		Retries:   1,
 	})
 	if err != nil {
 		return nil, err
 	}
-	cfg.Log("soak: storm of %d queries (window %d, max-inflight %d) against %s", cfg.Queries, cfg.Window, cfg.MaxInFlight, addr)
+	cfg.Log("soak: storm of %d queries (window %d, max-inflight %d) against %s", soakQueries, soakWindow, soakMaxInFlight, addr)
 	rep, err := runner.Run(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("soak load: %w", err)
@@ -279,7 +254,7 @@ func Run(cfg Config) (*Result, error) {
 	close(stopScrape)
 	scrapeWG.Wait()
 	recoverStart := time.Now()
-	deadline := recoverStart.Add(cfg.RecoverDeadline)
+	deadline := recoverStart.Add(soakRecoverDeadline)
 	for gate.HealthState() != overload.Healthy && time.Now().Before(deadline) {
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -287,10 +262,10 @@ func Run(cfg Config) (*Result, error) {
 	res.FinalHealth = gate.HealthState()
 
 	// Drain both listeners inside the deadline — the no-deadlock invariant.
-	if err := udp.Shutdown(cfg.DrainDeadline); err != nil {
+	if err := udp.Shutdown(soakDrainDeadline); err != nil {
 		return nil, fmt.Errorf("udp drain: %w", err)
 	}
-	if err := tcp.Shutdown(cfg.DrainDeadline); err != nil {
+	if err := tcp.Shutdown(soakDrainDeadline); err != nil {
 		return nil, fmt.Errorf("tcp drain: %w", err)
 	}
 

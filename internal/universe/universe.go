@@ -80,9 +80,6 @@ type Options struct {
 	// DNS remedies on every hosting server (§6.2.1).
 	TXTRemedy  bool
 	ZBitRemedy bool
-	// HostPools is the number of shared hosting servers; 0 sizes it from
-	// the population (one pool per ~256 domains, clamped to [4, 2048]).
-	HostPools int
 	// CorruptDS lists domains whose parent-side DS is replaced with a
 	// digest of the wrong key — the bogus-chain failure injection (the
 	// zone-poisoning scenario of §6.2.3's attack analysis).
@@ -174,16 +171,8 @@ func build(opts Options, eager bool) (*Universe, error) {
 	for _, name := range opts.CorruptDS {
 		u.corruptDS[name] = true
 	}
-	u.hostPools = opts.HostPools
-	if u.hostPools == 0 {
-		u.hostPools = len(opts.Population.Domains) / 256
-		if u.hostPools < 4 {
-			u.hostPools = 4
-		}
-		if u.hostPools > 2048 {
-			u.hostPools = 2048
-		}
-	}
+	// One shared hosting server per ~256 domains, clamped to [4, 2048].
+	u.hostPools = min(max(len(opts.Population.Domains)/256, 4), 2048)
 
 	// Index only the extras; population domains resolve through the
 	// population's own name index. The count matches the eager-era merged

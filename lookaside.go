@@ -39,8 +39,8 @@ type SimulationConfig struct {
 	Domains int
 	// Seed makes the simulation reproducible.
 	Seed int64
-	// IncludeSecured adds the paper's 45 DNSSEC-secured test domains
-	// (default true when zero-valued via NewSimulation).
+	// OmitSecured leaves out the paper's 45 DNSSEC-secured test domains,
+	// which NewSimulation otherwise adds beside the population.
 	OmitSecured bool
 	// HashedRegistry runs the privacy-preserving DLV registry (§6.2.2).
 	HashedRegistry bool
