@@ -1,9 +1,10 @@
-// Package authserver turns zone data into a DNS server: it matches queries
-// to the most specific zone it is authoritative for, shapes zone.Result
-// values into wire messages, and implements the authoritative half of the
-// paper's two "DLV-aware DNS" remedies — publishing dlv=0/1 TXT signaling
-// records and setting the reserved Z header bit on responses for domains
-// with deposited DLV records (§6.2.1).
+// Package authserver turns zone data into a DNS server: it routes each
+// query to the zone source that answers it through a function fixed when
+// the server is built (by default, the most specific of the server's
+// zones), shapes zone.Result values into wire messages, and implements the
+// authoritative half of the paper's two "DLV-aware DNS" remedies —
+// publishing dlv=0/1 TXT signaling records and setting the reserved Z
+// header bit on responses for domains with deposited DLV records (§6.2.1).
 package authserver
 
 import (
@@ -11,7 +12,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 
 	"github.com/dnsprivacy/lookaside/internal/dlv"
 	"github.com/dnsprivacy/lookaside/internal/dns"
@@ -41,9 +41,6 @@ type SignalerFunc func(domain dns.Name) bool
 // HasDLV implements Signaler.
 func (f SignalerFunc) HasDLV(domain dns.Name) bool { return f(domain) }
 
-// ErrNoZone is returned when the server is not authoritative for a query.
-var ErrNoZone = errors.New("authserver: not authoritative for name")
-
 // Config configures an authoritative server.
 type Config struct {
 	// Name labels the server in captures, e.g. "a.gtld-servers.net".
@@ -62,61 +59,50 @@ type Config struct {
 	PacketCacheCap int
 }
 
-// Server is an authoritative DNS server over one or more zone sources.
+// Route maps a query name to the source that answers it. A nil Source
+// with a nil error means the server is not authoritative for the name and
+// refuses it; an error fails the exchange.
+type Route func(qname dns.Name) (Source, error)
+
+// Server is an authoritative DNS server. Its routing is fixed when it is
+// built, so queries read it without a lock.
 type Server struct {
-	mu      sync.RWMutex
-	name    string
-	sources []Source // sorted by decreasing apex label count
-	cfg     Config
-	// cache is the wire-response packet cache. Set once at construction
-	// (the PacketCache has its own lock).
+	cfg   Config
+	route Route
+	// cache is the wire-response packet cache (it has its own lock).
 	cache *PacketCache
 }
 
 // Compile-time check: Server plugs into the simulated network.
 var _ simnet.Handler = (*Server)(nil)
 
-// New creates a server; sources may be added later with AddSource.
+// New creates a server over a fixed set of zone sources; each query goes
+// to the most specific source whose apex contains it.
 func New(cfg Config, sources ...Source) (*Server, error) {
+	srcs := append([]Source(nil), sources...)
+	sort.SliceStable(srcs, func(i, j int) bool {
+		return srcs[i].Apex().LabelCount() > srcs[j].Apex().LabelCount()
+	})
+	return NewRouted(cfg, func(qname dns.Name) (Source, error) {
+		for _, src := range srcs {
+			if qname.IsSubdomainOf(src.Apex()) {
+				return src, nil
+			}
+		}
+		return nil, nil
+	})
+}
+
+// NewRouted creates a server whose sources are chosen by route.
+func NewRouted(cfg Config, route Route) (*Server, error) {
 	if (cfg.TXTRemedy || cfg.ZBitRemedy) && cfg.Signaler == nil {
 		return nil, errors.New("authserver: remedy enabled without signaler")
 	}
-	s := &Server{name: cfg.Name, cfg: cfg, cache: NewPacketCacheCap(cfg.PacketCacheCap)}
-	for _, src := range sources {
-		s.AddSource(src)
-	}
-	return s, nil
+	return &Server{cfg: cfg, route: route, cache: newPacketCache(cfg.PacketCacheCap)}, nil
 }
 
 // Cache exposes the server's packet cache, for stats.
 func (s *Server) Cache() *PacketCache { return s.cache }
-
-// Name returns the server's capture label.
-func (s *Server) Name() string { return s.name }
-
-// AddSource registers an additional zone source and invalidates the packet
-// cache (source routing may have changed).
-func (s *Server) AddSource(src Source) {
-	s.mu.Lock()
-	s.sources = append(s.sources, src)
-	sort.SliceStable(s.sources, func(i, j int) bool {
-		return s.sources[i].Apex().LabelCount() > s.sources[j].Apex().LabelCount()
-	})
-	s.mu.Unlock()
-	s.cache.Invalidate()
-}
-
-// findSource returns the most specific source authoritative for qname.
-func (s *Server) findSource(qname dns.Name) (Source, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, src := range s.sources {
-		if qname.IsSubdomainOf(src.Apex()) {
-			return src, true
-		}
-	}
-	return nil, false
-}
 
 // HandleQuery implements simnet.Handler.
 func (s *Server) HandleQuery(q *dns.Message, _ netip.Addr) (*dns.Message, error) {
@@ -135,11 +121,14 @@ func (s *Server) respond(q *dns.Message, dst []byte, wantWire bool) (*dns.Messag
 	if len(q.Question) == 0 {
 		return finishError(q, dns.RCodeFormErr, dst, wantWire)
 	}
-	src, ok := s.findSource(q.Question[0].Name)
-	if !ok {
+	src, err := s.route(q.Question[0].Name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if src == nil {
 		return finishError(q, dns.RCodeRefused, dst, wantWire)
 	}
-	return s.cache.Respond(src, s.cfg, q, dst, wantWire)
+	return s.cache.respond(src, s.cfg, q, dst, wantWire)
 }
 
 // finishError builds (and, when asked, encodes) an error-rcode response.
@@ -161,11 +150,9 @@ type Transferable interface {
 	TransferRecords() ([]dns.RR, error)
 }
 
-// Respond shapes one authoritative response for a query against a single
-// zone source, applying the configured remedies. It is shared by Server and
-// by scale-oriented handlers (the universe's hosting servers) that do their
-// own source routing.
-func Respond(src Source, cfg Config, q *dns.Message) (*dns.Message, error) {
+// shapeResponse builds one authoritative response for a query against a
+// single zone source, applying the configured remedies.
+func shapeResponse(src Source, cfg Config, q *dns.Message) (*dns.Message, error) {
 	resp := dns.NewResponse(q)
 	if len(q.Question) == 0 {
 		resp.Header.RCode = dns.RCodeFormErr

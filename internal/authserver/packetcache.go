@@ -79,19 +79,18 @@ type PacketCache struct {
 	seen  [seenBits / 64]uint64
 }
 
-// NewPacketCacheCap creates an empty cache bounded at n entries (default
+// newPacketCache creates an empty cache bounded at n entries (default
 // capacity when n <= 0). The cap bounds what repeating keys may retain; a
 // key asked once is not retained at any cap.
-func NewPacketCacheCap(n int) *PacketCache {
+func newPacketCache(n int) *PacketCache {
 	if n <= 0 {
 		n = packetCacheCap
 	}
 	return &PacketCache{entries: make(map[packetKey]*packetEntry), cap: n}
 }
 
-// Invalidate drops every entry and forgets every first ask; AddSource calls
-// it because source routing (which source answers which name) may have
-// changed.
+// Invalidate drops every entry and forgets every first ask, so the next
+// asks of every key are answered as first touches again.
 func (c *PacketCache) Invalidate() {
 	c.mu.Lock()
 	c.resetLocked()
@@ -191,7 +190,7 @@ func sourceGeneration(src Source) uint64 {
 // respondUncached builds the response and retains nothing: it is encoded
 // straight into dst when wantWire is set and not at all otherwise.
 func respondUncached(src Source, cfg Config, q *dns.Message, dst []byte, wantWire bool) (*dns.Message, []byte, error) {
-	resp, err := Respond(src, cfg, q)
+	resp, err := shapeResponse(src, cfg, q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -203,7 +202,7 @@ func respondUncached(src Source, cfg Config, q *dns.Message, dst []byte, wantWir
 	return resp, dst, nil
 }
 
-// Respond answers q for src under cfg through the cache. The returned
+// respond answers q for src under cfg through the cache. The returned
 // message owns its header but shares section slices with the cache entry:
 // callers may read it freely and must treat the record sections as
 // immutable — the same contract the wire fast path already imposes on
@@ -212,7 +211,7 @@ func respondUncached(src Source, cfg Config, q *dns.Message, dst []byte, wantWir
 // is a copy-and-patch, not an encode. A miss that is not admitted encodes
 // straight into dst, or not at all without wantWire; the response is the
 // same bytes either way.
-func (c *PacketCache) Respond(src Source, cfg Config, q *dns.Message, dst []byte, wantWire bool) (*dns.Message, []byte, error) {
+func (c *PacketCache) respond(src Source, cfg Config, q *dns.Message, dst []byte, wantWire bool) (*dns.Message, []byte, error) {
 	if !cacheableQuery(q) {
 		return respondUncached(src, cfg, q, dst, wantWire)
 	}
@@ -246,7 +245,7 @@ func (c *PacketCache) Respond(src Source, cfg Config, q *dns.Message, dst []byte
 		// First ask: nothing is retained, so the caller owns resp outright.
 		return respondUncached(src, cfg, q, dst, wantWire)
 	}
-	resp, err := Respond(src, cfg, q)
+	resp, err := shapeResponse(src, cfg, q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -264,7 +263,7 @@ func (c *PacketCache) Respond(src Source, cfg Config, q *dns.Message, dst []byte
 		dst = append(dst, wire...)
 	}
 	// Same shallow-copy shape as the hit path, so the miss caller owns the
-	// header too (the ID already mirrors q; Respond copies it).
+	// header too (the ID already mirrors q; shapeResponse copies it).
 	cp := *resp
 	return &cp, dst, nil
 }

@@ -232,19 +232,6 @@ func TestPacketCacheFalseAdmissionShare(t *testing.T) {
 	t.Logf("false admissions: %d of %d (%.2f %%)", got, n, 100*float64(got)/n)
 }
 
-func TestPacketCacheAddSourceInvalidates(t *testing.T) {
-	srv, err := New(Config{Name: "ns"}, testZone(t, "example.com", false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queryWire(t, srv, 1, "www.example.com", dns.TypeA)
-	srv.AddSource(testZone(t, "other.net", false))
-	queryWire(t, srv, 2, "www.example.com", dns.TypeA)
-	if hits, misses := srv.Cache().Stats(); hits != 0 || misses != 2 {
-		t.Fatalf("stats = (%d hits, %d misses), want (0, 2) after AddSource", hits, misses)
-	}
-}
-
 func TestPacketCacheRemedyKeying(t *testing.T) {
 	// A flipping Signaler models a DLV deposit landing between queries: the
 	// remedy bit is part of the key, so the TXT answer must track it with no

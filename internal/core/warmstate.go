@@ -42,23 +42,17 @@ func LoadWarmState(path string, u *universe.Universe, cfg resolver.Config) (*res
 }
 
 // LoadOrWarm boots warm infrastructure state the safe way: try the snapshot
-// when one is configured, fall back to a live warm-up when it is absent,
-// stale, corrupt, or mismatched — logging why, never silently serving wrong
-// state. A non-nil fault plan disables snapshot loading outright: the
-// snapshot was warmed against a healthy registry, and a fleet booting into
-// an outage must experience the outage, not remember around it.
+// when one is configured, fall back to a live warm-up under plan when it is
+// absent, stale, corrupt, or mismatched — logging why, never silently
+// serving wrong state. A snapshot was warmed against a healthy registry, so
+// serve.Build refuses to pair one with a fault plan.
 func LoadOrWarm(u *universe.Universe, cfg resolver.Config, plan *faults.Plan, path string, logf func(format string, args ...any)) (*resolver.Cache, BootMode, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	if path != "" {
-		if plan != nil {
-			logf("snapshot %s ignored: fault plan active, warming live", path)
-		} else {
-			ic, err := snapshot.Load(path, u, cfg)
-			if err == nil {
-				return ic, BootSnapshot, nil
-			}
+		ic, err := snapshot.Load(path, u, cfg)
+		if err == nil {
+			return ic, BootSnapshot, nil
+		}
+		if logf != nil {
 			logf("snapshot %s refused, warming live: %v", path, err)
 		}
 	}

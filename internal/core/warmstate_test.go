@@ -8,14 +8,14 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dnsprivacy/lookaside/internal/faults"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
 	"github.com/dnsprivacy/lookaside/internal/universe"
 )
 
 // TestLoadOrWarm pins the boot decision table: a good snapshot restores
-// (BootSnapshot), a bad or absent one falls back to a live warm-up with the
-// reason logged, and a fault plan disables snapshot loading outright.
+// (BootSnapshot), and a bad or absent one falls back to a live warm-up with
+// the reason logged. serve's TestSnapshotLoadRefusedUnderFaultPlan pins the
+// refusal of a snapshot under a fault plan.
 func TestLoadOrWarm(t *testing.T) {
 	u, _ := buildUniverse(t, 6)
 	cfg := auditorConfig(u).Resolver
@@ -64,26 +64,6 @@ func TestLoadOrWarm(t *testing.T) {
 	}
 	if len(logs) != 1 || !strings.Contains(logs[0], "refused") {
 		t.Errorf("corrupt snapshot logs = %q, want a refusal reason", logs)
-	}
-
-	// Fault plan: the snapshot is ignored even though it is valid — a fleet
-	// booting into an outage must warm through it.
-	plan := &faults.Plan{Seed: 1, Outages: []faults.Window{{Start: 0, End: 1 << 62}}}
-	logs = nil
-	got, mode, err = LoadOrWarm(u, cfg, plan, path, logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mode != BootLiveWarm {
-		t.Errorf("fault plan: mode=%v, want live warm", mode)
-	}
-	if len(logs) != 1 || !strings.Contains(logs[0], "fault plan") {
-		t.Errorf("fault plan logs = %q, want the ignore reason", logs)
-	}
-	planned := got.Sizes()
-	if planned.Delegations >= warmed.Delegations || planned.ZoneOutcomes >= warmed.ZoneOutcomes {
-		t.Errorf("outage warm matched healthy warm (%d/%d delegations, %d/%d zones) — snapshot state leaked through the plan",
-			planned.Delegations, warmed.Delegations, planned.ZoneOutcomes, warmed.ZoneOutcomes)
 	}
 
 	// No path, nil logf: plain live warm-up.

@@ -85,23 +85,12 @@ func buildUniverse(pop *dataset.Population, seed int64, mutate func(*universe.Op
 	return universe.Build(opts)
 }
 
-// auditSetup configures one audit run.
-type auditSetup struct {
-	withRootAnchor bool
-	withLookaside  bool
-	remedy         resolver.RemedyMode
-	policy         resolver.LookasidePolicy
-	disableAggro   bool
-	validation     *bool // override ValidationEnabled (nil: on)
-	dlvAnchor      *bool // override DLV anchor presence (nil: present)
-}
-
-// runAudit runs the workload through a fresh resolver per the setup and
-// reports. The audit lives on its own network shard — private clock, taps,
-// and resolver — so concurrent runAudit calls on a shared universe do not
-// interfere, and nothing accumulates on the root shard between calls.
-func runAudit(u *universe.Universe, setup auditSetup, workload []dataset.Domain) (core.Report, error) {
-	auditor, err := newAuditor(u, setup)
+// runAudit runs the workload through a fresh resolver configured by cfg
+// and reports. The audit lives on its own network shard — private clock,
+// taps, and resolver — so concurrent runAudit calls on a shared universe do
+// not interfere, and nothing accumulates on the root shard between calls.
+func runAudit(u *universe.Universe, cfg resolver.Config, workload []dataset.Domain) (core.Report, error) {
+	auditor, err := newAuditor(u, cfg)
 	if err != nil {
 		return core.Report{}, err
 	}
@@ -112,12 +101,12 @@ func runAudit(u *universe.Universe, setup auditSetup, workload []dataset.Domain)
 }
 
 // crawl is the paper's method for a size ladder: one fresh resolver,
-// configured per the setup, walks the top domains of pop in order, and at
-// each of the ascending sizes the report so far is handed to at. A fresh
-// resolver's state after N queries depends only on the first N, so each
-// report is what a separate audit of the top N reports.
-func crawl(u *universe.Universe, setup auditSetup, pop *dataset.Population, sizes []int, at func(i int, rep core.Report)) error {
-	auditor, err := newAuditor(u, setup)
+// configured by cfg, walks the top domains of pop in order, and at each of
+// the ascending sizes the report so far is handed to at. A fresh resolver's
+// state after N queries depends only on the first N, so each report is
+// what a separate audit of the top N reports.
+func crawl(u *universe.Universe, cfg resolver.Config, pop *dataset.Population, sizes []int, at func(i int, rep core.Report)) error {
+	auditor, err := newAuditor(u, cfg)
 	if err != nil {
 		return err
 	}
@@ -133,25 +122,9 @@ func crawl(u *universe.Universe, setup auditSetup, pop *dataset.Population, size
 	return nil
 }
 
-// newAuditor attaches an auditor with a fresh resolver, configured per the
-// setup, to a shard of its own.
-func newAuditor(u *universe.Universe, setup auditSetup) (*core.Auditor, error) {
-	cfg := u.ResolverConfig(setup.withRootAnchor, setup.withLookaside)
-	if setup.remedy != 0 && cfg.Lookaside != nil {
-		cfg.Lookaside.Remedy = setup.remedy
-	}
-	if setup.policy != 0 && cfg.Lookaside != nil {
-		cfg.Lookaside.Policy = setup.policy
-	}
-	if setup.disableAggro && cfg.Lookaside != nil {
-		cfg.Lookaside.DisableAggressiveNegCache = true
-	}
-	if setup.validation != nil {
-		cfg.ValidationEnabled = *setup.validation
-	}
-	if setup.dlvAnchor != nil && !*setup.dlvAnchor && cfg.Lookaside != nil {
-		cfg.Lookaside.Anchor = nil
-	}
+// newAuditor attaches an auditor with a fresh resolver, configured by cfg,
+// to a shard of its own.
+func newAuditor(u *universe.Universe, cfg resolver.Config) (*core.Auditor, error) {
 	auditor, err := core.NewShardAuditor(u, core.Options{Resolver: cfg})
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)

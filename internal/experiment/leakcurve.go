@@ -51,7 +51,7 @@ func LeakCurve(p Params) (*LeakCurveResult, error) {
 		return nil, err
 	}
 	res := &LeakCurveResult{Points: make([]LeakPoint, len(sizes))}
-	err = crawl(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop, sizes, func(i int, rep core.Report) {
+	err = crawl(u, u.ResolverConfig(true, true), pop, sizes, func(i int, rep core.Report) {
 		res.Points[i] = leakPoint(sizes[i], rep)
 	})
 	if err != nil {
@@ -151,7 +151,7 @@ func OrderMatters(p Params, trials int) (*OrderMattersResult, error) {
 	res := &OrderMattersResult{N: n, Trials: make([]OrderTrial, trials)}
 	err = par.Each(trials, p.workers(), func(trial int) error {
 		workload := pop.Shuffled(n, p.Seed+int64(trial)*7919)
-		rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true}, workload)
+		rep, err := runAudit(u, u.ResolverConfig(true, true), workload)
 		if err != nil {
 			return err
 		}
@@ -216,7 +216,7 @@ func RegistrySize(p Params) (*RegistrySizeResult, error) {
 		if err != nil {
 			return err
 		}
-		rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop.Top(n))
+		rep, err := runAudit(u, u.ResolverConfig(true, true), pop.Top(n))
 		if err != nil {
 			return err
 		}

@@ -22,11 +22,12 @@ type sizeAudit struct {
 }
 
 // auditPerSize is the reference the crawls are checked against: for each n
-// in sizes, a separate audit of the top n by a fresh resolver on a shard of
-// its own, on the universe uFor returns, the sizes run concurrently. The
-// traffic counts are exact only where uFor builds each size a universe of
-// its own; a shared universe's counters mix the concurrent audits.
-func auditPerSize(p Params, pop *dataset.Population, sizes []int, setup auditSetup, uFor func() (*universe.Universe, error)) ([]sizeAudit, error) {
+// in sizes, a separate audit of the top n by a fresh resolver, configured by
+// cfgFor, on a shard of its own, on the universe uFor returns, the sizes
+// run concurrently. The traffic counts are exact only where uFor builds
+// each size a universe of its own; a shared universe's counters mix the
+// concurrent audits.
+func auditPerSize(p Params, pop *dataset.Population, sizes []int, cfgFor func(*universe.Universe) resolver.Config, uFor func() (*universe.Universe, error)) ([]sizeAudit, error) {
 	out := make([]sizeAudit, len(sizes))
 	err := par.Each(len(sizes), p.workers(), func(i int) error {
 		n := sizes[i]
@@ -35,7 +36,7 @@ func auditPerSize(p Params, pop *dataset.Population, sizes []int, setup auditSet
 			return err
 		}
 		startQ, startB := u.Net.Stats()
-		rep, err := runAudit(u, setup, pop.Top(n))
+		rep, err := runAudit(u, cfgFor(u), pop.Top(n))
 		if err != nil {
 			return fmt.Errorf("audit at n=%d: %w", n, err)
 		}
@@ -59,7 +60,8 @@ func sharedUniverse(t *testing.T, pop *dataset.Population, seed int64) func() (*
 	return func() (*universe.Universe, error) { return u, nil }
 }
 
-var crawlSetup = auditSetup{withRootAnchor: true, withLookaside: true}
+// crawlConfig is the resolver configuration of the crawling drivers.
+func crawlConfig(u *universe.Universe) resolver.Config { return u.ResolverConfig(true, true) }
 
 // forCrawlSeeds calls check at seeds 1-3 with the ladder's sizes and the
 // population that covers them.
@@ -85,7 +87,7 @@ func TestLeakCurveCrawlMatchesPerSizeAudits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		audits, err := auditPerSize(p, pop, sizes, crawlSetup, sharedUniverse(t, pop, p.Seed))
+		audits, err := auditPerSize(p, pop, sizes, crawlConfig, sharedUniverse(t, pop, p.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +110,7 @@ func TestTable4CrawlMatchesPerSizeAudits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		audits, err := auditPerSize(p, pop, sizes, crawlSetup, sharedUniverse(t, pop, p.Seed))
+		audits, err := auditPerSize(p, pop, sizes, crawlConfig, sharedUniverse(t, pop, p.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +139,14 @@ func TestTable5CrawlMatchesPerSizeAudits(t *testing.T) {
 			t.Fatal(err)
 		}
 		perSize := func(txt bool) []measured {
-			setup := crawlSetup
-			if txt {
-				setup.remedy = resolver.RemedyTXT
+			cfgFor := func(u *universe.Universe) resolver.Config {
+				cfg := crawlConfig(u)
+				if txt {
+					cfg.Lookaside.Remedy = resolver.RemedyTXT
+				}
+				return cfg
 			}
-			audits, err := auditPerSize(p, pop, sizes, setup, func() (*universe.Universe, error) {
+			audits, err := auditPerSize(p, pop, sizes, cfgFor, func() (*universe.Universe, error) {
 				return buildUniverse(pop, p.Seed, func(o *universe.Options) { o.TXTRemedy = txt })
 			})
 			if err != nil {

@@ -37,7 +37,7 @@ func Utility(p Params) (*UtilityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop.Top(n))
+	rep, err := runAudit(u, u.ResolverConfig(true, true), pop.Top(n))
 	if err != nil {
 		return nil, err
 	}
@@ -224,12 +224,10 @@ func NSEC3Ablation(p Params) (*NSEC3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		setup := auditSetup{withRootAnchor: true, withLookaside: true}
-		if mode.nsec3 {
-			// RFC 5074 §5 allows aggressive caching only for NSEC.
-			setup.disableAggro = true
-		}
-		rep, err := runAudit(u, setup, pop.Top(n))
+		cfg := u.ResolverConfig(true, true)
+		// RFC 5074 §5 allows aggressive caching only for NSEC.
+		cfg.Lookaside.DisableAggressiveNegCache = mode.nsec3
+		rep, err := runAudit(u, cfg, pop.Top(n))
 		if err != nil {
 			return nil, err
 		}

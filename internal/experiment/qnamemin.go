@@ -146,7 +146,7 @@ func PhaseOut(p Params) (*PhaseOutResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := runAudit(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop.Top(n))
+		rep, err := runAudit(u, u.ResolverConfig(true, true), pop.Top(n))
 		if err != nil {
 			return nil, err
 		}
@@ -195,20 +195,20 @@ func PolicyAblation(p Params) (*PolicyResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	u, err := buildUniverse(pop, p.Seed, nil)
+	if err != nil {
+		return nil, err
+	}
 	res := &PolicyResult{Domains: n}
 	for _, mode := range []struct {
 		name   string
 		strict bool
 	}{{"lax", false}, {"strict", true}} {
-		u, err := buildUniverse(pop, p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		setup := auditSetup{withRootAnchor: true, withLookaside: true}
+		cfg := u.ResolverConfig(true, true)
 		if mode.strict {
-			setup.policy = resolver.PolicySignedOnly
+			cfg.Lookaside.Policy = resolver.PolicySignedOnly
 		}
-		rep, err := runAudit(u, setup, pop.Top(n))
+		rep, err := runAudit(u, cfg, pop.Top(n))
 		if err != nil {
 			return nil, err
 		}

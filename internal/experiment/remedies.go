@@ -95,7 +95,9 @@ func measureCost(pop *dataset.Population, seed int64, sizes []int, remedy resolv
 	}
 	startQ, startB := u.Net.Stats()
 	out := make([]measured, len(sizes))
-	err = crawl(u, auditSetup{withRootAnchor: true, withLookaside: true, remedy: remedy}, pop, sizes, func(i int, rep core.Report) {
+	cfg := u.ResolverConfig(true, true)
+	cfg.Lookaside.Remedy = remedy
+	err = crawl(u, cfg, pop, sizes, func(i int, rep core.Report) {
 		q, b := u.Net.Stats()
 		out[i] = measured{
 			cost:   RunCost{ResponseTime: rep.Elapsed, Bytes: b - startB, Queries: q - startQ},

@@ -122,25 +122,19 @@ func Table3(p Params) (*Table3Result, error) {
 		return nil, err
 	}
 
-	// A fresh universe per scenario keeps captures independent, which also
-	// makes the scenarios safe to measure concurrently.
+	u, err := buildUniverse(pop, p.Seed, nil)
+	if err != nil {
+		return nil, err
+	}
 	res := &Table3Result{Rows: make([]Table3Row, len(scenarios))}
 	err = par.Each(len(scenarios), p.workers(), func(i int) error {
 		sc := scenarios[i]
-		u, err := buildUniverse(pop, p.Seed, nil)
-		if err != nil {
-			return err
+		cfg := u.ResolverConfig(sc.Config.RootAnchorPresent, sc.Config.LookasideEnabled)
+		cfg.ValidationEnabled = sc.Config.ValidationEnabled
+		if !sc.Config.DLVAnchorPresent && cfg.Lookaside != nil {
+			cfg.Lookaside.Anchor = nil
 		}
-		setup := auditSetup{
-			withRootAnchor: sc.Config.RootAnchorPresent,
-			withLookaside:  sc.Config.LookasideEnabled,
-		}
-		v := sc.Config.ValidationEnabled
-		setup.validation = &v
-		anchored := sc.Config.DLVAnchorPresent
-		setup.dlvAnchor = &anchored
-
-		rep, err := runAudit(u, setup, secure)
+		rep, err := runAudit(u, cfg, secure)
 		if err != nil {
 			return fmt.Errorf("table3 scenario %s: %w", sc.Name, err)
 		}
@@ -223,7 +217,7 @@ func Table4(p Params) (*Table4Result, error) {
 		return nil, err
 	}
 	res := &Table4Result{Rows: make([]Table4Row, len(sizes))}
-	err = crawl(u, auditSetup{withRootAnchor: true, withLookaside: true}, pop, sizes, func(i int, rep core.Report) {
+	err = crawl(u, u.ResolverConfig(true, true), pop, sizes, func(i int, rep core.Report) {
 		row := Table4Row{Domains: sizes[i], Counts: make(map[dns.Type]int), DLV: rep.Capture.DLVQueries}
 		for _, t := range table4Types {
 			row.Counts[t] = rep.Capture.QueriesByType[t]

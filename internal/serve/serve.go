@@ -39,9 +39,9 @@ type Options struct {
 	// SnapshotLoad, when set, boots the shared infrastructure cache from
 	// this warm-state snapshot file instead of a live warm-up. A missing,
 	// corrupt, or mismatched snapshot is refused — the reason goes to Log
-	// and the fleet warms live. Requires SharedInfra, and is itself refused (never silently ignored) when Plan is set: a fleet
-	// booting into a registry outage must experience it, not restore
-	// around it.
+	// and the fleet warms live. Requires SharedInfra. Build refuses it
+	// (never silently ignores it) when Plan is set: a fleet booting into a
+	// registry outage must experience it, not restore around it.
 	SnapshotLoad string
 	// SnapshotSave, when set, writes the warmed (or restored) shared
 	// infrastructure cache to this path once the fleet is ready. Requires

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"github.com/dnsprivacy/lookaside/internal/core"
 	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dns"
+	"github.com/dnsprivacy/lookaside/internal/faults"
 	"github.com/dnsprivacy/lookaside/internal/overload"
 	"github.com/dnsprivacy/lookaside/internal/resolver"
 	"github.com/dnsprivacy/lookaside/internal/simnet"
@@ -80,6 +82,28 @@ func TestServiceResolvesAndCounts(t *testing.T) {
 		if st.InfraHits == 0 {
 			t.Errorf("%+v: shared-infra service recorded no infra-cache hits", tc.opts)
 		}
+	}
+}
+
+// TestSnapshotLoadRefusedUnderFaultPlan pins that Build refuses a snapshot
+// boot under a fault plan, even from a valid snapshot: the snapshot was
+// warmed against a healthy registry, and a fleet booting into an outage
+// must warm through it.
+func TestSnapshotLoadRefusedUnderFaultPlan(t *testing.T) {
+	snapFile := filepath.Join(t.TempDir(), "warm.snap")
+	buildService(t, Options{Workers: 1, SnapshotSave: snapFile})
+	_, u := buildUniverse(t, 300)
+	var logs []string
+	svc, err := Build(u, u.ResolverConfig(true, true), Options{
+		Workers: 1, SharedInfra: true, SnapshotLoad: snapFile,
+		Plan: &faults.Plan{Seed: 1, Outages: []faults.Window{{Start: 0, End: 1 << 62}}},
+		Log:  func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
+	})
+	if err == nil || !strings.Contains(err.Error(), "fault plan") {
+		t.Fatalf("Build = (%v, %v), want the fault-plan refusal", svc, err)
+	}
+	if len(logs) != 0 {
+		t.Errorf("the refusal fell through to the boot path, which logged %q", logs)
 	}
 }
 

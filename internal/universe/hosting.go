@@ -38,24 +38,15 @@ func poolNSName(pool int, tld string) (dns.Name, error) {
 // buildHosting delegates every SLD from its TLD zone to a hosting pool and
 // registers the pool servers.
 func (u *Universe) buildHosting() error {
-	// Register pool servers first. Each pool carries its own packet cache
-	// and a prebuilt remedy config (the registry exists by this point in
-	// the build sequence).
+	// Register pool servers first.
 	for p := 0; p < u.hostPools; p++ {
-		h := &hostingHandler{
-			u:    u,
-			pool: p,
-			cfg: authserver.Config{
-				Name:       fmt.Sprintf("pool%d", p),
-				TXTRemedy:  u.opts.TXTRemedy,
-				ZBitRemedy: u.opts.ZBitRemedy,
-				Signaler:   u.Registry,
-			},
-			cache: authserver.NewPacketCacheCap(u.opts.PacketCacheCap),
+		srv, err := u.newPoolServer(p)
+		if err != nil {
+			return err
 		}
 		lat := hostLatency + time.Duration(hash64(fmt.Sprint("pool", p))%25)*time.Millisecond
 		name := fmt.Sprintf("pool%d.hosting.example", p)
-		if err := u.Net.Register(poolAddr(p), name, simnet.RoleSLD, lat, h); err != nil {
+		if err := u.Net.Register(poolAddr(p), name, simnet.RoleSLD, lat, srv); err != nil {
 			return err
 		}
 	}
@@ -207,55 +198,32 @@ func siteAddr6(name dns.Name) netip.Addr {
 	return netip.AddrFrom16(b)
 }
 
-// hostingHandler serves all SLD zones of one pool, materializing them on
-// demand. It applies the remedy configuration of the universe and caches
-// encoded responses per pool. Cached entries stay valid across the zone
-// cache's evict-and-rebuild cycle because rebuilding a zone replays the
-// same deterministic mutation sequence, yielding the same generation.
-type hostingHandler struct {
-	u     *Universe
-	pool  int
-	cfg   authserver.Config
-	cache *authserver.PacketCache
-}
-
-// HandleQuery implements simnet.Handler.
-func (h *hostingHandler) HandleQuery(q *dns.Message, _ netip.Addr) (*dns.Message, error) {
-	resp, _, err := h.respond(q, nil, false)
-	return resp, err
-}
-
-// HandleQueryWire implements simnet.WireResponder.
-func (h *hostingHandler) HandleQueryWire(q *dns.Message, _ netip.Addr, dst []byte) (*dns.Message, []byte, error) {
-	return h.respond(q, dst, true)
-}
-
-func (h *hostingHandler) respond(q *dns.Message, dst []byte, wantWire bool) (*dns.Message, []byte, error) {
-	if len(q.Question) == 0 {
-		return h.refuse(q, dns.RCodeFormErr, dst, wantWire)
-	}
-	qname := q.Question[0].Name
-	d, ok := h.u.domainOf(qname)
-	if !ok || h.u.pool(d.Name) != h.pool {
-		return h.refuse(q, dns.RCodeRefused, dst, wantWire)
-	}
-	z, err := h.u.sldZone(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h.cache.Respond(z, h.cfg, q, dst, wantWire)
-}
-
-func (h *hostingHandler) refuse(q *dns.Message, rcode dns.RCode, dst []byte, wantWire bool) (*dns.Message, []byte, error) {
-	resp := dns.NewResponse(q)
-	resp.Header.RCode = rcode
-	if wantWire {
-		var err error
-		if dst, err = resp.AppendEncode(dst); err != nil {
-			return nil, nil, err
+// newPoolServer builds the server of one hosting pool: it answers every
+// population SLD the pool hosts, materialized on demand, and refuses the
+// rest. Each pool carries its own packet cache and the universe's remedy
+// config (the registry exists by this point in the build sequence). Cached
+// responses stay valid across the zone cache's evict-and-rebuild cycle
+// because rebuilding a zone replays the same deterministic mutation
+// sequence, yielding the same generation.
+func (u *Universe) newPoolServer(pool int) (*authserver.Server, error) {
+	route := func(qname dns.Name) (authserver.Source, error) {
+		d, ok := u.domainOf(qname)
+		if !ok || u.pool(d.Name) != pool {
+			return nil, nil
 		}
+		z, err := u.sldZone(d)
+		if err != nil {
+			return nil, err
+		}
+		return z, nil
 	}
-	return resp, dst, nil
+	return authserver.NewRouted(authserver.Config{
+		Name:           fmt.Sprintf("pool%d", pool),
+		TXTRemedy:      u.opts.TXTRemedy,
+		ZBitRemedy:     u.opts.ZBitRemedy,
+		Signaler:       u.Registry,
+		PacketCacheCap: u.opts.PacketCacheCap,
+	}, route)
 }
 
 // domainOf maps a query name to the population SLD owning it (the last two
