@@ -30,6 +30,11 @@ const (
 	// values; names come from the intern table. The naive decoder in
 	// naive_decode_test.go, which allocates per label, needs many more.
 	allocBudgetDecodeMessage = 16
+	// allocBudgetAppendRData: one canonical encoding of every fixture
+	// payload into a pre-sized destination. The NSEC and NSEC3 type
+	// bitmaps each sort a copy of their type list; nothing else escapes,
+	// the stack builder included.
+	allocBudgetAppendRData = 2
 )
 
 func measureAllocs(t *testing.T, name string, budget float64, fn func()) {
@@ -77,6 +82,17 @@ func TestAllocationBudgets(t *testing.T) {
 	measureAllocs(t, "DecodeMessage", allocBudgetDecodeMessage, func() {
 		if _, err := DecodeMessage(wire); err != nil {
 			t.Fatal(err)
+		}
+	})
+	payloads := fixturePayloads()
+	rdst := make([]byte, 0, 4096)
+	measureAllocs(t, "AppendRData", allocBudgetAppendRData, func() {
+		out := rdst[:0]
+		for _, d := range payloads {
+			var err error
+			if out, err = AppendRData(out, d); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package dns
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -114,25 +115,25 @@ func FuzzFaultedDecode(f *testing.F) {
 // messages, and — when the result is encodable — byte-identical re-encodings.
 // Run with `go test -fuzz=FuzzDecodeDifferential ./internal/dns`.
 func FuzzDecodeDifferential(f *testing.F) {
-	q := NewQuery(1, MustName("www.example.com"), TypeA, true)
-	qw, err := q.Encode()
-	if err != nil {
-		f.Fatal(err)
+	// Every fixture message: queries, the compressed sample response
+	// (pointer chasing in both paths), a padded query, degenerate headers
+	// and one answer per RDATA type. Then the hostile corpus.
+	fixtures := fixtureMessages()
+	names := make([]string, 0, len(fixtures))
+	for name := range fixtures {
+		names = append(names, name)
 	}
-	f.Add(qw)
-	r := sampleMessage()
-	rw, err := r.Encode() // compressed: exercises pointer chasing in both paths
-	if err != nil {
-		f.Fatal(err)
+	sort.Strings(names)
+	for _, name := range names {
+		wire, err := fixtures[name].Encode()
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		f.Add(wire)
 	}
-	f.Add(rw)
-	p := NewQuery(2, MustName("pad.example"), TypeTXT, true)
-	p.EDNS.Padding = 17
-	pw, err := p.Encode()
-	if err != nil {
-		f.Fatal(err)
+	for _, e := range hostileCorpus() {
+		f.Add(e.wire)
 	}
-	f.Add(pw)
 	// Mixed-case owner: DecodeMessage lowercases while copying, the naive
 	// decoder in MakeName; results must still agree.
 	f.Add([]byte{

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/netip"
 	"sync"
 )
 
@@ -16,17 +15,27 @@ var (
 	ErrBadRData         = errors.New("dns: malformed rdata")
 )
 
-// header flag bit masks within the 16-bit flags word.
-const (
-	flagQR uint16 = 1 << 15
-	flagAA uint16 = 1 << 10
-	flagTC uint16 = 1 << 9
-	flagRD uint16 = 1 << 8
-	flagRA uint16 = 1 << 7
-	flagZ  uint16 = 1 << 6
-	flagAD uint16 = 1 << 5
-	flagCD uint16 = 1 << 4
-)
+// headerFlag is one single-bit header flag and its mask in the 16-bit flags
+// word.
+type headerFlag struct {
+	bit  *bool
+	mask uint16
+}
+
+// flags lists h's single-bit flags (RFC 1035 §4.1.1; AD and CD from RFC
+// 4035 §3.2); the encoder and the decoder both walk it.
+func (h *Header) flags() [8]headerFlag {
+	return [8]headerFlag{
+		{&h.QR, 1 << 15},
+		{&h.AA, 1 << 10},
+		{&h.TC, 1 << 9},
+		{&h.RD, 1 << 8},
+		{&h.RA, 1 << 7},
+		{&h.Z, 1 << 6},
+		{&h.AD, 1 << 5},
+		{&h.CD, 1 << 4},
+	}
+}
 
 // ednsFlagDO is the DO bit inside the OPT TTL field.
 const ednsFlagDO uint32 = 1 << 15
@@ -40,6 +49,8 @@ type builder struct {
 	noCompress bool
 	measure    bool
 	vlen       int
+	// err is the first RDATA field that could not be encoded.
+	err error
 }
 
 // builderPool recycles builders across Encode calls; every simulated
@@ -57,6 +68,7 @@ func newBuilder() *builder {
 	b.noCompress = false
 	b.measure = false
 	b.vlen = 0
+	b.err = nil
 	clear(b.compress)
 	return b
 }
@@ -65,6 +77,13 @@ func newBuilder() *builder {
 // afterwards; Encode copies the bytes out before releasing.
 func (b *builder) release() {
 	builderPool.Put(b)
+}
+
+// fail records the first encoding failure.
+func (b *builder) fail(err error) {
+	if b.err == nil {
+		b.err = err
+	}
 }
 
 // len returns the current output offset in both modes; compression targets
@@ -184,35 +203,13 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 
 // encodeTo writes the full message into b.
 func (m *Message) encodeTo(b *builder) error {
-	var flags uint16
 	h := m.Header
-	if h.QR {
-		flags |= flagQR
+	flags := uint16(h.Opcode&0xF)<<11 | uint16(h.RCode&0xF)
+	for _, f := range h.flags() {
+		if *f.bit {
+			flags |= f.mask
+		}
 	}
-	flags |= uint16(h.Opcode&0xF) << 11
-	if h.AA {
-		flags |= flagAA
-	}
-	if h.TC {
-		flags |= flagTC
-	}
-	if h.RD {
-		flags |= flagRD
-	}
-	if h.RA {
-		flags |= flagRA
-	}
-	if h.Z {
-		flags |= flagZ
-	}
-	if h.AD {
-		flags |= flagAD
-	}
-	if h.CD {
-		flags |= flagCD
-	}
-	flags |= uint16(h.RCode & 0xF)
-
 	arcount := len(m.Additional)
 	if m.EDNS != nil {
 		arcount++
@@ -229,19 +226,11 @@ func (m *Message) encodeTo(b *builder) error {
 		b.putUint16(uint16(q.Type))
 		b.putUint16(uint16(q.Class))
 	}
-	for _, rr := range m.Answer {
-		if err := encodeRR(b, rr); err != nil {
-			return err
-		}
-	}
-	for _, rr := range m.Authority {
-		if err := encodeRR(b, rr); err != nil {
-			return err
-		}
-	}
-	for _, rr := range m.Additional {
-		if err := encodeRR(b, rr); err != nil {
-			return err
+	for _, section := range [...][]RR{m.Answer, m.Authority, m.Additional} {
+		for _, rr := range section {
+			if err := encodeRR(b, rr); err != nil {
+				return err
+			}
 		}
 	}
 	if m.EDNS != nil {
@@ -271,8 +260,9 @@ func encodeRR(b *builder, rr RR) error {
 	b.putUint32(rr.TTL)
 	lenOff := b.len()
 	b.putUint16(0) // RDLENGTH placeholder
-	if err := encodeRData(b, rr.Data); err != nil {
-		return fmt.Errorf("encoding %s: %w", rr.Key(), err)
+	rdata(rdataCodec{b: b}, rr.Data)
+	if b.err != nil {
+		return fmt.Errorf("encoding %s: %w", rr.Key(), b.err)
 	}
 	rdlen := b.len() - lenOff - 2
 	if rdlen > 0xFFFF {
@@ -306,129 +296,9 @@ func encodeOPT(b *builder, e *EDNS) {
 	b.putZeros(e.Padding)
 }
 
-// encodeRData appends the payload in wire format. Name compression inside
-// RDATA is used only for the types RFC 1035 permits (NS, CNAME, SOA, PTR,
-// MX); DNSSEC-era types always embed uncompressed names (RFC 3597 §4).
-func encodeRData(b *builder, d RData) error {
-	switch v := d.(type) {
-	case *AData:
-		if !v.Addr.Is4() {
-			return fmt.Errorf("%w: A record with non-IPv4 address %s", ErrBadRData, v.Addr)
-		}
-		a := v.Addr.As4()
-		b.putBytes(a[:])
-	case *AAAAData:
-		if !v.Addr.Is6() || v.Addr.Is4() {
-			return fmt.Errorf("%w: AAAA record with non-IPv6 address %s", ErrBadRData, v.Addr)
-		}
-		a := v.Addr.As16()
-		b.putBytes(a[:])
-	case *NSData:
-		b.putName(v.Target, true)
-	case *CNAMEData:
-		b.putName(v.Target, true)
-	case *PTRData:
-		b.putName(v.Target, true)
-	case *SOAData:
-		b.putName(v.MName, true)
-		b.putName(v.RName, true)
-		b.putUint32(v.Serial)
-		b.putUint32(v.Refresh)
-		b.putUint32(v.Retry)
-		b.putUint32(v.Expire)
-		b.putUint32(v.MinTTL)
-	case *MXData:
-		b.putUint16(v.Preference)
-		b.putName(v.Exchange, true)
-	case *TXTData:
-		if len(v.Strings) == 0 {
-			b.putUint8(0)
-			return nil
-		}
-		for _, s := range v.Strings {
-			if len(s) > 255 {
-				return fmt.Errorf("%w: TXT string exceeds 255 octets", ErrBadRData)
-			}
-			b.putUint8(uint8(len(s)))
-			b.putString(s)
-		}
-	case *DNSKEYData:
-		b.putUint16(v.Flags)
-		b.putUint8(v.Protocol)
-		b.putUint8(v.Algorithm)
-		b.putBytes(v.PublicKey)
-	case *DSData:
-		b.putUint16(v.KeyTag)
-		b.putUint8(v.Algorithm)
-		b.putUint8(v.DigestType)
-		b.putBytes(v.Digest)
-	case *DLVData:
-		b.putUint16(v.KeyTag)
-		b.putUint8(v.Algorithm)
-		b.putUint8(v.DigestType)
-		b.putBytes(v.Digest)
-	case *RRSIGData:
-		b.putUint16(uint16(v.TypeCovered))
-		b.putUint8(v.Algorithm)
-		b.putUint8(v.Labels)
-		b.putUint32(v.OriginalTTL)
-		b.putUint32(v.Expiration)
-		b.putUint32(v.Inception)
-		b.putUint16(v.KeyTag)
-		b.putName(v.SignerName, false)
-		b.putBytes(v.Signature)
-	case *NSECData:
-		b.putName(v.NextName, false)
-		encodeTypeBitmap(b, v.Types)
-	case *NSEC3Data:
-		b.putUint8(v.HashAlgorithm)
-		b.putUint8(v.Flags)
-		b.putUint16(v.Iterations)
-		if len(v.Salt) > 255 {
-			return fmt.Errorf("%w: NSEC3 salt exceeds 255 octets", ErrBadRData)
-		}
-		b.putUint8(uint8(len(v.Salt)))
-		b.putBytes(v.Salt)
-		if len(v.NextHash) > 255 {
-			return fmt.Errorf("%w: NSEC3 hash exceeds 255 octets", ErrBadRData)
-		}
-		b.putUint8(uint8(len(v.NextHash)))
-		b.putBytes(v.NextHash)
-		encodeTypeBitmap(b, v.Types)
-	case *RawData:
-		b.putBytes(v.Data)
-	default:
-		return fmt.Errorf("%w: unsupported rdata %T", ErrBadRData, d)
-	}
-	return nil
-}
-
-// EncodeRData returns the uncompressed wire form of a payload, suitable as
-// canonical RDATA for DNSSEC signing and digesting (RFC 4034 §6.2 forbids
-// compression in canonical form).
-func EncodeRData(d RData) ([]byte, error) {
-	b := &builder{buf: make([]byte, 0, 64), noCompress: true}
-	if err := encodeRData(b, d); err != nil {
-		return nil, err
-	}
-	return b.buf, nil
-}
-
 // EncodeName returns the uncompressed wire form of a name.
 func EncodeName(n Name) []byte {
-	b := &builder{buf: make([]byte, 0, 32), noCompress: true}
-	b.putName(n, false)
-	return b.buf
-}
-
-// AppendRData appends the canonical wire encoding of an RDATA to dst and
-// returns the extended slice; the allocation-free sibling of EncodeRData.
-func AppendRData(dst []byte, d RData) ([]byte, error) {
-	b := builder{buf: dst, noCompress: true}
-	if err := encodeRData(&b, d); err != nil {
-		return dst, err
-	}
-	return b.buf, nil
+	return AppendName(make([]byte, 0, 32), n)
 }
 
 // AppendName appends the uncompressed wire form of a name to dst.
@@ -438,86 +308,57 @@ func AppendName(dst []byte, n Name) []byte {
 	return b.buf
 }
 
-// encodeTypeBitmap appends the RFC 4034 §4.1.2 window-block type bitmap.
-func encodeTypeBitmap(b *builder, types []Type) {
-	if len(types) == 0 {
-		return
-	}
-	sorted := make([]Type, len(types))
-	copy(sorted, types)
-	SortTypes(sorted)
-
-	var window = -1
-	var bitmap [32]byte
-	var maxOctet int
-	flush := func() {
-		if window < 0 {
-			return
-		}
-		b.putUint8(uint8(window))
-		b.putUint8(uint8(maxOctet + 1))
-		b.putBytes(bitmap[:maxOctet+1])
-	}
-	for _, t := range sorted {
-		w := int(t >> 8)
-		if w != window {
-			flush()
-			window = w
-			bitmap = [32]byte{}
-			maxOctet = 0
-		}
-		pos := int(t & 0xFF)
-		octet := pos / 8
-		bitmap[octet] |= 0x80 >> (pos % 8)
-		if octet > maxOctet {
-			maxOctet = octet
-		}
-	}
-	flush()
-}
-
-// parser consumes wire-format input; names are interned.
+// parser consumes wire-format input; names are interned. The first failure
+// sticks: every later read yields a zero value, and callers check err once
+// per question or record.
 type parser struct {
 	data []byte
 	off  int
+	err  error
+}
+
+func (p *parser) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
 }
 
 func (p *parser) remaining() int { return len(p.data) - p.off }
 
-func (p *parser) uint8() (uint8, error) {
-	if p.remaining() < 1 {
-		return 0, ErrTruncatedMessage
-	}
-	v := p.data[p.off]
-	p.off++
-	return v, nil
-}
+// more reports whether a field that runs to the end of the data has octets
+// left to read.
+func (p *parser) more() bool { return p.err == nil && p.off < len(p.data) }
 
-func (p *parser) uint16() (uint16, error) {
-	if p.remaining() < 2 {
-		return 0, ErrTruncatedMessage
-	}
-	v := binary.BigEndian.Uint16(p.data[p.off:])
-	p.off += 2
-	return v, nil
-}
-
-func (p *parser) uint32() (uint32, error) {
-	if p.remaining() < 4 {
-		return 0, ErrTruncatedMessage
-	}
-	v := binary.BigEndian.Uint32(p.data[p.off:])
-	p.off += 4
-	return v, nil
-}
-
-func (p *parser) bytes(n int) ([]byte, error) {
-	if n < 0 || p.remaining() < n {
-		return nil, ErrTruncatedMessage
+// bytes reads n octets, a view into the message; nil after a failure.
+func (p *parser) bytes(n int) []byte {
+	if p.err != nil || n > p.remaining() {
+		p.fail(ErrTruncatedMessage)
+		return nil
 	}
 	v := p.data[p.off : p.off+n]
 	p.off += n
-	return v, nil
+	return v
+}
+
+func (p *parser) uint8() uint8 {
+	if b := p.bytes(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (p *parser) uint16() uint16 {
+	if b := p.bytes(2); b != nil {
+		return binary.BigEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (p *parser) uint32() uint32 {
+	if b := p.bytes(4); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
 }
 
 // name reads a possibly-compressed domain name starting at the current
@@ -525,7 +366,16 @@ func (p *parser) bytes(n int) ([]byte, error) {
 // lowercased presentation text in a stack buffer and resolves it through the
 // intern table, so decoding a hot name allocates nothing; a first-seen name
 // is validated by MakeName.
-func (p *parser) name() (Name, error) {
+//
+// Cutting the message at a record's end loses no name a pointer in its
+// RDATA could reach. Pointers point strictly backwards, so labels that run
+// on past the cut would cross the first pointer's own octets: as label text
+// they are not name characters, and as a length octet they are that pointer
+// again, which loops until the hop limit.
+func (p *parser) name() Name {
+	if p.err != nil {
+		return ""
+	}
 	// text holds the lowercased dotted form including the trailing dot;
 	// its length equals the wire-format name length, bounded by maxNameLen.
 	var text [maxNameLen]byte
@@ -536,7 +386,8 @@ func (p *parser) name() (Name, error) {
 	total := 0
 	for {
 		if off >= len(p.data) {
-			return "", ErrTruncatedMessage
+			p.fail(ErrTruncatedMessage)
+			return ""
 		}
 		c := p.data[off]
 		switch {
@@ -545,15 +396,18 @@ func (p *parser) name() (Name, error) {
 				p.off = off + 1
 			}
 			if n == 0 {
-				return Root, nil
+				return Root
 			}
 			// Strip the trailing separator: the text is the labels joined
 			// by dots, which MakeName validates as a whole, so a hostile
 			// label that itself contains '.' is read as two labels.
-			return internName(text[:n-1])
+			name, err := internName(text[:n-1])
+			p.fail(err)
+			return name
 		case c&0xC0 == 0xC0:
 			if off+1 >= len(p.data) {
-				return "", ErrTruncatedMessage
+				p.fail(ErrTruncatedMessage)
+				return ""
 			}
 			ptr := int(binary.BigEndian.Uint16(p.data[off:]) & 0x3FFF)
 			if !jumped {
@@ -562,19 +416,23 @@ func (p *parser) name() (Name, error) {
 			}
 			hops++
 			if hops > 32 || ptr >= off {
-				return "", ErrBadPointer
+				p.fail(ErrBadPointer)
+				return ""
 			}
 			off = ptr
 		case c&0xC0 != 0:
-			return "", fmt.Errorf("%w: label type %#x", ErrBadPointer, c&0xC0)
+			p.fail(fmt.Errorf("%w: label type %#x", ErrBadPointer, c&0xC0))
+			return ""
 		default:
 			l := int(c)
 			if off+1+l > len(p.data) {
-				return "", ErrTruncatedMessage
+				p.fail(ErrTruncatedMessage)
+				return ""
 			}
 			total += l + 1
 			if total > maxNameLen {
-				return "", ErrNameTooLong
+				p.fail(ErrNameTooLong)
+				return ""
 			}
 			for _, ch := range p.data[off+1 : off+1+l] {
 				if ch >= 'A' && ch <= 'Z' {
@@ -590,70 +448,43 @@ func (p *parser) name() (Name, error) {
 	}
 }
 
+// question reads one question entry.
+func (p *parser) question() Question {
+	name := p.name()
+	t := Type(p.uint16())
+	return Question{Name: name, Type: t, Class: Class(p.uint16())}
+}
+
 // DecodeMessage parses a wire-format DNS message. OPT records found in the
 // additional section are lifted into Message.EDNS.
 func DecodeMessage(data []byte) (*Message, error) {
 	p := &parser{data: data}
 	m := &Message{}
-
-	id, err := p.uint16()
-	if err != nil {
-		return nil, err
+	h := &m.Header
+	h.ID = p.uint16()
+	flags := p.uint16()
+	qd, an, ns, ar := int(p.uint16()), int(p.uint16()), int(p.uint16()), int(p.uint16())
+	if p.err != nil {
+		return nil, p.err
 	}
-	flags, err := p.uint16()
-	if err != nil {
-		return nil, err
-	}
-	m.Header = Header{
-		ID:     id,
-		QR:     flags&flagQR != 0,
-		Opcode: Opcode(flags >> 11 & 0xF),
-		AA:     flags&flagAA != 0,
-		TC:     flags&flagTC != 0,
-		RD:     flags&flagRD != 0,
-		RA:     flags&flagRA != 0,
-		Z:      flags&flagZ != 0,
-		AD:     flags&flagAD != 0,
-		CD:     flags&flagCD != 0,
-		RCode:  RCode(flags & 0xF),
-	}
-	qd, err := p.uint16()
-	if err != nil {
-		return nil, err
-	}
-	an, err := p.uint16()
-	if err != nil {
-		return nil, err
-	}
-	ns, err := p.uint16()
-	if err != nil {
-		return nil, err
-	}
-	ar, err := p.uint16()
-	if err != nil {
-		return nil, err
+	h.Opcode = Opcode(flags >> 11 & 0xF)
+	h.RCode = RCode(flags & 0xF)
+	for _, f := range h.flags() {
+		*f.bit = flags&f.mask != 0
 	}
 
 	if qd > 0 {
 		// Pre-size from the header count, clamped by what the remaining
 		// bytes could possibly hold (a question is at least 5 octets), so
 		// a forged count cannot force a huge allocation.
-		m.Question = make([]Question, 0, clampCount(int(qd), p.remaining()/5+1))
+		m.Question = make([]Question, 0, clampCount(qd, p.remaining()/5+1))
 	}
-	for i := 0; i < int(qd); i++ {
-		qname, err := p.name()
-		if err != nil {
-			return nil, fmt.Errorf("question %d: %w", i, err)
+	for i := 0; i < qd; i++ {
+		q := p.question()
+		if p.err != nil {
+			return nil, fmt.Errorf("question %d: %w", i, p.err)
 		}
-		qtype, err := p.uint16()
-		if err != nil {
-			return nil, err
-		}
-		qclass, err := p.uint16()
-		if err != nil {
-			return nil, err
-		}
-		m.Question = append(m.Question, Question{Name: qname, Type: Type(qtype), Class: Class(qclass)})
+		m.Question = append(m.Question, q)
 	}
 
 	decodeSection := func(count int, section string) ([]RR, error) {
@@ -664,9 +495,9 @@ func DecodeMessage(data []byte) (*Message, error) {
 			rrs = make([]RR, 0, clampCount(count, p.remaining()/11+1))
 		}
 		for i := 0; i < count; i++ {
-			rr, isOPT, err := decodeRR(p, m)
-			if err != nil {
-				return nil, fmt.Errorf("%s record %d: %w", section, i, err)
+			rr, isOPT := decodeRR(p, m)
+			if p.err != nil {
+				return nil, fmt.Errorf("%s record %d: %w", section, i, p.err)
 			}
 			if !isOPT {
 				rrs = append(rrs, rr)
@@ -678,13 +509,14 @@ func DecodeMessage(data []byte) (*Message, error) {
 		}
 		return rrs, nil
 	}
-	if m.Answer, err = decodeSection(int(an), "answer"); err != nil {
+	var err error
+	if m.Answer, err = decodeSection(an, "answer"); err != nil {
 		return nil, err
 	}
-	if m.Authority, err = decodeSection(int(ns), "authority"); err != nil {
+	if m.Authority, err = decodeSection(ns, "authority"); err != nil {
 		return nil, err
 	}
-	if m.Additional, err = decodeSection(int(ar), "additional"); err != nil {
+	if m.Additional, err = decodeSection(ar, "additional"); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -711,372 +543,60 @@ func DecodeQuestion(data []byte) (Question, error) {
 		return Question{}, nil
 	}
 	p := &parser{data: data, off: 12}
-	qname, err := p.name()
-	if err != nil {
-		return Question{}, fmt.Errorf("question 0: %w", err)
+	if q := p.question(); p.err == nil {
+		return q, nil
 	}
-	qtype, err := p.uint16()
-	if err != nil {
-		return Question{}, err
-	}
-	qclass, err := p.uint16()
-	if err != nil {
-		return Question{}, err
-	}
-	return Question{Name: qname, Type: Type(qtype), Class: Class(qclass)}, nil
+	return Question{}, fmt.Errorf("question 0: %w", p.err)
 }
+
+// errRDataOverrun is a field running past the end of its record's RDATA.
+var errRDataOverrun = fmt.Errorf("%w: a field overruns RDLENGTH", ErrBadRData)
 
 // decodeRR parses one resource record; OPT records are absorbed into
-// m.EDNS and signaled via isOPT.
-func decodeRR(p *parser, m *Message) (rr RR, isOPT bool, err error) {
-	name, err := p.name()
-	if err != nil {
-		return RR{}, false, err
+// m.EDNS and signaled via isOPT. The RDATA is read from the message cut at
+// the record's end, so no field can read past RDLENGTH: running out of data
+// there is errRDataOverrun, not a truncated message.
+func decodeRR(p *parser, m *Message) (rr RR, isOPT bool) {
+	name := p.name()
+	t := Type(p.uint16())
+	class := p.uint16()
+	ttl := p.uint32()
+	rdlen := int(p.uint16())
+	if rdlen > p.remaining() {
+		p.fail(ErrTruncatedMessage)
 	}
-	t, err := p.uint16()
-	if err != nil {
-		return RR{}, false, err
+	if p.err != nil {
+		return RR{}, false
 	}
-	class, err := p.uint16()
-	if err != nil {
-		return RR{}, false, err
-	}
-	ttl, err := p.uint32()
-	if err != nil {
-		return RR{}, false, err
-	}
-	rdlen, err := p.uint16()
-	if err != nil {
-		return RR{}, false, err
-	}
-	if Type(t) == TypeOPT {
-		raw, err := p.bytes(int(rdlen))
-		if err != nil {
-			return RR{}, false, err
-		}
+	msg, end := p.data, p.off+rdlen
+	p.data = msg[:end]
+	var data RData
+	if t == TypeOPT {
 		e := &EDNS{UDPSize: class, DO: ttl&ednsFlagDO != 0}
-		// Walk the options list for the padding option.
-		for off := 0; off+4 <= len(raw); {
-			code := binary.BigEndian.Uint16(raw[off:])
-			olen := int(binary.BigEndian.Uint16(raw[off+2:]))
-			if off+4+olen > len(raw) {
-				return RR{}, false, fmt.Errorf("%w: OPT option overruns rdata", ErrBadRData)
-			}
+		// Walk the options for the padding option; fewer than four
+		// octets after the last option are ignored.
+		for p.err == nil && p.remaining() >= 4 {
+			code, olen := p.uint16(), p.uint16()
+			p.bytes(int(olen))
 			if code == ednsOptionPadding {
-				e.Padding = olen
-			}
-			off += 4 + olen
-		}
-		m.EDNS = e
-		return RR{}, true, nil
-	}
-	end := p.off + int(rdlen)
-	if end > len(p.data) {
-		return RR{}, false, ErrTruncatedMessage
-	}
-	data, err := decodeRData(p, Type(t), end)
-	if err != nil {
-		return RR{}, false, err
-	}
-	if p.off != end {
-		return RR{}, false, fmt.Errorf("%w: %d trailing rdata octets in %s record",
-			ErrBadRData, end-p.off, Type(t))
-	}
-	return RR{Name: name, Type: Type(t), Class: Class(class), TTL: ttl, Data: data}, false, nil
-}
-
-func decodeRData(p *parser, t Type, end int) (RData, error) {
-	switch t {
-	case TypeA:
-		raw, err := p.bytes(4)
-		if err != nil {
-			return nil, err
-		}
-		return &AData{Addr: netip.AddrFrom4([4]byte(raw))}, nil
-	case TypeAAAA:
-		raw, err := p.bytes(16)
-		if err != nil {
-			return nil, err
-		}
-		return &AAAAData{Addr: netip.AddrFrom16([16]byte(raw))}, nil
-	case TypeNS:
-		n, err := p.name()
-		if err != nil {
-			return nil, err
-		}
-		return &NSData{Target: n}, nil
-	case TypeCNAME:
-		n, err := p.name()
-		if err != nil {
-			return nil, err
-		}
-		return &CNAMEData{Target: n}, nil
-	case TypePTR:
-		n, err := p.name()
-		if err != nil {
-			return nil, err
-		}
-		return &PTRData{Target: n}, nil
-	case TypeSOA:
-		return decodeSOA(p)
-	case TypeMX:
-		pref, err := p.uint16()
-		if err != nil {
-			return nil, err
-		}
-		n, err := p.name()
-		if err != nil {
-			return nil, err
-		}
-		return &MXData{Preference: pref, Exchange: n}, nil
-	case TypeTXT:
-		return decodeTXT(p, end)
-	case TypeDNSKEY:
-		return decodeDNSKEY(p, end)
-	case TypeDS:
-		f, err := decodeDSFields(p, end)
-		if err != nil {
-			return nil, err
-		}
-		return (*DSData)(f), nil
-	case TypeDLV:
-		f, err := decodeDSFields(p, end)
-		if err != nil {
-			return nil, err
-		}
-		return (*DLVData)(f), nil
-	case TypeRRSIG:
-		return decodeRRSIG(p, end)
-	case TypeNSEC:
-		return decodeNSEC(p, end)
-	case TypeNSEC3:
-		return decodeNSEC3(p, end)
-	default:
-		raw, err := p.bytes(end - p.off)
-		if err != nil {
-			return nil, err
-		}
-		cp := make([]byte, len(raw))
-		copy(cp, raw)
-		return &RawData{T: t, Data: cp}, nil
-	}
-}
-
-func decodeSOA(p *parser) (*SOAData, error) {
-	mname, err := p.name()
-	if err != nil {
-		return nil, err
-	}
-	rname, err := p.name()
-	if err != nil {
-		return nil, err
-	}
-	var vals [5]uint32
-	for i := range vals {
-		if vals[i], err = p.uint32(); err != nil {
-			return nil, err
-		}
-	}
-	return &SOAData{
-		MName: mname, RName: rname,
-		Serial: vals[0], Refresh: vals[1], Retry: vals[2], Expire: vals[3], MinTTL: vals[4],
-	}, nil
-}
-
-func decodeTXT(p *parser, end int) (*TXTData, error) {
-	var out TXTData
-	for p.off < end {
-		n, err := p.uint8()
-		if err != nil {
-			return nil, err
-		}
-		s, err := p.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		out.Strings = append(out.Strings, string(s))
-	}
-	return &out, nil
-}
-
-func decodeDNSKEY(p *parser, end int) (*DNSKEYData, error) {
-	flags, err := p.uint16()
-	if err != nil {
-		return nil, err
-	}
-	proto, err := p.uint8()
-	if err != nil {
-		return nil, err
-	}
-	alg, err := p.uint8()
-	if err != nil {
-		return nil, err
-	}
-	key, err := p.bytes(end - p.off)
-	if err != nil {
-		return nil, err
-	}
-	cp := make([]byte, len(key))
-	copy(cp, key)
-	return &DNSKEYData{Flags: flags, Protocol: proto, Algorithm: alg, PublicKey: cp}, nil
-}
-
-// dsFields is the shared DS/DLV wire layout.
-type dsFields struct {
-	KeyTag     uint16
-	Algorithm  uint8
-	DigestType uint8
-	Digest     []byte
-}
-
-func decodeDSFields(p *parser, end int) (*dsFields, error) {
-	tag, err := p.uint16()
-	if err != nil {
-		return nil, err
-	}
-	alg, err := p.uint8()
-	if err != nil {
-		return nil, err
-	}
-	dt, err := p.uint8()
-	if err != nil {
-		return nil, err
-	}
-	dig, err := p.bytes(end - p.off)
-	if err != nil {
-		return nil, err
-	}
-	cp := make([]byte, len(dig))
-	copy(cp, dig)
-	return &dsFields{KeyTag: tag, Algorithm: alg, DigestType: dt, Digest: cp}, nil
-}
-
-func decodeRRSIG(p *parser, end int) (*RRSIGData, error) {
-	covered, err := p.uint16()
-	if err != nil {
-		return nil, err
-	}
-	alg, err := p.uint8()
-	if err != nil {
-		return nil, err
-	}
-	labels, err := p.uint8()
-	if err != nil {
-		return nil, err
-	}
-	origTTL, err := p.uint32()
-	if err != nil {
-		return nil, err
-	}
-	exp, err := p.uint32()
-	if err != nil {
-		return nil, err
-	}
-	inc, err := p.uint32()
-	if err != nil {
-		return nil, err
-	}
-	tag, err := p.uint16()
-	if err != nil {
-		return nil, err
-	}
-	signer, err := p.name()
-	if err != nil {
-		return nil, err
-	}
-	sig, err := p.bytes(end - p.off)
-	if err != nil {
-		return nil, err
-	}
-	cp := make([]byte, len(sig))
-	copy(cp, sig)
-	return &RRSIGData{
-		TypeCovered: Type(covered), Algorithm: alg, Labels: labels,
-		OriginalTTL: origTTL, Expiration: exp, Inception: inc,
-		KeyTag: tag, SignerName: signer, Signature: cp,
-	}, nil
-}
-
-func decodeNSEC(p *parser, end int) (*NSECData, error) {
-	next, err := p.name()
-	if err != nil {
-		return nil, err
-	}
-	types, err := decodeTypeBitmap(p, end)
-	if err != nil {
-		return nil, err
-	}
-	return &NSECData{NextName: next, Types: types}, nil
-}
-
-func decodeNSEC3(p *parser, end int) (*NSEC3Data, error) {
-	alg, err := p.uint8()
-	if err != nil {
-		return nil, err
-	}
-	flags, err := p.uint8()
-	if err != nil {
-		return nil, err
-	}
-	iter, err := p.uint16()
-	if err != nil {
-		return nil, err
-	}
-	saltLen, err := p.uint8()
-	if err != nil {
-		return nil, err
-	}
-	salt, err := p.bytes(int(saltLen))
-	if err != nil {
-		return nil, err
-	}
-	hashLen, err := p.uint8()
-	if err != nil {
-		return nil, err
-	}
-	hash, err := p.bytes(int(hashLen))
-	if err != nil {
-		return nil, err
-	}
-	types, err := decodeTypeBitmap(p, end)
-	if err != nil {
-		return nil, err
-	}
-	saltCp := make([]byte, len(salt))
-	copy(saltCp, salt)
-	hashCp := make([]byte, len(hash))
-	copy(hashCp, hash)
-	return &NSEC3Data{
-		HashAlgorithm: alg, Flags: flags, Iterations: iter,
-		Salt: saltCp, NextHash: hashCp, Types: types,
-	}, nil
-}
-
-func decodeTypeBitmap(p *parser, end int) ([]Type, error) {
-	var types []Type
-	for p.off < end {
-		window, err := p.uint8()
-		if err != nil {
-			return nil, err
-		}
-		length, err := p.uint8()
-		if err != nil {
-			return nil, err
-		}
-		if length == 0 || length > 32 {
-			return nil, fmt.Errorf("%w: bitmap window length %d", ErrBadRData, length)
-		}
-		octets, err := p.bytes(int(length))
-		if err != nil {
-			return nil, err
-		}
-		for i, octet := range octets {
-			for bit := 0; bit < 8; bit++ {
-				if octet&(0x80>>bit) != 0 {
-					types = append(types, Type(uint16(window)<<8|uint16(i*8+bit)))
-				}
+				e.Padding = int(olen)
 			}
 		}
+		m.EDNS, p.off = e, end
+	} else {
+		data = decodeRData(p, t)
+		if p.err == nil && p.off != end {
+			p.fail(fmt.Errorf("%w: %d trailing rdata octets", ErrBadRData, end-p.off))
+		}
 	}
-	return types, nil
+	p.data = msg
+	if p.err == ErrTruncatedMessage {
+		// The data ran out at the cut: a field overran RDLENGTH.
+		p.err = errRDataOverrun
+	}
+	if p.err != nil {
+		p.err = fmt.Errorf("%s record with RDLENGTH %d: %w", t, rdlen, p.err)
+		return RR{}, false
+	}
+	return RR{Name: name, Type: t, Class: Class(class), TTL: ttl, Data: data}, t == TypeOPT
 }

@@ -282,8 +282,8 @@ func TestTypeBitmapRoundTrip(t *testing.T) {
 			return false
 		}
 		p := &parser{data: enc}
-		got, err := decodeNSEC(p, len(enc))
-		if err != nil {
+		got, ok := decodeRData(p, TypeNSEC).(*NSECData)
+		if !ok || p.err != nil {
 			return false
 		}
 		SortTypes(types)

@@ -51,6 +51,10 @@ type overloadOpts struct {
 	// receive buffer — or the generator self-throttles and never
 	// overloads the server.
 	window int
+	// minCapacity floors the capacity the multiples scale (0: none). The
+	// probe reads capacity in wall time, so a probe starved of CPU reads
+	// it low (33 q/s has been seen) and its "2x" point overloads nothing.
+	minCapacity float64
 }
 
 func (o overloadOpts) withDefaults(p Params) overloadOpts {
@@ -328,7 +332,7 @@ func overloadWith(p Params, opts overloadOpts) (*OverloadResult, error) {
 		Shards: rigs[true].srv.Shards(), CapacityQPS: capacity,
 	}
 	for pi, mult := range o.multiples {
-		offered := int(mult * capacity)
+		offered := int(mult * max(capacity, o.minCapacity))
 		if offered < 1 {
 			offered = 1
 		}
