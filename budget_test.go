@@ -338,3 +338,61 @@ func TestSweepAllocationBudget(t *testing.T) {
 		t.Errorf("steady state = %.0f allocs/domain, budget %d", perDomain, allocBudgetPerDomain)
 	}
 }
+
+// sldZoneBudgetBytes and sldZoneBudgetAllocs bound what one materialized
+// SLD zone costs, in live heap and in allocations to build it, averaged
+// over TestSLDZoneFootprint's 10k seed-1 domains (1.5 % of them signed).
+// Measured 785 B and 14.8 allocs with the zone's one owner table; the
+// map-indexed layout before it measured 2,151 B and 27.3 allocs.
+const (
+	sldZoneBudgetBytes  = 1000
+	sldZoneBudgetAllocs = 16
+)
+
+// TestSLDZoneFootprint pins the per-domain zone cost that the universe's
+// SLD zone cache multiplies by its cap (universe.Options.ZoneCacheCap,
+// 8,192 by default): every domain of a 10k population is materialized once,
+// and the live heap and allocation count that adds are read per zone. The
+// cache entry holding the zone is part of the reading.
+func TestSLDZoneFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	const zones, cacheCap = 10_000, 8192
+	pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: zones, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := universe.Build(universe.Options{Seed: 1, Population: pop, ZoneCacheCap: 2 * zones})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() runtime.MemStats {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms
+	}
+	before := read()
+	for i := range pop.Domains {
+		if _, err := u.SLDZone(&pop.Domains[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := read()
+	if n := u.CachedSLDZones(); n != zones {
+		t.Fatalf("%d SLD zones cached, want %d", n, zones)
+	}
+	bytes := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / zones
+	allocs := float64(after.Mallocs-before.Mallocs) / zones
+	t.Logf("one SLD zone: %.0f B live, %.1f allocs to build; %.1f MB at the %d-zone cache cap",
+		bytes, allocs, bytes*cacheCap/(1<<20), cacheCap)
+	if bytes > sldZoneBudgetBytes {
+		t.Errorf("one SLD zone holds %.0f B live, budget %d: %.1f MB at the %d-zone cache cap (budget %.1f MB)",
+			bytes, sldZoneBudgetBytes, bytes*cacheCap/(1<<20), cacheCap, sldZoneBudgetBytes*cacheCap/float64(1<<20))
+	}
+	if allocs > sldZoneBudgetAllocs {
+		t.Errorf("building one SLD zone takes %.1f allocs, budget %d", allocs, sldZoneBudgetAllocs)
+	}
+}

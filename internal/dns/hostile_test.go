@@ -86,8 +86,11 @@ func hostileCorpus() []hostileEntry {
 			[]byte{0x80, 'a', 0}, qTail,
 			wireLabels("b"), []byte{0}, qTail,
 			wireLabels("c"), []byte{0}, qTail), ErrBadPointer},
-		// A label holding a dot reads as two labels, leaving an empty one.
-		{"empty-label", wireMsg(1, 0, 0, 0, wireLabels("a", ".", "b"), []byte{0}, qTail), ErrEmptyLabel},
+		// A label holding a dot, which joined into text would read as more
+		// labels: the root, two labels, or an empty one between two.
+		{"dot-label-root", wireMsg(1, 0, 0, 0, []byte{1, '.', 0}, qTail), ErrBadLabelChar},
+		{"dot-label-two", wireMsg(1, 0, 0, 0, []byte{3, 'a', '.', 'b', 0}, qTail), ErrBadLabelChar},
+		{"dot-label-empty", wireMsg(1, 0, 0, 0, wireLabels("a", ".", "b"), []byte{0}, qTail), ErrBadLabelChar},
 		// Label-length octets above 63: the reserved 01 and 10 label types,
 		// and 0xFF, which reads as a pointer past the end.
 		{"label-octet-64", wireMsg(1, 0, 0, 0, []byte{64}, bytes.Repeat([]byte{'a'}, 64), []byte{0}, qTail), ErrBadPointer},

@@ -14,8 +14,8 @@ import (
 // input, so a disagreement is a bug in one of the two. The rules it holds
 // DecodeMessage to:
 //   - a name is at most 255 octets of labels; a compression pointer must
-//     point strictly backwards, and at most 32 are followed; the labels
-//     joined by dots must be a valid Name (MakeName);
+//     point strictly backwards, and at most 32 are followed; no label holds
+//     a '.', and the labels joined by dots must be a valid Name (MakeName);
 //   - an RR's RDATA must be consumed exactly;
 //   - an OPT record in any section becomes Message.EDNS (the last one
 //     wins), and a section left without records is nil;
@@ -81,6 +81,7 @@ var (
 	errNaiveShort   = errors.New("naive: message too short")
 	errNaiveRData   = errors.New("naive: rdata length mismatch")
 	errNaivePointer = errors.New("naive: bad compression pointer")
+	errNaiveDot     = errors.New("naive: '.' inside a label")
 )
 
 func naiveU16(b []byte, i int) uint16 { return uint16(b[i])<<8 | uint16(b[i+1]) }
@@ -113,7 +114,11 @@ func naiveName(msg []byte, off int) (Name, int, error) {
 			if size += 1 + c; size > 255 {
 				return "", 0, ErrNameTooLong
 			}
-			labels = append(labels, string(msg[off+1:off+1+c]))
+			label := string(msg[off+1 : off+1+c])
+			if strings.Contains(label, ".") {
+				return "", 0, errNaiveDot // joined, it would read as two labels
+			}
+			labels = append(labels, label)
 			off += 1 + c
 		case c >= 192:
 			if off+2 > len(msg) {

@@ -399,8 +399,8 @@ func (p *parser) name() Name {
 				return Root
 			}
 			// Strip the trailing separator: the text is the labels joined
-			// by dots, which MakeName validates as a whole, so a hostile
-			// label that itself contains '.' is read as two labels.
+			// by dots, which MakeName validates as a whole; no label holds
+			// a '.' of its own (refused below).
 			name, err := internName(text[:n-1])
 			p.fail(err)
 			return name
@@ -437,6 +437,11 @@ func (p *parser) name() Name {
 			for _, ch := range p.data[off+1 : off+1+l] {
 				if ch >= 'A' && ch <= 'Z' {
 					ch += 'a' - 'A'
+				} else if ch == '.' {
+					// Joined into the text, it would split the label: 01 2e
+					// 00 would read as the root and 03 61 2e 62 00 as a.b.
+					p.fail(fmt.Errorf("%w: '.' inside a wire label", ErrBadLabelChar))
+					return ""
 				}
 				text[n] = ch
 				n++

@@ -106,7 +106,14 @@ func TestUDPStatsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The server counts a response after its write returns, and the query
+	// leaves flight after that: the client can hold its third answer first.
+	deadline := time.Now().Add(2 * time.Second)
 	st := srv.Stats()
+	for (st.Responses != 3 || st.InFlight != 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = srv.Stats()
+	}
 	if st.Queries != 3 || st.Responses != 3 {
 		t.Fatalf("stats = %+v", st)
 	}

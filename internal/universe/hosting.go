@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"strconv"
 	"time"
 
 	"github.com/dnsprivacy/lookaside/internal/authserver"
@@ -32,7 +33,7 @@ func (u *Universe) pool(name dns.Name) int {
 // poolNSName returns the in-bailiwick name-server name a TLD uses for a
 // hosting pool, e.g. pool7.nic.com.
 func poolNSName(pool int, tld string) (dns.Name, error) {
-	return dns.MakeName(fmt.Sprintf("pool%d.nic.%s", pool, tld))
+	return dns.MakeName("pool" + strconv.Itoa(pool) + ".nic." + tld)
 }
 
 // buildHosting delegates every SLD from its TLD zone to a hosting pool and
@@ -118,11 +119,11 @@ func (u *Universe) dsFor(name dns.Name, k *domainKeys) (*dns.DSData, error) {
 	return ds, nil
 }
 
-// sldZone returns (building lazily) the authoritative zone of a domain.
+// SLDZone returns (building lazily) the authoritative zone of a domain.
 // The cache is sharded with singleflight semantics, so a worker pool
 // hammering fresh apexes builds each zone once and never serializes on a
 // global lock.
-func (u *Universe) sldZone(d *dataset.Domain) (*zone.Zone, error) {
+func (u *Universe) SLDZone(d *dataset.Domain) (*zone.Zone, error) {
 	return u.sldZones.get(d.Name, func() (*zone.Zone, error) {
 		return u.buildSLDZone(d)
 	})
@@ -153,16 +154,17 @@ func (u *Universe) buildSLDZone(d *dataset.Domain) (*zone.Zone, error) {
 		Name: www, Type: dns.TypeA, Class: dns.ClassIN, TTL: 300,
 		Data: &dns.AData{Addr: siteAddr(www)},
 	}
+	if err := z.AddSet(apexA, wwwA); err != nil {
+		return nil, err
+	}
 	// About half the population is IPv6-enabled; deterministic per domain.
-	var extra []dns.RR
 	if hash64(string(d.Name))%2 == 0 {
-		extra = append(extra, dns.RR{
+		if err := z.Add(dns.RR{
 			Name: d.Name, Type: dns.TypeAAAA, Class: dns.ClassIN, TTL: 300,
 			Data: &dns.AAAAData{Addr: siteAddr6(d.Name)},
-		})
-	}
-	if err := z.AddSet(append([]dns.RR{apexA, wwwA}, extra...)...); err != nil {
-		return nil, err
+		}); err != nil {
+			return nil, err
+		}
 	}
 	if d.Signed {
 		k, err := u.genKeys(d.Name)
@@ -211,7 +213,7 @@ func (u *Universe) newPoolServer(pool int) (*authserver.Server, error) {
 		if !ok || u.pool(d.Name) != pool {
 			return nil, nil
 		}
-		z, err := u.sldZone(d)
+		z, err := u.SLDZone(d)
 		if err != nil {
 			return nil, err
 		}

@@ -154,7 +154,7 @@ func TestSynthEvictionServesIdenticalBytes(t *testing.T) {
 	held := func() (records, sigs int) {
 		z.mu.Lock()
 		defer z.mu.Unlock()
-		return z.synthRecords.Len(), z.sigCache.Len()
+		return z.synth.records.Len(), z.sig.sigs.Len()
 	}
 	first := make([][]byte, len(questions))
 	for i, q := range questions {
@@ -191,8 +191,8 @@ func TestSynthEvictionServesIdenticalBytes(t *testing.T) {
 		t.Error("a signature asked for once, four cache sizes ago, is still held")
 	}
 	z.mu.Lock()
-	_, glueHeld := z.synthRecords.Peek(floodPool(0))
-	_, cutHeld := z.synthRecords.Peek(floodOwner(0))
+	_, glueHeld := z.synth.records.Peek(floodPool(0))
+	_, cutHeld := z.synth.records.Peek(floodOwner(0))
 	z.mu.Unlock()
 	if !glueHeld || cutHeld {
 		t.Errorf("pool glue held = %t (want true), first cut held = %t (want false)", glueHeld, cutHeld)

@@ -13,36 +13,20 @@ func (z *Zone) AllRecords() []dns.RR {
 	defer z.mu.Unlock()
 	z.ensureSortedLocked()
 	var out []dns.RR
-	for _, name := range z.names {
-		for _, typ := range z.typesByName[name] {
-			key := dns.Key{Name: name, Type: typ, Class: dns.ClassIN}
-			out = append(out, z.records[key]...)
-		}
+	for i := range z.owners {
+		out = append(out, z.owners[i].rrs...)
 	}
 	return out
 }
 
 // TransferRecords exports the zone for AXFR: the signed view when signing
-// is armed, the raw records otherwise. The SOA comes first, per RFC 5936.
+// is armed, the raw records otherwise. The SOA comes first, per RFC 5936:
+// the apex is the owner table's first entry, and New filed its SOA first.
 func (z *Zone) TransferRecords() ([]dns.RR, error) {
-	var rrs []dns.RR
 	if z.IsSigned() {
-		var err error
-		rrs, err = z.SignedRecords()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		rrs = z.AllRecords()
+		return z.SignedRecords()
 	}
-	// Move the SOA to the front.
-	for i, rr := range rrs {
-		if rr.Type == dns.TypeSOA && rr.Name == z.apex {
-			rrs[0], rrs[i] = rrs[i], rrs[0]
-			break
-		}
-	}
-	return rrs, nil
+	return z.AllRecords(), nil
 }
 
 // SignedRecords materializes the complete signed zone: every stored RRset
@@ -53,37 +37,37 @@ func (z *Zone) TransferRecords() ([]dns.RR, error) {
 func (z *Zone) SignedRecords() ([]dns.RR, error) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	if !z.signed {
+	if z.sig == nil {
 		return nil, ErrNotSigned
 	}
 	z.ensureSortedLocked()
 
 	var out []dns.RR
-	for _, name := range z.names {
-		visible := z.mergedVisibleLocked(name)
-		isCut := z.cuts[name]
-		for _, typ := range z.typesByName[name] {
-			key := dns.Key{Name: name, Type: typ, Class: dns.ClassIN}
-			rrset := z.records[key]
+	for i := range z.owners {
+		e := &z.owners[i]
+		visible := z.mergedVisibleLocked(e.name)
+		for rest := e.rrs; len(rest) > 0; {
+			rrset := typeRun(rest, rest[0].Type)
+			rest = rest[len(rrset):]
 			out = append(out, rrset...)
 			if !visible {
 				continue // glue is never signed
 			}
 			// At a cut the parent signs only the DS RRset; NS is delegation
 			// data and stays unsigned.
-			if isCut && typ != dns.TypeDS {
+			if e.cut && rrset[0].Type != dns.TypeDS {
 				continue
 			}
 			sig, err := z.signSetLocked(rrset)
 			if err != nil {
-				return nil, fmt.Errorf("zone: exporting %s: %w", key, err)
+				return nil, fmt.Errorf("zone: exporting %s: %w", rrset[0].Key(), err)
 			}
 			out = append(out, sig)
 		}
-		if !visible || z.nsec3 {
+		if !visible || z.sig.NSEC3 {
 			continue
 		}
-		nsec, err := z.nsecAtLocked(z.ownerLocked(name))
+		nsec, err := z.nsecAtLocked(z.ownerLocked(e.name))
 		if err != nil {
 			return nil, err
 		}

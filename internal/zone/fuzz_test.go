@@ -51,16 +51,16 @@ func FuzzSynthIndexOrder(f *testing.F) {
 			want[i] = dns.AppendSortKey(nil, e.Name)
 		}
 		slices.SortFunc(want, bytes.Compare)
-		if len(z.synthKind) != len(want) {
-			t.Fatalf("index holds %d entries, want %d", len(z.synthKind), len(want))
+		if len(z.synth.kind) != len(want) {
+			t.Fatalf("index holds %d entries, want %d", len(z.synth.kind), len(want))
 		}
 		for i := range want {
-			got := z.synthKeyLocked(i)
+			got := z.synth.key(i)
 			if !bytes.Equal(got, want[i]) {
 				t.Fatalf("entry %d is %q, want %q", i, got, want[i])
 			}
-			if e := entries[z.synthAux[i]]; z.synthNameLocked(i) != e.Name || z.synthKind[i] != e.Kind {
-				t.Fatalf("entry %d (%s) carries the aux of %s", i, z.synthNameLocked(i), e.Name)
+			if e := entries[z.synth.aux[i]]; z.synth.name(i) != e.Name || z.synth.kind[i] != e.Kind {
+				t.Fatalf("entry %d (%s) carries the aux of %s", i, z.synth.name(i), e.Name)
 			}
 		}
 	})

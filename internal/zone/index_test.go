@@ -175,12 +175,12 @@ func TestOwnerIndexMatchesOracle(t *testing.T) {
 	// The index stores keys, not names: read it back through the decoder.
 	z.synthEnsureLocked()
 	synth := map[dns.Name]bool{}
-	indexed := make([]dns.Name, len(z.synthKind))
+	indexed := make([]dns.Name, len(z.synth.kind))
 	for i := range indexed {
-		indexed[i] = z.synthNameLocked(i)
+		indexed[i] = z.synth.name(i)
 		synth[indexed[i]] = true
 	}
-	entries := z.synth.(*mapSynth).entries
+	entries := z.synth.src.(*mapSynth).entries
 	if len(synth) != len(entries) {
 		t.Errorf("index decodes to %d distinct names, source has %d", len(synth), len(entries))
 	}

@@ -2,7 +2,6 @@ package zone
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 	"github.com/dnsprivacy/lookaside/internal/dnssec"
@@ -75,7 +74,7 @@ func (z *Zone) Lookup(qname dns.Name, qtype dns.Type, dnssecOK bool) (*Result, e
 	z.mu.Lock()
 	defer z.mu.Unlock()
 
-	withSigs := dnssecOK && z.signed
+	withSigs := dnssecOK && z.sig != nil
 
 	// qname's place in the synthesized index is resolved here, once, for
 	// every question the lookup asks about it.
@@ -94,67 +93,46 @@ func (z *Zone) Lookup(qname dns.Name, qtype dns.Type, dnssecOK bool) (*Result, e
 	if z.existsLocked(q) {
 		return z.answerLocked(q, qtype, withSigs)
 	}
-	if z.hasDescendantLocked(qname) || z.synthHasDescendantLocked(q) {
+	if z.hasDescendantLocked(q) {
 		// Empty non-terminal: the name exists structurally (names live
 		// below it) but owns no records — NODATA, not NXDOMAIN (RFC 4592
 		// §2.2.2), and never wildcard-covered. The denial proof is the
 		// covering NSEC, since an ENT has no NSEC of its own.
-		res := &Result{Kind: KindNoData, RCode: dns.RCodeNoError}
-		if err := z.attachSOALocked(res, withSigs); err != nil {
-			return nil, err
-		}
-		if withSigs {
-			if err := z.attachDenialLocked(res, q, false); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
+		return z.negativeLocked(KindNoData, q, false, withSigs)
 	}
 	if res, ok, err := z.wildcardLocked(q, qtype, withSigs); err != nil {
 		return nil, err
 	} else if ok {
 		return res, nil
 	}
-	return z.nxdomainLocked(q, withSigs)
-}
-
-// hasDescendantLocked reports whether any owner name exists strictly below
-// qname. In canonical order descendants sort immediately after their
-// ancestor, so one lower-bound search suffices.
-func (z *Zone) hasDescendantLocked(qname dns.Name) bool {
-	z.ensureSortedLocked()
-	i := sort.Search(len(z.names), func(i int) bool {
-		return !dns.CanonicalLess(z.names[i], qname)
-	})
-	return i < len(z.names) && z.names[i] != qname && z.names[i].IsSubdomainOf(qname)
+	return z.negativeLocked(KindNXDomain, q, false, withSigs)
 }
 
 // findCutLocked returns the shallowest delegation cut at or above q.
 func (z *Zone) findCutLocked(q owner) (owner, bool) {
-	if (len(z.cuts) == 0 && z.synth == nil) || q.name == z.apex {
+	if !z.hasCuts && z.synth == nil {
 		return owner{}, false
 	}
-	// Walk ancestors from just below the apex down toward qname so the
-	// shallowest (closest to apex) cut wins, mirroring real servers.
-	var ancestors []dns.Name
-	for n := q.name.Parent(); n != z.apex && !n.IsRoot(); n = n.Parent() {
-		ancestors = append(ancestors, n)
-	}
-	for i := len(ancestors) - 1; i >= 0; i-- {
-		if a := z.ownerLocked(ancestors[i]); z.isCutLocked(a) {
-			return a, true
+	// The shallowest cut (closest to the apex) wins, mirroring real servers:
+	// walk up from qname and keep the last cut seen.
+	var cut owner
+	found := false
+	for o := q; o.name != z.apex && !o.name.IsRoot(); o = z.ownerLocked(o.name.Parent()) {
+		if z.isCutLocked(o) {
+			cut, found = o, true
 		}
 	}
-	if z.isCutLocked(q) {
-		return q, true
-	}
-	return owner{}, false
+	return cut, found
 }
 
 // answerLocked builds an authoritative answer or NODATA for an existing
 // name.
 func (z *Zone) answerLocked(q owner, qtype dns.Type, withSigs bool) (*Result, error) {
 	rrset, err := z.rrsetLocked(q, qtype)
+	if err == nil && len(rrset) == 0 && qtype != dns.TypeCNAME {
+		// CNAME at the name answers any other type.
+		rrset, err = z.rrsetLocked(q, dns.TypeCNAME)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -170,36 +148,7 @@ func (z *Zone) answerLocked(q owner, qtype dns.Type, withSigs bool) (*Result, er
 		}
 		return res, nil
 	}
-	// CNAME at the name answers any other type.
-	if qtype != dns.TypeCNAME {
-		rrset, err := z.rrsetLocked(q, dns.TypeCNAME)
-		if err != nil {
-			return nil, err
-		}
-		if len(rrset) > 0 {
-			res := &Result{Kind: KindAnswer, RCode: dns.RCodeNoError}
-			res.Answer = append(res.Answer, rrset...)
-			if withSigs {
-				sig, err := z.signSetLocked(rrset)
-				if err != nil {
-					return nil, err
-				}
-				res.Answer = append(res.Answer, sig)
-			}
-			return res, nil
-		}
-	}
-	// NODATA.
-	res := &Result{Kind: KindNoData, RCode: dns.RCodeNoError}
-	if err := z.attachSOALocked(res, withSigs); err != nil {
-		return nil, err
-	}
-	if withSigs {
-		if err := z.attachDenialLocked(res, q, true); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return z.negativeLocked(KindNoData, q, true, withSigs)
 }
 
 // referralLocked builds a delegation response for a cut.
@@ -258,7 +207,7 @@ func (z *Zone) wildcardLocked(q owner, qtype dns.Type, withSigs bool) (*Result, 
 	encloser := qname.Parent()
 	for encloser != z.apex && !encloser.IsRoot() {
 		if e := z.ownerLocked(encloser); z.existsLocked(e) ||
-			z.hasDescendantLocked(encloser) || z.synthHasDescendantLocked(e) {
+			z.hasDescendantLocked(e) {
 			break
 		}
 		encloser = encloser.Parent()
@@ -277,16 +226,8 @@ func (z *Zone) wildcardLocked(q owner, qtype dns.Type, withSigs bool) (*Result, 
 	}
 	if len(rrset) == 0 {
 		// Wildcard exists but not for this type: NODATA at the wildcard.
-		res := &Result{Kind: KindNoData, RCode: dns.RCodeNoError}
-		if err := z.attachSOALocked(res, withSigs); err != nil {
-			return nil, false, err
-		}
-		if withSigs {
-			if err := z.attachDenialLocked(res, q, false); err != nil {
-				return nil, false, err
-			}
-		}
-		return res, true, nil
+		res, err := z.negativeLocked(KindNoData, q, false, withSigs)
+		return res, err == nil, err
 	}
 	res := &Result{Kind: KindAnswer, RCode: dns.RCodeNoError}
 	for _, rr := range rrset {
@@ -309,14 +250,18 @@ func (z *Zone) wildcardLocked(q owner, qtype dns.Type, withSigs bool) (*Result, 
 	return res, true, nil
 }
 
-// nxdomainLocked builds the non-existence response for q.
-func (z *Zone) nxdomainLocked(q owner, withSigs bool) (*Result, error) {
-	res := &Result{Kind: KindNXDomain, RCode: dns.RCodeNXDomain}
+// negativeLocked builds a NODATA or NXDOMAIN response for q: the SOA and,
+// signed, the denial proof (see attachDenialLocked for exists).
+func (z *Zone) negativeLocked(kind ResultKind, q owner, exists, withSigs bool) (*Result, error) {
+	res := &Result{Kind: kind, RCode: dns.RCodeNoError}
+	if kind == KindNXDomain {
+		res.RCode = dns.RCodeNXDomain
+	}
 	if err := z.attachSOALocked(res, withSigs); err != nil {
 		return nil, err
 	}
 	if withSigs {
-		if err := z.attachDenialLocked(res, q, false); err != nil {
+		if err := z.attachDenialLocked(res, q, exists); err != nil {
 			return nil, err
 		}
 	}
@@ -326,8 +271,8 @@ func (z *Zone) nxdomainLocked(q owner, withSigs bool) (*Result, error) {
 // attachSOALocked appends the apex SOA (and its signature) to the authority
 // section, with the negative-caching TTL.
 func (z *Zone) attachSOALocked(res *Result, withSigs bool) error {
-	soaKey := dns.Key{Name: z.apex, Type: dns.TypeSOA, Class: dns.ClassIN}
-	soaSet := z.records[soaKey]
+	// The apex is entry 0 sorted or not, and New filed the SOA there.
+	soaSet := typeRun(z.owners[0].rrs, dns.TypeSOA)
 	res.Authority = append(res.Authority, soaSet...)
 	if withSigs {
 		sig, err := z.signSetLocked(soaSet)
@@ -344,7 +289,7 @@ func (z *Zone) attachSOALocked(res *Result, withSigs bool) error {
 // NSEC). In NSEC3 mode a hashed record is attached instead, which resolvers
 // cannot use for aggressive negative caching (RFC 5074 §5).
 func (z *Zone) attachDenialLocked(res *Result, q owner, exists bool) error {
-	if z.nsec3 {
+	if z.sig.NSEC3 {
 		return z.attachNSEC3Locked(res, q.name)
 	}
 	at := q
@@ -364,7 +309,7 @@ func (z *Zone) attachDenialLocked(res *Result, q owner, exists bool) error {
 }
 
 // nsecAtLocked materializes the NSEC record owned by o from the sorted
-// owner index.
+// static and synthesized owners.
 func (z *Zone) nsecAtLocked(o owner) (dns.RR, error) {
 	if !z.existsLocked(o) {
 		return dns.RR{}, fmt.Errorf("zone: nsec owner %s does not exist", o.name)
@@ -382,7 +327,7 @@ func (z *Zone) nsecAtLocked(o owner) (dns.RR, error) {
 // attachNSEC3Locked appends a minimal NSEC3 denial (enough for a resolver
 // to accept the negative answer; not aggressively cacheable).
 func (z *Zone) attachNSEC3Locked(res *Result, qname dns.Name) error {
-	hash := dnssec.NSEC3Hash(qname, z.nsec3Salt, z.nsec3Iter)
+	hash := dnssec.NSEC3Hash(qname, z.sig.NSEC3Salt, z.sig.NSEC3Iterations)
 	label := dnssec.NSEC3OwnerLabel(hash)
 	owner, err := z.apex.Prepend(label)
 	if err != nil {
@@ -392,8 +337,8 @@ func (z *Zone) attachNSEC3Locked(res *Result, qname dns.Name) error {
 		Name: owner, Type: dns.TypeNSEC3, Class: dns.ClassIN, TTL: negativeTTL,
 		Data: &dns.NSEC3Data{
 			HashAlgorithm: dnssec.NSEC3HashSHA1,
-			Iterations:    z.nsec3Iter,
-			Salt:          z.nsec3Salt,
+			Iterations:    z.sig.NSEC3Iterations,
+			Salt:          z.sig.NSEC3Salt,
 			NextHash:      hash,
 			Types:         []dns.Type{dns.TypeRRSIG},
 		},
@@ -404,18 +349,6 @@ func (z *Zone) attachNSEC3Locked(res *Result, qname dns.Name) error {
 	}
 	res.Authority = append(res.Authority, nsec3, sig)
 	return nil
-}
-
-// ensureSortedLocked restores canonical order of the owner-name index after
-// bulk loading.
-func (z *Zone) ensureSortedLocked() {
-	if !z.namesDirty {
-		return
-	}
-	sort.Slice(z.names, func(i, j int) bool {
-		return dns.CanonicalLess(z.names[i], z.names[j])
-	})
-	z.namesDirty = false
 }
 
 // successorLocked returns the next visible owner name after owner in
@@ -459,62 +392,34 @@ func (z *Zone) predecessorLocked(q owner) owner {
 // re-signing the few that do come back is cheaper than holding them all. The
 // DNSKEY RRset is signed by the KSK, everything else by the ZSK.
 func (z *Zone) signSetLocked(rrset []dns.RR) (dns.RR, error) {
-	if !z.signed {
+	s := z.sig
+	if s == nil {
 		return dns.RR{}, ErrNotSigned
 	}
 	key := rrset[0].Key()
-	if sig, ok := z.sigCache.Get(key); ok {
+	if sig, ok := s.sigs.Get(key); ok {
 		return sig, nil
 	}
-	signer := z.zsk
+	signer := s.ZSK
 	if key.Type == dns.TypeDNSKEY {
-		signer = z.ksk
+		signer = s.KSK
 	}
-	sig, err := dnssec.SignRRSet(signer, z.apex, rrset, z.inception, z.expiration, z.rng)
+	sig, err := dnssec.SignRRSet(signer, z.apex, rrset, s.Inception, s.Expiration, s.Rand)
 	if err != nil {
 		return dns.RR{}, fmt.Errorf("zone %s: signing %s: %w", z.apex, key, err)
 	}
-	z.sigCache.Put(key, sig)
+	s.sigs.Put(key, sig)
 	return sig, nil
-}
-
-// NSECChainNames returns the visible owner names in canonical order —
-// static and synthesized alike; used by tests to verify chain integrity.
-func (z *Zone) NSECChainNames() []dns.Name {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.ensureSortedLocked()
-	z.synthEnsureLocked()
-	var out []dns.Name
-	i, j := 0, 0
-	for i < len(z.names) || j < len(z.synthKind) {
-		var n dns.Name
-		switch {
-		case j >= len(z.synthKind):
-			n, i = z.names[i], i+1
-		case i >= len(z.names):
-			n, j = z.synthNameLocked(j), j+1
-		default:
-			if y := z.synthNameLocked(j); dns.CanonicalLess(z.names[i], y) {
-				n, i = z.names[i], i+1
-			} else {
-				n, j = y, j+1
-			}
-		}
-		if z.mergedVisibleLocked(n) {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // RecordCount returns the total number of records in the zone.
 func (z *Zone) RecordCount() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
+	// A dirty table counts the same: an owner's entries hold disjoint records.
 	total := 0
-	for _, set := range z.records {
-		total += len(set)
+	for i := range z.owners {
+		total += len(z.owners[i].rrs)
 	}
 	return total
 }

@@ -1,8 +1,9 @@
 package zone
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
@@ -37,23 +38,17 @@ type SigEntry struct {
 func (z *Zone) ExportSigState() *SigState {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	if !z.signed {
+	if z.sig == nil {
 		return nil
 	}
 	st := &SigState{Apex: z.apex, Generation: z.gen,
-		Entries: make([]SigEntry, 0, z.sigCache.Len())}
-	z.sigCache.Each(func(key dns.Key, sig dns.RR) {
+		Entries: make([]SigEntry, 0, z.sig.sigs.Len())}
+	z.sig.sigs.Each(func(key dns.Key, sig dns.RR) {
 		st.Entries = append(st.Entries, SigEntry{Key: key, Sig: sig})
 	})
-	sort.Slice(st.Entries, func(i, j int) bool {
-		a, b := st.Entries[i].Key, st.Entries[j].Key
-		if a.Name != b.Name {
-			return dns.CanonicalLess(a.Name, b.Name)
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		return a.Class < b.Class
+	slices.SortFunc(st.Entries, func(a, b SigEntry) int {
+		return cmp.Or(dns.CanonicalCompare(a.Key.Name, b.Key.Name),
+			cmp.Compare(a.Key.Type, b.Key.Type), cmp.Compare(a.Key.Class, b.Key.Class))
 	})
 	return st
 }
@@ -81,13 +76,13 @@ func (z *Zone) ImportSigState(st *SigState) error {
 		return err
 	}
 	for i := range st.Entries {
-		z.sigCache.Put(st.Entries[i].Key, st.Entries[i].Sig)
+		z.sig.sigs.Put(st.Entries[i].Key, st.Entries[i].Sig)
 	}
 	return nil
 }
 
 func (z *Zone) checkSigStateLocked(st *SigState) error {
-	if !z.signed {
+	if z.sig == nil {
 		return fmt.Errorf("%w: cannot import signatures into %s", ErrNotSigned, z.apex)
 	}
 	if st.Apex != z.apex {

@@ -78,9 +78,21 @@ func (z *Zone) AttachSynth(src SynthSource) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	z.gen++
-	z.synth = src
-	z.synthReady = false
-	z.synthRecords = gencache.New[dns.Name, []dns.RR](genCacheSpan)
+	z.synth = &synthIndex{src: src, records: gencache.New[dns.Name, []dns.RR](genCacheSpan)}
+}
+
+// synthIndex is a SynthSource's sorted owner index, built on first use, and
+// the records of recently materialized owners. Neither affects gen: a
+// synth-backed zone serves the same bytes whether or not a name's records
+// are currently held.
+type synthIndex struct {
+	src     SynthSource
+	ready   bool
+	keys    []byte
+	off     []uint32
+	kind    []SynthKind
+	aux     []uint32
+	records gencache.Cache[dns.Name, []dns.RR]
 }
 
 // MaterializedNames returns how many synthesized owners currently hold
@@ -88,21 +100,25 @@ func (z *Zone) AttachSynth(src SynthSource) {
 func (z *Zone) MaterializedNames() int {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	return z.synthRecords.Len()
+	if z.synth == nil {
+		return 0
+	}
+	return z.synth.records.Len()
 }
 
 // synthEnsureLocked builds the sorted owner index on first use. Entry i is
-// its sort key synthKeys[synthOff[i]:synthOff[i+1]] (dns.AppendSortKey), laid
+// its sort key keys[off[i]:off[i+1]] (dns.AppendSortKey), laid
 // end to end in canonical order, with its kind and aux alongside; the name
 // is not stored, since the key is the name (dns.NameFromSortKey). A byte
 // arena and three flat arrays hold no pointers, so a million-owner index is
 // four objects and adds nothing for the collector to trace; a name or a key
 // per entry as its own string would.
 func (z *Zone) synthEnsureLocked() {
-	if z.synthReady || z.synth == nil {
+	s := z.synth
+	if s == nil || s.ready {
 		return
 	}
-	idx := z.synth.SynthIndex()
+	idx := s.src.SynthIndex()
 	size := 0
 	for i := range idx {
 		size += len(idx[i].Name)
@@ -115,14 +131,14 @@ func (z *Zone) synthEnsureLocked() {
 	}
 	key := func(i uint32) []byte { return keys[off[i]:off[i+1]] }
 	ents := prefixSorted(len(idx), key)
-	z.synthKeys, z.synthOff = make([]byte, 0, len(keys)), make([]uint32, len(idx)+1)
-	z.synthKind, z.synthAux = make([]SynthKind, len(idx)), make([]uint32, len(idx))
+	s.keys, s.off = make([]byte, 0, len(keys)), make([]uint32, len(idx)+1)
+	s.kind, s.aux = make([]SynthKind, len(idx)), make([]uint32, len(idx))
 	for i, e := range ents {
-		z.synthKeys = append(z.synthKeys, key(e.at)...)
-		z.synthOff[i+1] = uint32(len(z.synthKeys))
-		z.synthKind[i], z.synthAux[i] = idx[e.at].Kind, idx[e.at].Aux
+		s.keys = append(s.keys, key(e.at)...)
+		s.off[i+1] = uint32(len(s.keys))
+		s.kind[i], s.aux[i] = idx[e.at].Kind, idx[e.at].Aux
 	}
-	z.synthReady = true
+	s.ready = true
 }
 
 // prefixEnt is one key to sort: the 8 bytes that follow the prefix every key
@@ -172,15 +188,11 @@ func prefixSorted(n int, key func(i uint32) []byte) []prefixEnt {
 	return ents
 }
 
-// synthKeyLocked returns the sort key of index entry i.
-func (z *Zone) synthKeyLocked(i int) []byte {
-	return z.synthKeys[z.synthOff[i]:z.synthOff[i+1]]
-}
+// key returns the sort key of index entry i.
+func (s *synthIndex) key(i int) []byte { return s.keys[s.off[i]:s.off[i+1]] }
 
-// synthNameLocked decodes the owner name of index entry i from its key.
-func (z *Zone) synthNameLocked(i int) dns.Name {
-	return dns.NameFromSortKey(z.synthKeyLocked(i))
-}
+// name decodes the owner name of index entry i from its key.
+func (s *synthIndex) name(i int) dns.Name { return dns.NameFromSortKey(s.key(i)) }
 
 // owner is a name with its place in the synthesized owner index resolved.
 // Lookup resolves the query name once and hands the result to every
@@ -204,25 +216,35 @@ func (z *Zone) ownerLocked(name dns.Name) owner {
 		return owner{name: name}
 	}
 	z.synthEnsureLocked()
+	s := z.synth
 	var buf [256]byte
 	key := dns.AppendSortKey(buf[:0], name)
-	at := sort.Search(len(z.synthKind), func(i int) bool {
-		return bytes.Compare(z.synthKeyLocked(i), key) >= 0
+	at := sort.Search(len(s.kind), func(i int) bool {
+		return bytes.Compare(s.key(i), key) >= 0
 	})
-	return owner{name: name, at: at, synth: at < len(z.synthKind) && bytes.Equal(z.synthKeyLocked(at), key)}
+	return owner{name: name, at: at, synth: at < len(s.kind) && bytes.Equal(s.key(at), key)}
 }
 
-// synthHasDescendantLocked reports whether a synthesized owner exists
-// strictly below o (canonical order puts descendants right after their
-// ancestor, as in hasDescendantLocked): the next entry's key starts with o's.
-func (z *Zone) synthHasDescendantLocked(o owner) bool {
+// hasDescendantLocked reports whether any owner, static or synthesized,
+// exists strictly below o. Canonical order puts descendants right after
+// their ancestor, so in each index the entry after o's place tells: a static
+// name below o's, or a synthesized key that starts with o's.
+func (z *Zone) hasDescendantLocked(o owner) bool {
+	z.ensureSortedLocked()
+	i, found := z.searchLocked(o.name)
+	if found {
+		i++
+	}
+	if i < len(z.owners) && z.owners[i].name.IsSubdomainOf(o.name) {
+		return true
+	}
 	z.synthEnsureLocked() // the apex resolves without building the index
-	i := o.at
+	i = o.at
 	if o.synth {
 		i++
 	}
 	var buf [256]byte
-	return i < len(z.synthKind) && bytes.HasPrefix(z.synthKeyLocked(i), dns.AppendSortKey(buf[:0], o.name))
+	return z.synth != nil && i < len(z.synth.kind) && bytes.HasPrefix(z.synth.key(i), dns.AppendSortKey(buf[:0], o.name))
 }
 
 // types reports the record types present at an entry of this kind.
@@ -246,10 +268,11 @@ func (k SynthKind) isCut() bool { return k == SynthCut || k == SynthSecureCut }
 // synthRecordsLocked returns every record the synthesized owner o holds,
 // deriving them when the cache does not hold them yet, or no longer.
 func (z *Zone) synthRecordsLocked(o owner) ([]dns.RR, error) {
-	if rrs, ok := z.synthRecords.Get(o.name); ok {
+	s := z.synth
+	if rrs, ok := s.records.Get(o.name); ok {
 		return rrs, nil
 	}
-	rrs, err := z.synth.SynthRecords(SynthEntry{Name: o.name, Kind: z.synthKind[o.at], Aux: z.synthAux[o.at]})
+	rrs, err := s.src.SynthRecords(SynthEntry{Name: o.name, Kind: s.kind[o.at], Aux: s.aux[o.at]})
 	if err != nil {
 		return nil, fmt.Errorf("zone %s: materializing %s: %w", z.apex, o.name, err)
 	}
@@ -261,7 +284,7 @@ func (z *Zone) synthRecordsLocked(o owner) ([]dns.RR, error) {
 	// Grouped by type, order within a type kept, so rrsetLocked can hand out
 	// an RRset as a sub-slice.
 	slices.SortStableFunc(rrs, func(a, b dns.RR) int { return cmp.Compare(a.Type, b.Type) })
-	z.synthRecords.Put(o.name, rrs)
+	s.records.Put(o.name, rrs)
 	return rrs, nil
 }
 
@@ -270,59 +293,55 @@ func (z *Zone) synthRecordsLocked(o owner) ([]dns.RR, error) {
 
 // existsLocked reports whether o owns records (static or synthesized).
 func (z *Zone) existsLocked(o owner) bool {
-	return o.synth || z.nameSet[o.name]
+	return o.synth || z.staticLocked(o.name) != nil
 }
 
 // isCutLocked reports whether o is a delegation point.
 func (z *Zone) isCutLocked(o owner) bool {
-	return z.cuts[o.name] || (o.synth && z.synthKind[o.at].isCut())
+	if o.synth {
+		return z.synth.kind[o.at].isCut()
+	}
+	e := z.staticLocked(o.name)
+	return e != nil && e.cut
 }
 
 // rrsetLocked returns the records of (o, type), materializing synthesized
 // content when needed. A nil set with nil error means the type is absent.
+// Static and synthesized records are both held grouped by type, so the set
+// is one run of either.
 func (z *Zone) rrsetLocked(o owner, typ dns.Type) ([]dns.RR, error) {
-	key := dns.Key{Name: o.name, Type: typ, Class: dns.ClassIN}
-	if rrset, ok := z.records[key]; ok {
-		return rrset, nil
-	}
 	if !o.synth {
+		if e := z.staticLocked(o.name); e != nil {
+			return typeRun(e.rrs, typ), nil
+		}
 		return nil, nil
 	}
-	if !dns.HasType(z.synthKind[o.at].types(z.synthAux[o.at]), typ) {
+	if !dns.HasType(z.synth.kind[o.at].types(z.synth.aux[o.at]), typ) {
 		return nil, nil
 	}
 	rrs, err := z.synthRecordsLocked(o)
 	if err != nil {
 		return nil, err
 	}
-	// Held grouped by type: the set is one run.
-	lo := 0
-	for lo < len(rrs) && rrs[lo].Type != typ {
-		lo++
-	}
-	hi := lo
-	for hi < len(rrs) && rrs[hi].Type == typ {
-		hi++
-	}
-	if lo == hi {
-		return nil, nil
-	}
-	return rrs[lo:hi:hi], nil
+	return typeRun(rrs, typ), nil
 }
 
-// mergedTypesAtLocked returns a copy of the types present at o across both
-// universes (the NSEC type bitmap). Static and synthesized owners never
-// coincide, so one side is always empty.
+// mergedTypesAtLocked returns the types present at o across both universes
+// (the NSEC type bitmap), in a slice of its own. Static and synthesized
+// owners never coincide, so one side is always empty.
 func (z *Zone) mergedTypesAtLocked(o owner) []dns.Type {
-	if src := z.typesByName[o.name]; len(src) > 0 {
-		types := make([]dns.Type, len(src))
-		copy(types, src)
-		return types
-	}
 	if o.synth {
-		return z.synthKind[o.at].types(z.synthAux[o.at])
+		return z.synth.kind[o.at].types(z.synth.aux[o.at])
 	}
-	return nil
+	var types []dns.Type
+	if e := z.staticLocked(o.name); e != nil {
+		for i, rr := range e.rrs {
+			if i == 0 || rr.Type != e.rrs[i-1].Type {
+				types = append(types, rr.Type)
+			}
+		}
+	}
+	return types
 }
 
 // mergedVisibleLocked extends visibleLocked across synthesized cuts.
@@ -339,12 +358,13 @@ func (z *Zone) mergedVisibleLocked(name dns.Name) bool {
 // name in canonical order.
 func (z *Zone) staticAfterLocked(name dns.Name) (dns.Name, bool) {
 	z.ensureSortedLocked()
-	i := sort.Search(len(z.names), func(i int) bool {
-		return dns.CanonicalCompare(z.names[i], name) > 0
-	})
-	for ; i < len(z.names); i++ {
-		if z.mergedVisibleLocked(z.names[i]) {
-			return z.names[i], true
+	i, found := z.searchLocked(name)
+	if found {
+		i++
+	}
+	for ; i < len(z.owners); i++ {
+		if z.mergedVisibleLocked(z.owners[i].name) {
+			return z.owners[i].name, true
 		}
 	}
 	return "", false
@@ -354,12 +374,10 @@ func (z *Zone) staticAfterLocked(name dns.Name) (dns.Name, bool) {
 // name in canonical order.
 func (z *Zone) staticBeforeLocked(name dns.Name) (dns.Name, bool) {
 	z.ensureSortedLocked()
-	i := sort.Search(len(z.names), func(i int) bool {
-		return !dns.CanonicalLess(z.names[i], name)
-	})
+	i, _ := z.searchLocked(name)
 	for i--; i >= 0; i-- {
-		if z.mergedVisibleLocked(z.names[i]) {
-			return z.names[i], true
+		if z.mergedVisibleLocked(z.owners[i].name) {
+			return z.owners[i].name, true
 		}
 	}
 	return "", false
@@ -375,8 +393,8 @@ func (z *Zone) synthAfterLocked(o owner) (dns.Name, bool) {
 	if o.synth {
 		i++
 	}
-	for ; i < len(z.synthKind); i++ {
-		if name := z.synthNameLocked(i); z.mergedVisibleLocked(name) {
+	for ; z.synth != nil && i < len(z.synth.kind); i++ {
+		if name := z.synth.name(i); z.mergedVisibleLocked(name) {
 			return name, true
 		}
 	}
@@ -385,7 +403,7 @@ func (z *Zone) synthAfterLocked(o owner) (dns.Name, bool) {
 
 func (z *Zone) synthBeforeLocked(o owner) (owner, bool) {
 	for i := o.at - 1; i >= 0; i-- {
-		if name := z.synthNameLocked(i); z.mergedVisibleLocked(name) {
+		if name := z.synth.name(i); z.mergedVisibleLocked(name) {
 			return owner{name: name, at: i, synth: true}, true
 		}
 	}

@@ -193,7 +193,7 @@ func TestSynthApexDenialOnUntouchedIndex(t *testing.T) {
 // materialization never changes the zone generation.
 func TestSynthMaterializationIsLazyAndGenStable(t *testing.T) {
 	_, lazy := buildSynthPair(t)
-	src := lazy.synth.(*mapSynth)
+	src := lazy.synth.src.(*mapSynth)
 
 	gen := lazy.Generation()
 	if src.derived != 0 {

@@ -7,13 +7,14 @@
 // Signatures are produced lazily and memoized: a TLD zone in the simulated
 // internet can delegate hundreds of thousands of children, and only the
 // RRsets actually served need signing. The NSEC chain is likewise
-// materialized on demand from the canonically-sorted owner-name index.
+// materialized on demand from the canonically sorted owner table.
 package zone
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
@@ -64,50 +65,69 @@ type Zone struct {
 	mu sync.RWMutex
 
 	apex dns.Name
-	ttl  uint32
-
-	records map[dns.Key][]dns.RR
-	// typesByName indexes the record types present at each owner name.
-	typesByName map[dns.Name][]dns.Type
-	// names is the canonically ordered list of owner names that exist in
-	// the zone (authoritative data and delegation points). It is sorted
-	// lazily: bulk loading appends and marks namesDirty, and the first
-	// chain operation sorts.
-	names      []dns.Name
-	namesDirty bool
-	// nameSet mirrors names for O(1) existence checks.
-	nameSet map[dns.Name]bool
-	// cuts marks delegation points (child zone apexes).
-	cuts map[dns.Name]bool
+	// owners is the static data, one entry per owner name in canonical
+	// (RFC 4034 §6.1) order; the apex is always entry 0. dirty marks it out
+	// of order or holding an owner twice (see slotLocked) until the next
+	// read under the write lock sorts it, so bulk loading stays O(n log n).
+	owners  []ownerEntry
+	ttl     uint32
+	dirty   bool
+	hasCuts bool
 
 	// gen counts content mutations (inserts, delegations, signing state).
 	// Packet caches key cached responses on it so a mutated zone — e.g.
 	// the DLV registry after a Deposit — is never served stale.
 	gen uint64
 
-	// synth lazily extends the zone with derivable owner names (see
-	// synth.go). synthKeys/synthOff/synthKind/synthAux are the sorted owner
-	// index, built on first use; synthRecords holds the records of recently
-	// materialized owners. Neither affects gen: a synth-backed zone serves
-	// the same bytes whether or not a name's records are currently held.
-	synth        SynthSource
-	synthReady   bool
-	synthKeys    []byte
-	synthOff     []uint32
-	synthKind    []SynthKind
-	synthAux     []uint32
-	synthRecords gencache.Cache[dns.Name, []dns.RR]
+	// synth lazily extends the zone with derivable owner names (synth.go);
+	// nil without a source.
+	synth *synthIndex
+	// sig holds the signing state; nil until Sign.
+	sig *signer
+}
 
-	signed     bool
-	nsec3      bool
-	nsec3Salt  []byte
-	nsec3Iter  uint16
-	ksk, zsk   *dnssec.KeyPair
-	inception  uint32
-	expiration uint32
-	rng        io.Reader
-	// sigCache memoizes the RRSIGs of recently served RRsets.
-	sigCache gencache.Cache[dns.Key, dns.RR]
+// ownerEntry is one owner name and its records, grouped by type: the groups
+// in the order each type was first inserted, records of one type in
+// insertion order. An RRset is one run (typeRun), and AllRecords,
+// SignedRecords and AXFR emit records in that order. cut marks a delegation
+// point; every entry owns at least one record.
+type ownerEntry struct {
+	name dns.Name
+	rrs  []dns.RR
+	cut  bool
+}
+
+// add files rr at the end of its type's run.
+func (e *ownerEntry) add(rr dns.RR) {
+	for i := len(e.rrs) - 1; i >= 0; i-- {
+		if e.rrs[i].Type == rr.Type {
+			e.rrs = slices.Insert(e.rrs, i+1, rr)
+			return
+		}
+	}
+	e.rrs = append(e.rrs, rr)
+}
+
+// typeRun returns the records of type t in rrs, which are grouped by type,
+// capped so that a caller's append cannot write into the next run. Nil
+// means the type is absent.
+func typeRun(rrs []dns.RR, t dns.Type) []dns.RR {
+	lo := slices.IndexFunc(rrs, func(rr dns.RR) bool { return rr.Type == t })
+	if lo < 0 {
+		return nil
+	}
+	hi := lo + 1
+	for hi < len(rrs) && rrs[hi].Type == t {
+		hi++
+	}
+	return rrs[lo:hi:hi]
+}
+
+// signer is the signing state of a signed zone: its configuration and the
+// memoized RRSIGs of recently served RRsets.
+type signer struct {
+	SignConfig
+	sigs gencache.Cache[dns.Key, dns.RR]
 }
 
 // New creates an empty zone with its SOA and apex NS record.
@@ -131,19 +151,10 @@ func New(cfg Config) (*Zone, error) {
 			return nil, fmt.Errorf("zone: deriving primary ns: %w", err)
 		}
 	}
-	// cuts stays nil until the first Delegate call — reads of a nil map are
-	// fine, and leaf zones (the per-domain SLD zones a sweep materializes by
-	// the million) never delegate.
-	z := &Zone{
-		apex:        cfg.Apex,
-		ttl:         ttl,
-		records:     make(map[dns.Key][]dns.RR),
-		typesByName: make(map[dns.Name][]dns.Type),
-		nameSet:     make(map[dns.Name]bool),
-
-		synthRecords: gencache.New[dns.Name, []dns.RR](genCacheSpan),
-		sigCache:     gencache.New[dns.Key, dns.RR](genCacheSpan),
-	}
+	// The apex is entry 0 from the start. Its SOA and NS come next, and
+	// most zones then add an address or a key pair there: room for four.
+	z := &Zone{apex: cfg.Apex, ttl: ttl,
+		owners: []ownerEntry{{name: cfg.Apex, rrs: make([]dns.RR, 0, 4)}}}
 	rname, err := dns.Concat("hostmaster", cfg.Apex)
 	if err != nil {
 		return nil, fmt.Errorf("zone: deriving rname: %w", err)
@@ -180,14 +191,7 @@ func (z *Zone) Generation() uint64 {
 func (z *Zone) IsSigned() bool {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	return z.signed
-}
-
-// UsesNSEC3 reports whether the zone answers denials with NSEC3.
-func (z *Zone) UsesNSEC3() bool {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.nsec3
+	return z.sig != nil
 }
 
 // Add inserts a record. The owner must be at or below the apex and must not
@@ -219,19 +223,20 @@ func (z *Zone) AddSet(rrs ...dns.RR) error {
 }
 
 // Delegate records a zone cut: child becomes a delegation point served by
-// the given name servers. Glue records may be attached for in-bailiwick
-// servers.
+// the given name servers, at least one. Glue records may be attached for
+// in-bailiwick servers.
 func (z *Zone) Delegate(child dns.Name, servers []dns.Name, glue []dns.RR) error {
 	if child == z.apex || !child.IsSubdomainOf(z.apex) {
 		return fmt.Errorf("%w: %s not strictly under %s", ErrOutOfZone, child, z.apex)
 	}
+	if len(servers) == 0 {
+		return fmt.Errorf("zone: delegation of %s names no server", child)
+	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	z.gen++
-	if z.cuts == nil {
-		z.cuts = make(map[dns.Name]bool)
-	}
-	z.cuts[child] = true
+	z.slotLocked(child).cut = true
+	z.hasCuts = true
 	for _, s := range servers {
 		z.insertLocked(dns.RR{
 			Name: child, Type: dns.TypeNS, Class: dns.ClassIN, TTL: z.ttl,
@@ -252,7 +257,13 @@ func (z *Zone) Delegate(child dns.Name, servers []dns.Name, glue []dns.RR) error
 func (z *Zone) AttachDS(child dns.Name, ds ...*dns.DSData) error {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	if !z.cuts[child] {
+	// AttachDS follows its Delegate, so the cut is sought from the end of
+	// the table, which a bulk load then need not sort once per delegation.
+	i := len(z.owners) - 1
+	for i >= 0 && (z.owners[i].name != child || !z.owners[i].cut) {
+		i--
+	}
+	if i < 0 {
 		return fmt.Errorf("%w: %s", ErrNoSuchCut, child)
 	}
 	for _, d := range ds {
@@ -263,21 +274,77 @@ func (z *Zone) AttachDS(child dns.Name, ds ...*dns.DSData) error {
 	return nil
 }
 
-// insertLocked adds rr and indexes its owner name. Callers hold z.mu.
+// insertLocked adds rr to its owner's entry. Callers hold z.mu.
 func (z *Zone) insertLocked(rr dns.RR) {
 	z.gen++
-	key := rr.Key()
-	z.records[key] = append(z.records[key], rr)
-	if !dns.HasType(z.typesByName[rr.Name], rr.Type) {
-		z.typesByName[rr.Name] = append(z.typesByName[rr.Name], rr.Type)
+	z.slotLocked(rr.Name).add(rr)
+	if z.sig != nil {
+		// Any cached signature for this RRset is now stale.
+		z.sig.sigs.Delete(rr.Key())
 	}
-	if !z.nameSet[rr.Name] {
-		z.nameSet[rr.Name] = true
-		z.names = append(z.names, rr.Name)
-		z.namesDirty = true
+}
+
+// slotLocked returns the entry an insert at name fills: the last entry if it
+// is name's, name's entry if the table is sorted, and otherwise a new entry
+// at the end, which marks the table dirty unless it sorts last.
+func (z *Zone) slotLocked(name dns.Name) *ownerEntry {
+	n := len(z.owners)
+	if n > 0 && z.owners[n-1].name == name {
+		return &z.owners[n-1]
 	}
-	// Any cached signature for this RRset is now stale.
-	z.sigCache.Delete(key)
+	if !z.dirty {
+		i, found := z.searchLocked(name)
+		if found {
+			return &z.owners[i]
+		}
+		z.dirty = i < n
+	}
+	z.owners = append(z.owners, ownerEntry{name: name})
+	return &z.owners[n]
+}
+
+// searchLocked returns the position of the first owner that does not sort
+// before name in a sorted table, and whether it is name.
+func (z *Zone) searchLocked(name dns.Name) (int, bool) {
+	return slices.BinarySearchFunc(z.owners, name, func(e ownerEntry, n dns.Name) int {
+		return dns.CanonicalCompare(e.name, n)
+	})
+}
+
+// ensureSortedLocked sorts the table and merges an owner's entries into
+// one: a later entry holds only records inserted after all of an earlier
+// one's, so re-adding them keeps type and insertion order. Callers hold the
+// write lock.
+func (z *Zone) ensureSortedLocked() {
+	if !z.dirty {
+		return
+	}
+	slices.SortStableFunc(z.owners, func(a, b ownerEntry) int {
+		return dns.CanonicalCompare(a.name, b.name)
+	})
+	out := z.owners[:1]
+	for _, e := range z.owners[1:] {
+		last := &out[len(out)-1]
+		if e.name != last.name {
+			out = append(out, e)
+			continue
+		}
+		last.cut = last.cut || e.cut
+		for _, rr := range e.rrs {
+			last.add(rr)
+		}
+	}
+	clear(z.owners[len(out):])
+	z.owners, z.dirty = out, false
+}
+
+// staticLocked returns name's entry of the static table, or nil.
+func (z *Zone) staticLocked(name dns.Name) *ownerEntry {
+	z.ensureSortedLocked()
+	if i, found := z.searchLocked(name); found {
+		return &z.owners[i]
+	}
+	return nil
 }
 
 // SignConfig configures zone signing.
@@ -307,14 +374,8 @@ func (z *Zone) Sign(cfg SignConfig) error {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	z.gen++
-	z.signed = true
-	z.ksk, z.zsk = cfg.KSK, cfg.ZSK
-	z.inception, z.expiration = cfg.Inception, cfg.Expiration
-	z.rng = cfg.Rand
-	z.sigCache = gencache.New[dns.Key, dns.RR](genCacheSpan) // re-signing invalidates every memoized signature
-	z.nsec3 = cfg.NSEC3
-	z.nsec3Salt = cfg.NSEC3Salt
-	z.nsec3Iter = cfg.NSEC3Iterations
+	// A new signer starts with no memoized signature: re-signing invalidates them.
+	z.sig = &signer{SignConfig: cfg, sigs: gencache.New[dns.Key, dns.RR](genCacheSpan)}
 	z.insertLocked(cfg.KSK.DNSKEYRR(z.apex, z.ttl))
 	z.insertLocked(cfg.ZSK.DNSKEYRR(z.apex, z.ttl))
 	return nil
@@ -325,10 +386,10 @@ func (z *Zone) Sign(cfg SignConfig) error {
 func (z *Zone) DS(digestType uint8) (*dns.DSData, error) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	if !z.signed {
+	if z.sig == nil {
 		return nil, ErrNotSigned
 	}
-	return dnssec.MakeDS(z.apex, z.ksk.Public(), digestType)
+	return dnssec.MakeDS(z.apex, z.sig.KSK.Public(), digestType)
 }
 
 // DLV exports the look-aside payload for the zone's KSK, for deposit in a
@@ -336,18 +397,8 @@ func (z *Zone) DS(digestType uint8) (*dns.DSData, error) {
 func (z *Zone) DLV(digestType uint8) (*dns.DLVData, error) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	if !z.signed {
+	if z.sig == nil {
 		return nil, ErrNotSigned
 	}
-	return dnssec.MakeDLV(z.apex, z.ksk.Public(), digestType)
-}
-
-// KSKTag returns the key tag of the zone's key-signing key.
-func (z *Zone) KSKTag() (uint16, error) {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	if !z.signed {
-		return 0, ErrNotSigned
-	}
-	return z.ksk.KeyTag(), nil
+	return dnssec.MakeDLV(z.apex, z.sig.KSK.Public(), digestType)
 }

@@ -90,6 +90,10 @@ func TestAddValidation(t *testing.T) {
 	if err := z.Add(soa); !errors.Is(err, ErrDuplicateSOA) {
 		t.Fatalf("duplicate SOA err = %v", err)
 	}
+	// A cut owns its NS set: a delegation to no server is refused.
+	if err := z.Delegate(dns.MustName("empty.example.com"), nil, nil); err == nil {
+		t.Fatal("Delegate with no server succeeded")
+	}
 }
 
 func TestLookupAnswer(t *testing.T) {
