@@ -136,10 +136,11 @@ func TestFaultedExchangeAllocationBudget(t *testing.T) {
 // TestSweepSteadyStateMemory pins the bounded-cache contract behind the
 // sweep's heap ceiling: with tight resolver cache limits, the live heap
 // after auditing block k+1 must sit close to the heap after block k. The
-// amortized FIFO eviction reclaims expired and over-limit entries on
-// insert, so only the intentionally unbounded state — capture's per-domain
-// leak ledger and the interned-name table — may grow, and that costs a few
-// hundred bytes per domain, not the kilobytes a leaking cache would.
+// recency-bounded caches drop what the last generations did not touch, so
+// only the intentionally unbounded state — capture's per-domain leak ledger
+// — may grow, plus the decoder's intern table while it still fills its
+// slots (it is bounded at about 3 MB), and that costs a few hundred bytes
+// per domain, not the kilobytes a leaking cache would.
 func TestSweepSteadyStateMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-block audit run")
@@ -196,13 +197,15 @@ func TestSweepSteadyStateMemory(t *testing.T) {
 		marks[i] = heapAfter()
 	}
 	// Caches are saturated by the end of block 2; from there the marginal
-	// growth is the per-domain ledger only. 1 KB/domain of headroom is ~4x
-	// the ledger cost and far below what unbounded caching leaks.
+	// growth is the per-domain ledger and the intern table's filling slots.
+	// Measured 475-501 B/domain (six runs, one under -race); the limit
+	// is that plus about half again, far below what unbounded caching leaks.
+	const limit = 768
 	growth := int64(marks[blocks-1]) - int64(marks[1])
 	perDomain := growth / ((blocks - 2) * blockSize)
 	t.Logf("steady-state heap: marks=%v growth=%d B (%d B/domain)", marks, growth, perDomain)
-	if perDomain > 1024 {
-		t.Errorf("heap grew %d B/domain in steady state (limit 1024): cache eviction not holding", perDomain)
+	if perDomain > limit {
+		t.Errorf("heap grew %d B/domain in steady state (limit %d): cache eviction not holding", perDomain, limit)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 
 // Allocation budgets for the wire-codec hot path. These are ceilings, not
 // targets: a regression that pushes any operation above its budget fails
-// loudly. Budgets assume a warmed name-intern table (steady experiment
-// state), which the tests arrange before measuring.
+// loudly. Budgets assume a warmed name-intern table: every name of the
+// sample sits in its slot, which one decode arranges before measuring (the
+// hash is fixed and no two of the sample's names share a slot).
 const (
 	// allocBudgetEncode: Encode allocates exactly once — the copy-out of
 	// the pooled builder's buffer. Everything else (builder, compression
@@ -98,10 +99,9 @@ func TestAllocationBudgets(t *testing.T) {
 }
 
 // TestInternMissAllocations pins what a first-seen name costs the intern
-// table: the text MakeName validates and the Name it returns. The table's
-// key shares the Name's bytes, so there is no third string; text that is not
-// already canonical (here: uppercase) still keys on its own copy and resolves
-// on the next ask.
+// table: the Name's one string, built straight from the decoded bytes, and
+// the slot's pointer to it. A hit costs nothing; text that is not already
+// canonical (here: uppercase) still resolves, through MakeName.
 func TestInternMissAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
@@ -118,7 +118,6 @@ func TestInternMissAllocations(t *testing.T) {
 		}
 		i++
 	})
-	// Map growth is amortized below one allocation per insert.
 	if got > 2 {
 		t.Errorf("internName miss: %.1f allocs/op, want 2", got)
 	}

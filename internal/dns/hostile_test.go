@@ -114,6 +114,8 @@ func hostileCorpus() []hostileEntry {
 		{"rdata-short-rrsig", wireMsg(0, 2, 0, 0, rrHead(TypeRRSIG, 10), make([]byte, 10), aRR()), errRDataOverrun},
 		{"rdata-short-nsec3-salt", wireMsg(0, 2, 0, 0, rrHead(TypeNSEC3, 6), []byte{1, 0, 0, 10, 40, 0xAA}, aRR()), errRDataOverrun},
 		{"rdata-name-past-rdlength", wireMsg(0, 2, 0, 0, rrHead(TypeNS, 3), wireLabels("ns"), []byte{0}, aRR()), errRDataOverrun},
+		// TXT RDATA holds at least one character string.
+		{"rdata-empty-txt", wireMsg(0, 2, 0, 0, rrHead(TypeTXT, 0), aRR()), ErrBadRData},
 		{"opt-option-overrun", wireMsg(0, 0, 0, 1, rrHead(TypeOPT, 4), []byte{0, 12, 0, 9}), errRDataOverrun},
 	}
 }

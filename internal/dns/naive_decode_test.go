@@ -233,6 +233,9 @@ func naiveRData(msg []byte, typ Type, start, end int) (RData, error) {
 		}
 		return &MXData{Preference: naiveU16(rd, 0), Exchange: n}, nil
 	case TypeTXT:
+		if len(rd) == 0 {
+			return nil, errNaiveRData
+		}
 		var out TXTData
 		for i := 0; i < len(rd); {
 			n := int(rd[i])

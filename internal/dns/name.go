@@ -49,27 +49,38 @@ func MakeName(s string) (Name, error) {
 		return Root, nil
 	}
 	s = strings.ToLower(strings.TrimSuffix(s, "."))
+	if err := checkNameText(s); err != nil {
+		return "", err
+	}
+	return Name(s + "."), nil
+}
+
+// checkNameText validates lowercase name text without its trailing dot:
+// labels of name characters, 1..63 bytes each, 255 bytes in all with the
+// dot. MakeName checks strings with it, the decoder's intern table bytes.
+// Errors quote a copy, so a caller's stack buffer does not escape.
+func checkNameText[T string | []byte](s T) error {
 	if len(s)+1 > maxNameLen {
-		return "", fmt.Errorf("%w: %q", ErrNameTooLong, s)
+		return fmt.Errorf("%w: %q", ErrNameTooLong, string(s))
 	}
 	start := 0
 	for i := 0; i <= len(s); i++ {
 		if i != len(s) && s[i] != '.' {
 			if !isNameChar(s[i]) {
-				return "", fmt.Errorf("%w: %q in %q", ErrBadLabelChar, string(s[i]), s)
+				return fmt.Errorf("%w: %q in %q", ErrBadLabelChar, string(s[i]), string(s))
 			}
 			continue
 		}
 		label := s[start:i]
-		if label == "" {
-			return "", fmt.Errorf("%w: %q", ErrEmptyLabel, s)
+		if len(label) == 0 {
+			return fmt.Errorf("%w: %q", ErrEmptyLabel, string(s))
 		}
 		if len(label) > maxLabelLen {
-			return "", fmt.Errorf("%w: %q", ErrLabelTooLong, label)
+			return fmt.Errorf("%w: %q", ErrLabelTooLong, string(label))
 		}
 		start = i + 1
 	}
-	return Name(s + "."), nil
+	return nil
 }
 
 // isNameChar reports whether c may appear inside a label. We accept the

@@ -226,9 +226,13 @@ func (c rdataCodec) octets(v *[]byte, what string) {
 }
 
 // strings moves TXT character strings, which run to the end of the RDATA.
-// No strings encode as one empty string: RDATA cannot be empty.
+// There is at least one (RFC 1035 §3.3.14), so no strings encode as one
+// empty string and empty RDATA is refused.
 func (c rdataCodec) strings(v *[]string) {
 	if c.b == nil {
+		if !c.p.more() {
+			c.p.fail(fmt.Errorf("%w: TXT RDATA holds no string", ErrBadRData))
+		}
 		for c.p.more() {
 			*v = append(*v, string(c.p.bytes(int(c.p.uint8()))))
 		}

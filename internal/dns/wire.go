@@ -365,7 +365,7 @@ func (p *parser) uint32() uint32 {
 // offset, following pointers with a hop limit. The fast path assembles the
 // lowercased presentation text in a stack buffer and resolves it through the
 // intern table, so decoding a hot name allocates nothing; a first-seen name
-// is validated by MakeName.
+// is validated and built there.
 //
 // Cutting the message at a record's end loses no name a pointer in its
 // RDATA could reach. Pointers point strictly backwards, so labels that run
@@ -399,8 +399,8 @@ func (p *parser) name() Name {
 				return Root
 			}
 			// Strip the trailing separator: the text is the labels joined
-			// by dots, which MakeName validates as a whole; no label holds
-			// a '.' of its own (refused below).
+			// by dots, which internName validates as a whole; no label
+			// holds a '.' of its own (refused below).
 			name, err := internName(text[:n-1])
 			p.fail(err)
 			return name

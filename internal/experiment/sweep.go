@@ -21,21 +21,29 @@ import (
 // at any -workers value. TestSweepInvariance pins this.
 const sweepShards = 8
 
-// Per-worker resolver cache caps during a sweep. Sweep workloads query
-// every domain exactly once, so per-domain cache entries (answers, SLD
-// zone records) are never re-used across domains; the
-// shared infrastructure cache carries everything that is. Each cap sits
-// far above one domain's working set plus the whole infrastructure set,
-// and eviction is by recency (an entry goes only after half a cap of
-// inserts without a touch), so it only ever discards entries belonging to
-// finished domains and resolution behavior — hence every metric — is
-// unchanged (TestSweepCacheCaps runs the 10k point under far tighter
-// caps). The NSEC span store is deliberately NOT capped here: aggressive negative caching
-// accumulates spans across domains (the DLVSuppressed metric), so bounding
-// it would change results, not just memory.
+// Per-shard resolver cache caps during a sweep, sized by what one domain
+// needs. A sweep asks each domain once, so nothing one domain puts in its
+// shard's private cache is asked for by the next: what domains share — the
+// root and TLD cuts with their validation outcomes, the registry's path and
+// keys — each shard reads from the sealed infrastructure cache
+// (Config.Infra), and what spans domains, the registry's NSEC spans, lives
+// in the span store, which is not capped here (bounding it changes
+// DLVQueries, not just memory). The private cache only has to hold the
+// domain in flight. Eviction is by recency, a generation being half a cap
+// (an entry goes only after that many inserts without a touch), so the
+// rule is: a generation holds 128 times the most entries any one domain
+// adds, rounded up to a power of two. Over the 100k population at seed 1
+// (TestSweepWorkingSet measures it, 8 shards, caches too large to evict)
+// one domain adds at most 4 positive answers, 4 negative answers and 1
+// zone record, so each answer table's generation is 512 entries and the
+// zone table's 128. The warm-up's resolvers run under the same caps, and
+// the 28 zone records they export at 100k fit one generation. The previous
+// caps, 1<<15 / 1<<14, held every domain of a 100k shard for nothing
+// (sweep_100k's peak RSS was 213 MB, now 110 MB with the bounded intern
+// table); TestSweepCacheCaps pins that both read alike, as does 256 / 128.
 const (
-	sweepAnswerCap = 1 << 15
-	sweepZoneCap   = 1 << 14
+	sweepAnswerCap = 1 << 10
+	sweepZoneCap   = 1 << 8
 )
 
 // sweepPacketCacheCap bounds every authoritative server's wire-response
@@ -150,13 +158,7 @@ func sweepPoint(n int, seed int64, workers int, opts sweepOpts) (SweepPoint, err
 	}
 	setupWall := time.Since(setupStart)
 
-	cfg := u.ResolverConfig(true, true)
-	cfg.NSCompletionPercent, cfg.PTRSamplePercent = 0, 0
-	cfg.Limits = opts.limits
-	if cfg.Limits == (resolver.CacheLimits{}) {
-		cfg.Limits = resolver.CacheLimits{Answers: sweepAnswerCap, Zones: sweepZoneCap}
-	}
-
+	cfg := sweepConfig(u, opts.limits)
 	warmStart := time.Now()
 	cfg.Infra, err = core.WarmInfra(u, cfg)
 	if err != nil {
@@ -213,6 +215,19 @@ func sweepPoint(n int, seed int64, workers int, opts sweepOpts) (SweepPoint, err
 			HeapAllocMB:   float64(ms.HeapAlloc) / (1 << 20),
 		},
 	}, nil
+}
+
+// sweepConfig is the resolver configuration of every shard of a sweep
+// point: validation and look-aside on, no NS completion or PTR sampling,
+// and the given cache caps, the sweep's own when zero.
+func sweepConfig(u *universe.Universe, limits resolver.CacheLimits) resolver.Config {
+	cfg := u.ResolverConfig(true, true)
+	cfg.NSCompletionPercent, cfg.PTRSamplePercent = 0, 0
+	cfg.Limits = limits
+	if cfg.Limits == (resolver.CacheLimits{}) {
+		cfg.Limits = resolver.CacheLimits{Answers: sweepAnswerCap, Zones: sweepZoneCap}
+	}
+	return cfg
 }
 
 // String renders the deterministic leak table, then one bracketed

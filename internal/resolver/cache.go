@@ -52,10 +52,11 @@ func (l CacheLimits) withDefaults() CacheLimits {
 
 // CacheSizes reports the current entry counts of every cache (see
 // Resolver.CacheSizes); the steady-state tests assert these stay within the
-// configured limits. Delegations, ZoneOutcomes and NSCompleted count the
-// zone records holding each part.
+// configured limits. Zones counts the zone records, and Delegations,
+// ZoneOutcomes and NSCompleted count those holding each part.
 type CacheSizes struct {
 	Positive, Negative int
+	Zones              int
 	Delegations        int
 	ZoneOutcomes       int
 	Servers            int
@@ -609,7 +610,8 @@ func (c *Cache) spanCovers(zone dns.Name, key []byte, now uint32) bool {
 func (c *Cache) Sizes() CacheSizes {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sz := CacheSizes{Positive: c.positive.Len(), Negative: c.negative.Len(), Servers: c.seenServers.Len()}
+	sz := CacheSizes{Positive: c.positive.Len(), Negative: c.negative.Len(),
+		Zones: c.zones.Len(), Servers: c.seenServers.Len()}
 	c.zones.Each(func(_ dns.Name, rec zoneRec) {
 		if rec.deleg != nil {
 			sz.Delegations++

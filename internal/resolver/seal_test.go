@@ -51,7 +51,7 @@ func TestSealIdempotent(t *testing.T) {
 		t.Fatal("Seal did not seal")
 	}
 	n := len(names)
-	want := CacheSizes{Positive: n, Negative: n, Delegations: n, ZoneOutcomes: n, Servers: n, NSCompleted: n, Spans: n}
+	want := CacheSizes{Positive: n, Negative: n, Zones: n, Delegations: n, ZoneOutcomes: n, Servers: n, NSCompleted: n, Spans: n}
 	if got := c.Sizes(); got != want {
 		t.Fatalf("sealed sizes = %+v, want %+v", got, want)
 	}

@@ -408,7 +408,7 @@ func runTableSequence(t *testing.T, seed int64) (*Zone, *mapZone) {
 		default:
 			switch r.Intn(4) {
 			case 0:
-				if _, err := z.Lookup(pick(tableOwners), dns.TypeA, false); err != nil {
+				if _, err := z.Lookup(pick(tableOwners), dns.TypeA, true); err != nil {
 					t.Fatal(err)
 				}
 			case 1:

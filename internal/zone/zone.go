@@ -277,10 +277,21 @@ func (z *Zone) AttachDS(child dns.Name, ds ...*dns.DSData) error {
 // insertLocked adds rr to its owner's entry. Callers hold z.mu.
 func (z *Zone) insertLocked(rr dns.RR) {
 	z.gen++
-	z.slotLocked(rr.Name).add(rr)
-	if z.sig != nil {
-		// Any cached signature for this RRset is now stale.
-		z.sig.sigs.Delete(rr.Key())
+	e := z.slotLocked(rr.Name)
+	fresh := len(e.rrs) == 0
+	e.add(rr)
+	if z.sig == nil || z.sig.sigs.Len() == 0 {
+		return
+	}
+	// Any cached signature for this RRset is now stale, and so is the one
+	// over the owner's NSEC (its bitmap) and, for a new owner, the one over
+	// its predecessor's (its NextName). A bulk load before the first signed
+	// read has none to drop, and so does not sort the table per insert.
+	z.sig.sigs.Delete(rr.Key())
+	z.sig.sigs.Delete(dns.Key{Name: rr.Name, Type: dns.TypeNSEC, Class: dns.ClassIN})
+	if fresh {
+		prev := z.predecessorLocked(z.ownerLocked(rr.Name)).name
+		z.sig.sigs.Delete(dns.Key{Name: prev, Type: dns.TypeNSEC, Class: dns.ClassIN})
 	}
 }
 

@@ -633,3 +633,65 @@ func TestWildcardDoesNotCoverENT(t *testing.T) {
 		t.Fatalf("ENT answered via wildcard: %s", res.Kind)
 	}
 }
+
+// TestInsertRefreshesNSECSignatures pins that an insert into a signed zone
+// drops the memoized signature of every NSEC it changes: the predecessor's
+// when an owner is new (its NextName moves), the owner's when a type is new
+// there (its bitmap grows). Each served NSEC must verify after the insert
+// as it did before. Live deposits into a DLV registry take this path.
+func TestInsertRefreshesNSECSignatures(t *testing.T) {
+	z := buildTestZone(t, true)
+	keyRes, err := z.Lookup(z.Apex(), dns.TypeDNSKEY, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := keyRes.AnswerRRSetOfType(dns.TypeDNSKEY)
+	lookup := func(name string, qt dns.Type, wantNSECs int) {
+		t.Helper()
+		res, err := z.Lookup(dns.MustName(name), qt, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nsecs := 0
+		for _, rr := range res.Authority {
+			if rr.Type != dns.TypeNSEC {
+				continue
+			}
+			nsecs++
+			var sig *dns.RR
+			for i, s := range res.Authority {
+				if s.Type == dns.TypeRRSIG && s.Name == rr.Name && s.Data.(*dns.RRSIGData).TypeCovered == dns.TypeNSEC {
+					sig = &res.Authority[i]
+				}
+			}
+			if sig == nil {
+				t.Fatalf("%s/%s: NSEC %s served without its RRSIG", name, qt, rr)
+			}
+			verified := false
+			for _, k := range keys {
+				if dnssec.VerifyRRSet(k.Data.(*dns.DNSKEYData), *sig, []dns.RR{rr}, 1500) == nil {
+					verified = true
+				}
+			}
+			if !verified {
+				t.Errorf("%s/%s: NSEC %s does not verify against its RRSIG", name, qt, rr)
+			}
+		}
+		if nsecs != wantNSECs {
+			t.Fatalf("%s/%s: %d NSECs served, want %d", name, qt, nsecs, wantNSECs)
+		}
+	}
+	// NXDOMAIN: the NSEC covering the name, mail -> sub.
+	lookup("nothere.example.com", dns.TypeA, 1)
+	if err := z.Add(aRR("o.example.com", "192.0.2.15")); err != nil {
+		t.Fatal(err)
+	}
+	lookup("nothere.example.com", dns.TypeA, 1) // now mail -> o
+	// NODATA: the NSEC at the owner, whose bitmap an insert grows.
+	lookup("mail.example.com", dns.TypeTXT, 1)
+	if err := z.Add(dns.RR{Name: dns.MustName("mail.example.com"), Type: dns.TypeTXT, Class: dns.ClassIN, TTL: 300,
+		Data: &dns.TXTData{Strings: []string{"v=spf1"}}}); err != nil {
+		t.Fatal(err)
+	}
+	lookup("mail.example.com", dns.TypeMX, 1)
+}
